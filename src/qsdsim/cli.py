@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical instability.
 
 import argparse
 import json
+import math
 import subprocess
 import sys
 import time
@@ -112,6 +113,9 @@ def _as_positive_float(value, key: str, errors: list) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errors.append(f"{key}: expected a positive number, got {value!r}")
         return 1.0
+    if not math.isfinite(value):
+        errors.append(f"{key}: must be a finite number, got {value}")
+        return 1.0
     if value <= 0:
         errors.append(f"{key}: must be positive, got {value}")
         return 1.0
@@ -121,6 +125,9 @@ def _as_positive_float(value, key: str, errors: list) -> float:
 def _as_nonnegative_float(value, key: str, errors: list) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errors.append(f"{key}: expected a non-negative number, got {value!r}")
+        return 0.0
+    if not math.isfinite(value):
+        errors.append(f"{key}: must be a finite number, got {value}")
         return 0.0
     if value < 0:
         errors.append(f"{key}: must be >= 0, got {value}")

@@ -25,6 +25,7 @@ over the whole stacked vector.  Ensemble averages of the block inner product
 the two stacked states.
 """
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -66,8 +67,8 @@ class SdeConfig:
     renormalize_each_step: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
 
@@ -116,8 +117,8 @@ class QsdEngine:
     def __init__(self, model: LindbladModel, dt: float, scheme: str = "normalized"):
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
+        if not (dt > 0 and math.isfinite(dt)):
+            raise ValueError(f"dt must be finite and positive, got {dt}")
         self.dt = dt
         self.scheme = scheme
         self.dim = model.dim

@@ -6,11 +6,12 @@ integrates the Lindblad master equation
     d(rho)/dt = -i[H, rho] + (1/2) sum_j (2 L_j rho L_j^dag
                 - L_j^dag L_j rho - rho L_j^dag L_j)
 
-with a dense Liouvillian in column-stacking vectorization and classical
-fixed-step 4th-order Runge-Kutta.  For this autonomous linear system one RK4
-step equals the degree-4 Taylor polynomial of exp(h*L), which is precomputed
-once and applied as a matrix-vector product per step; the scheme (and its
-h^4 convergence) is unchanged, only the constant factor.
+with classical fixed-step 4th-order Runge-Kutta acting on d x d matrices.
+Writing the generator as L(X) = G X + X G^dag + sum_j L_j X L_j^dag with
+G = -iH - (1/2) sum_j L_j^dag L_j, one RK4 step of this autonomous linear
+system equals the degree-4 Taylor polynomial of exp(h*L), applied in Horner
+form X + h L(X + h/2 L(X + h/3 L(X + h/4 L X))).  Each step costs O(d^3);
+the dense (d^2 x d^2) Liouvillian is built only for :func:`steady_state`.
 
 The same propagator applied to non-Hermitian seeds |ket><bra| yields
 Heisenberg-picture matrix elements between different states (quantum
@@ -19,6 +20,7 @@ the doubled-space trajectory estimators: each block of the doubled density
 matrix obeys the original master equation independently.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,16 +146,38 @@ def build_liouvillian(model: LindbladModel) -> Liouvillian:
     return Liouvillian(matrix=gen, dim=d)
 
 
-def _rk4_one_step_map(gen: np.ndarray, h: float) -> np.ndarray:
-    # degree-4 Taylor polynomial of exp(h*gen): identical to one classical
-    # RK4 step for an autonomous linear right-hand side
-    d2 = gen.shape[0]
-    acc = np.eye(d2, dtype=complex)
-    term = np.eye(d2, dtype=complex)
-    for k in range(1, 5):
-        term = term @ (h / k * gen)
-        acc = acc + term
-    return acc
+def _generator_factors(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
+    """Factors of the generator written as L(X) = sum_k A_k X B_k.
+
+    A = (G, I, L_1, ..., L_c) and B = (I, G^dag, L_1^dag, ..., L_c^dag), each
+    returned as its d x d blocks stacked into an (m d, d) array, m = c + 2.
+    """
+    d = model.dim
+    eye = np.eye(d, dtype=complex)
+    lmats = [op.matrix for op in model.lindblads]
+    gen = -1j * model.hamiltonian.matrix
+    for lmat in lmats:
+        gen = gen - 0.5 * (lmat.conj().T @ lmat)
+    left = np.concatenate([gen, eye, *lmats])
+    right = np.concatenate([eye, gen.conj().T, *(lmat.conj().T for lmat in lmats)])
+    return left, right
+
+
+def _rk4_steps(
+    x: np.ndarray, left: np.ndarray, right: np.ndarray, h: float, n_steps: int
+) -> np.ndarray:
+    """``n_steps`` classical RK4 steps of dX/dt = L(X), in Horner form."""
+    d = x.shape[0]
+    m = left.shape[0] // d
+    scaled = [left * (h / k) for k in (4, 3, 2, 1)]
+    for _ in range(n_steps):
+        y = x
+        for a in scaled:
+            # (h/k) L(Y): the blocks A_k Y side by side, times B stacked
+            ay = (a @ y).reshape(m, d, d).transpose(1, 0, 2).reshape(d, m * d)
+            y = x + ay @ right
+        x = y
+    return x
 
 
 def _validate_grid(t_grid: np.ndarray) -> np.ndarray:
@@ -181,36 +205,6 @@ def _grid_from_zero(t_grid) -> tuple[np.ndarray, bool]:
     return grid, False
 
 
-class _VecPropagator:
-    """Fixed-step RK4 stepping of vectorized matrices along a time grid."""
-
-    def __init__(self, gen: np.ndarray, h_ode: float):
-        if h_ode <= 0:
-            raise ValueError(f"h_ode must be positive, got {h_ode}")
-        self.gen = gen
-        self.h_ode = h_ode
-        self._maps: dict[float, np.ndarray] = {}
-
-    def _map_for(self, h: float) -> np.ndarray:
-        found = self._maps.get(h)
-        if found is None:
-            found = _rk4_one_step_map(self.gen, h)
-            self._maps[h] = found
-        return found
-
-    def run(self, v0: np.ndarray, t_grid: np.ndarray) -> list[np.ndarray]:
-        out = [v0.copy()]
-        v = v0.copy()
-        for gap in np.diff(t_grid):
-            if gap > 0:
-                n_sub = max(1, int(np.ceil(gap / self.h_ode - 1e-12)))
-                step_map = self._map_for(gap / n_sub)
-                for _ in range(n_sub):
-                    v = step_map @ v
-            out.append(v.copy())
-        return out
-
-
 def evolve(
     rho0: DensityMatrix,
     model: LindbladModel,
@@ -225,13 +219,20 @@ def evolve(
     """
     if rho0.dim != model.dim:
         raise ValueError(f"dimension mismatch: state {rho0.dim}, model {model.dim}")
+    if not (h_ode > 0 and math.isfinite(h_ode)):
+        raise ValueError(f"h_ode must be finite and positive, got {h_ode}")
     grid = _validate_grid(t_grid)
-    gen = build_liouvillian(model).matrix
-    vecs = _VecPropagator(gen, h_ode).run(_vec(rho0.entries), grid)
+    left, right = _generator_factors(model)
+    mat = rho0.entries
+    mats = [mat]
+    for gap in np.diff(grid):
+        if gap > 0:
+            n_sub = max(1, int(np.ceil(gap / h_ode - 1e-12)))
+            mat = _rk4_steps(mat, left, right, gap / n_sub, n_sub)
+        mats.append(mat)
     tr0 = complex(np.trace(rho0.entries))
     out = []
-    for v in vecs:
-        mat = _unvec(v, model.dim)
+    for mat in mats:
         drift = abs(complex(np.trace(mat)) - tr0)
         if drift > 1e-10 * (1.0 + abs(tr0)):
             raise RuntimeError(f"trace drift {drift:.3e} exceeds tolerance")

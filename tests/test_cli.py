@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +74,27 @@ def test_validate_rejects(text, needle):
     config, errors = cli.validate(text)
     assert config is None
     assert any(needle in line for line in errors), errors
+
+
+@pytest.mark.parametrize(
+    "text,key",
+    [
+        ('{"scenario": "decay-element", "dt": NaN}', "dt"),
+        ('{"scenario": "decay-element", "dt": Infinity}', "dt"),
+        ('{"scenario": "decay-element", "h_ode": NaN}', "h_ode"),
+        ('{"scenario": "decay-element", "h_ode": Infinity}', "h_ode"),
+        ('{"scenario": "fluorescence-g1", "omega": Infinity}', "omega"),
+        ('{"scenario": "fluorescence-g1", "warmup": NaN}', "warmup"),
+    ],
+)
+def test_non_finite_numbers_are_named_errors(tmp_path, capsys, text, key):
+    config, errors = cli.validate(text)
+    assert config is None
+    assert any(f"{key}: must be a finite number" in line for line in errors), errors
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert run_main(["--config", str(path)]) == 2
+    assert f"config error: {key}: must be a finite number" in capsys.readouterr().err
 
 
 def test_overrides_win_over_file_values():
@@ -313,10 +335,13 @@ def test_module_entry_point(tmp_path):
         t_nodes=2,
         out=str(out),
     )
+    # run from the directory that holds the package, so the child imports the
+    # same qsdsim whether or not it is installed or on PYTHONPATH
     proc = subprocess.run(
         [sys.executable, "-m", "qsdsim", "--config", str(path)],
         capture_output=True,
         text=True,
+        cwd=Path(cli.__file__).resolve().parents[1],
     )
     assert proc.returncode == 0, proc.stderr
     assert (out / "results.csv").exists()

@@ -28,8 +28,11 @@ from conftest import decay_element_setup
 
 
 def test_sde_config_validation():
-    with pytest.raises(ValueError):
-        SdeConfig(dt=0.0)
+    for dt in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            SdeConfig(dt=dt)
+        with pytest.raises(ValueError, match="finite and positive"):
+            QsdEngine(decay_model(), dt)
     with pytest.raises(ValueError):
         SdeConfig(dt=0.1, scheme="euler")
     assert SdeConfig(dt=0.1).renormalize_each_step

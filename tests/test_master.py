@@ -1,8 +1,11 @@
 """Deterministic master-equation oracle tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qsdsim import master
 from qsdsim import (
     DegenerateSteadyStateError,
     DensityMatrix,
@@ -92,6 +95,73 @@ def test_rk4_error_drops_16x_per_halving():
 
     ratio = error(0.04) / error(0.02)
     assert 12.0 <= ratio <= 20.0
+
+
+def taylor4_reference(model, seed, grid, h_ode):
+    # one RK4 step of the linear master equation is the degree-4 Taylor
+    # polynomial of exp(h L); build it on the dense Liouvillian
+    gen = build_liouvillian(model).matrix
+    d = model.dim
+    out = [seed]
+    vec = _vec(seed)
+    for gap in np.diff(grid):
+        n_sub = max(1, int(np.ceil(gap / h_ode - 1e-12)))
+        hgen = gen * (gap / n_sub)
+        step_map = np.eye(d * d, dtype=complex)
+        term = np.eye(d * d, dtype=complex)
+        for k in range(1, 5):
+            term = term @ hgen / k
+            step_map = step_map + term
+        for _ in range(n_sub):
+            vec = step_map @ vec
+        out.append(_unvec(vec, d))
+    return out
+
+
+@pytest.mark.parametrize("dim", [3, 8])
+def test_matrix_rk4_matches_taylor_map_of_liouvillian(rng, dim):
+    # uneven gaps exercise the substep rule n_sub = ceil(gap / h_ode)
+    grid = np.array([0.0, 0.05, 0.12, 0.3])
+    h_ode = 0.02
+    for channels in (1, 2, 3):
+        model = random_model(rng, dim, channels)
+        ket, bra = random_ket(rng, dim), random_ket(rng, dim)
+        seed = np.outer(ket.amplitudes, bra.amplitudes.conj())
+        got = evolve(DensityMatrix(seed, hermitian=False), model, grid, h_ode)
+        want = taylor4_reference(model, seed, grid, h_ode)
+        for state, ref in zip(got, want):
+            assert np.max(np.abs(state.entries - ref)) <= 1e-12
+
+
+def test_evolve_never_builds_the_dense_liouvillian(rng, monkeypatch):
+    def refuse(model):
+        raise AssertionError("evolve must not build the dense Liouvillian")
+
+    monkeypatch.setattr(master, "build_liouvillian", refuse)
+    observable, bra, ket, model = decay_element_setup()
+    grid = np.linspace(0.0, 1.0, 5)
+    series = regression_matrix_element(observable, bra, ket, model, grid)
+    assert np.max(np.abs(series - analytic_decay_element(grid))) < 1e-8
+
+    dim = 16
+    big = random_model(rng, dim, 2)
+    rho0 = DensityMatrix.from_ket(random_ket(rng, dim))
+    tracemalloc.start()
+    try:
+        states = evolve(rho0, big, [0.0, 0.01, 0.02])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(states) == 3
+    # one dense d^2 x d^2 complex array would take 16 d^4 bytes
+    assert peak < 16 * dim**4
+
+
+@pytest.mark.parametrize("h_ode", [0.0, -1e-3, float("nan"), float("inf")])
+def test_evolve_rejects_non_finite_or_non_positive_step(h_ode):
+    rho0 = DensityMatrix.from_ket(basis_ket(2, 1))
+    with pytest.raises(ValueError, match="finite and positive"):
+        evolve(rho0, decay_model(), [0.0, 1.0], h_ode=h_ode)
 
 
 def test_evolve_rejects_bad_grid():
