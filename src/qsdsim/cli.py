@@ -40,6 +40,7 @@ from .hilbert import (
 )
 from .jumps import jump_correlate, jump_matrix_element
 from .master import regression_matrix_element, two_time_correlation
+from .noise import grid_steps
 
 __all__ = ["RunConfig", "validate", "run", "main"]
 
@@ -109,55 +110,72 @@ def _as_positive_int(value, key: str, errors: list, minimum: int = 1) -> int:
     return value
 
 
-def _as_positive_float(value, key: str, errors: list) -> float:
+def _as_finite_float(value, key: str, errors: list, kind: str = "number"):
+    """``value`` as a finite float, or None after appending an error."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"{key}: expected a positive number, got {value!r}")
-        return 1.0
-    if not math.isfinite(value):
+        errors.append(f"{key}: expected a {kind}, got {value!r}")
+        return None
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
         errors.append(f"{key}: must be a finite number, got {value}")
-        return 1.0
-    if value <= 0:
+        return None
+    return number
+
+
+def _as_positive_float(value, key: str, errors: list) -> float:
+    number = _as_finite_float(value, key, errors, "positive number")
+    if number is not None and number <= 0:
         errors.append(f"{key}: must be positive, got {value}")
-        return 1.0
-    return float(value)
+        number = None
+    return 1.0 if number is None else number
 
 
 def _as_nonnegative_float(value, key: str, errors: list) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"{key}: expected a non-negative number, got {value!r}")
-        return 0.0
-    if not math.isfinite(value):
-        errors.append(f"{key}: must be a finite number, got {value}")
-        return 0.0
-    if value < 0:
+    number = _as_finite_float(value, key, errors, "non-negative number")
+    if number is not None and number < 0:
         errors.append(f"{key}: must be >= 0, got {value}")
-        return 0.0
-    return float(value)
+        number = None
+    return 0.0 if number is None else number
 
 
-def _check_grid(grid: np.ndarray, dt: float, key: str, errors: list, dt_ok: bool = True):
-    if grid.size == 0:
-        errors.append(f"{key}: grid is empty")
+def _check_grid(grid, dt, key: str, errors: list, label: str = "node"):
+    """Append the grid rule's complaint about ``grid`` on the dt grid, if
+    any; a grid or dt that already failed to parse (None) is skipped."""
+    if grid is None or dt is None:
         return
-    if grid[0] < 0 or np.any(np.diff(grid) <= 0):
-        errors.append(f"{key}: nodes must be non-negative and strictly increasing")
-        return
-    if not dt_ok:
-        return
-    for t in grid:
-        k = round(t / dt)
-        if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
-            errors.append(
-                f"{key}: node {t:g} is not an integer multiple of dt={dt:g}"
-            )
-            return
+    try:
+        grid_steps(grid, dt, label)
+    except ValueError as err:
+        errors.append(f"{key}: {err}")
 
 
-def _linspace_grid(cfg: dict, prefix: str, start: float, stop: float, num: int):
-    lo = float(cfg.get(f"{prefix}_start", start))
-    hi = float(cfg.get(f"{prefix}_stop", stop))
-    k = int(cfg.get(f"{prefix}_nodes", num))
-    return np.linspace(lo, hi, k)
+def _linspace(values, keys, dt, errors: list):
+    """np.linspace(start, stop, num) from config values named by ``keys``,
+    or None after appending errors.  A node count that cannot fit on the dt
+    grid between start and stop is rejected before anything is allocated."""
+    n_errors = len(errors)
+    lo = _as_finite_float(values[0], keys[0], errors)
+    hi = _as_finite_float(values[1], keys[1], errors)
+    num = _as_positive_int(values[2], keys[2], errors)
+    if len(errors) > n_errors or dt is None:
+        return None
+    if num - 1 > abs(hi - lo) / dt + 0.5:
+        errors.append(
+            f"{keys[2]}: {num} nodes do not fit on the dt={dt:g} grid "
+            f"between {lo:g} and {hi:g}"
+        )
+        return None
+    return np.linspace(lo, hi, num)
+
+
+def _linspace_grid(cfg: dict, prefix: str, start: float, stop: float, num: int,
+                   dt, errors: list):
+    keys = [f"{prefix}_{part}" for part in ("start", "stop", "nodes")]
+    values = [cfg.get(key, default) for key, default in zip(keys, (start, stop, num))]
+    return _linspace(values, keys, dt, errors)
 
 
 def _parse_complex(value, key: str, errors: list) -> complex:
@@ -198,20 +216,20 @@ def _parse_vector(value, key: str, errors: list) -> np.ndarray:
     )
 
 
-def _parse_grid_spec(value, key: str, errors: list) -> np.ndarray:
+def _parse_grid_spec(value, key: str, dt, errors: list):
+    parts = ("start", "stop", "num")
     if isinstance(value, dict):
-        extra = set(value) - {"start", "stop", "num"}
-        if extra or not {"start", "stop", "num"} <= set(value):
+        if set(value) != set(parts):
             errors.append(f"{key}: grid object needs exactly start, stop, num")
-            return np.zeros(1)
-        return np.linspace(float(value["start"]), float(value["stop"]), int(value["num"]))
+            return None
+        return _linspace([value[p] for p in parts], [f"{key}.{p}" for p in parts],
+                         dt, errors)
     if isinstance(value, list) and value:
-        try:
-            return np.array([float(v) for v in value])
-        except (TypeError, ValueError):
-            pass
+        n_errors = len(errors)
+        times = [_as_finite_float(v, f"{key}[{i}]", errors) for i, v in enumerate(value)]
+        return None if len(errors) > n_errors else np.array(times)
     errors.append(f"{key}: expected a list of times or {{start, stop, num}}")
-    return np.zeros(1)
+    return None
 
 
 def _parse_model(value, errors: list):
@@ -312,15 +330,20 @@ def validate(text: str, overrides: "dict | None" = None):
     if errors:
         return None, errors
 
-    dt_errors: list = []
-    dt = _as_positive_float(cfg.get("dt", _DEFAULTS["dt"]), "dt", dt_errors)
-    errors.extend(dt_errors)
+    n_errors = len(errors)
+    dt = _as_positive_float(cfg.get("dt", _DEFAULTS["dt"]), "dt", errors)
+    # grids are checked only against a dt that parsed
+    grid_dt = dt if len(errors) == n_errors else None
     seed = cfg.get("seed", _DEFAULTS["seed"])
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         errors.append(f"seed: expected a non-negative integer, got {seed!r}")
         seed = 0
     workers = _as_positive_int(cfg.get("workers", _DEFAULTS["workers"]), "workers", errors)
-    out_dir = Path(cfg.get("out", f"out-{scenario}"))
+    out = cfg.get("out", f"out-{scenario}")
+    if not isinstance(out, str):
+        errors.append(f"out: expected a directory path string, got {out!r}")
+        out = f"out-{scenario}"
+    out_dir = Path(out)
     params: dict = {"h_ode": _as_positive_float(
         cfg.get("h_ode", _DEFAULTS["h_ode"]), "h_ode", errors
     )} if "h_ode" in allowed else {}
@@ -336,8 +359,8 @@ def validate(text: str, overrides: "dict | None" = None):
 
     if scenario == "decay-element":
         params["n"] = _as_positive_int(cfg.get("n", 1000), "n", errors, minimum=2)
-        grid = _linspace_grid(cfg, "t", 0.1, 4.0, 40)
-        _check_grid(grid, dt, "t grid", errors, dt_ok=not dt_errors)
+        grid = _linspace_grid(cfg, "t", 0.1, 4.0, 40, grid_dt, errors)
+        _check_grid(grid, grid_dt, "t grid", errors)
         params["t_grid"] = grid
     elif scenario == "fluorescence-g1":
         params["n"] = _as_positive_int(cfg.get("n", 10_000), "n", errors, minimum=2)
@@ -345,8 +368,9 @@ def validate(text: str, overrides: "dict | None" = None):
         params["warmup"] = _as_nonnegative_float(
             cfg.get("warmup", _DEFAULTS["warmup"]), "warmup", errors
         )
-        grid = _linspace_grid(cfg, "tau", 0.0, 3.0, 61)
-        _check_grid(grid, dt, "tau grid", errors, dt_ok=not dt_errors)
+        _check_grid([params["warmup"]], grid_dt, "warmup", errors, "value")
+        grid = _linspace_grid(cfg, "tau", 0.0, 3.0, 61, grid_dt, errors)
+        _check_grid(grid, grid_dt, "tau grid", errors)
         params["tau_grid"] = grid
     elif scenario == "gisin-compare":
         params["n"] = _as_positive_int(cfg.get("n", 10_000), "n", errors, minimum=2)
@@ -357,8 +381,8 @@ def validate(text: str, overrides: "dict | None" = None):
         h_list = [_as_positive_float(h, "h_list", errors) for h in h_list]
         params["h_list"] = h_list
         params["floor"] = _as_positive_float(cfg.get("floor", 1e-12), "floor", errors)
-        grid = _linspace_grid(cfg, "t", 0.1, 1.0, 10)
-        _check_grid(grid, dt, "t grid", errors, dt_ok=not dt_errors)
+        grid = _linspace_grid(cfg, "t", 0.1, 1.0, 10, grid_dt, errors)
+        _check_grid(grid, grid_dt, "t grid", errors)
         for h in h_list:
             _check_grid(grid, h, f"t grid (h={h:g})", errors)
         params["t_grid"] = grid
@@ -372,9 +396,10 @@ def validate(text: str, overrides: "dict | None" = None):
             errors.append("n_list: expected a non-empty list of ensemble sizes")
             n_list = [100]
         params["n_list"] = [_as_positive_int(n, "n_list", errors, minimum=2) for n in n_list]
-        grid = _linspace_grid({}, "tau", 0.0, float(cfg.get("tau_stop", 3.0)),
-                              int(cfg.get("tau_nodes", 16)))
-        _check_grid(grid, dt, "tau grid", errors, dt_ok=not dt_errors)
+        _check_grid([params["warmup"]], grid_dt, "warmup", errors, "value")
+        # tau_start is not a benchmark key, so the grid always starts at 0
+        grid = _linspace_grid(cfg, "tau", 0.0, 3.0, 16, grid_dt, errors)
+        _check_grid(grid, grid_dt, "tau grid", errors)
         params["tau_grid"] = grid
     else:  # custom
         params["n"] = _as_positive_int(cfg.get("n", 1000), "n", errors, minimum=2)
@@ -412,9 +437,8 @@ def validate(text: str, overrides: "dict | None" = None):
                             errors.append(f"{key}: must be a nonzero vector")
                         else:
                             params[key] = Ket(vec / np.linalg.norm(vec))
-                grid = _parse_grid_spec(cfg["t_grid"], "t_grid", errors)
-                if not errors:
-                    _check_grid(grid, dt, "t_grid", errors, dt_ok=not dt_errors)
+                grid = _parse_grid_spec(cfg["t_grid"], "t_grid", grid_dt, errors)
+                _check_grid(grid, grid_dt, "t_grid", errors)
                 params["t_grid"] = grid
         else:
             for key in ("perturbation", "tau_grid"):
@@ -437,9 +461,10 @@ def validate(text: str, overrides: "dict | None" = None):
                         f"initial: expected 'steady_state' or 'random_uniform', got {initial!r}"
                     )
                 params["initial"] = initial
-                grid = _parse_grid_spec(cfg["tau_grid"], "tau_grid", errors)
-                if not errors:
-                    _check_grid(grid, dt, "tau_grid", errors, dt_ok=not dt_errors)
+                _check_grid([params["warmup"] + params["t"]], grid_dt, "warmup + t",
+                            errors, "value")
+                grid = _parse_grid_spec(cfg["tau_grid"], "tau_grid", grid_dt, errors)
+                _check_grid(grid, grid_dt, "tau_grid", errors)
                 params["tau_grid"] = grid
 
     if errors:

@@ -20,7 +20,7 @@ import numpy as np
 from .diffusion import QsdEngine, SdeConfig
 from .ensemble import EnsembleResult, run_ensemble
 from .hilbert import Ket, LindbladModel, Operator, extend_model, make_doubled_state
-from .noise import NoiseStream
+from .noise import NoiseStream, grid_steps
 
 __all__ = [
     "CorrelationRequest",
@@ -79,17 +79,6 @@ class CorrelationRequest:
             raise TypeError("initial must be a Ket or a named spec string")
 
 
-def _steps_for(value: float, dt: float, label: str) -> int:
-    k = int(round(value / dt))
-    if abs(k * dt - value) > 1e-9 * max(1.0, abs(value)):
-        raise ValueError(f"{label}={value} is not an integer multiple of dt={dt}")
-    return k
-
-
-def _grid_steps(grid: np.ndarray, dt: float) -> list[int]:
-    return [_steps_for(t, dt, "grid node") for t in grid]
-
-
 def _haar_rows(streams, dim: int) -> np.ndarray:
     out = np.empty((len(streams), dim), dtype=complex)
     for i, stream in enumerate(streams):
@@ -145,17 +134,14 @@ def _correlation_chunk(
     request: CorrelationRequest,
     model: LindbladModel,
     engine_factory,
+    pre_steps: int,
+    node_steps: list[int],
 ) -> np.ndarray:
-    d = model.dim
     sde = request.sde
     if isinstance(request.initial, Ket):
         states = np.tile(request.initial.normalized().amplitudes, (len(streams), 1))
-        pre_steps = _steps_for(request.t, sde.dt, "t")
     else:
-        states = _haar_rows(streams, d)
-        pre_steps = _steps_for(
-            request.warmup_time + request.t, sde.dt, "warmup_time + t"
-        )
+        states = _haar_rows(streams, model.dim)
     if pre_steps > 0:
         engine = engine_factory(model, sde)
         states = engine.run(states, streams, pre_steps)
@@ -164,7 +150,6 @@ def _correlation_chunk(
     b_psi = states @ request.perturbation.matrix.T
     weights = 1.0 + np.einsum("bi,bi->b", b_psi.conj(), b_psi).real
     theta = np.concatenate([states, b_psi], axis=1) / np.sqrt(weights)[:, None]
-    node_steps = _grid_steps(request.tau_grid, sde.dt)
     return _doubled_series_chunk(
         streams,
         theta,
@@ -197,7 +182,7 @@ def prepare_initial(
         raise ValueError(f"unknown initial spec {initial!r}")
     factory = engine_factory or _default_engine_factory
     states = _haar_rows([stream], model.dim)
-    steps = _steps_for(warmup_time, sde.dt, "warmup_time")
+    (steps,) = grid_steps([warmup_time], sde.dt, "warmup_time")
     if steps > 0:
         states = factory(model, sde).run(states, [stream], steps)
         if sde.scheme == "quasi_linear":
@@ -224,7 +209,7 @@ def heisenberg_element(
     estimator over ``n_trajectories`` realizations.
     """
     grid = np.asarray(t_grid, dtype=float)
-    node_steps = _grid_steps(grid, sde.dt)
+    node_steps = grid_steps(grid, sde.dt)
     theta0 = make_doubled_state(bra_state.normalized(), ket_state.normalized())
     model_ext = extend_model(model)
     factory = engine_factory or _default_engine_factory
@@ -264,14 +249,18 @@ def correlate(
     # fail on incommensurate times before any trajectory work starts
     dt = request.sde.dt
     if isinstance(request.initial, Ket):
-        _steps_for(request.t, dt, "t")
+        (pre_steps,) = grid_steps([request.t], dt, "t")
     else:
-        _steps_for(request.warmup_time + request.t, dt, "warmup_time + t")
-    _grid_steps(request.tau_grid, dt)
+        (pre_steps,) = grid_steps(
+            [request.warmup_time + request.t], dt, "warmup_time + t"
+        )
+    node_steps = grid_steps(request.tau_grid, dt, "tau node")
     factory = engine_factory or _default_engine_factory
 
     def task(streams):
-        return _correlation_chunk(streams, request, model, factory)
+        return _correlation_chunk(
+            streams, request, model, factory, pre_steps, node_steps
+        )
 
     return run_ensemble(
         task,

@@ -23,17 +23,19 @@ propagated with the block-diagonal duplicated operators, expectations taken
 over the whole stacked vector.  Ensemble averages of the block inner product
 2 <upper|A|lower> then estimate Heisenberg-picture matrix elements between
 the two stacked states.
+
+The drift is ``LindbladModel.generator``; the step-size check, the dt grid
+rule and the blocked noise come from :mod:`qsdsim.noise`.
 """
 
-import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InstabilityError
 from .hilbert import DoubledState, Ket, LindbladModel, Operator, extend_model
-from .noise import NoiseStream
+from .noise import NoiseStream, check_step, grid_steps, wiener_blocks
 
 __all__ = [
     "SdeConfig",
@@ -47,10 +49,6 @@ __all__ = [
 ]
 
 SCHEMES = ("normalized", "quasi_linear")
-
-# steps of noise generated per block in batched runs; bounds memory while
-# keeping per-trajectory draw order identical to stepwise generation
-_NOISE_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -67,8 +65,7 @@ class SdeConfig:
     renormalize_each_step: bool = True
 
     def __post_init__(self):
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        check_step(self.dt)
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
 
@@ -87,25 +84,6 @@ class Trajectory:
     norm_history: np.ndarray
 
 
-def _node_steps(t_grid: np.ndarray, dt: float) -> list[int]:
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("time grid must be a non-empty 1-D array")
-    steps = []
-    for t in grid:
-        offset = t - grid[0]
-        k = int(round(offset / dt))
-        if abs(k * dt - offset) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(
-                f"grid node {t} is not commensurate with dt={dt} "
-                f"(offset {offset} is not an integer multiple)"
-            )
-        steps.append(k)
-    if any(b <= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("time grid nodes must be strictly increasing by >= dt")
-    return steps
-
-
 class QsdEngine:
     """Batched Euler-Maruyama propagation of many trajectories at once.
 
@@ -117,21 +95,13 @@ class QsdEngine:
     def __init__(self, model: LindbladModel, dt: float, scheme: str = "normalized"):
         if scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {scheme!r}")
-        if not (dt > 0 and math.isfinite(dt)):
-            raise ValueError(f"dt must be finite and positive, got {dt}")
-        self.dt = dt
+        self.dt = check_step(dt)
         self.scheme = scheme
         self.dim = model.dim
         self.n_channels = model.n_channels
         self._ls_t = [np.ascontiguousarray(op.matrix.T) for op in model.lindblads]
-        ldl_sum = sum(
-            (op.matrix.conj().T @ op.matrix for op in model.lindblads),
-            np.zeros((model.dim, model.dim), dtype=complex),
-        )
-        # -iH - (1/2) sum_j L_j^dag L_j, transposed for row-state matmuls
-        self._drift_t = np.ascontiguousarray(
-            (-1j * model.hamiltonian.matrix - 0.5 * ldl_sum).T
-        )
+        # transposed for row-state matmuls
+        self._drift_t = np.ascontiguousarray(model.generator().T)
 
     def _step(self, states: np.ndarray, dxi: np.ndarray) -> np.ndarray:
         dt = self.dt
@@ -187,12 +157,8 @@ class QsdEngine:
             on_record(slots[0], states, np.linalg.norm(states, axis=1))
 
         done = 0
-        while done < n_steps:
-            span = min(_NOISE_BLOCK, n_steps - done)
-            block = np.empty((batch, span, self.n_channels), dtype=complex)
-            for i, stream in enumerate(streams):
-                block[i] = stream.wiener_block(span, self.n_channels, self.dt)
-            for k in range(span):
+        for block in wiener_blocks(streams, n_steps, self.n_channels, self.dt):
+            for k in range(block.shape[1]):
                 states = self._step(states, block[:, k, :])
                 done += 1
                 norms = np.linalg.norm(states, axis=1)
@@ -279,7 +245,7 @@ def propagate(
     must be an integer number of dt steps from the first.
     """
     grid = np.asarray(t_grid, dtype=float)
-    steps = _node_steps(grid, config.dt)
+    steps = grid_steps(grid - grid[:1], config.dt)  # counted from the first node
     vec, run_model, doubled = _split_state(state0, model)
     engine = QsdEngine(run_model, config.dt, config.scheme)
 

@@ -41,6 +41,9 @@ Realizations whose scalar product magnitude falls below a floor (default
 realizations that overflow are likewise flagged.  Both counts, the per-node
 surviving ensemble sizes, and the worst scalar-product drift appear in the
 instability report.
+
+The kernel shares its drift (``LindbladModel.generator``), its step check,
+its dt grid rule and its noise blocks with the doubled-space engines.
 """
 
 import time
@@ -51,7 +54,7 @@ import numpy as np
 from .diffusion import complex_standard_error
 from .errors import InstabilityError
 from .hilbert import Ket, LindbladModel, Operator
-from .noise import substream
+from .noise import check_step, grid_steps, substream, wiener_blocks
 
 __all__ = [
     "CoupledPair",
@@ -125,20 +128,12 @@ class _PairKernel:
     def __init__(self, model: LindbladModel, dt: float, variant: str):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        self.dt = dt
+        self.dt = check_step(dt)
         self.variant = variant
         self.n_channels = model.n_channels
         self.dim = model.dim
         self._ls_t = [np.ascontiguousarray(op.matrix.T) for op in model.lindblads]
-        ldl_sum = sum(
-            (op.matrix.conj().T @ op.matrix for op in model.lindblads),
-            np.zeros((model.dim, model.dim), dtype=complex),
-        )
-        self._drift_t = np.ascontiguousarray(
-            (-1j * model.hamiltonian.matrix - 0.5 * ldl_sum).T
-        )
+        self._drift_t = np.ascontiguousarray(model.generator().T)
 
     @staticmethod
     def scalar_products(kets: np.ndarray, bras: np.ndarray) -> np.ndarray:
@@ -257,16 +252,7 @@ def run_coupled_ensemble(
     how many realizations still contribute at each node.
     """
     grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("time grid must be a non-empty 1-D array")
-    steps = []
-    for t in grid:
-        k = int(round(t / dt))
-        if abs(k * dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"grid node {t} is not commensurate with dt={dt}")
-        steps.append(k)
-    if any(b <= a for a, b in zip(steps, steps[1:])) or steps[0] < 0:
-        raise ValueError("time grid nodes must be non-negative and strictly increasing")
+    steps = grid_steps(grid, dt)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 
@@ -287,7 +273,6 @@ def run_coupled_ensemble(
     vals = np.full((n, len(steps)), np.nan + 0j, dtype=complex)
     max_drift = 0.0
     slots = {k: i for i, k in enumerate(steps)}
-    n_channels = model.n_channels
 
     def record(slot: int):
         sp = kernel.scalar_products(kets[alive], bras[alive])
@@ -301,17 +286,11 @@ def run_coupled_ensemble(
 
     if 0 in slots:
         record(slots[0])
-    block = 256
     done = 0
-    total_steps = steps[-1]
-    while done < total_steps:
-        span = min(block, total_steps - done)
-        noise = np.empty((n, span, n_channels), dtype=complex)
-        for i, stream in enumerate(streams):
-            # aborted rows keep drawing to preserve per-trajectory draw
-            # sequences; their states stay frozen
-            noise[i] = stream.wiener_block(span, n_channels, dt)
-        for k in range(span):
+    # aborted rows keep drawing to preserve per-trajectory draw sequences;
+    # their states stay frozen
+    for noise in wiener_blocks(streams, steps[-1], model.n_channels, dt):
+        for k in range(noise.shape[1]):
             if np.any(alive):
                 sp = kernel.scalar_products(kets[alive], bras[alive])
                 degenerate = np.abs(sp) < floor

@@ -5,7 +5,9 @@ simulation, plus the doubled-space construction used to turn matrix-element
 problems between two different states into ordinary expectation problems:
 a pair (bra_state, ket_state) is stacked into one vector on H (+) H and every
 system operator is duplicated block-diagonally, so both blocks see identical
-dynamics.
+dynamics.  ``LindbladModel.generator`` builds the non-Hermitian generator
+G = -iH - (1/2) sum_j L_j^dag L_j once for every integrator and the
+master-equation oracle.
 
 Conventions: for the two-level atom, basis index 0 is the ground state and
 index 1 the excited state; ``sigma_minus`` maps excited to ground.  The decay
@@ -24,12 +26,10 @@ __all__ = [
     "DoubledState",
     "make_doubled_state",
     "extend_model",
-    "projector",
     "basis_ket",
     "sigma_minus",
     "sigma_plus",
     "drive_hamiltonian",
-    "two_level_operators",
     "decay_model",
     "driven_decay_model",
 ]
@@ -163,6 +163,21 @@ class LindbladModel:
     def n_channels(self) -> int:
         return len(self.lindblads)
 
+    def ldl_sum(self) -> np.ndarray:
+        """sum_j L_j^dag L_j, accumulated channel by channel from zero."""
+        return sum(
+            (op.matrix.conj().T @ op.matrix for op in self.lindblads),
+            np.zeros((self.dim, self.dim), dtype=complex),
+        )
+
+    def generator(self) -> np.ndarray:
+        """G = -iH - (1/2) sum_j L_j^dag L_j.
+
+        The no-jump drift of every unraveling, and the one-sided part of the
+        master equation, L(rho) = G rho + rho G^dag + sum_j L_j rho L_j^dag.
+        """
+        return -1j * self.hamiltonian.matrix - 0.5 * self.ldl_sum()
+
 
 @dataclass(frozen=True, eq=False)
 class DoubledState:
@@ -247,12 +262,6 @@ def extend_model(model: LindbladModel) -> LindbladModel:
     )
 
 
-def projector(state: "Ket | DoubledState") -> np.ndarray:
-    """Rank-1 density matrix |state><state| as a plain complex array."""
-    vec = state.vector() if isinstance(state, DoubledState) else state.amplitudes
-    return np.outer(vec, vec.conj())
-
-
 def basis_ket(dim: int, index: int) -> Ket:
     if not 0 <= index < dim:
         raise ValueError(f"basis index {index} out of range for dimension {dim}")
@@ -274,11 +283,6 @@ def sigma_plus() -> Operator:
 def drive_hamiltonian(omega: float) -> Operator:
     """Resonant drive (omega/2)(sigma_plus + sigma_minus)."""
     return Operator(0.5 * omega * np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-
-def two_level_operators(omega: float = 0.0) -> tuple[Operator, Operator, Operator]:
-    """Convenience triple (sigma_minus, sigma_plus, drive_hamiltonian(omega))."""
-    return sigma_minus(), sigma_plus(), drive_hamiltonian(omega)
 
 
 def decay_model() -> LindbladModel:

@@ -17,22 +17,24 @@ with p > 0.1 aborts: the first-order scheme needs a smaller dt.
 The same machinery runs on the doubled space for matrix elements and
 two-time correlations; the duplicated operators are block-diagonal, so a
 zero block stays zero through drifts and jumps alike.
+
+The no-jump drift is built from ``LindbladModel.generator`` and the step is
+checked by ``noise.check_step``, as in the diffusive engine.
 """
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .correlations import CorrelationRequest, correlate, heisenberg_element
-from .diffusion import SdeConfig
+from .diffusion import SdeConfig, _pack_state, _split_state
 from .ensemble import EnsembleResult
 from .errors import InstabilityError
-from .hilbert import DoubledState, Ket, LindbladModel, Operator, extend_model
-from .noise import NoiseStream
+from .hilbert import Ket, LindbladModel, Operator
+from .noise import NoiseStream, check_step
 
 __all__ = [
-    "JumpConfig",
     "JumpControl",
     "JumpEngine",
     "step_jump",
@@ -41,22 +43,6 @@ __all__ = [
 ]
 
 MAX_JUMP_PROBABILITY = 0.1
-
-
-@dataclass(frozen=True)
-class JumpConfig:
-    """Step size and probability guard for the jump scheme."""
-
-    dt: float
-    max_jump_probability: float = MAX_JUMP_PROBABILITY
-
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if not 0 < self.max_jump_probability <= 1:
-            raise ValueError(
-                f"max_jump_probability must be in (0, 1], got {self.max_jump_probability}"
-            )
 
 
 @dataclass
@@ -83,20 +69,16 @@ class JumpEngine:
 
     def __init__(self, model: LindbladModel, dt: float,
                  max_jump_probability: float = MAX_JUMP_PROBABILITY):
-        if dt <= 0:
-            raise ValueError(f"dt must be positive, got {dt}")
-        self.dt = dt
+        self.dt = check_step(dt)
+        if not 0 < max_jump_probability <= 1:
+            raise ValueError(
+                f"max_jump_probability must be in (0, 1], got {max_jump_probability}"
+            )
         self.dim = model.dim
         self.max_jump_probability = max_jump_probability
         self._ls = [np.ascontiguousarray(op.matrix) for op in model.lindblads]
-        ldl_sum = sum(
-            (op.matrix.conj().T @ op.matrix for op in model.lindblads),
-            np.zeros((model.dim, model.dim), dtype=complex),
-        )
-        self._ldl_sum_t = np.ascontiguousarray(ldl_sum.T)
-        drift = np.eye(model.dim) + dt * (
-            -1j * model.hamiltonian.matrix - 0.5 * ldl_sum
-        )
+        self._ldl_sum_t = np.ascontiguousarray(model.ldl_sum().T)
+        drift = np.eye(model.dim) + dt * model.generator()
         self._no_jump_t = np.ascontiguousarray(drift.T)
         self.last_jump_counts: np.ndarray | None = None
 
@@ -207,24 +189,11 @@ def step_jump(
     persistent control carries the waiting-time sampler across calls so a
     whole inter-jump interval consumes only the two draws of its jump.
     """
-    if isinstance(state, DoubledState):
-        run_model = extend_model(model)
-        vec = state.vector()
-        doubled = True
-    elif isinstance(state, Ket):
-        run_model = model
-        vec = state.amplitudes.copy()
-        doubled = False
-    else:
-        raise TypeError(f"expected Ket or DoubledState, got {type(state).__name__}")
-    if model.dim != state.dim:
-        raise ValueError(f"dimension mismatch: state {state.dim}, model {model.dim}")
+    vec, run_model, doubled = _split_state(state, model)
     engine = JumpEngine(run_model, dt)
     controls = [control] if control is not None else None
     out = engine.run(vec.reshape(1, -1), [stream], 1, controls=controls)[0]
-    if doubled:
-        return DoubledState.from_vector(out, model.dim)
-    return Ket(out)
+    return _pack_state(out, model, doubled)
 
 
 class _JumpFactory:
@@ -279,18 +248,8 @@ def jump_matrix_element(
         engine_factory=factory,
         keep_samples=keep_samples,
     )
-    extras = dict(res.extras)
-    extras["jumps_total"] = factory.total_jumps()
-    return EnsembleResult(
-        grid=res.grid,
-        mean=res.mean,
-        std_error=res.std_error,
-        n=res.n,
-        method="jump",
-        wall_time_seconds=res.wall_time_seconds,
-        draws_total=res.draws_total,
-        extras=extras,
-        samples=res.samples,
+    return replace(
+        res, method="jump", extras={**res.extras, "jumps_total": factory.total_jumps()}
     )
 
 
@@ -312,16 +271,6 @@ def jump_correlate(
         engine_factory=factory,
         keep_samples=keep_samples,
     )
-    extras = dict(res.extras)
-    extras["jumps_total"] = factory.total_jumps()
-    return EnsembleResult(
-        grid=res.grid,
-        mean=res.mean,
-        std_error=res.std_error,
-        n=res.n,
-        method="jump",
-        wall_time_seconds=res.wall_time_seconds,
-        draws_total=res.draws_total,
-        extras=extras,
-        samples=res.samples,
+    return replace(
+        res, method="jump", extras={**res.extras, "jumps_total": factory.total_jumps()}
     )

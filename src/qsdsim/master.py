@@ -8,9 +8,10 @@ integrates the Lindblad master equation
 
 with classical fixed-step 4th-order Runge-Kutta acting on d x d matrices.
 Writing the generator as L(X) = G X + X G^dag + sum_j L_j X L_j^dag with
-G = -iH - (1/2) sum_j L_j^dag L_j, one RK4 step of this autonomous linear
-system equals the degree-4 Taylor polynomial of exp(h*L), applied in Horner
-form X + h L(X + h/2 L(X + h/3 L(X + h/4 L X))).  Each step costs O(d^3);
+G = -iH - (1/2) sum_j L_j^dag L_j (``LindbladModel.generator``, the same
+matrix the trajectory engines drift with), one RK4 step of this autonomous
+linear system equals the degree-4 Taylor polynomial of exp(h*L), applied in
+Horner form X + h L(X + h/2 L(X + h/3 L(X + h/4 L X))).  Each step costs O(d^3);
 the dense (d^2 x d^2) Liouvillian is built only for :func:`steady_state`.
 
 The same propagator applied to non-Hermitian seeds |ket><bra| yields
@@ -20,7 +21,6 @@ the doubled-space trajectory estimators: each block of the doubled density
 matrix obeys the original master equation independently.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,10 +33,10 @@ from .hilbert import (
     extend_model,
     make_doubled_state,
 )
+from .noise import check_step
 
 __all__ = [
     "DensityMatrix",
-    "Liouvillian",
     "DegenerateSteadyStateError",
     "build_liouvillian",
     "evolve",
@@ -95,25 +95,6 @@ class DensityMatrix:
         return cls(np.outer(state.amplitudes, state.amplitudes.conj()), hermitian=True)
 
 
-@dataclass(frozen=True, eq=False)
-class Liouvillian:
-    """Generator of the master equation acting on column-stacked matrices."""
-
-    matrix: np.ndarray
-    dim: int
-
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        if mat.shape != (self.dim**2, self.dim**2):
-            raise ValueError(
-                f"Liouvillian for dimension {self.dim} must have shape "
-                f"{(self.dim**2, self.dim**2)}, got {mat.shape}"
-            )
-        mat = mat.copy()
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-
 def _vec(rho: np.ndarray) -> np.ndarray:
     # column stacking
     return rho.reshape(-1, order="F")
@@ -123,27 +104,19 @@ def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-def build_liouvillian(model: LindbladModel) -> Liouvillian:
-    """Dense Liouvillian in column-stacking convention.
+def build_liouvillian(model: LindbladModel) -> np.ndarray:
+    """Dense (d^2 x d^2) Liouvillian in column-stacking convention.
 
-    With vec(A X B) = (B^T kron A) vec(X), the generator reads
-    -i(I kron H - H^T kron I)
-    + sum_j [ conj(L_j) kron L_j - (1/2) I kron L_j^dag L_j
-              - (1/2) (L_j^dag L_j)^T kron I ].
+    With vec(A X B) = (B^T kron A) vec(X), the generator
+    L(X) = G X + X G^dag + sum_j L_j X L_j^dag reads
+    I kron G + conj(G) kron I + sum_j conj(L_j) kron L_j.
     """
-    d = model.dim
-    eye = np.eye(d)
-    ham = model.hamiltonian.matrix
-    gen = -1j * (np.kron(eye, ham) - np.kron(ham.T, eye))
+    eye = np.eye(model.dim)
+    gen = model.generator()
+    out = np.kron(eye, gen) + np.kron(gen.conj(), eye)
     for op in model.lindblads:
-        lmat = op.matrix
-        ldl = lmat.conj().T @ lmat
-        gen = gen + (
-            np.kron(lmat.conj(), lmat)
-            - 0.5 * np.kron(eye, ldl)
-            - 0.5 * np.kron(ldl.T, eye)
-        )
-    return Liouvillian(matrix=gen, dim=d)
+        out += np.kron(op.matrix.conj(), op.matrix)
+    return out
 
 
 def _generator_factors(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
@@ -152,12 +125,9 @@ def _generator_factors(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
     A = (G, I, L_1, ..., L_c) and B = (I, G^dag, L_1^dag, ..., L_c^dag), each
     returned as its d x d blocks stacked into an (m d, d) array, m = c + 2.
     """
-    d = model.dim
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(model.dim, dtype=complex)
     lmats = [op.matrix for op in model.lindblads]
-    gen = -1j * model.hamiltonian.matrix
-    for lmat in lmats:
-        gen = gen - 0.5 * (lmat.conj().T @ lmat)
+    gen = model.generator()
     left = np.concatenate([gen, eye, *lmats])
     right = np.concatenate([eye, gen.conj().T, *(lmat.conj().T for lmat in lmats)])
     return left, right
@@ -219,8 +189,7 @@ def evolve(
     """
     if rho0.dim != model.dim:
         raise ValueError(f"dimension mismatch: state {rho0.dim}, model {model.dim}")
-    if not (h_ode > 0 and math.isfinite(h_ode)):
-        raise ValueError(f"h_ode must be finite and positive, got {h_ode}")
+    check_step(h_ode, "h_ode")
     grid = _validate_grid(t_grid)
     left, right = _generator_factors(model)
     mat = rho0.entries
@@ -251,7 +220,7 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> DensityMatrix:
     DegenerateSteadyStateError
         If the kernel is empty at tolerance ``tol`` or has dimension > 1.
     """
-    gen = build_liouvillian(model).matrix
+    gen = build_liouvillian(model)
     _, svals, vh = np.linalg.svd(gen)
     cutoff = tol * float(svals.max()) if svals.size else tol
     null_mask = svals <= cutoff

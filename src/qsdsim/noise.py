@@ -10,11 +10,55 @@ E[dxi] = E[dxi^2] = 0 and E[|dxi|^2] = dt.
 All draws are counted: ``draws`` is the number of underlying real random
 numbers consumed (two per complex increment, one per uniform), which is the
 currency of the cost model reported by the benchmark.
+
+The rules every integrator shares also live here, so that the engines, the
+master-equation oracle and the command line can all import them without a
+cycle: :func:`check_step` (a step size is finite and positive),
+:func:`grid_steps` (times on the dt grid as integer step counts) and
+:func:`wiener_blocks` (batched noise in blocks of ``NOISE_BLOCK`` steps).
 """
+
+import math
 
 import numpy as np
 
 __all__ = ["NoiseStream", "substream", "wiener_increments"]
+
+# steps of noise generated per block in batched runs; bounds memory while
+# keeping per-trajectory draw order identical to stepwise generation
+NOISE_BLOCK = 256
+
+
+def check_step(value: float, name: str = "dt") -> float:
+    """Return ``value`` if it is a finite, positive step size, else raise."""
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
+def grid_steps(times, dt: float, label: str = "node") -> list[int]:
+    """Number of dt steps from time 0 to each of ``times``.
+
+    Every time must be an integer multiple of dt within 1e-9 max(1, |t|),
+    and the times must be non-negative and strictly increasing, so that no
+    two nodes fall on the same step.
+    """
+    check_step(dt)
+    grid = np.asarray(times, dtype=float)
+    if grid.ndim != 1 or grid.size < 1:
+        raise ValueError("time grid must be a non-empty 1-D array")
+    with np.errstate(over="ignore"):
+        ratio = grid / dt
+    if not np.all(np.isfinite(ratio)):
+        raise ValueError(f"time grid must hold finite multiples of dt={dt}")
+    steps = np.rint(ratio)
+    off = np.abs(steps * dt - grid) > 1e-9 * np.maximum(1.0, np.abs(grid))
+    if np.any(off):
+        t = grid[np.argmax(off)]
+        raise ValueError(f"{label}={t} is not an integer multiple of dt={dt}")
+    if grid[0] < 0 or np.any(np.diff(steps) <= 0):
+        raise ValueError("time grid must be non-negative and strictly increasing")
+    return [int(k) for k in steps]
 
 
 class NoiseStream:
@@ -82,6 +126,19 @@ def wiener_increments(stream: NoiseStream, n_channels: int, dt: float) -> np.nda
     """Draw one step of complex Wiener increments from ``stream``."""
     if n_channels < 1:
         raise ValueError(f"n_channels must be >= 1, got {n_channels}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    return stream.wiener(n_channels, dt)
+    return stream.wiener(n_channels, check_step(dt))
+
+
+def wiener_blocks(streams, n_steps: int, n_channels: int, dt: float):
+    """Yield the increments of ``n_steps`` steps in blocks of at most
+    ``NOISE_BLOCK`` steps, each of shape (len(streams), span, n_channels).
+
+    Row i of every block comes from one ``wiener_block`` call on streams[i],
+    so each stream is consumed exactly as by stepwise generation.
+    """
+    for done in range(0, n_steps, NOISE_BLOCK):
+        span = min(NOISE_BLOCK, n_steps - done)
+        block = np.empty((len(streams), span, n_channels), dtype=complex)
+        for i, stream in enumerate(streams):
+            block[i] = stream.wiener_block(span, n_channels, dt)
+        yield block

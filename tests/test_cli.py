@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsdsim import cli
 
@@ -40,9 +42,52 @@ def test_validate_fills_defaults():
     assert grid[-1] == pytest.approx(4.0)
 
 
+# every linspace-grid key of each scenario, with unparsable values
+_TIME_VALUES = [("NaN", "must be a finite number"), ('"abc"', "expected a number"),
+                ("null", "expected a number")]
+_NODE_VALUES = ["NaN", '"abc"', "null", "1.5", "0"]
+_GRID_KEY_CASES = [
+    (f'{{"scenario": "{scenario}", "{prefix}_{part}": {value}}}', f"{prefix}_{part}: {needle}")
+    for scenario, prefix, parts in (
+        ("decay-element", "t", ("start", "stop")),
+        ("gisin-compare", "t", ("start", "stop")),
+        ("fluorescence-g1", "tau", ("start", "stop")),
+        ("benchmark", "tau", ("stop",)),
+    )
+    for part in parts
+    for value, needle in _TIME_VALUES
+] + [
+    (f'{{"scenario": "{scenario}", "{key}": {value}}}', f"{key}: ")
+    for scenario, key in (
+        ("decay-element", "t_nodes"),
+        ("gisin-compare", "t_nodes"),
+        ("fluorescence-g1", "tau_nodes"),
+        ("benchmark", "tau_nodes"),
+    )
+    for value in _NODE_VALUES
+]
+_CUSTOM_ELEMENT = (
+    '{"scenario": "custom", "model": {"builder": "decay"}, '
+    '"observable": "sigma_plus", "bra": [0, 1], "ket": [1, 1], "t_grid": '
+)
+
+
 @pytest.mark.parametrize(
     "text,needle",
     [
+        *_GRID_KEY_CASES,
+        ('{"scenario": "decay-element", "t_nodes": 10000000}', "t_nodes: 10000000 nodes do not fit"),
+        ('{"scenario": "fluorescence-g1", "warmup": 0.0005}', "warmup: value=0.0005 is not an integer multiple"),
+        (_CUSTOM_ELEMENT + '{"start": 0, "stop": 1, "num": "x"}}', "t_grid.num: expected a positive integer"),
+        (_CUSTOM_ELEMENT + '{"start": 0, "stop": 1, "num": -3}}', "t_grid.num: must be >= 1"),
+        (_CUSTOM_ELEMENT + '{"start": 0, "stop": 1, "num": 10000000}}', "t_grid.num: 10000000 nodes do not fit"),
+        (_CUSTOM_ELEMENT + '{"start": NaN, "stop": 1, "num": 3}}', "t_grid.start: must be a finite number"),
+        (_CUSTOM_ELEMENT + '[0.5, NaN]}', "t_grid[1]: must be a finite number"),
+        (_CUSTOM_ELEMENT + '[0.5, "0.7"]}', "t_grid[1]: expected a number"),
+        (_CUSTOM_ELEMENT + '[0.7, 0.5]}', "strictly increasing"),
+        ('{"scenario": "decay-element", "out": null}', "out: expected a directory path string"),
+        ('{"scenario": "decay-element", "out": []}', "out: expected a directory path string"),
+        ('{"scenario": "decay-element", "out": 5}', "out: expected a directory path string"),
         ("not json {", "not valid JSON"),
         ("[1, 2]", "root must be a JSON object"),
         ('{"scenario": "frobnicate"}', "scenario"),
@@ -95,6 +140,36 @@ def test_non_finite_numbers_are_named_errors(tmp_path, capsys, text, key):
     path.write_text(text)
     assert run_main(["--config", str(path)]) == 2
     assert f"config error: {key}: must be a finite number" in capsys.readouterr().err
+
+
+def test_grid_and_out_errors_exit_2(tmp_path, capsys):
+    path = make_config(tmp_path, scenario="decay-element", t_stop="abc", t_nodes=1.5,
+                       out=None)
+    assert run_main(["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    for key in ("t_stop", "t_nodes", "out"):
+        assert f"config error: {key}: " in err, err
+
+
+# any JSON value; integers stay within 1e6 so no value asks for a huge run
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@pytest.mark.parametrize(
+    "scenario", ["decay-element", "fluorescence-g1", "gisin-compare", "benchmark"]
+)
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_validate_returns_errors_and_never_raises(scenario, data):
+    keys = sorted((cli._COMMON_KEYS | cli._SCENARIO_KEYS[scenario]) - {"scenario"})
+    cfg = data.draw(st.dictionaries(st.sampled_from(keys), _JSON_VALUES))
+    config, errors = cli.validate(json.dumps({"scenario": scenario, **cfg}))
+    assert (config is None) == bool(errors)
+    assert all(isinstance(line, str) for line in errors)
 
 
 def test_overrides_win_over_file_values():

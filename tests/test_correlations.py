@@ -15,6 +15,7 @@ from qsdsim import (
     doubled_matrix_element,
     driven_decay_model,
     heisenberg_element,
+    jump_matrix_element,
     prepare_initial,
     sigma_minus,
     sigma_plus,
@@ -70,6 +71,19 @@ def test_incommensurate_time_rejected():
     )
     with pytest.raises(ValueError):
         correlate(request, decay_model(), seed=0)
+
+
+@pytest.mark.parametrize("grid", [[1.0, 0.5, 1.0], [0.5, 0.7, 0.7]])
+def test_unordered_grid_rejected(grid):
+    observable, bra, ket, model = decay_element_setup()
+    with pytest.raises(ValueError, match="strictly increasing"):
+        heisenberg_element(
+            observable, bra, ket, model, grid, 4, SdeConfig(dt=1e-2), seed=0
+        )
+    with pytest.raises(ValueError, match="strictly increasing"):
+        jump_matrix_element(
+            observable, bra, ket, model, grid, n_trajectories=4, dt=1e-2, seed=0
+        )
 
 
 def test_zero_delay_value_is_exact_per_realization():

@@ -50,6 +50,11 @@ def test_step_validation():
     pair = CoupledPair(bra_side=bra, ket_side=ket)
     with pytest.raises(ValueError):
         step_coupled(pair, model, 1e-2, np.zeros(3, dtype=complex))
+    for dt in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            step_coupled(pair, model, dt, np.zeros(1, dtype=complex))
+        with pytest.raises(ValueError, match="finite and positive"):
+            run_coupled_ensemble(observable, bra, ket, model, [0.1], dt, 10, seed=0)
     orthogonal = CoupledPair(bra_side=basis_ket(2, 0), ket_side=basis_ket(2, 1))
     with pytest.raises(InstabilityError):
         step_coupled(orthogonal, model, 1e-2, np.zeros(1, dtype=complex))

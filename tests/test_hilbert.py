@@ -14,10 +14,8 @@ from qsdsim import (
     driven_decay_model,
     extend_model,
     make_doubled_state,
-    projector,
     sigma_minus,
     sigma_plus,
-    two_level_operators,
 )
 
 from conftest import random_ket, random_model
@@ -76,7 +74,7 @@ def test_operator_apply_and_expectation():
 
 
 def test_two_level_algebra():
-    sm, sp, _ = two_level_operators()
+    sm, sp = sigma_minus(), sigma_plus()
     number = sp.matrix @ sm.matrix
     assert np.allclose(number, np.diag([0.0, 1.0]))
     assert np.allclose(sm.matrix @ sm.matrix, 0.0)
@@ -147,12 +145,13 @@ def test_projector_blocks_and_positivity(rng):
     bra = random_ket(rng, 3)
     ket = random_ket(rng, 3)
     theta = make_doubled_state(bra, ket)
-    rho = projector(theta)
+    rho = np.outer(theta.vector(), theta.vector().conj())
     d = 3
     # lower-left block carries |ket><bra| / 2
     expected = 0.5 * np.outer(ket.amplitudes, bra.amplitudes.conj())
     assert np.max(np.abs(rho[d:, :d] - expected)) < 1e-14
-    assert np.max(np.abs(rho[:d, :d] - 0.5 * projector(bra))) < 1e-14
+    bra_projector = np.outer(bra.amplitudes, bra.amplitudes.conj())
+    assert np.max(np.abs(rho[:d, :d] - 0.5 * bra_projector)) < 1e-14
     assert np.trace(rho).real == pytest.approx(theta.norm() ** 2, abs=1e-12)
     evals = np.linalg.eigvalsh(rho)
     assert evals.min() >= -1e-14

@@ -9,7 +9,6 @@ from qsdsim import (
     DensityMatrix,
     DoubledState,
     InstabilityError,
-    JumpConfig,
     JumpControl,
     JumpEngine,
     Ket,
@@ -29,12 +28,14 @@ from qsdsim import (
 from conftest import decay_element_setup
 
 
-def test_jump_config_validation():
-    with pytest.raises(ValueError):
-        JumpConfig(dt=0.0)
-    with pytest.raises(ValueError):
-        JumpConfig(dt=0.1, max_jump_probability=1.5)
-    assert JumpConfig(dt=0.1).max_jump_probability == 0.1
+def test_jump_engine_validation():
+    for dt in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            JumpEngine(decay_model(), dt)
+    for bad in (0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="max_jump_probability"):
+            JumpEngine(decay_model(), 0.1, max_jump_probability=bad)
+    assert JumpEngine(decay_model(), 0.1).max_jump_probability == 0.1
 
 
 def test_ground_state_never_jumps():

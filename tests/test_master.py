@@ -44,7 +44,7 @@ def direct_rhs(model, rho):
 
 def test_liouvillian_matches_direct_action(rng):
     model = random_model(rng, 3, 2)
-    gen = build_liouvillian(model).matrix
+    gen = build_liouvillian(model)
     rho = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     got = _unvec(gen @ _vec(rho), 3)
     assert np.max(np.abs(got - direct_rhs(model, rho))) < 1e-12
@@ -52,7 +52,7 @@ def test_liouvillian_matches_direct_action(rng):
 
 def test_liouvillian_annihilates_trace():
     model = driven_decay_model(3.0)
-    gen = build_liouvillian(model).matrix
+    gen = build_liouvillian(model)
     # Tr L[X] = 0 for every X: vec(I) is a left null vector
     left = _vec(np.eye(2)) @ gen
     assert np.max(np.abs(left)) < 1e-13
@@ -100,7 +100,7 @@ def test_rk4_error_drops_16x_per_halving():
 def taylor4_reference(model, seed, grid, h_ode):
     # one RK4 step of the linear master equation is the degree-4 Taylor
     # polynomial of exp(h L); build it on the dense Liouvillian
-    gen = build_liouvillian(model).matrix
+    gen = build_liouvillian(model)
     d = model.dim
     out = [seed]
     vec = _vec(seed)
@@ -249,7 +249,7 @@ def test_steady_state_of_decay_is_ground():
 def test_steady_state_residual_is_tiny():
     model = driven_decay_model(10.0)
     rho = steady_state(model)
-    gen = build_liouvillian(model).matrix
+    gen = build_liouvillian(model)
     assert np.linalg.norm(gen @ _vec(rho.entries)) < 1e-12
     assert rho.trace().real == pytest.approx(1.0, abs=1e-12)
 

@@ -90,8 +90,9 @@ def test_wiener_increments_validation():
     stream = NoiseStream(0)
     with pytest.raises(ValueError):
         wiener_increments(stream, 0, 0.1)
-    with pytest.raises(ValueError):
-        wiener_increments(stream, 1, 0.0)
+    for dt in (0.0, -0.1, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite and positive"):
+            wiener_increments(stream, 1, dt)
     out = wiener_increments(stream, 2, 0.5)
     assert out.shape == (2,)
 
