@@ -8,6 +8,9 @@ echoing the effective configuration.  Outputs are byte-identical for
 identical (config, seed) regardless of worker count, except for the files
 that record wall-clock timings (metadata.json, benchmark.csv).
 
+Each scenario's keys, defaults and parsers are one table in ``SCHEMAS``.
+Each estimate shape (matrix element, two-time correlation) has one run path.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical instability.
 """
 
@@ -18,12 +21,14 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .correlations import CorrelationRequest, correlate, heisenberg_element
+from .correlations import INITIAL_SPECS, CorrelationRequest, correlate, heisenberg_element
 from .diffusion import SdeConfig
 from .ensemble import EnsembleError, benchmark_sweep
 from .errors import InstabilityError
@@ -44,43 +49,7 @@ from .noise import grid_steps
 
 __all__ = ["RunConfig", "validate", "run", "main"]
 
-SCENARIOS = (
-    "decay-element",
-    "fluorescence-g1",
-    "gisin-compare",
-    "benchmark",
-    "custom",
-)
 UNRAVELINGS = ("qsd", "jump")
-
-# keys every scenario understands
-_COMMON_KEYS = {"scenario", "dt", "seed", "workers", "out"}
-# scenario-specific keys (n is deliberately absent for benchmark, which is
-# sized by n_list; inapplicable keys are rejected, not ignored)
-_SCENARIO_KEYS = {
-    "decay-element": {"n", "unraveling", "h_ode", "t_start", "t_stop", "t_nodes"},
-    "fluorescence-g1": {
-        "n", "unraveling", "h_ode", "omega", "warmup",
-        "tau_start", "tau_stop", "tau_nodes",
-    },
-    "gisin-compare": {"n", "h_list", "h_ode", "t_start", "t_stop", "t_nodes", "floor"},
-    "benchmark": {
-        "omega", "warmup", "h_ode", "tau_stop", "tau_nodes", "n_list",
-    },
-    "custom": {
-        "n", "unraveling", "h_ode", "mode", "model", "observable",
-        "bra", "ket", "t_grid", "perturbation", "t", "warmup", "initial",
-        "tau_grid",
-    },
-}
-
-_DEFAULTS = {
-    "dt": 1e-3,
-    "seed": 0,
-    "workers": 1,
-    "h_ode": 1e-3,
-    "warmup": 30.0,
-}
 
 _NAMED_OPERATORS = {
     "sigma_plus": sigma_plus,
@@ -100,13 +69,23 @@ class RunConfig:
     params: dict
 
 
-def _as_positive_int(value, key: str, errors: list, minimum: int = 1) -> int:
+# A parser is parse(value, key, errors): the parsed value, or None after
+# appending an error that names ``key``.
+
+def _as_positive_int(value, key: str, errors: list, minimum: int = 1):
     if isinstance(value, bool) or not isinstance(value, int):
         errors.append(f"{key}: expected a positive integer, got {value!r}")
-        return minimum
+        return None
     if value < minimum:
         errors.append(f"{key}: must be >= {minimum}, got {value}")
-        return minimum
+        return None
+    return value
+
+
+def _as_seed(value, key: str, errors: list):
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        errors.append(f"{key}: expected a non-negative integer, got {value!r}")
+        return None
     return value
 
 
@@ -125,114 +104,130 @@ def _as_finite_float(value, key: str, errors: list, kind: str = "number"):
     return number
 
 
-def _as_positive_float(value, key: str, errors: list) -> float:
+def _as_positive_float(value, key: str, errors: list):
     number = _as_finite_float(value, key, errors, "positive number")
     if number is not None and number <= 0:
         errors.append(f"{key}: must be positive, got {value}")
         number = None
-    return 1.0 if number is None else number
+    return number
 
 
-def _as_nonnegative_float(value, key: str, errors: list) -> float:
+def _as_nonnegative_float(value, key: str, errors: list):
     number = _as_finite_float(value, key, errors, "non-negative number")
     if number is not None and number < 0:
         errors.append(f"{key}: must be >= 0, got {value}")
         number = None
-    return 0.0 if number is None else number
+    return number
 
 
-def _check_grid(grid, dt, key: str, errors: list, label: str = "node"):
-    """Append the grid rule's complaint about ``grid`` on the dt grid, if
-    any; a grid or dt that already failed to parse (None) is skipped."""
-    if grid is None or dt is None:
-        return
-    try:
-        grid_steps(grid, dt, label)
-    except ValueError as err:
-        errors.append(f"{key}: {err}")
-
-
-def _linspace(values, keys, dt, errors: list):
-    """np.linspace(start, stop, num) from config values named by ``keys``,
-    or None after appending errors.  A node count that cannot fit on the dt
-    grid between start and stop is rejected before anything is allocated."""
-    n_errors = len(errors)
-    lo = _as_finite_float(values[0], keys[0], errors)
-    hi = _as_finite_float(values[1], keys[1], errors)
-    num = _as_positive_int(values[2], keys[2], errors)
-    if len(errors) > n_errors or dt is None:
+def _as_out_dir(value, key: str, errors: list):
+    if not isinstance(value, str):
+        errors.append(f"{key}: expected a directory path string, got {value!r}")
         return None
-    if num - 1 > abs(hi - lo) / dt + 0.5:
-        errors.append(
-            f"{keys[2]}: {num} nodes do not fit on the dt={dt:g} grid "
-            f"between {lo:g} and {hi:g}"
-        )
+    return Path(value)
+
+
+def _choice(options: tuple, listing: str = ""):
+    """Parser for one of ``options``, which errors list as ``listing``."""
+    listing = listing or " or ".join(map(repr, options))
+
+    def parse(value, key: str, errors: list):
+        if value in options:
+            return value
+        errors.append(f"{key}: expected {listing}, got {value!r}")
         return None
-    return np.linspace(lo, hi, num)
+    return parse
 
 
-def _linspace_grid(cfg: dict, prefix: str, start: float, stop: float, num: int,
-                   dt, errors: list):
-    keys = [f"{prefix}_{part}" for part in ("start", "stop", "nodes")]
-    values = [cfg.get(key, default) for key, default in zip(keys, (start, stop, num))]
-    return _linspace(values, keys, dt, errors)
+def _list_of(parse, what: str):
+    """Parser for a non-empty list of items that ``parse`` reads."""
+    def parse_list(value, key: str, errors: list):
+        if not isinstance(value, list) or not value:
+            errors.append(f"{key}: expected a non-empty list of {what}")
+            return None
+        items = [parse(item, key, errors) for item in value]
+        return None if None in items else items
+    return parse_list
 
 
-def _parse_complex(value, key: str, errors: list) -> complex:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return complex(value)
-    if (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+def _span(values, keys, errors: list):
+    """(start, stop, num, num key) of a linspace grid from config values."""
+    parsers = (_as_finite_float, _as_finite_float, _as_positive_int)
+    parts = [parse(v, k, errors) for parse, v, k in zip(parsers, values, keys)]
+    return None if None in parts else (*parts, keys[2])
+
+
+class _Linspace(NamedTuple):
+    """Row kind for a grid from <prefix>_start, _stop and _nodes, defaulting
+    to the row's (start, stop, nodes); a ``fixed_start`` has no key."""
+
+    prefix: str
+    fixed_start: bool = False
+
+    @property
+    def keys(self) -> tuple:
+        parts = ("stop", "nodes") if self.fixed_start else ("start", "stop", "nodes")
+        return tuple(f"{self.prefix}_{part}" for part in parts)
+
+    def read(self, cfg: dict, default: tuple, errors: list):
+        keys = [f"{self.prefix}_{part}" for part in ("start", "stop", "nodes")]
+        return _span([cfg.get(k, d) for k, d in zip(keys, default)], keys, errors)
+
+
+def _parse_complex(value, key: str, errors: list):
+    re, im = value if isinstance(value, (list, tuple)) and len(value) == 2 else (value, 0.0)
+    if isinstance(re, bool) or isinstance(im, bool) or not (
+        isinstance(re, (int, float)) and isinstance(im, (int, float))
     ):
-        return complex(value[0], value[1])
-    errors.append(f"{key}: expected a number or [re, im] pair, got {value!r}")
-    return 0j
+        errors.append(f"{key}: expected a number or [re, im] pair, got {value!r}")
+        return None
+    re, im = _as_finite_float(re, key, errors), _as_finite_float(im, key, errors)
+    return None if re is None or im is None else complex(re, im)
 
 
-def _parse_matrix(value, key: str, errors: list) -> np.ndarray:
-    if not isinstance(value, list) or not value:
-        errors.append(f"{key}: expected a non-empty nested list")
-        return np.zeros((1, 1), dtype=complex)
-    rows = []
-    width = None
-    for r, row in enumerate(value):
-        if not isinstance(row, list) or (width is not None and len(row) != width):
-            errors.append(f"{key}: row {r} is not a list of consistent length")
-            return np.zeros((1, 1), dtype=complex)
-        width = len(row)
-        rows.append([_parse_complex(v, f"{key}[{r}]", errors) for v in row])
-    return np.array(rows, dtype=complex)
-
-
-def _parse_vector(value, key: str, errors: list) -> np.ndarray:
+def _parse_vector(value, key: str, errors: list):
+    """A nonzero vector, as the unit ket along it."""
     if not isinstance(value, list) or not value:
         errors.append(f"{key}: expected a non-empty list")
-        return np.zeros(1, dtype=complex)
-    return np.array(
-        [_parse_complex(v, f"{key}[{i}]", errors) for i, v in enumerate(value)],
-        dtype=complex,
-    )
+        return None
+    amplitudes = [_parse_complex(v, f"{key}[{i}]", errors) for i, v in enumerate(value)]
+    if None in amplitudes:
+        return None
+    if not any(amplitudes):
+        errors.append(f"{key}: must be a nonzero vector")
+        return None
+    return Ket(amplitudes).normalized()
 
 
-def _parse_grid_spec(value, key: str, dt, errors: list):
+def _parse_matrix(value, key: str, errors: list):
+    if not isinstance(value, list) or not value:
+        errors.append(f"{key}: expected a non-empty nested list")
+        return None
+    rows = []
+    for r, row in enumerate(value):
+        if not isinstance(row, list) or (rows and len(row) != len(rows[0])):
+            errors.append(f"{key}: row {r} is not a list of consistent length")
+            return None
+        rows.append([_parse_complex(v, f"{key}[{r}]", errors) for v in row])
+    return None if any(None in row for row in rows) else np.array(rows, dtype=complex)
+
+
+def _parse_grid(value, key: str, errors: list):
+    """A list of times, or a {start, stop, num} linspace object."""
     parts = ("start", "stop", "num")
     if isinstance(value, dict):
         if set(value) != set(parts):
             errors.append(f"{key}: grid object needs exactly start, stop, num")
             return None
-        return _linspace([value[p] for p in parts], [f"{key}.{p}" for p in parts],
-                         dt, errors)
+        return _span([value[p] for p in parts], [f"{key}.{p}" for p in parts], errors)
     if isinstance(value, list) and value:
-        n_errors = len(errors)
         times = [_as_finite_float(v, f"{key}[{i}]", errors) for i, v in enumerate(value)]
-        return None if len(errors) > n_errors else np.array(times)
+        return None if None in times else np.array(times)
     errors.append(f"{key}: expected a list of times or {{start, stop, num}}")
     return None
 
 
-def _parse_model(value, errors: list):
+def _parse_model(value, key: str, errors: list):
     if not isinstance(value, dict):
         errors.append("model: expected an object")
         return None
@@ -249,7 +244,7 @@ def _parse_model(value, errors: list):
             return decay_model()
         if name == "driven_decay":
             omega = _as_positive_float(value.get("omega", 10.0), "model.omega", errors)
-            return driven_decay_model(omega)
+            return None if omega is None else driven_decay_model(omega)
         errors.append(f"model.builder: unknown builder {name!r}")
         return None
     if not {"hamiltonian", "lindblads"} <= set(value):
@@ -259,6 +254,7 @@ def _parse_model(value, errors: list):
     if extra:
         errors.append(f"model: unknown keys {sorted(extra)}")
         return None
+    n_errors = len(errors)
     h = _parse_matrix(value["hamiltonian"], "model.hamiltonian", errors)
     if not isinstance(value["lindblads"], list) or not value["lindblads"]:
         errors.append("model.lindblads: expected a non-empty list of matrices")
@@ -267,7 +263,7 @@ def _parse_model(value, errors: list):
         _parse_matrix(m, f"model.lindblads[{j}]", errors)
         for j, m in enumerate(value["lindblads"])
     ]
-    if errors:
+    if len(errors) > n_errors:
         return None
     try:
         return LindbladModel(Operator(h), tuple(Operator(m) for m in ls))
@@ -276,28 +272,148 @@ def _parse_model(value, errors: list):
         return None
 
 
-def _parse_operator(value, key: str, dim: int, errors: list):
-    if isinstance(value, str):
-        if value == "identity":
-            return Operator(np.eye(dim))
-        maker = _NAMED_OPERATORS.get(value)
-        if maker is None:
+def _parse_operator(value, key: str, errors: list):
+    """A matrix, or an operator name that is resolved once the model is known."""
+    return value if isinstance(value, str) else _parse_matrix(value, key, errors)
+
+
+def _sized_operator(op, key: str, dim: int, errors: list):
+    """A parsed operator as an Operator on the model's dimension ``dim``."""
+    if isinstance(op, np.ndarray):
+        if op.shape == (dim, dim):
+            return Operator(op)
+        errors.append(f"{key}: shape {op.shape} does not match model dim {dim}")
+    elif op == "identity":
+        return Operator(np.eye(dim))
+    elif op not in _NAMED_OPERATORS:
+        errors.append(
+            f"{key}: unknown operator name {op!r}; use a matrix or one of "
+            f"{sorted(_NAMED_OPERATORS) + ['identity']}"
+        )
+    elif dim == 2:
+        return _NAMED_OPERATORS[op]()
+    else:
+        errors.append(f"{key}: {op!r} is a 2-level operator, model dim is {dim}")
+    return None
+
+
+_REQUIRED = object()  # the default of a key that has none
+_ensemble_size = partial(_as_positive_int, minimum=2)
+_UNRAVELING = (_choice(UNRAVELINGS, f"one of {UNRAVELINGS}"), "qsd")
+# the custom keys that only runs of one mode read
+_MODE_KEYS = {
+    "element": ("bra", "ket", "t_grid"),
+    "correlation": ("perturbation", "t", "warmup", "initial", "tau_grid"),
+}
+
+# each scenario's keys mapped to (parser, default), after those _schema
+# adds; a parsed row becomes one RunConfig.params entry, and a config key
+# that no row names is rejected, not ignored
+SCHEMAS = {
+    "decay-element": {
+        "n": (_ensemble_size, 1000),
+        "unraveling": _UNRAVELING,
+        "t_grid": (_Linspace("t"), (0.1, 4.0, 40)),
+    },
+    "fluorescence-g1": {
+        "n": (_ensemble_size, 10_000),
+        "unraveling": _UNRAVELING,
+        "omega": (_as_positive_float, 10.0),
+        "warmup": (_as_nonnegative_float, 30.0),
+        "tau_grid": (_Linspace("tau"), (0.0, 3.0, 61)),
+    },
+    "gisin-compare": {
+        "n": (_ensemble_size, 10_000),
+        "h_list": (_list_of(_as_positive_float, "step sizes"), [0.01, 0.001, 0.0001]),
+        "floor": (_as_positive_float, 1e-12),
+        "t_grid": (_Linspace("t"), (0.1, 1.0, 10)),
+    },
+    "benchmark": {  # sized by n_list alone
+        "omega": (_as_positive_float, 10.0),
+        "warmup": (_as_nonnegative_float, 10.0),
+        "n_list": (_list_of(_ensemble_size, "ensemble sizes"), [125, 250, 500, 1000, 2000]),
+        "tau_grid": (_Linspace("tau", fixed_start=True), (0.0, 3.0, 16)),
+    },
+    "custom": {
+        "n": (_ensemble_size, 1000),
+        "unraveling": _UNRAVELING,
+        "mode": (_choice(tuple(_MODE_KEYS)), "element"),
+        "model": (_parse_model, _REQUIRED),
+        "observable": (_parse_operator, _REQUIRED),
+        "bra": (_parse_vector, _REQUIRED),
+        "ket": (_parse_vector, _REQUIRED),
+        "t_grid": (_parse_grid, _REQUIRED),
+        "perturbation": (_parse_operator, _REQUIRED),
+        "t": (_as_nonnegative_float, 0.0),
+        "warmup": (_as_nonnegative_float, 30.0),
+        "initial": (_choice(INITIAL_SPECS), "steady_state"),
+        "tau_grid": (_parse_grid, _REQUIRED),
+    },
+}
+SCENARIOS = tuple(SCHEMAS)
+
+
+def _schema(scenario: str) -> dict:
+    """The scenario's table after the shared keys (all but h_ode are fields)."""
+    return {
+        "dt": (_as_positive_float, 1e-3),
+        "seed": (_as_seed, 0),
+        "workers": (_as_positive_int, 1),
+        "out": (_as_out_dir, f"out-{scenario}"),
+        "h_ode": (_as_positive_float, 1e-3),
+        **SCHEMAS[scenario],
+    }
+
+
+def _config_keys(scenario: str) -> set:
+    keys = {"scenario"}
+    for name, (parse, _) in _schema(scenario).items():
+        keys.update(parse.keys if isinstance(parse, _Linspace) else (name,))
+    return keys
+
+
+def _on_dt_grid(grid, dt, key: str, errors: list, label: str = "node"):
+    """``grid``, a span laid out, checked on the dt grid unless None."""
+    if grid is None or dt is None:
+        return grid
+    if isinstance(grid, tuple):
+        start, stop, num, num_key = grid
+        if num - 1 > abs(stop - start) / dt + 0.5:
             errors.append(
-                f"{key}: unknown operator name {value!r}; use a matrix or one of "
-                f"{sorted(_NAMED_OPERATORS) + ['identity']}"
+                f"{num_key}: {num} nodes do not fit on the dt={dt:g} grid "
+                f"between {start:g} and {stop:g}"
             )
             return None
-        if dim != 2:
-            errors.append(f"{key}: {value!r} is a 2-level operator, model dim is {dim}")
-            return None
-        return maker()
-    mat = _parse_matrix(value, key, errors)
-    if errors:
-        return None
-    if mat.shape != (dim, dim):
-        errors.append(f"{key}: shape {mat.shape} does not match model dim {dim}")
-        return None
-    return Operator(mat)
+        grid = np.linspace(start, stop, num)
+    try:
+        grid_steps(grid, dt, label)
+    except ValueError as err:
+        errors.append(f"{key}: {err}")
+    return grid
+
+
+def _check_custom(cfg: dict, values: dict, errors: list):
+    """The keys custom runs require or forbid; the operators and vectors."""
+    for key in ("model", "observable"):
+        if key not in cfg:
+            errors.append(f"{key}: required for scenario 'custom'")
+    mode = values["mode"]
+    if mode is not None:
+        other = "correlation" if mode == "element" else "element"
+        for key in _MODE_KEYS[other]:
+            values.pop(key, None)
+            if key in cfg:
+                errors.append(f"{key}: only applicable to {other} runs")
+        for key in _MODE_KEYS[mode]:
+            if key not in values:
+                errors.append(f"{key}: required for custom {mode} runs")
+    dim = None if values.get("model") is None else values["model"].dim
+    for key in ("observable", "perturbation"):
+        if dim is not None and values.get(key) is not None:
+            values[key] = _sized_operator(values[key], key, dim, errors)
+    for key in ("bra", "ket"):
+        if dim is not None and values.get(key) is not None and values[key].dim != dim:
+            errors.append(f"{key}: length {values[key].dim} does not match model dim {dim}")
 
 
 def validate(text: str, overrides: "dict | None" = None):
@@ -307,175 +423,58 @@ def validate(text: str, overrides: "dict | None" = None):
     names the offending field.  ``overrides`` (from command-line flags) are
     merged on top of the file content before validation.
     """
-    errors: list = []
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         return None, [f"config is not valid JSON: {err}"]
     if not isinstance(raw, dict):
         return None, ["config root must be a JSON object"]
-    cfg = dict(raw)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            cfg[key] = value
+    cfg = {**raw, **{k: v for k, v in (overrides or {}).items() if v is not None}}
 
     scenario = cfg.get("scenario")
     if scenario not in SCENARIOS:
         return None, [
             f"scenario: expected one of {', '.join(SCENARIOS)}, got {scenario!r}"
         ]
-    allowed = _COMMON_KEYS | _SCENARIO_KEYS[scenario]
-    for key in sorted(set(cfg) - allowed):
-        errors.append(f"{key}: not applicable to scenario '{scenario}'")
+    errors = [
+        f"{key}: not applicable to scenario '{scenario}'"
+        for key in sorted(set(cfg) - _config_keys(scenario))
+    ]
     if errors:
         return None, errors
 
-    n_errors = len(errors)
-    dt = _as_positive_float(cfg.get("dt", _DEFAULTS["dt"]), "dt", errors)
-    # grids are checked only against a dt that parsed
-    grid_dt = dt if len(errors) == n_errors else None
-    seed = cfg.get("seed", _DEFAULTS["seed"])
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        errors.append(f"seed: expected a non-negative integer, got {seed!r}")
-        seed = 0
-    workers = _as_positive_int(cfg.get("workers", _DEFAULTS["workers"]), "workers", errors)
-    out = cfg.get("out", f"out-{scenario}")
-    if not isinstance(out, str):
-        errors.append(f"out: expected a directory path string, got {out!r}")
-        out = f"out-{scenario}"
-    out_dir = Path(out)
-    params: dict = {"h_ode": _as_positive_float(
-        cfg.get("h_ode", _DEFAULTS["h_ode"]), "h_ode", errors
-    )} if "h_ode" in allowed else {}
+    schema = _schema(scenario)
+    values: dict = {}
+    for name, (parse, default) in schema.items():
+        if isinstance(parse, _Linspace):
+            values[name] = parse.read(cfg, default, errors)
+        elif name in cfg or default is not _REQUIRED:
+            values[name] = parse(cfg.get(name, default), name, errors)
 
-    if "unraveling" in allowed:
-        unraveling = cfg.get("unraveling", "qsd")
-        if unraveling not in UNRAVELINGS:
-            errors.append(
-                f"unraveling: expected one of {UNRAVELINGS}, got {unraveling!r}"
-            )
-            unraveling = "qsd"
-        params["unraveling"] = unraveling
-
-    if scenario == "decay-element":
-        params["n"] = _as_positive_int(cfg.get("n", 1000), "n", errors, minimum=2)
-        grid = _linspace_grid(cfg, "t", 0.1, 4.0, 40, grid_dt, errors)
-        _check_grid(grid, grid_dt, "t grid", errors)
-        params["t_grid"] = grid
-    elif scenario == "fluorescence-g1":
-        params["n"] = _as_positive_int(cfg.get("n", 10_000), "n", errors, minimum=2)
-        params["omega"] = _as_positive_float(cfg.get("omega", 10.0), "omega", errors)
-        params["warmup"] = _as_nonnegative_float(
-            cfg.get("warmup", _DEFAULTS["warmup"]), "warmup", errors
-        )
-        _check_grid([params["warmup"]], grid_dt, "warmup", errors, "value")
-        grid = _linspace_grid(cfg, "tau", 0.0, 3.0, 61, grid_dt, errors)
-        _check_grid(grid, grid_dt, "tau grid", errors)
-        params["tau_grid"] = grid
-    elif scenario == "gisin-compare":
-        params["n"] = _as_positive_int(cfg.get("n", 10_000), "n", errors, minimum=2)
-        h_list = cfg.get("h_list", [0.01, 0.001, 0.0001])
-        if not isinstance(h_list, list) or not h_list:
-            errors.append("h_list: expected a non-empty list of step sizes")
-            h_list = [0.01]
-        h_list = [_as_positive_float(h, "h_list", errors) for h in h_list]
-        params["h_list"] = h_list
-        params["floor"] = _as_positive_float(cfg.get("floor", 1e-12), "floor", errors)
-        grid = _linspace_grid(cfg, "t", 0.1, 1.0, 10, grid_dt, errors)
-        _check_grid(grid, grid_dt, "t grid", errors)
-        for h in h_list:
-            _check_grid(grid, h, f"t grid (h={h:g})", errors)
-        params["t_grid"] = grid
-    elif scenario == "benchmark":
-        params["omega"] = _as_positive_float(cfg.get("omega", 10.0), "omega", errors)
-        params["warmup"] = _as_nonnegative_float(
-            cfg.get("warmup", 10.0), "warmup", errors
-        )
-        n_list = cfg.get("n_list", [125, 250, 500, 1000, 2000])
-        if not isinstance(n_list, list) or not n_list:
-            errors.append("n_list: expected a non-empty list of ensemble sizes")
-            n_list = [100]
-        params["n_list"] = [_as_positive_int(n, "n_list", errors, minimum=2) for n in n_list]
-        _check_grid([params["warmup"]], grid_dt, "warmup", errors, "value")
-        # tau_start is not a benchmark key, so the grid always starts at 0
-        grid = _linspace_grid(cfg, "tau", 0.0, 3.0, 16, grid_dt, errors)
-        _check_grid(grid, grid_dt, "tau grid", errors)
-        params["tau_grid"] = grid
-    else:  # custom
-        params["n"] = _as_positive_int(cfg.get("n", 1000), "n", errors, minimum=2)
-        mode = cfg.get("mode", "element")
-        if mode not in ("element", "correlation"):
-            errors.append(f"mode: expected 'element' or 'correlation', got {mode!r}")
-            mode = "element"
-        params["mode"] = mode
-        if "model" not in cfg:
-            errors.append("model: required for scenario 'custom'")
-        model = _parse_model(cfg.get("model", {}), errors) if "model" in cfg else None
-        params["model"] = model
-        if model is not None and "observable" in cfg:
-            params["observable"] = _parse_operator(
-                cfg["observable"], "observable", model.dim, errors
-            )
-        elif "observable" not in cfg:
-            errors.append("observable: required for scenario 'custom'")
-        if mode == "element":
-            for key in ("bra", "ket", "t_grid"):
-                if key not in cfg:
-                    errors.append(f"{key}: required for custom element runs")
-            for key in ("perturbation", "t", "warmup", "initial", "tau_grid"):
-                if key in cfg:
-                    errors.append(f"{key}: only applicable to correlation runs")
-            if not errors and model is not None:
-                for key in ("bra", "ket"):
-                    vec = _parse_vector(cfg[key], key, errors)
-                    if not errors and vec.size != model.dim:
-                        errors.append(
-                            f"{key}: length {vec.size} does not match model dim {model.dim}"
-                        )
-                    elif not errors:
-                        if np.linalg.norm(vec) == 0:
-                            errors.append(f"{key}: must be a nonzero vector")
-                        else:
-                            params[key] = Ket(vec / np.linalg.norm(vec))
-                grid = _parse_grid_spec(cfg["t_grid"], "t_grid", grid_dt, errors)
-                _check_grid(grid, grid_dt, "t_grid", errors)
-                params["t_grid"] = grid
-        else:
-            for key in ("perturbation", "tau_grid"):
-                if key not in cfg:
-                    errors.append(f"{key}: required for custom correlation runs")
-            for key in ("bra", "ket", "t_grid"):
-                if key in cfg:
-                    errors.append(f"{key}: only applicable to element runs")
-            if not errors and model is not None:
-                params["perturbation"] = _parse_operator(
-                    cfg["perturbation"], "perturbation", model.dim, errors
-                )
-                params["t"] = _as_nonnegative_float(cfg.get("t", 0.0), "t", errors)
-                params["warmup"] = _as_nonnegative_float(
-                    cfg.get("warmup", _DEFAULTS["warmup"]), "warmup", errors
-                )
-                initial = cfg.get("initial", "steady_state")
-                if initial not in ("steady_state", "random_uniform"):
-                    errors.append(
-                        f"initial: expected 'steady_state' or 'random_uniform', got {initial!r}"
-                    )
-                params["initial"] = initial
-                _check_grid([params["warmup"] + params["t"]], grid_dt, "warmup + t",
-                            errors, "value")
-                grid = _parse_grid_spec(cfg["tau_grid"], "tau_grid", grid_dt, errors)
-                _check_grid(grid, grid_dt, "tau_grid", errors)
-                params["tau_grid"] = grid
+    # the checks that need dt or the model
+    dt = values["dt"]
+    if scenario == "custom":
+        _check_custom(cfg, values, errors)
+    for name, (parse, _) in schema.items():
+        if name.endswith("_grid") and name in values:
+            label = f"{parse.prefix} grid" if isinstance(parse, _Linspace) else name
+            values[name] = _on_dt_grid(values[name], dt, label, errors)
+    warmup, offset = values.get("warmup"), values.get("t", 0.0)
+    if warmup is not None and offset is not None:
+        key = "warmup + t" if "t" in values else "warmup"
+        _on_dt_grid([warmup + offset], dt, key, errors, "value")
+    for h in values.get("h_list") or ():
+        _on_dt_grid(values["t_grid"], h, f"t grid (h={h:g})", errors)
 
     if errors:
         return None, errors
     return RunConfig(
         scenario=scenario,
-        seed=seed,
-        dt=dt,
-        workers=workers,
-        out_dir=out_dir,
-        params=params,
+        seed=values.pop("seed"),
+        dt=values.pop("dt"),
+        workers=values.pop("workers"),
+        out_dir=values.pop("out"),
+        params=values,
     ), []
 
 
@@ -484,45 +483,28 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_series_csv(path: Path, grid, mean, std_error):
+def _write_series_csv(path: Path, grid, mean, std_error=None):
+    """One row per node; an oracle series (no std_error) writes 0 errors."""
     lines = ["grid,mean_re,mean_im,std_error"]
-    for t, m, s in zip(grid, mean, std_error):
-        lines.append(f"{_fmt(t)},{_fmt(m.real)},{_fmt(m.imag)},{_fmt(s)}")
+    for k, (t, m) in enumerate(zip(grid, mean)):
+        err = "0" if std_error is None else _fmt(std_error[k])
+        lines.append(f"{_fmt(t)},{_fmt(m.real)},{_fmt(m.imag)},{err}")
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_reference_csv(path: Path, grid, values):
-    lines = ["grid,mean_re,mean_im,std_error"]
-    for t, v in zip(grid, values):
-        lines.append(f"{_fmt(t)},{_fmt(v.real)},{_fmt(v.imag)},0")
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _jsonable(value):
+def _json_default(value):
+    """JSON form of the arrays and qsdsim objects in params and summaries."""
+    if isinstance(value, Ket):
+        return value.amplitudes
+    if isinstance(value, Operator):
+        return value.matrix
+    if isinstance(value, LindbladModel):
+        return {"hamiltonian": value.hamiltonian, "lindblads": value.lindblads}
     if isinstance(value, np.ndarray):
-        return [float(v) for v in value]
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+        return value.tolist()
     if isinstance(value, complex):
         return [value.real, value.imag]
-    if isinstance(value, Path):
-        return str(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, Ket):
-        return [_jsonable(v) for v in value.amplitudes]
-    if isinstance(value, Operator):
-        return [[_jsonable(v) for v in row] for row in value.matrix]
-    if isinstance(value, LindbladModel):
-        return {
-            "hamiltonian": _jsonable(value.hamiltonian),
-            "lindblads": [_jsonable(op) for op in value.lindblads],
-        }
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _version_string() -> str:
@@ -550,140 +532,119 @@ def _write_metadata(path: Path, config: RunConfig, wall: float, extra: dict):
         "workers": config.workers,
         "version": _version_string(),
         "wall_time_seconds": wall,
-        "effective_config": _jsonable(config.params),
+        "effective_config": config.params,
+        **extra,
     }
-    payload.update(_jsonable(extra))
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
 
 
-def _decay_problem():
-    model = decay_model()
-    bra = basis_ket(2, 1)
-    ket = Ket(np.array([1.0, 1.0]) / np.sqrt(2))
-    return model, sigma_plus(), bra, ket
+# <e| sigma_plus(t) |+> for the decaying two-level atom
+_DECAY = {
+    "model": decay_model(),
+    "observable": sigma_plus(),
+    "bra": basis_ket(2, 1),
+    "ket": Ket(np.array([1.0, 1.0]) / np.sqrt(2)),
+}
 
 
-def _run_decay_element(config: RunConfig) -> dict:
-    model, obs, bra, ket = _decay_problem()
-    p = config.params
-    grid = p["t_grid"]
-    sde = SdeConfig(dt=config.dt)
+def _g1_preset(params: dict) -> dict:
+    """<sigma_plus(tau) sigma_minus(0)> of the driven atom after the warmup."""
+    return {
+        **params,
+        "model": driven_decay_model(params["omega"]),
+        "observable": sigma_plus(),
+        "perturbation": sigma_minus(),
+        "t": 0.0,
+        "initial": "steady_state",
+    }
+
+
+def _results(config: RunConfig, grid, res) -> dict:
+    """Write the estimate to results.csv; the run summary."""
+    _write_series_csv(config.out_dir / "results.csv", grid, res.mean, res.std_error)
+    return {key: getattr(res, key) for key in ("n", "method", "draws_total", "extras")}
+
+
+def _run_element(config: RunConfig, p: dict) -> dict:
+    """<bra| A(t) |ket> on p["t_grid"] by the chosen unraveling."""
+    problem = (p["observable"], p["bra"], p["ket"], p["model"], p["t_grid"])
     if p["unraveling"] == "qsd":
         res = heisenberg_element(
-            obs, bra, ket, model, grid, p["n"], sde, config.seed, workers=config.workers
+            *problem, p["n"], SdeConfig(dt=config.dt), config.seed, workers=config.workers
         )
     else:
         res = jump_matrix_element(
-            obs, bra, ket, model, grid, p["n"], config.dt, config.seed,
-            workers=config.workers,
+            *problem, p["n"], config.dt, config.seed, workers=config.workers
         )
-    ref = regression_matrix_element(obs, bra, ket, model, grid, h_ode=p["h_ode"])
-    _write_series_csv(config.out_dir / "results.csv", grid, res.mean, res.std_error)
-    _write_reference_csv(config.out_dir / "reference.csv", grid, ref)
-    return {
-        "n": res.n,
-        "method": res.method,
-        "draws_total": res.draws_total,
-        "extras": res.extras,
-    }
+    ref = regression_matrix_element(*problem, h_ode=p["h_ode"])
+    _write_series_csv(config.out_dir / "reference.csv", p["t_grid"], ref)
+    return _results(config, p["t_grid"], res)
 
 
-def _run_fluorescence(config: RunConfig) -> dict:
-    p = config.params
-    model = driven_decay_model(p["omega"])
+def _correlate(config: RunConfig, p: dict, unraveling: str, n: int, seed: int):
+    """<A(t + tau) B(t)> on p["tau_grid"] from ``n`` trajectories."""
     request = CorrelationRequest(
-        observable=sigma_plus(),
-        perturbation=sigma_minus(),
-        t=0.0,
+        observable=p["observable"],
+        perturbation=p["perturbation"],
+        t=p["t"],
         tau_grid=p["tau_grid"],
-        n_trajectories=p["n"],
+        n_trajectories=n,
         sde=SdeConfig(dt=config.dt),
-        initial="steady_state",
+        initial=p["initial"],
         warmup_time=p["warmup"],
     )
-    if p["unraveling"] == "qsd":
-        res = correlate(request, model, config.seed, workers=config.workers)
-    else:
-        res = jump_correlate(request, model, config.seed, workers=config.workers)
+    estimate = correlate if unraveling == "qsd" else jump_correlate
+    return estimate(request, p["model"], seed, workers=config.workers)
+
+
+def _correlation_reference(config: RunConfig, p: dict):
+    # the oracle assumes the preparation segment reached stationarity; for
+    # short warmups it is only indicative
     ref = two_time_correlation(
-        sigma_plus(), sigma_minus(), model, t=0.0, tau_grid=p["tau_grid"],
-        h_ode=p["h_ode"],
+        p["observable"], p["perturbation"], p["model"], t=p["t"],
+        tau_grid=p["tau_grid"], h_ode=p["h_ode"],
     )
-    _write_series_csv(config.out_dir / "results.csv", p["tau_grid"], res.mean, res.std_error)
-    _write_reference_csv(config.out_dir / "reference.csv", p["tau_grid"], ref)
-    return {
-        "n": res.n,
-        "method": res.method,
-        "draws_total": res.draws_total,
-        "extras": res.extras,
-    }
+    _write_series_csv(config.out_dir / "reference.csv", p["tau_grid"], ref)
+    return ref
 
 
-def _h_label(h: float) -> str:
-    return f"{h:g}"
+def _run_correlation(config: RunConfig, p: dict) -> dict:
+    res = _correlate(config, p, p["unraveling"], p["n"], config.seed)
+    _correlation_reference(config, p)
+    return _results(config, p["tau_grid"], res)
 
 
 def _run_gisin_compare(config: RunConfig) -> dict:
-    model, obs, bra, ket = _decay_problem()
-    p = config.params
-    grid = p["t_grid"]
-    summary: dict = {"n": p["n"], "runs": {}}
+    p = {**config.params, **_DECAY}
+    runs = {}
     for h in p["h_list"]:
         res = run_coupled_ensemble(
-            obs, bra, ket, model, grid, dt=h, n=p["n"], seed=config.seed,
-            variant="quasi_linear", floor=p["floor"],
+            p["observable"], p["bra"], p["ket"], p["model"], p["t_grid"], dt=h,
+            n=p["n"], seed=config.seed, variant="quasi_linear", floor=p["floor"],
         )
-        label = _h_label(h)
+        label = f"{h:g}"
         _write_series_csv(
-            config.out_dir / f"gisin-h{label}.csv", grid, res.mean, res.std_error
+            config.out_dir / f"gisin-h{label}.csv", p["t_grid"], res.mean, res.std_error
         )
-        report = instability_report(res)
         (config.out_dir / f"instability-h{label}.json").write_text(
-            json.dumps(report, indent=2, sort_keys=True) + "\n"
+            json.dumps(instability_report(res), indent=2, sort_keys=True) + "\n"
         )
-        summary["runs"][label] = {
+        runs[label] = {
             "aborted": res.aborted,
             "overflowed": res.overflowed,
             "max_scalar_product_drift": res.max_scalar_drift,
             "draws_total": res.draws_total,
         }
-    doubled = heisenberg_element(
-        obs, bra, ket, model, grid, p["n"], SdeConfig(dt=config.dt), config.seed,
-        workers=config.workers,
-    )
-    _write_series_csv(
-        config.out_dir / "results.csv", grid, doubled.mean, doubled.std_error
-    )
-    ref = regression_matrix_element(obs, bra, ket, model, grid, h_ode=p["h_ode"])
-    _write_reference_csv(config.out_dir / "reference.csv", grid, ref)
-    summary["doubled_draws_total"] = doubled.draws_total
-    return summary
+    doubled = _run_element(config, {**p, "unraveling": "qsd"})
+    return {"n": p["n"], "runs": runs, "doubled_draws_total": doubled["draws_total"]}
 
 
 def _run_benchmark(config: RunConfig) -> dict:
-    p = config.params
-    model = driven_decay_model(p["omega"])
-    tau_grid = p["tau_grid"]
-    ref = two_time_correlation(
-        sigma_plus(), sigma_minus(), model, t=0.0, tau_grid=tau_grid, h_ode=p["h_ode"]
+    p = _g1_preset(config.params)
+    ref = _correlation_reference(config, p)
+    points = benchmark_sweep(
+        partial(_correlate, config, p), ref, p["n_list"], UNRAVELINGS, config.seed
     )
-
-    def runner(method: str, n: int, seed: int):
-        request = CorrelationRequest(
-            observable=sigma_plus(),
-            perturbation=sigma_minus(),
-            t=0.0,
-            tau_grid=tau_grid,
-            n_trajectories=n,
-            sde=SdeConfig(dt=config.dt),
-            initial="steady_state",
-            warmup_time=p["warmup"],
-        )
-        if method == "qsd":
-            return correlate(request, model, seed, workers=config.workers)
-        return jump_correlate(request, model, seed, workers=config.workers)
-
-    points = benchmark_sweep(runner, ref, p["n_list"], ("qsd", "jump"), config.seed)
     lines = ["method,n,rms_relative_error,est_std,wall_time_seconds,draws_total"]
     for pt in points:
         lines.append(
@@ -691,79 +652,27 @@ def _run_benchmark(config: RunConfig) -> dict:
             f"{_fmt(pt.wall_time_seconds)},{pt.draws_total}"
         )
     (config.out_dir / "benchmark.csv").write_text("\n".join(lines) + "\n")
-    _write_reference_csv(config.out_dir / "reference.csv", tau_grid, ref)
-    best = {}
-    for pt in points:
-        err = abs(pt.rms_relative_error - 0.03)
-        if pt.method not in best or err < best[pt.method][0]:
-            best[pt.method] = (err, pt)
+
+    def closest_to_3pct(method: str) -> dict:
+        pts = [pt for pt in points if pt.method == method]
+        pt = min(pts, key=lambda pt: abs(pt.rms_relative_error - 0.03))
+        return {"n": pt.n, "rms_relative_error": pt.rms_relative_error,
+                "wall_time_seconds": pt.wall_time_seconds}
+
     return {
         "n_list": p["n_list"],
-        "closest_to_3pct": {
-            m: {"n": pt.n, "rms_relative_error": pt.rms_relative_error,
-                "wall_time_seconds": pt.wall_time_seconds}
-            for m, (_, pt) in best.items()
-        },
-    }
-
-
-def _run_custom(config: RunConfig) -> dict:
-    p = config.params
-    model = p["model"]
-    obs = p["observable"]
-    sde = SdeConfig(dt=config.dt)
-    if p["mode"] == "element":
-        grid = p["t_grid"]
-        if p["unraveling"] == "qsd":
-            res = heisenberg_element(
-                obs, p["bra"], p["ket"], model, grid, p["n"], sde, config.seed,
-                workers=config.workers,
-            )
-        else:
-            res = jump_matrix_element(
-                obs, p["bra"], p["ket"], model, grid, p["n"], config.dt,
-                config.seed, workers=config.workers,
-            )
-        ref = regression_matrix_element(
-            obs, p["bra"], p["ket"], model, grid, h_ode=p["h_ode"]
-        )
-    else:
-        grid = p["tau_grid"]
-        request = CorrelationRequest(
-            observable=obs,
-            perturbation=p["perturbation"],
-            t=p["t"],
-            tau_grid=grid,
-            n_trajectories=p["n"],
-            sde=sde,
-            initial=p["initial"],
-            warmup_time=p["warmup"],
-        )
-        if p["unraveling"] == "qsd":
-            res = correlate(request, model, config.seed, workers=config.workers)
-        else:
-            res = jump_correlate(request, model, config.seed, workers=config.workers)
-        # the oracle reference assumes the preparation segment reached
-        # stationarity; for short warmups it is only indicative
-        ref = two_time_correlation(
-            obs, p["perturbation"], model, t=p["t"], tau_grid=grid, h_ode=p["h_ode"]
-        )
-    _write_series_csv(config.out_dir / "results.csv", grid, res.mean, res.std_error)
-    _write_reference_csv(config.out_dir / "reference.csv", grid, ref)
-    return {
-        "n": res.n,
-        "method": res.method,
-        "draws_total": res.draws_total,
-        "extras": res.extras,
+        "closest_to_3pct": {m: closest_to_3pct(m) for m in UNRAVELINGS},
     }
 
 
 _RUNNERS = {
-    "decay-element": _run_decay_element,
-    "fluorescence-g1": _run_fluorescence,
+    "decay-element": lambda config: _run_element(config, {**config.params, **_DECAY}),
+    "fluorescence-g1": lambda config: _run_correlation(config, _g1_preset(config.params)),
     "gisin-compare": _run_gisin_compare,
     "benchmark": _run_benchmark,
-    "custom": _run_custom,
+    "custom": lambda config: (
+        _run_element if config.params["mode"] == "element" else _run_correlation
+    )(config, config.params),
 }
 
 
@@ -808,21 +717,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    path = Path(args.config)
+    # every flag but --config overrides the config key of its name
+    overrides = vars(_build_parser().parse_args(argv))
+    path = Path(overrides.pop("config"))
     try:
         text = path.read_text()
     except OSError as err:
         print(f"cannot read config {path}: {err}", file=sys.stderr)
         return 2
-    overrides = {
-        "seed": args.seed,
-        "n": args.n,
-        "dt": args.dt,
-        "unraveling": args.unraveling,
-        "workers": args.workers,
-        "out": args.out,
-    }
     config, errors = validate(text, overrides)
     if config is None:
         for line in errors:

@@ -103,13 +103,17 @@ class QsdEngine:
         # transposed for row-state matmuls
         self._drift_t = np.ascontiguousarray(model.generator().T)
 
-    def _step(self, states: np.ndarray, dxi: np.ndarray) -> np.ndarray:
+    def _step(self, states: np.ndarray, dxi: np.ndarray, streams=None) -> np.ndarray:
         dt = self.dt
         norm2 = np.einsum("bi,bi->b", states.conj(), states).real
         if not np.all(np.isfinite(norm2)):
-            raise InstabilityError("state norm became non-finite during propagation")
+            raise _unstable_row(
+                "state norm became non-finite during propagation", ~np.isfinite(norm2), streams
+            )
         if np.any(norm2 == 0.0):
-            raise InstabilityError("state norm underflowed to zero during propagation")
+            raise _unstable_row(
+                "state norm underflowed to zero during propagation", norm2 == 0.0, streams
+            )
         out = states + dt * (states @ self._drift_t)
         if self.scheme == "normalized":
             for j, l_t in enumerate(self._ls_t):
@@ -159,20 +163,30 @@ class QsdEngine:
         done = 0
         for block in wiener_blocks(streams, n_steps, self.n_channels, self.dt):
             for k in range(block.shape[1]):
-                states = self._step(states, block[:, k, :])
+                states = self._step(states, block[:, k, :], streams)
                 done += 1
                 norms = np.linalg.norm(states, axis=1)
                 if not np.all(np.isfinite(norms)):
-                    raise InstabilityError(
-                        f"non-finite state norm after step {done}"
+                    raise _unstable_row(
+                        f"non-finite state norm after step {done}", ~np.isfinite(norms), streams
                     )
                 if renorm:
                     if np.any(norms == 0.0):
-                        raise InstabilityError(f"zero state norm after step {done}")
+                        raise _unstable_row(
+                            f"zero state norm after step {done}", norms == 0.0, streams
+                        )
                     states /= norms[:, None]
                 if done in slots and on_record is not None:
                     on_record(slots[done], states, norms)
         return states
+
+
+def _unstable_row(what: str, bad: np.ndarray, streams=None) -> InstabilityError:
+    """InstabilityError ``what``, naming the trajectory of the first row
+    flagged in ``bad`` when the rows' noise ``streams`` are known."""
+    if streams is not None:
+        what += f" (first at trajectory {streams[int(np.argmax(bad))].trajectory_index})"
+    return InstabilityError(what)
 
 
 def _split_state(state, model: LindbladModel):

@@ -48,6 +48,8 @@ def _as_complex_vector(values) -> np.ndarray:
         raise ValueError(f"state vector must be 1-D, got shape {vec.shape}")
     if vec.size < 1:
         raise ValueError("state vector must have dimension >= 1")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError("state vector must have finite amplitudes")
     return _freeze(vec.copy())
 
 
@@ -55,6 +57,8 @@ def _as_complex_matrix(values) -> np.ndarray:
     mat = np.asarray(values, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"operator must be a square matrix, got shape {mat.shape}")
+    if not np.all(np.isfinite(mat)):
+        raise ValueError("operator must have finite entries")
     return _freeze(mat.copy())
 
 
@@ -82,10 +86,19 @@ class Ket:
         return float(np.linalg.norm(self.amplitudes))
 
     def normalized(self) -> "Ket":
-        n = self.norm()
-        if n == 0.0:
+        """The unit ket along this one.
+
+        The amplitudes are first divided by the power of two at the largest
+        real or imaginary part, so the norm neither overflows nor underflows;
+        scaling by a power of two is exact, so the result equals the plain
+        ``amplitudes / norm()`` wherever that does not overflow.
+        """
+        parts = self.amplitudes.view(float)
+        largest = np.max(np.abs(parts))
+        if largest == 0.0:
             raise ValueError("cannot normalize a zero-norm state")
-        return Ket(self.amplitudes / n)
+        scaled = np.ldexp(parts, -np.frexp(largest)[1]).view(complex)
+        return Ket(scaled / np.linalg.norm(scaled))
 
     def overlap(self, other: "Ket") -> complex:
         """Inner product <self|other>."""

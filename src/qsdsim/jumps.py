@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .correlations import CorrelationRequest, correlate, heisenberg_element
-from .diffusion import SdeConfig, _pack_state, _split_state
+from .diffusion import SdeConfig, _pack_state, _split_state, _unstable_row
 from .ensemble import EnsembleResult
 from .errors import InstabilityError
 from .hilbert import Ket, LindbladModel, Operator
@@ -145,16 +145,20 @@ class JumpEngine:
             ).real
             worst = float(p_tot.max(initial=0.0))
             if worst > self.max_jump_probability:
-                raise InstabilityError(
+                raise _unstable_row(
                     f"jump probability {worst:.3g} exceeds "
-                    f"{self.max_jump_probability} at substep {step}; reduce dt"
+                    f"{self.max_jump_probability} at substep {step}; reduce dt",
+                    p_tot > self.max_jump_probability, streams,
                 )
             next_survival = survival * (1.0 - p_tot)
             jump_mask = next_survival < thresholds
             new_states = states @ self._no_jump_t
             norms = np.linalg.norm(new_states, axis=1)
-            if np.any(~np.isfinite(norms)) or np.any(norms[~jump_mask] == 0.0):
-                raise InstabilityError(f"degenerate no-jump update at substep {step}")
+            degenerate = ~np.isfinite(norms) | ((norms == 0.0) & ~jump_mask)
+            if np.any(degenerate):
+                raise _unstable_row(
+                    f"degenerate no-jump update at substep {step}", degenerate, streams
+                )
             jump_rows = np.nonzero(jump_mask)[0]
             for i in jump_rows:
                 pre = states[i]

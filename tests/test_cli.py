@@ -1,6 +1,8 @@
 """Config validation, scenario runs, output files, and exit codes."""
 
 import json
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsdsim import cli
+from qsdsim import (
+    INITIAL_SPECS,
+    EnsembleError,
+    Ket,
+    LindbladModel,
+    Operator,
+    SdeConfig,
+    cli,
+    heisenberg_element,
+)
 
 
 def make_config(tmp_path, name="config.json", **cfg):
@@ -72,6 +83,34 @@ _CUSTOM_ELEMENT = (
 )
 
 
+def _custom(**cfg):
+    """A valid custom element config, changed by ``cfg`` (JSON fragments)."""
+    base = {"model": '{"builder": "decay"}', "observable": '"sigma_plus"',
+            "bra": "[0, 1]", "ket": "[1, 1]", "t_grid": "[0.5]"}
+    items = {"scenario": '"custom"', **base, **cfg}
+    return "{" + ", ".join(f'"{k}": {v}' for k, v in items.items() if v is not None) + "}"
+
+
+_EXPLICIT_MODEL = '{{"hamiltonian": {h}, "lindblads": [{l}]}}'
+# non-finite or overflowing numbers anywhere in a custom config
+_CUSTOM_NON_FINITE_CASES = [
+    (_custom(bra="[Infinity, 1]"), "bra[0]: must be a finite number"),
+    (_custom(ket="[1, NaN]"), "ket[1]: must be a finite number"),
+    (_custom(bra="[[1, -Infinity], 1]"), "bra[0]: must be a finite number"),
+    (_custom(ket="[1, " + "9" * 400 + "]"), "ket[1]: must be a finite number"),
+    (_custom(model=_EXPLICIT_MODEL.format(h="[[0, 0], [0, 0]]", l="[[0, Infinity], [0, 0]]")),
+     "model.lindblads[0][0]: must be a finite number"),
+    (_custom(model=_EXPLICIT_MODEL.format(h="[[NaN, 0], [0, 0]]", l="[[0, 1], [0, 0]]")),
+     "model.hamiltonian[0]: must be a finite number"),
+    (_custom(observable="[[1, 0], [0, [0, NaN]]]"), "observable[1]: must be a finite number"),
+    (_custom(model='{"builder": "driven_decay", "omega": Infinity}'),
+     "model.omega: must be a finite number"),
+    (_custom(mode='"correlation"', bra=None, ket=None, t_grid=None,
+             perturbation='"sigma_minus"', tau_grid="[0]", t="Infinity"),
+     "t: must be a finite number"),
+]
+
+
 @pytest.mark.parametrize(
     "text,needle",
     [
@@ -85,6 +124,7 @@ _CUSTOM_ELEMENT = (
         (_CUSTOM_ELEMENT + '[0.5, NaN]}', "t_grid[1]: must be a finite number"),
         (_CUSTOM_ELEMENT + '[0.5, "0.7"]}', "t_grid[1]: expected a number"),
         (_CUSTOM_ELEMENT + '[0.7, 0.5]}', "strictly increasing"),
+        *_CUSTOM_NON_FINITE_CASES,
         ('{"scenario": "decay-element", "out": null}', "out: expected a directory path string"),
         ('{"scenario": "decay-element", "out": []}', "out: expected a directory path string"),
         ('{"scenario": "decay-element", "out": 5}', "out: expected a directory path string"),
@@ -130,6 +170,9 @@ def test_validate_rejects(text, needle):
         ('{"scenario": "decay-element", "h_ode": Infinity}', "h_ode"),
         ('{"scenario": "fluorescence-g1", "omega": Infinity}', "omega"),
         ('{"scenario": "fluorescence-g1", "warmup": NaN}', "warmup"),
+        (_custom(bra="[Infinity, 1]"), "bra[0]"),
+        (_custom(model=_EXPLICIT_MODEL.format(h="[[0, 0], [0, 0]]", l="[[0, Infinity], [0, 0]]")),
+         "model.lindblads[0][0]"),
     ],
 )
 def test_non_finite_numbers_are_named_errors(tmp_path, capsys, text, key):
@@ -157,19 +200,103 @@ _JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=8,
 )
+# custom values: mostly finite and well-formed, but any number (NaN,
+# infinities, and finite values whose products overflow) may turn up
+_FINITE = (
+    st.integers(-10**6, 10**6)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([1e200, -1e308])
+)
+_NUMBERS = _FINITE | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+_ENTRIES = _FINITE | st.lists(_FINITE, min_size=2, max_size=2) | _NUMBERS
+_TIMES = st.sampled_from([0, 0.1, 0.25, 0.5, 1.0])
+
+
+def _matrices(dim):
+    return st.lists(st.lists(_ENTRIES, min_size=dim, max_size=dim), min_size=dim, max_size=dim)
+
+
+def _diagonal(entries):
+    return [[x if i == j else 0 for j in range(len(entries))] for i, x in enumerate(entries)]
+
+
+def _custom_values(dim):
+    """Strategies for the custom keys, for a model of dimension ``dim``."""
+    names = ["identity", "sigma_plus", "sigma_minus", "x"] if dim == 2 else ["identity"]
+    operators = st.sampled_from(names) | _matrices(dim)
+    hamiltonians = st.lists(_NUMBERS, min_size=dim, max_size=dim).map(_diagonal) | _matrices(dim)
+    models = st.fixed_dictionaries(
+        {"hamiltonian": hamiltonians, "lindblads": st.lists(_matrices(dim), min_size=1, max_size=2)}
+    )
+    if dim == 2:
+        builders = st.fixed_dictionaries({"builder": st.just("decay")}) | st.fixed_dictionaries(
+            {"builder": st.sampled_from(["driven_decay", "x"])}, optional={"omega": _NUMBERS}
+        )
+        models = builders | models
+    grids = (
+        st.lists(_TIMES, min_size=1, max_size=4, unique=True).map(sorted)
+        | st.fixed_dictionaries({"start": _TIMES, "stop": _TIMES, "num": st.integers(-2, 50)})
+        | st.fixed_dictionaries({"start": _NUMBERS, "stop": _NUMBERS, "num": st.integers(-2, 50)})
+        | st.lists(_NUMBERS, min_size=1, max_size=4)
+    )
+    # a vector of the model's dimension with a nonzero first entry, or any list
+    vectors = st.tuples(
+        st.sampled_from([1, -0.5, [0, 1], 1e-300, 1e308]),
+        st.lists(_ENTRIES, min_size=dim - 1, max_size=dim - 1),
+    ).map(lambda parts: [parts[0], *parts[1]]) | st.lists(_ENTRIES, max_size=3)
+    return {
+        "model": models, "observable": operators, "perturbation": operators,
+        "bra": vectors, "ket": vectors, "t_grid": grids, "tau_grid": grids,
+        "t": _TIMES | _NUMBERS, "warmup": _TIMES | _NUMBERS,
+        "initial": st.sampled_from(INITIAL_SPECS),
+    }
+
+
+def _arrays(value):
+    """Every array of numbers held by a validated config value."""
+    if isinstance(value, (np.ndarray, list, float, int)):
+        yield np.asarray(value, dtype=float if isinstance(value, list) else None)
+    elif isinstance(value, Ket):
+        yield value.amplitudes
+    elif isinstance(value, Operator):
+        yield value.matrix
+    elif isinstance(value, LindbladModel):
+        yield value.hamiltonian.matrix
+        yield from (op.matrix for op in value.lindblads)
 
 
 @pytest.mark.parametrize(
-    "scenario", ["decay-element", "fluorescence-g1", "gisin-compare", "benchmark"]
+    "case",
+    ["decay-element", "fluorescence-g1", "gisin-compare", "benchmark",
+     "custom:element", "custom:correlation"],
 )
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
-def test_validate_returns_errors_and_never_raises(scenario, data):
-    keys = sorted((cli._COMMON_KEYS | cli._SCENARIO_KEYS[scenario]) - {"scenario"})
-    cfg = data.draw(st.dictionaries(st.sampled_from(keys), _JSON_VALUES))
+def test_validate_returns_errors_and_never_raises(case, data):
+    scenario, _, mode = case.partition(":")
+    keys = sorted(cli._config_keys(scenario) - {"scenario"})
+    if mode:
+        # model, observable and the mode's keys, mostly well-formed, with at
+        # most one change: one of them left out, one other key added, or one
+        # value drawn from any JSON value instead
+        values = _custom_values(data.draw(st.sampled_from([2, 1, 3])))
+        cfg = {"mode": mode}
+        for key in ["model", "observable", *cli._MODE_KEYS[mode]]:
+            cfg[key] = data.draw(values[key])
+        change = data.draw(st.sampled_from([None, "drop", "add", "odd"]))
+        if change is not None:
+            key = data.draw(st.sampled_from(keys))
+            cfg.pop(key, None)
+            if change != "drop":
+                cfg[key] = data.draw(_JSON_VALUES)
+    else:
+        cfg = data.draw(st.dictionaries(st.sampled_from(keys), _JSON_VALUES))
     config, errors = cli.validate(json.dumps({"scenario": scenario, **cfg}))
     assert (config is None) == bool(errors)
     assert all(isinstance(line, str) for line in errors)
+    if config is not None:
+        held = [config.dt, *config.params.values()]
+        assert all(np.all(np.isfinite(a)) for v in held for a in _arrays(v)), config
 
 
 def test_overrides_win_over_file_values():
@@ -395,7 +522,48 @@ def test_jump_instability_exits_3(tmp_path, capsys):
     report = json.loads((out / "instability-report.json").read_text())
     assert report["scenario"] == "decay-element"
     assert report["dt"] == 0.5
+    assert 0 <= named_trajectory(report["error"]) < 2
     assert not (out / "metadata.json").exists()
+
+
+def named_trajectory(text):
+    match = re.search(r"trajectory (\d+)", text)
+    assert match, text
+    return int(match.group(1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_instability_errors_name_the_trajectory(tmp_path):
+    # L = 1e200 sigma_minus is finite, but L^dag L overflows: the first step blows up
+    out = tmp_path / "out"
+    model = {"hamiltonian": [[0, 0], [0, 0]], "lindblads": [[[0, 1e200], [0, 0]]]}
+    path = make_config(tmp_path, scenario="custom", n=4, dt=0.01, model=model,
+                       observable="sigma_plus", bra=[0, 1], ket=[1, 1], t_grid=[0.5],
+                       out=str(out))
+    config, errors = cli.validate(path.read_text())
+    assert errors == []
+    p = config.params
+    with pytest.raises(EnsembleError) as info:
+        heisenberg_element(p["observable"], p["bra"], p["ket"], p["model"], p["t_grid"],
+                           p["n"], SdeConfig(dt=config.dt), config.seed)
+    assert 0 <= named_trajectory(str(info.value)) < 4
+    assert run_main(["--config", str(path)]) == 3
+    report = json.loads((out / "instability-report.json").read_text())
+    assert 0 <= named_trajectory(report["error"]) < 4
+
+
+def test_overflowing_custom_vector_runs_as_a_unit_ket(tmp_path):
+    out = tmp_path / "out"
+    path = make_config(tmp_path, scenario="custom", n=4, dt=0.01,
+                       model={"builder": "decay"}, observable="sigma_plus",
+                       bra=[[1e308, 1e308], 1e308], ket=[1, 1], t_grid=[0.5], out=str(out))
+    config, errors = cli.validate(path.read_text())
+    assert errors == []
+    bra = config.params["bra"].amplitudes
+    assert np.linalg.norm(bra) == pytest.approx(1.0)
+    assert np.allclose(bra, np.array([1 + 1j, 1]) / np.sqrt(3))
+    assert run_main(["--config", str(path)]) == 0
+    assert read_series(out / "results.csv").shape == (1, 4)
 
 
 def test_module_entry_point(tmp_path):

@@ -47,6 +47,38 @@ def test_ket_rejects_bad_shapes():
         Ket([])
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1.0, np.inf)])
+def test_ket_and_operator_reject_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Ket([bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        Operator([[bad]])
+    with pytest.raises(ValueError, match="finite"):
+        Operator([[1.0, 0.0], [bad, 1.0]])
+
+
+@pytest.mark.parametrize(
+    "amplitudes",
+    [[1e308, 1e308], [1e308 + 1e308j, 1e308], [1.7e308, -1.7e308j], [1e-200, 1e-200j],
+     [5e-324, 0.0]],
+)
+def test_normalized_neither_overflows_nor_underflows(amplitudes):
+    psi = Ket(amplitudes).normalized()
+    assert psi.norm() == pytest.approx(1.0, abs=1e-15)
+    # same direction: the unit ket is a positive multiple of the input
+    direction = np.array(amplitudes) / np.max(np.abs(amplitudes))
+    expected = direction / np.linalg.norm(direction)
+    assert np.allclose(psi.amplitudes, expected, rtol=0, atol=1e-15)
+
+
+def test_normalized_equals_plain_division_when_it_does_not_overflow(rng):
+    for dim in (1, 2, 3, 8, 32):
+        for scale in (1e-150, 1e-3, 1.0, 1e3, 1e150):
+            vec = scale * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+            plain = vec / np.linalg.norm(vec)
+            assert np.array_equal(Ket(vec).normalized().amplitudes, plain)
+
+
 def test_overlap_dimension_mismatch():
     with pytest.raises(ValueError):
         Ket([1.0, 0.0]).overlap(Ket([1.0, 0.0, 0.0]))
