@@ -266,10 +266,19 @@ def _parse_model(value, key: str, errors: list):
     if len(errors) > n_errors:
         return None
     try:
-        return LindbladModel(Operator(h), tuple(Operator(m) for m in ls))
+        model = LindbladModel(Operator(h), tuple(Operator(m) for m in ls))
     except ValueError as err:
         errors.append(f"model: {err}")
         return None
+    with np.errstate(all="ignore"):
+        finite = bool(np.all(np.isfinite(model.generator())))
+    if not finite:
+        errors.append(
+            "model: the generator -iH - (1/2) sum_j L_j^dag L_j overflows; "
+            "scale the operators down"
+        )
+        return None
+    return model
 
 
 def _parse_operator(value, key: str, errors: list):

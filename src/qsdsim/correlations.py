@@ -3,7 +3,9 @@ r"""Heisenberg-picture matrix elements and two-time correlation functions.
 A matrix element <bra| A(t) |ket> between two different states is estimated
 by stacking the pair into one doubled-space vector (bra, ket)/sqrt(2),
 propagating it with an unraveling of the duplicated dynamics, and averaging
-2 <upper_t| A |lower_t> over realizations.
+2 <upper_t| A |lower_t> over realizations.  The engines are built on the
+base model and step the two blocks with its d x d operators; only the
+oracle (``master.doubled_block_evolution``) builds the duplicated model.
 
 A two-time correlation <A(t + tau) B(t)> follows the same pattern with a
 trajectory-dependent pair: each realization propagates a single-space state
@@ -19,7 +21,7 @@ import numpy as np
 
 from .diffusion import QsdEngine, SdeConfig
 from .ensemble import EnsembleResult, run_ensemble
-from .hilbert import Ket, LindbladModel, Operator, extend_model, make_doubled_state
+from .hilbert import Ket, LindbladModel, Operator, make_doubled_state
 from .noise import NoiseStream, grid_steps
 
 __all__ = [
@@ -104,7 +106,7 @@ def _doubled_series_chunk(
     streams,
     theta: np.ndarray,
     weights: np.ndarray,
-    model_ext: LindbladModel,
+    model: LindbladModel,
     observable: Operator,
     sde: SdeConfig,
     node_steps: list[int],
@@ -113,7 +115,7 @@ def _doubled_series_chunk(
     """Propagate stacked states over the recording grid, returning the
     weighted block inner products w <upper|A|lower> (per norm^2 for the
     quasi-linear scheme) for every trajectory and node."""
-    d = model_ext.dim // 2
+    d = model.dim
     a_mat = observable.matrix
     vals = np.empty((theta.shape[0], len(node_steps)), dtype=complex)
     quasi = sde.scheme == "quasi_linear"
@@ -124,7 +126,7 @@ def _doubled_series_chunk(
             inner = inner / norms**2
         vals[:, slot] = weights * inner
 
-    engine = engine_factory(model_ext, sde)
+    engine = engine_factory(model, sde)
     engine.run(theta, streams, node_steps[-1], node_steps, on_record)
     return vals
 
@@ -154,7 +156,7 @@ def _correlation_chunk(
         streams,
         theta,
         weights,
-        extend_model(model),
+        model,
         request.observable,
         sde,
         node_steps,
@@ -211,7 +213,6 @@ def heisenberg_element(
     grid = np.asarray(t_grid, dtype=float)
     node_steps = grid_steps(grid, sde.dt)
     theta0 = make_doubled_state(bra_state.normalized(), ket_state.normalized())
-    model_ext = extend_model(model)
     factory = engine_factory or _default_engine_factory
     base = theta0.vector()
 
@@ -219,7 +220,7 @@ def heisenberg_element(
         theta = np.tile(base, (len(streams), 1))
         weights = np.full(len(streams), 2.0)
         return _doubled_series_chunk(
-            streams, theta, weights, model_ext, observable, sde, node_steps, factory
+            streams, theta, weights, model, observable, sde, node_steps, factory
         )
 
     return run_ensemble(

@@ -18,11 +18,13 @@ quasi_linear
     state; the propagated state is never renormalized and the estimator
     divides by its squared norm instead.
 
-Both schemes run unchanged on the doubled space: a DoubledState input is
-propagated with the block-diagonal duplicated operators, expectations taken
-over the whole stacked vector.  Ensemble averages of the block inner product
-2 <upper|A|lower> then estimate Heisenberg-picture matrix elements between
-the two stacked states.
+Both schemes run unchanged on the doubled space.  The duplicated operators
+are block-diagonal, so a DoubledState input is stepped block by block with
+the model's own d x d operators, both blocks driven by the same noise, and
+expectations and norms are summed over both blocks; the duplicated model
+(``extend_model``) is never built.  Ensemble averages of the block inner
+product 2 <upper|A|lower> then estimate Heisenberg-picture matrix elements
+between the two stacked states.
 
 The drift is ``LindbladModel.generator``; the step-size check, the dt grid
 rule and the blocked noise come from :mod:`qsdsim.noise`.
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstabilityError
-from .hilbert import DoubledState, Ket, LindbladModel, Operator, extend_model
+from .hilbert import DoubledState, Ket, LindbladModel, Operator
 from .noise import NoiseStream, check_step, grid_steps, wiener_blocks
 
 __all__ = [
@@ -87,9 +89,20 @@ class Trajectory:
 class QsdEngine:
     """Batched Euler-Maruyama propagation of many trajectories at once.
 
-    States are rows of a (batch, dim) array; trajectory i draws its noise
-    from streams[i], in the same order as a stepwise single-trajectory run,
-    so batching never changes any individual realization.
+    Each row of the (batch, dim) input is one trajectory; a row of width
+    2 dim is a doubled state, whose two blocks are stepped with the model's
+    own d x d operators under the row's shared noise, expectations and norms
+    summed over both blocks.  Trajectory i draws its noise from streams[i],
+    in the same order as a stepwise single-trajectory run, so batching never
+    changes the noise a trajectory sees.  Overflow during a step is not
+    warned about: it makes a norm non-finite, which raises InstabilityError
+    naming the first trajectory it hit.
+
+    Internally the batch is column-major, a (dim, k, batch) array with k = 1
+    for kets and k = 2 for doubled states, so every elementwise operation and
+    every sum over the dimension runs on contiguous rows of length batch.
+    A step is one product with the stacked (dim (1 + n_channels), dim)
+    matrix of the Euler drift I + dt G and every L_j, and one norm.
     """
 
     def __init__(self, model: LindbladModel, dt: float, scheme: str = "normalized"):
@@ -99,35 +112,33 @@ class QsdEngine:
         self.scheme = scheme
         self.dim = model.dim
         self.n_channels = model.n_channels
-        self._ls_t = [np.ascontiguousarray(op.matrix.T) for op in model.lindblads]
-        # transposed for row-state matmuls
-        self._drift_t = np.ascontiguousarray(model.generator().T)
+        drift = np.eye(model.dim) + dt * model.generator()
+        self._stack = np.concatenate([drift] + [op.matrix for op in model.lindblads])
 
-    def _step(self, states: np.ndarray, dxi: np.ndarray, streams=None) -> np.ndarray:
+    def _step(self, x: np.ndarray, inv_norm2, dxi: np.ndarray) -> np.ndarray:
+        """One step of column-major states ``x`` (dim, k, batch).
+
+        ``inv_norm2`` holds each trajectory's 1 / <psi|psi>, or is None for
+        unit states; ``dxi`` holds the (n_channels, batch) increments.
+        """
         dt = self.dt
-        norm2 = np.einsum("bi,bi->b", states.conj(), states).real
-        if not np.all(np.isfinite(norm2)):
-            raise _unstable_row(
-                "state norm became non-finite during propagation", ~np.isfinite(norm2), streams
-            )
-        if np.any(norm2 == 0.0):
-            raise _unstable_row(
-                "state norm underflowed to zero during propagation", norm2 == 0.0, streams
-            )
-        out = states + dt * (states @ self._drift_t)
+        y = (self._stack @ x.reshape(self.dim, -1)).reshape(-1, *x.shape)
+        out, lx = y[0], y[1:]
+        ell = (x.conj() * lx).sum(axis=(1, 2))  # <psi|L_j psi>, shape (c, batch)
+        if inv_norm2 is not None:
+            ell *= inv_norm2
+        ell_c = ell.conj()
+        # complex products stay out of place: numpy's in-place complex
+        # multiply rounds differently for different lengths, and a
+        # trajectory must not depend on the size of its batch
+        coeff = ell_c * dt + dxi
+        for l_psi, c_j in zip(lx, coeff):
+            out += l_psi * c_j
         if self.scheme == "normalized":
-            for j, l_t in enumerate(self._ls_t):
-                lpsi = states @ l_t
-                ell = np.einsum("bi,bi->b", states.conj(), lpsi) / norm2
-                coeff = dxi[:, j] + ell.conj() * dt
-                out += coeff[:, None] * lpsi
-                out -= (ell * dxi[:, j] + 0.5 * np.abs(ell) ** 2 * dt)[:, None] * states
-        else:
-            for j, l_t in enumerate(self._ls_t):
-                lpsi = states @ l_t
-                ell = np.einsum("bi,bi->b", states.conj(), lpsi) / norm2
-                coeff = dxi[:, j] + ell.conj() * dt
-                out += coeff[:, None] * lpsi
+            # sum_j <L_j> dxi_j + (dt/2) |<L_j>|^2, as <L_j> (coeff_j - (dt/2) <L_j>^*);
+            # the increments are a strided view, read once above
+            shrink = ((coeff - ell_c * (0.5 * dt)) * ell).sum(axis=0)
+            out -= x * shrink
         return out
 
     def run(
@@ -145,40 +156,99 @@ class QsdEngine:
         ``states`` is post-renormalization and ``norms`` holds the
         pre-renormalization norms of the step landing there.
         """
-        states = np.array(states, dtype=complex)
-        batch, dim = states.shape
-        if dim != self.dim:
-            raise ValueError(f"state width {dim} does not match engine dimension {self.dim}")
-        if len(streams) != batch:
-            raise ValueError(f"need one stream per row: {len(streams)} streams, batch {batch}")
-        record = sorted(set(int(k) for k in record_steps))
-        if record and (record[0] < 0 or record[-1] > n_steps):
-            raise ValueError("record steps must lie within [0, n_steps]")
-        slots = {k: i for i, k in enumerate(record)}
+        x = _columns(states, self.dim)
+        if len(streams) != x.shape[2]:
+            raise ValueError(
+                f"need one stream per row: {len(streams)} streams, batch {x.shape[2]}"
+            )
+        slots = _record_slots(record_steps, n_steps)
+        blocks = wiener_blocks(streams, n_steps, self.n_channels, self.dt)
+        increments = (block[:, k, :].T for block in blocks for k in range(block.shape[1]))
+        return _rows(self._advance(x, increments, n_steps, slots, on_record, streams))
+
+    def _advance(self, x, increments, n_steps, slots, on_record=None, streams=None):
+        """Step column-major ``x`` once per (n_channels, batch) entry of
+        ``increments``, checking every norm; the loop behind :meth:`run` and
+        the single-step functions."""
         renorm = self.scheme == "normalized"
-
+        norm2 = _real_inner(x, x)
         if 0 in slots and on_record is not None:
-            on_record(slots[0], states, np.linalg.norm(states, axis=1))
-
-        done = 0
-        for block in wiener_blocks(streams, n_steps, self.n_channels, self.dt):
-            for k in range(block.shape[1]):
-                states = self._step(states, block[:, k, :], streams)
-                done += 1
-                norms = np.linalg.norm(states, axis=1)
-                if not np.all(np.isfinite(norms)):
+            on_record(slots[0], _rows(x), np.sqrt(norm2))
+        if n_steps == 0:
+            return x
+        if not np.all(np.isfinite(norm2)):
+            raise _unstable_row(
+                "state norm became non-finite during propagation", ~np.isfinite(norm2), streams
+            )
+        if np.any(norm2 == 0.0):
+            raise _unstable_row(
+                "state norm underflowed to zero during propagation", norm2 == 0.0, streams
+            )
+        inv_norm2 = 1.0 / norm2
+        for done, dxi in enumerate(increments, start=1):
+            # overflow shows up as a non-finite norm, which raises below
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = self._step(x, inv_norm2, dxi)
+                norm2 = _real_inner(x, x)
+            if not (norm2.min() > 0.0 and norm2.max() < np.inf):
+                if not np.all(np.isfinite(norm2)):
                     raise _unstable_row(
-                        f"non-finite state norm after step {done}", ~np.isfinite(norms), streams
+                        f"non-finite state norm after step {done}", ~np.isfinite(norm2), streams
                     )
                 if renorm:
-                    if np.any(norms == 0.0):
-                        raise _unstable_row(
-                            f"zero state norm after step {done}", norms == 0.0, streams
-                        )
-                    states /= norms[:, None]
-                if done in slots and on_record is not None:
-                    on_record(slots[done], states, norms)
-        return states
+                    raise _unstable_row(
+                        f"zero state norm after step {done}", norm2 == 0.0, streams
+                    )
+                if done < n_steps:
+                    raise _unstable_row(
+                        "state norm underflowed to zero during propagation",
+                        norm2 == 0.0, streams,
+                    )
+            norms = np.sqrt(norm2)
+            if renorm:
+                x *= 1.0 / norms
+                inv_norm2 = None
+            elif done < n_steps:  # a zero norm is allowed after the last step
+                inv_norm2 = 1.0 / norm2
+            if done in slots and on_record is not None:
+                on_record(slots[done], _rows(x), norms)
+        return x
+
+
+def _columns(states, dim: int) -> np.ndarray:
+    """(batch, k dim) rows, k = 1 for kets and 2 for doubled states, as a
+    new C-contiguous (dim, k, batch) array: [i, blk, b] is amplitude i of
+    block blk of trajectory b."""
+    states = np.asarray(states, dtype=complex)
+    if states.ndim != 2 or states.shape[1] not in (dim, 2 * dim):
+        raise ValueError(
+            f"states of shape {states.shape} match neither engine dimension {dim} "
+            f"nor its doubled space {2 * dim}"
+        )
+    batch, width = states.shape
+    return states.reshape(batch, width // dim, dim).transpose(2, 1, 0).copy()
+
+
+def _rows(x: np.ndarray) -> np.ndarray:
+    """The (batch, k dim) rows of column-major states, as a new array."""
+    return np.array(x.transpose(2, 1, 0).reshape(x.shape[2], -1))
+
+
+def _real_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Re <x|y> for each trajectory of column-major ``x`` and ``y``, summed
+    over all blocks."""
+    # float views (dim, k, 2 batch): real, imaginary, real, ...
+    sums = np.einsum("ijb,ijb->b", x.view(float), y.view(float))
+    return sums[0::2] + sums[1::2]
+
+
+
+def _record_slots(record_steps, n_steps: int) -> dict:
+    """Slot of each distinct step count in ``record_steps``, in order."""
+    record = sorted(set(int(k) for k in record_steps))
+    if record and (record[0] < 0 or record[-1] > n_steps):
+        raise ValueError("record steps must lie within [0, n_steps]")
+    return {k: i for i, k in enumerate(record)}
 
 
 def _unstable_row(what: str, bad: np.ndarray, streams=None) -> InstabilityError:
@@ -190,60 +260,50 @@ def _unstable_row(what: str, bad: np.ndarray, streams=None) -> InstabilityError:
 
 
 def _split_state(state, model: LindbladModel):
-    """Map a Ket or DoubledState plus base model onto flat-array form."""
+    """A Ket or DoubledState as a flat vector (the doubled one stacked) plus
+    whether it is doubled; the engines step either with the base model."""
     if isinstance(state, DoubledState):
         if state.dim != model.dim:
             raise ValueError(
                 f"dimension mismatch: doubled state blocks {state.dim}, model {model.dim}"
             )
-        return state.vector(), extend_model(model), True
+        return state.vector(), True
     if isinstance(state, Ket):
         if state.dim != model.dim:
             raise ValueError(f"dimension mismatch: state {state.dim}, model {model.dim}")
-        return state.amplitudes.copy(), model, False
+        return state.amplitudes.copy(), False
     raise TypeError(f"expected Ket or DoubledState, got {type(state).__name__}")
 
 
-def _pack_state(vec: np.ndarray, model: LindbladModel, doubled: bool):
+def _pack_state(vec: np.ndarray, dim: int, doubled: bool):
     if doubled:
-        return DoubledState.from_vector(vec, model.dim)
+        return DoubledState.from_vector(vec, dim)
     return Ket(vec)
+
+
+def _single_step(state, model: LindbladModel, dt: float, scheme: str, increments):
+    vec, doubled = _split_state(state, model)
+    engine = QsdEngine(model, dt, scheme)
+    dxi = np.asarray(increments, dtype=complex).reshape(-1, 1)
+    if dxi.shape[0] != model.n_channels:
+        raise ValueError(f"expected {model.n_channels} increments, got {dxi.shape[0]}")
+    x = engine._advance(_columns(vec.reshape(1, -1), model.dim), [dxi], 1, {})
+    return _pack_state(_rows(x)[0], model.dim, doubled)
 
 
 def step_normalized(state, model: LindbladModel, dt: float, increments: np.ndarray):
     """One renormalized Euler-Maruyama step; returns the same state type.
 
     ``increments`` holds one complex Wiener increment per channel.  A
-    DoubledState is stepped with the block-diagonal duplicated operators and
+    DoubledState is stepped block by block with the model's operators and
     expectations over the whole stacked vector.
     """
-    vec, run_model, doubled = _split_state(state, model)
-    engine = QsdEngine(run_model, dt, "normalized")
-    dxi = np.asarray(increments, dtype=complex).reshape(1, -1)
-    if dxi.shape[1] != model.n_channels:
-        raise ValueError(
-            f"expected {model.n_channels} increments, got {dxi.shape[1]}"
-        )
-    out = engine._step(vec.reshape(1, -1), dxi)[0]
-    norm = np.linalg.norm(out)
-    if not np.isfinite(norm) or norm == 0.0:
-        raise InstabilityError("step produced a non-finite or zero-norm state")
-    return _pack_state(out / norm, model, doubled)
+    return _single_step(state, model, dt, "normalized", increments)
 
 
 def step_quasilinear(state, model: LindbladModel, dt: float, increments: np.ndarray):
     """One quasi-linear Euler-Maruyama step; no renormalization."""
-    vec, run_model, doubled = _split_state(state, model)
-    engine = QsdEngine(run_model, dt, "quasi_linear")
-    dxi = np.asarray(increments, dtype=complex).reshape(1, -1)
-    if dxi.shape[1] != model.n_channels:
-        raise ValueError(
-            f"expected {model.n_channels} increments, got {dxi.shape[1]}"
-        )
-    out = engine._step(vec.reshape(1, -1), dxi)[0]
-    if not np.all(np.isfinite(out)):
-        raise InstabilityError("step produced non-finite amplitudes")
-    return _pack_state(out, model, doubled)
+    return _single_step(state, model, dt, "quasi_linear", increments)
 
 
 def propagate(
@@ -260,8 +320,8 @@ def propagate(
     """
     grid = np.asarray(t_grid, dtype=float)
     steps = grid_steps(grid - grid[:1], config.dt)  # counted from the first node
-    vec, run_model, doubled = _split_state(state0, model)
-    engine = QsdEngine(run_model, config.dt, config.scheme)
+    vec, doubled = _split_state(state0, model)
+    engine = QsdEngine(model, config.dt, config.scheme)
 
     recorded: list[np.ndarray] = [None] * len(steps)
     norms = np.zeros(len(steps))
@@ -271,7 +331,7 @@ def propagate(
         norms[slot] = pre_norms[0]
 
     engine.run(vec.reshape(1, -1), [stream], steps[-1], steps, on_record)
-    states = [_pack_state(v, model, doubled) for v in recorded]
+    states = [_pack_state(v, model.dim, doubled) for v in recorded]
     return Trajectory(times=grid.copy(), states=states, norm_history=norms)
 
 

@@ -62,6 +62,12 @@ def _as_complex_matrix(values) -> np.ndarray:
     return _freeze(mat.copy())
 
 
+def _hermitian_deviation(mat: np.ndarray) -> float:
+    """max |A - A^dag| over the entries; inf where the difference overflows."""
+    with np.errstate(over="ignore"):
+        return float(np.max(np.abs(mat - mat.conj().T)))
+
+
 @dataclass(frozen=True, eq=False)
 class Ket:
     """Immutable state vector with complex amplitudes.
@@ -124,7 +130,7 @@ class Operator:
         return Operator(self.matrix.conj().T)
 
     def is_hermitian(self, tol: float = _HERMITICITY_TOL) -> bool:
-        return bool(np.max(np.abs(self.matrix - self.matrix.conj().T)) <= tol)
+        return bool(_hermitian_deviation(self.matrix) <= tol)
 
     def apply(self, state: Ket) -> Ket:
         if state.dim != self.dim:
@@ -153,12 +159,8 @@ class LindbladModel:
         lindblads = tuple(self.lindblads)
         object.__setattr__(self, "lindblads", lindblads)
         dim = self.hamiltonian.dim
-        if not self.hamiltonian.is_hermitian():
-            dev = float(
-                np.max(
-                    np.abs(self.hamiltonian.matrix - self.hamiltonian.matrix.conj().T)
-                )
-            )
+        dev = _hermitian_deviation(self.hamiltonian.matrix)
+        if not dev <= _HERMITICITY_TOL:
             raise ValueError(
                 f"hamiltonian is not Hermitian (max deviation {dev:.3e} > {_HERMITICITY_TOL})"
             )

@@ -15,8 +15,10 @@ threshold), plus one initial threshold per trajectory segment.  A substep
 with p > 0.1 aborts: the first-order scheme needs a smaller dt.
 
 The same machinery runs on the doubled space for matrix elements and
-two-time correlations; the duplicated operators are block-diagonal, so a
-zero block stays zero through drifts and jumps alike.
+two-time correlations.  The duplicated operators are block-diagonal, so the
+engine steps a doubled state block by block with the model's own d x d
+operators, jump probabilities and norms summed over both blocks, and a zero
+block stays zero through drifts and jumps alike.
 
 The no-jump drift is built from ``LindbladModel.generator`` and the step is
 checked by ``noise.check_step``, as in the diffusive engine.
@@ -28,7 +30,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .correlations import CorrelationRequest, correlate, heisenberg_element
-from .diffusion import SdeConfig, _pack_state, _split_state, _unstable_row
+from .diffusion import (
+    SdeConfig,
+    _columns,
+    _pack_state,
+    _real_inner,
+    _record_slots,
+    _rows,
+    _split_state,
+    _unstable_row,
+)
 from .ensemble import EnsembleResult
 from .errors import InstabilityError
 from .hilbert import Ket, LindbladModel, Operator
@@ -65,7 +76,14 @@ class JumpControl:
 
 
 class JumpEngine:
-    """Batched jump-unraveling propagation, API-compatible with QsdEngine."""
+    """Batched jump-unraveling propagation, API-compatible with QsdEngine.
+
+    Rows of width 2 dim are doubled states, stepped block by block with the
+    model's d x d operators like in QsdEngine, and the batch is stepped
+    column-major in the same way.  A substep is one product with the stacked
+    (2 dim, dim) matrix of the no-jump map I + dt G and sum_j L_j^dag L_j,
+    and one norm.
+    """
 
     def __init__(self, model: LindbladModel, dt: float,
                  max_jump_probability: float = MAX_JUMP_PROBABILITY):
@@ -76,17 +94,17 @@ class JumpEngine:
             )
         self.dim = model.dim
         self.max_jump_probability = max_jump_probability
-        self._ls = [np.ascontiguousarray(op.matrix) for op in model.lindblads]
-        self._ldl_sum_t = np.ascontiguousarray(model.ldl_sum().T)
-        drift = np.eye(model.dim) + dt * model.generator()
-        self._no_jump_t = np.ascontiguousarray(drift.T)
+        self._ls = [op.matrix for op in model.lindblads]
+        no_jump = np.eye(model.dim) + dt * model.generator()
+        self._stack = np.concatenate([no_jump, model.ldl_sum()])
         self.last_jump_counts: np.ndarray | None = None
 
-    def _jump_row(self, psi: np.ndarray, stream: NoiseStream) -> np.ndarray:
-        weights = np.array(
-            [float(np.linalg.norm(lmat @ psi) ** 2) for lmat in self._ls]
-        )
-        total = weights.sum()
+    def _jump(self, psi: np.ndarray, stream: NoiseStream) -> np.ndarray:
+        """L_j psi / ||L_j psi|| for the pre-jump (dim, k) columns ``psi`` of
+        one trajectory, channel j drawn with weight ||L_j psi||^2."""
+        candidates = [lmat @ psi for lmat in self._ls]
+        weights = [float(np.vdot(c, c).real) for c in candidates]
+        total = sum(weights)
         if total <= 0.0:
             raise InstabilityError("jump selected with zero total jump weight")
         pick = stream.uniform() * total
@@ -97,8 +115,7 @@ class JumpEngine:
             if pick < acc:
                 channel = j
                 break
-        new = self._ls[channel] @ psi
-        return new / np.linalg.norm(new)
+        return candidates[channel] / np.sqrt(weights[channel])
 
     def run(
         self,
@@ -117,16 +134,11 @@ class JumpEngine:
         streams unless ``controls`` is given; per-trajectory jump counts are
         left in ``last_jump_counts``.
         """
-        states = np.array(states, dtype=complex)
-        batch, dim = states.shape
-        if dim != self.dim:
-            raise ValueError(f"state width {dim} does not match engine dimension {self.dim}")
+        x = _columns(states, self.dim)
+        batch = x.shape[2]
         if len(streams) != batch:
             raise ValueError(f"need one stream per row: {len(streams)} streams, batch {batch}")
-        record = sorted(set(int(k) for k in record_steps))
-        if record and (record[0] < 0 or record[-1] > n_steps):
-            raise ValueError("record steps must lie within [0, n_steps]")
-        slots = {k: i for i, k in enumerate(record)}
+        slots = _record_slots(record_steps, n_steps)
         if controls is None:
             controls = [JumpControl.start(s) for s in streams]
         elif len(controls) != batch:
@@ -136,13 +148,15 @@ class JumpEngine:
         jumps = np.zeros(batch, dtype=np.int64)
 
         if 0 in slots and on_record is not None:
-            on_record(slots[0], states, np.linalg.norm(states, axis=1))
+            on_record(slots[0], _rows(x), np.sqrt(_real_inner(x, x)))
 
         dt = self.dt
         for step in range(1, n_steps + 1):
-            p_tot = dt * np.einsum(
-                "bi,bi->b", states.conj(), states @ self._ldl_sum_t
-            ).real
+            # overflow shows up as a non-finite norm, which raises below
+            with np.errstate(over="ignore", invalid="ignore"):
+                new, ldl_psi = (self._stack @ x.reshape(self.dim, -1)).reshape(2, *x.shape)
+                p_tot = dt * _real_inner(x, ldl_psi)
+                norms = np.sqrt(_real_inner(new, new))
             worst = float(p_tot.max(initial=0.0))
             if worst > self.max_jump_probability:
                 raise _unstable_row(
@@ -150,33 +164,33 @@ class JumpEngine:
                     f"{self.max_jump_probability} at substep {step}; reduce dt",
                     p_tot > self.max_jump_probability, streams,
                 )
-            next_survival = survival * (1.0 - p_tot)
-            jump_mask = next_survival < thresholds
-            new_states = states @ self._no_jump_t
-            norms = np.linalg.norm(new_states, axis=1)
-            degenerate = ~np.isfinite(norms) | ((norms == 0.0) & ~jump_mask)
-            if np.any(degenerate):
-                raise _unstable_row(
-                    f"degenerate no-jump update at substep {step}", degenerate, streams
-                )
-            jump_rows = np.nonzero(jump_mask)[0]
-            for i in jump_rows:
-                pre = states[i]
-                new_states[i] = self._jump_row(pre, streams[i])
-                norms[i] = 1.0
-                thresholds[i] = streams[i].uniform()
-            survival = np.where(jump_mask, 1.0, next_survival)
-            jumps[jump_rows] += 1
-            states = new_states / np.where(jump_mask, 1.0, norms)[:, None]
+            survival *= 1.0 - p_tot
+            jump_rows = np.flatnonzero(survival < thresholds)
+            if not (norms.min() > 0.0 and norms.max() < np.inf):
+                degenerate = ~np.isfinite(norms) | (norms == 0.0)
+                degenerate[jump_rows] &= ~np.isfinite(norms[jump_rows])
+                if np.any(degenerate):
+                    raise _unstable_row(
+                        f"degenerate no-jump update at substep {step}", degenerate, streams
+                    )
+            if jump_rows.size:
+                for i in jump_rows:
+                    new[:, :, i] = self._jump(x[:, :, i], streams[i])
+                    thresholds[i] = streams[i].uniform()
+                norms[jump_rows] = 1.0
+                survival[jump_rows] = 1.0
+                jumps[jump_rows] += 1
+            new *= 1.0 / norms
+            x = new
             if step in slots and on_record is not None:
-                on_record(slots[step], states, norms)
+                on_record(slots[step], _rows(x), norms)
 
         for c, thr, sur, jmp in zip(controls, thresholds, survival, jumps):
             c.threshold = float(thr)
             c.survival = float(sur)
             c.jumps += int(jmp)
         self.last_jump_counts = jumps
-        return states
+        return _rows(x)
 
 
 def step_jump(
@@ -193,11 +207,10 @@ def step_jump(
     persistent control carries the waiting-time sampler across calls so a
     whole inter-jump interval consumes only the two draws of its jump.
     """
-    vec, run_model, doubled = _split_state(state, model)
-    engine = JumpEngine(run_model, dt)
+    vec, doubled = _split_state(state, model)
     controls = [control] if control is not None else None
-    out = engine.run(vec.reshape(1, -1), [stream], 1, controls=controls)[0]
-    return _pack_state(out, model, doubled)
+    out = JumpEngine(model, dt).run(vec.reshape(1, -1), [stream], 1, controls=controls)[0]
+    return _pack_state(out, model.dim, doubled)
 
 
 class _JumpFactory:

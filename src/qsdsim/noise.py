@@ -93,17 +93,30 @@ class NoiseStream:
         scale = np.sqrt(0.5 * dt)
         return scale * (z[0::2] + 1j * z[1::2])
 
-    def wiener_block(self, n_steps: int, n_channels: int, dt: float) -> np.ndarray:
+    def wiener_block(
+        self, n_steps: int, n_channels: int, dt: float, out: np.ndarray | None = None
+    ) -> np.ndarray:
         """``n_steps`` consecutive steps at once, shape (n_steps, n_channels).
 
         Consumes the generator in exactly the same order as ``n_steps``
         successive :meth:`wiener` calls, so blocked and stepwise consumers
-        see bitwise-identical noise.
+        see bitwise-identical noise.  With ``out``, a C-contiguous complex
+        array of that shape, the increments are written into it and it is
+        returned: the normals fill its float view, (real, imaginary) pairs
+        in the order :meth:`wiener` takes them, and are scaled in place.
         """
-        z = self._gen.standard_normal((n_steps, 2 * n_channels))
+        if out is None:
+            out = np.empty((n_steps, n_channels), dtype=complex)
+        elif out.shape != (n_steps, n_channels) or out.dtype != complex:
+            raise ValueError(
+                f"out must be a complex array of shape {(n_steps, n_channels)}, "
+                f"got {out.dtype} {out.shape}"
+            )
+        parts = out.view(float)
+        self._gen.standard_normal(out=parts)
         self.draws += 2 * n_channels * n_steps
-        scale = np.sqrt(0.5 * dt)
-        return scale * (z[:, 0::2] + 1j * z[:, 1::2])
+        parts *= np.sqrt(0.5 * dt)
+        return out
 
     def uniform(self) -> float:
         """One uniform draw on [0, 1)."""
@@ -134,11 +147,13 @@ def wiener_blocks(streams, n_steps: int, n_channels: int, dt: float):
     ``NOISE_BLOCK`` steps, each of shape (len(streams), span, n_channels).
 
     Row i of every block comes from one ``wiener_block`` call on streams[i],
-    so each stream is consumed exactly as by stepwise generation.
+    so each stream is consumed exactly as by stepwise generation.  Every
+    block is a view of one buffer that the next block overwrites.
     """
+    buffer = np.empty((len(streams), min(NOISE_BLOCK, n_steps), n_channels), dtype=complex)
     for done in range(0, n_steps, NOISE_BLOCK):
         span = min(NOISE_BLOCK, n_steps - done)
-        block = np.empty((len(streams), span, n_channels), dtype=complex)
+        block = buffer[:, :span]
         for i, stream in enumerate(streams):
-            block[i] = stream.wiener_block(span, n_channels, dt)
+            stream.wiener_block(span, n_channels, dt, out=block[i])
         yield block

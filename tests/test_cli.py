@@ -105,6 +105,9 @@ _CUSTOM_NON_FINITE_CASES = [
     (_custom(observable="[[1, 0], [0, [0, NaN]]]"), "observable[1]: must be a finite number"),
     (_custom(model='{"builder": "driven_decay", "omega": Infinity}'),
      "model.omega: must be a finite number"),
+    # finite entries whose L^dag L overflows
+    (_custom(model=_EXPLICIT_MODEL.format(h="[[0, 0], [0, 0]]", l="[[0, 1e200], [0, 0]]")),
+     "model: the generator -iH - (1/2) sum_j L_j^dag L_j overflows"),
     (_custom(mode='"correlation"', bra=None, ket=None, t_grid=None,
              perturbation='"sigma_minus"', tau_grid="[0]", t="Infinity"),
      "t: must be a finite number"),
@@ -532,11 +535,11 @@ def named_trajectory(text):
     return int(match.group(1))
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_instability_errors_name_the_trajectory(tmp_path):
-    # L = 1e200 sigma_minus is finite, but L^dag L overflows: the first step blows up
+    # L = 1e150 sigma_minus validates (L^dag L = 1e300 is finite), but the
+    # first step overflows the state norm
     out = tmp_path / "out"
-    model = {"hamiltonian": [[0, 0], [0, 0]], "lindblads": [[[0, 1e200], [0, 0]]]}
+    model = {"hamiltonian": [[0, 0], [0, 0]], "lindblads": [[[0, 1e150], [0, 0]]]}
     path = make_config(tmp_path, scenario="custom", n=4, dt=0.01, model=model,
                        observable="sigma_plus", bra=[0, 1], ket=[1, 1], t_grid=[0.5],
                        out=str(out))

@@ -58,6 +58,20 @@ def test_ket_and_operator_reject_non_finite_entries(bad):
 
 
 @pytest.mark.parametrize(
+    "matrix",
+    [[[0, 1e308], [-1e308, 0]], [[0, 1.7e308j], [1.7e308j, 0]], [[0, -1e308], [1e308, 0]]],
+)
+def test_hermiticity_check_of_huge_entries_does_not_overflow(matrix):
+    # A - A^dag overflows here; the verdict is still "not Hermitian", with no
+    # numpy warning (the suite turns RuntimeWarnings into errors)
+    op = Operator(matrix)
+    assert not op.is_hermitian()
+    with pytest.raises(ValueError, match="not Hermitian"):
+        LindbladModel(hamiltonian=op, lindblads=(Operator(np.zeros((2, 2))),))
+    assert Operator([[1e308, 1e308], [1e308, -1e308]]).is_hermitian()
+
+
+@pytest.mark.parametrize(
     "amplitudes",
     [[1e308, 1e308], [1e308 + 1e308j, 1e308], [1.7e308, -1.7e308j], [1e-200, 1e-200j],
      [5e-324, 0.0]],

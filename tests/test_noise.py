@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from qsdsim import NoiseStream, substream, wiener_increments
+from qsdsim.noise import NOISE_BLOCK, wiener_blocks
 
 
 def test_same_seed_and_index_reproduce_exactly():
@@ -26,6 +27,46 @@ def test_block_matches_stepwise_generation():
     stream = substream(5, 3)
     stepwise = np.array([stream.wiener(2, 0.01) for _ in range(50)])
     assert np.array_equal(blocked, stepwise)
+
+
+@pytest.mark.parametrize("n_channels", [1, 3])
+def test_blocks_written_into_a_reused_buffer_match_stepwise_draws(n_channels):
+    # 2.5 blocks of NOISE_BLOCK steps: the last block is partial, and all of
+    # them go through one buffer the way wiener_blocks fills it
+    dt, batch = 0.01, 3
+    n_steps = 2 * NOISE_BLOCK + NOISE_BLOCK // 2
+    streams = [substream(6, i) for i in range(batch)]
+    buffer = np.empty((batch, NOISE_BLOCK, n_channels), dtype=complex)
+    blocked = []
+    for done in range(0, n_steps, NOISE_BLOCK):
+        span = min(NOISE_BLOCK, n_steps - done)
+        block = buffer[:, :span]
+        for i, stream in enumerate(streams):
+            row = block[i]
+            assert stream.wiener_block(span, n_channels, dt, out=row) is row
+        blocked.append(block.copy())
+    blocked = np.concatenate(blocked, axis=1)
+    for i, stream in enumerate(streams):
+        assert stream.draws == 2 * n_channels * n_steps
+        ref = substream(6, i)
+        stepwise = np.array([ref.wiener(n_channels, dt) for _ in range(n_steps)])
+        assert ref.draws == stream.draws
+        assert blocked[i].tobytes() == stepwise.tobytes()
+
+    lazy = [substream(6, i) for i in range(batch)]
+    blocks = [b.copy() for b in wiener_blocks(lazy, n_steps, n_channels, dt)]
+    assert [b.shape[1] for b in blocks] == [NOISE_BLOCK, NOISE_BLOCK, NOISE_BLOCK // 2]
+    assert np.concatenate(blocks, axis=1).tobytes() == blocked.tobytes()
+    assert [s.draws for s in lazy] == [2 * n_channels * n_steps] * batch
+
+
+def test_wiener_block_rejects_a_mismatched_buffer():
+    stream = substream(0, 0)
+    for out in (np.empty((4, 2), dtype=complex), np.empty((5, 1), dtype=complex),
+                np.empty((4, 1))):
+        with pytest.raises(ValueError, match="out must be"):
+            stream.wiener_block(4, 1, 0.1, out=out)
+    assert stream.draws == 0
 
 
 def test_draw_counter_accounting():
