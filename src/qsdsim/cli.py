@@ -21,7 +21,7 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import NamedTuple
 
@@ -474,6 +474,12 @@ def validate(text: str, overrides: "dict | None" = None):
         _on_dt_grid([warmup + offset], dt, key, errors, "value")
     for h in values.get("h_list") or ():
         _on_dt_grid(values["t_grid"], h, f"t grid (h={h:g})", errors)
+    floor = values.get("floor")
+    if floor is not None and floor >= _DECAY_SCALAR_PRODUCT:
+        errors.append(
+            f"floor: {floor:g} is not below |<bra|ket>| = {_DECAY_SCALAR_PRODUCT:.6g} "
+            "of the initial states"
+        )
 
     if errors:
         return None, errors
@@ -516,7 +522,10 @@ def _json_default(value):
     raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
+@cache
 def _version_string() -> str:
+    """``git describe`` of the checkout the package runs from, else the
+    package version; a subprocess costs milliseconds, so once per process."""
     here = Path(__file__).resolve()
     for parent in here.parents:
         if (parent / ".git").exists():
@@ -554,6 +563,8 @@ _DECAY = {
     "bra": basis_ket(2, 1),
     "ket": Ket(np.array([1.0, 1.0]) / np.sqrt(2)),
 }
+# |<bra|ket>| of the unit preset states, where the coupled scheme starts
+_DECAY_SCALAR_PRODUCT = abs(_DECAY["bra"].normalized().overlap(_DECAY["ket"].normalized()))
 
 
 def _g1_preset(params: dict) -> dict:

@@ -43,7 +43,12 @@ surviving ensemble sizes, and the worst scalar-product drift appear in the
 instability report.
 
 The kernel shares its drift (``LindbladModel.generator``), its step check,
-its dt grid rule and its noise blocks with the doubled-space engines.
+its dt grid rule, its noise blocks and its layout with the doubled-space
+engines: the batch is one column-major (dim, 2, batch) array, ket-side
+states in block 0 and bra-side states in block 1, and a step is a single
+product with the stacked matrix (I + dt G; L_1; ...; L_c).  Every row is
+stepped every step; aborted and overflowed rows are frozen by a mask, so
+rows are never gathered or scattered.
 """
 
 import time
@@ -120,9 +125,14 @@ class GisinResult:
 class _PairKernel:
     """Euler-Maruyama stepping of coupled pairs, batched over rows.
 
-    The kernel itself never aborts; callers decide how rows with degenerate
-    scalar products are handled (raise for single pairs, freeze and tally
-    for ensembles).
+    The batch is one C-contiguous (dim, 2, batch) array: block 0 holds the
+    ket-side states, block 1 the bra-side states, so every elementwise
+    operation and every sum over the dimension runs on contiguous rows of
+    length batch.  A step is one product with the stacked
+    (dim (1 + n_channels), dim) matrix of the Euler drift I + dt G and every
+    L_j.  :meth:`advance` steps every row and never raises: rows it aborts
+    or flags as overflowed are frozen by a mask, and callers decide what
+    that means (raise for single pairs, tally for ensembles).
     """
 
     def __init__(self, model: LindbladModel, dt: float, variant: str):
@@ -130,81 +140,90 @@ class _PairKernel:
             raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
         self.dt = check_step(dt)
         self.variant = variant
-        self.n_channels = model.n_channels
         self.dim = model.dim
-        self._ls_t = [np.ascontiguousarray(op.matrix.T) for op in model.lindblads]
-        self._drift_t = np.ascontiguousarray(model.generator().T)
+        drift = np.eye(model.dim) + self.dt * model.generator()
+        self._stack = np.concatenate([drift] + [op.matrix for op in model.lindblads])
 
-    @staticmethod
-    def scalar_products(kets: np.ndarray, bras: np.ndarray) -> np.ndarray:
-        return np.einsum("bi,bi->b", bras.conj(), kets)
-
-    def step(self, kets: np.ndarray, bras: np.ndarray, dxi: np.ndarray):
-        """Advance all rows by one step; returns (new_kets, new_bras).
-
-        Assumes the caller already verified the scalar products are usable
-        as denominators.
-        """
+    def step(self, x: np.ndarray, sp: np.ndarray, dxi: np.ndarray) -> np.ndarray:
+        """One step of column-major pairs ``x`` whose scalar products
+        <bra|ket> are ``sp``; ``dxi`` holds the (n_channels, batch)
+        increments, shared by both blocks."""
         dt = self.dt
-        sp = self.scalar_products(kets, bras)
-        drift_kets = kets @ self._drift_t
-        drift_bras = bras @ self._drift_t
-        new_kets = kets + dt * drift_kets
-        new_bras = bras + dt * drift_bras
-        for j, l_t in enumerate(self._ls_t):
-            l_kets = kets @ l_t
-            l_bras = bras @ l_t
-            # l_j(ket, bra) = <ket|L_j|bra> / <ket|bra>; <ket|bra> = conj(sp)
-            l_ket_bra = np.einsum("bi,bi->b", kets.conj(), l_bras) / sp.conj()
-            l_bra_ket = np.einsum("bi,bi->b", bras.conj(), l_kets) / sp
-            xi = dxi[:, j]
-            if self.variant == "unity":
-                new_kets += dt * (
-                    l_ket_bra.conj()[:, None] * l_kets
-                    - 0.5 * (l_bra_ket * l_ket_bra.conj())[:, None] * kets
-                )
-                new_bras += dt * (
-                    l_bra_ket.conj()[:, None] * l_bras
-                    - 0.5 * (l_ket_bra * l_bra_ket.conj())[:, None] * bras
-                )
-                new_kets += xi[:, None] * l_kets - (xi * l_bra_ket)[:, None] * kets
-                new_bras += xi[:, None] * l_bras - (xi * l_ket_bra)[:, None] * bras
-            else:
-                new_kets += (xi + l_ket_bra.conj() * dt)[:, None] * l_kets
-                new_bras += (xi + l_bra_ket.conj() * dt)[:, None] * l_bras
-        return new_kets, new_bras
+        y = (self._stack @ x.reshape(self.dim, -1)).reshape(-1, *x.shape)
+        out, lx = y[0], y[1:]
+        # cross[j, blk] = <other|L_j self> / <other|self>: l_j(bra, ket) for
+        # the ket block, l_j(ket, bra) for the bra block
+        cross = (x[:, ::-1].conj() * lx).sum(axis=1) / np.stack([sp, sp.conj()])
+        swapped_c = cross[:, ::-1].conj()
+        coeff = dxi[:, None] + swapped_c * dt
+        for l_x, c_j in zip(lx, coeff):
+            out += l_x * c_j
+        if self.variant == "unity":
+            # sum_j l_j(other, self) (dxi_j + (dt/2) l_j(self, other)^*)
+            out -= x * ((coeff - swapped_c * (0.5 * dt)) * cross).sum(axis=0)
+        return out
+
+    def advance(self, x: np.ndarray, increments, floor: float, on_step):
+        """Step pairs ``x`` once per (n_channels, batch) entry of
+        ``increments``; returns (x, sp, aborted, overflowed).
+
+        Before a step, rows with |<bra|ket>| below ``floor`` are aborted;
+        after it, rows whose amplitudes or scalar product (its magnitude
+        included) are non-finite are flagged as overflowed.  Either way the
+        row keeps its last state and scalar product from then on.
+        ``on_step(done, x, sp, alive)`` fires before the first step
+        (done = 0) and after every step.
+        """
+        sp = _scalar_products(x)
+        mag = np.abs(sp)
+        alive = np.ones(x.shape[2], dtype=bool)
+        aborted = np.zeros_like(alive)
+        overflowed = np.zeros_like(alive)
+        on_step(0, x, sp, alive)
+        for done, dxi in enumerate(increments, start=1):
+            low = alive & (mag < floor)
+            aborted |= low
+            alive &= ~low
+            # dead and degenerate rows may divide by zero or overflow; the
+            # mask below discards what they produce
+            with np.errstate(all="ignore"):
+                new = self.step(x, sp, dxi)
+                new_sp = _scalar_products(new)
+                new_mag = np.abs(new_sp)  # inf where only the magnitude overflows
+            finite = np.isfinite(new).all(axis=(0, 1)) & np.isfinite(new_mag)
+            overflowed |= alive & ~finite
+            alive &= finite
+            np.copyto(x, new, where=alive)
+            sp = np.where(alive, new_sp, sp)
+            mag = np.where(alive, new_mag, mag)
+            on_step(done, x, sp, alive)
+        return x, sp, aborted, overflowed
 
 
-def _step_pair(
-    pair: CoupledPair,
-    model: LindbladModel,
-    dt: float,
-    increments: np.ndarray,
-    variant: str,
-    floor: float,
-) -> CoupledPair:
+def _scalar_products(x: np.ndarray) -> np.ndarray:
+    """<bra|ket> of each pair of column-major ``x``."""
+    return (x[:, 1].conj() * x[:, 0]).sum(axis=0)
+
+
+def _single_step(pair, model, dt, increments, variant, floor) -> CoupledPair:
     if pair.dim != model.dim:
         raise ValueError(f"dimension mismatch: pair {pair.dim}, model {model.dim}")
-    dxi = np.asarray(increments, dtype=complex).reshape(1, -1)
-    if dxi.shape[1] != model.n_channels:
-        raise ValueError(f"expected {model.n_channels} increments, got {dxi.shape[1]}")
-    sp = pair.scalar_product()
-    if abs(sp) < floor:
+    dxi = np.asarray(increments, dtype=complex).reshape(-1, 1)
+    if dxi.shape[0] != model.n_channels:
+        raise ValueError(f"expected {model.n_channels} increments, got {dxi.shape[0]}")
+    kernel = _PairKernel(model, dt, variant)
+    x = np.stack([pair.ket_side.amplitudes, pair.bra_side.amplitudes], axis=1)[:, :, None]
+    x, sp, aborted, overflowed = kernel.advance(x, [dxi], floor, lambda *_: None)
+    if aborted[0]:
         raise InstabilityError(
-            f"scalar product magnitude {abs(sp):.3e} below floor {floor:g}; "
+            f"scalar product magnitude {abs(sp[0]):.3e} below floor {floor:g}; "
             "realization aborted"
         )
-    kernel = _PairKernel(model, dt, variant)
-    kets = pair.ket_side.amplitudes.reshape(1, -1)
-    bras = pair.bra_side.amplitudes.reshape(1, -1)
-    new_kets, new_bras, = kernel.step(kets, bras, dxi)
-    if not (np.all(np.isfinite(new_kets)) and np.all(np.isfinite(new_bras))):
-        raise InstabilityError("coupled step produced non-finite amplitudes")
-    new_sp = complex(np.vdot(new_bras[0], new_kets[0]))
+    if overflowed[0]:
+        raise InstabilityError("coupled step produced non-finite amplitudes or scalar product")
+    bra, ket = Ket(x[:, 1, 0]), Ket(x[:, 0, 0])
     return CoupledPair(
-        bra_side=Ket(new_bras[0]),
-        ket_side=Ket(new_kets[0]),
-        scalar_products=pair.scalar_products + (new_sp,),
+        bra_side=bra, ket_side=ket, scalar_products=pair.scalar_products + (bra.overlap(ket),)
     )
 
 
@@ -216,7 +235,7 @@ def step_coupled(
     floor: float = DEFAULT_FLOOR,
 ) -> CoupledPair:
     """One step of the scalar-product-preserving coupled scheme."""
-    return _step_pair(pair, model, dt, increments, "unity", floor)
+    return _single_step(pair, model, dt, increments, "unity", floor)
 
 
 def step_coupled_quasilinear(
@@ -228,7 +247,7 @@ def step_coupled_quasilinear(
 ) -> CoupledPair:
     """One step of the quasi-linear coupled variant (shared increments,
     cross drift coefficients, no nonlinear compensation)."""
-    return _step_pair(pair, model, dt, increments, "quasi_linear", floor)
+    return _single_step(pair, model, dt, increments, "quasi_linear", floor)
 
 
 def run_coupled_ensemble(
@@ -262,73 +281,45 @@ def run_coupled_ensemble(
     ket0 = ket_state.normalized().amplitudes
     sp0 = complex(np.vdot(bra0, ket0))
     if abs(sp0) < floor:
-        raise ValueError("initial states are orthogonal; the scheme is undefined")
-
-    kets = np.tile(ket0, (n, 1))
-    bras = np.tile(bra0, (n, 1))
-    streams = [substream(seed, i) for i in range(n)]
-    alive = np.ones(n, dtype=bool)
-    aborted = np.zeros(n, dtype=bool)
-    overflowed = np.zeros(n, dtype=bool)
-    vals = np.full((n, len(steps)), np.nan + 0j, dtype=complex)
-    max_drift = 0.0
-    slots = {k: i for i, k in enumerate(steps)}
-
-    def record(slot: int):
-        sp = kernel.scalar_products(kets[alive], bras[alive])
-        inner = np.einsum(
-            "bi,ij,bj->b", bras[alive].conj(), observable.matrix, kets[alive]
+        raise ValueError(
+            f"initial scalar product magnitude {abs(sp0):.3e} is below the floor "
+            f"{floor:g}; the scheme is undefined"
         )
-        if variant == "quasi_linear":
-            vals[alive, slot] = inner * (sp0 / sp)
-        else:
-            vals[alive, slot] = inner
 
-    if 0 in slots:
-        record(slots[0])
-    done = 0
-    # aborted rows keep drawing to preserve per-trajectory draw sequences;
-    # their states stay frozen
-    for noise in wiener_blocks(streams, steps[-1], model.n_channels, dt):
-        for k in range(noise.shape[1]):
-            if np.any(alive):
-                sp = kernel.scalar_products(kets[alive], bras[alive])
-                degenerate = np.abs(sp) < floor
-                if np.any(degenerate):
-                    rows = np.nonzero(alive)[0][degenerate]
-                    aborted[rows] = True
-                    alive[rows] = False
-                if np.any(alive):
-                    idx = np.nonzero(alive)[0]
-                    new_kets, new_bras = kernel.step(
-                        kets[idx], bras[idx], noise[idx, k, :]
-                    )
-                    finite = np.isfinite(new_kets).all(axis=1) & np.isfinite(
-                        new_bras
-                    ).all(axis=1)
-                    if not np.all(finite):
-                        bad = idx[~finite]
-                        overflowed[bad] = True
-                        alive[bad] = False
-                    good = idx[finite]
-                    kets[good] = new_kets[finite]
-                    bras[good] = new_bras[finite]
-                    sp_now = kernel.scalar_products(kets[good], bras[good])
-                    if sp_now.size:
-                        drift = float(np.max(np.abs(sp_now - sp0)))
-                        max_drift = max(max_drift, drift)
-            done += 1
-            if done in slots:
-                record(slots[done])
+    x = np.empty((model.dim, 2, n), dtype=complex)
+    x[:, 0] = ket0[:, None]
+    x[:, 1] = bra0[:, None]
+    streams = [substream(seed, i) for i in range(n)]
+    vals = np.full((len(steps), n), np.nan + 0j, dtype=complex)
+    slots = {k: i for i, k in enumerate(steps)}
+    max_drift = 0.0
 
-    n_alive = np.sum(~np.isnan(vals.real), axis=0)
+    def on_step(done, x, sp, alive):
+        nonlocal max_drift
+        if done:  # frozen rows keep the finite scalar product they had
+            drift = np.max(np.abs(sp - sp0), where=alive, initial=0.0)
+            max_drift = max(max_drift, float(drift))
+        if done in slots:
+            with np.errstate(all="ignore"):  # dead rows may divide by zero
+                inner = (x[:, 1].conj() * (observable.matrix @ x[:, 0])).sum(axis=0)
+                if variant == "quasi_linear":
+                    inner = inner * (sp0 / sp)
+            vals[slots[done]] = np.where(alive, inner, np.nan)
+
+    # every row keeps drawing, aborted ones included, so that a trajectory's
+    # draw sequence does not depend on when it stops
+    blocks = wiener_blocks(streams, steps[-1], model.n_channels, dt)
+    increments = (block[:, k].T for block in blocks for k in range(block.shape[1]))
+    _, _, aborted, overflowed = kernel.advance(x, increments, floor, on_step)
+
+    n_alive = np.sum(~np.isnan(vals.real), axis=1)
     mean = np.empty(len(steps), dtype=complex)
     std_error = np.empty(len(steps))
     # surviving samples can be astronomically large shortly before a row is
     # flagged; an overflowing variance is reported as inf rather than warned
     with np.errstate(over="ignore"):
-        for kdx in range(len(steps)):
-            col = vals[~np.isnan(vals[:, kdx].real), kdx]
+        for kdx, row in enumerate(vals):
+            col = row[~np.isnan(row.real)]
             if col.size == 0:
                 mean[kdx] = np.nan
                 std_error[kdx] = np.nan

@@ -143,6 +143,7 @@ _CUSTOM_NON_FINITE_CASES = [
         ('{"scenario": "decay-element", "unraveling": "euler"}', "unraveling"),
         ('{"scenario": "decay-element", "t_start": 0.1005}', "integer multiple"),
         ('{"scenario": "gisin-compare", "h_list": [0.3]}', "h=0.3"),
+        ('{"scenario": "gisin-compare", "floor": 0.9}', "floor: 0.9 is not below |<bra|ket>| = 0.707107"),
         ('{"scenario": "custom"}', "model: required"),
         (
             '{"scenario": "custom", "mode": "element", '
@@ -487,6 +488,42 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "dt" in err
     assert not (tmp_path / "out-decay-element").exists()
+
+
+def test_floor_above_initial_scalar_product_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    path = make_config(tmp_path, scenario="gisin-compare", n=4, floor=0.9, out=str(out))
+    assert run_main(["--config", str(path)]) == 2
+    assert "config error: floor: 0.9 is not below" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_version_is_computed_once_per_process(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(*args, **kwargs):
+        calls.append(args)
+        return subprocess.CompletedProcess(args, 0, stdout="v-test\n", stderr="")
+
+    # the package appears to run from a git checkout, whatever this one is
+    (tmp_path / ".git").mkdir()
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "src" / "cli.py"))
+    monkeypatch.setattr(cli.subprocess, "run", fake_run)
+    cli._version_string.cache_clear()
+    try:
+        for name in ("a", "b"):
+            path = make_config(
+                tmp_path, name=f"{name}.json", scenario="decay-element", n=2, dt=0.1,
+                t_start=0.1, t_stop=0.2, t_nodes=2, out=str(tmp_path / name),
+            )
+            config, errors = cli.validate(path.read_text())
+            assert errors == []
+            assert cli.run(config) == 0
+            meta = json.loads((tmp_path / name / "metadata.json").read_text())
+            assert meta["version"] == "v-test"
+    finally:
+        cli._version_string.cache_clear()
+    assert len(calls) == 1
 
 
 def test_command_line_overrides_reach_metadata(tmp_path):

@@ -69,6 +69,54 @@ def test_orthogonal_initial_pair_rejected_by_ensemble():
         )
 
 
+def test_floor_above_initial_scalar_product_is_named():
+    observable, bra, ket, model = decay_element_setup()
+    with pytest.raises(ValueError, match=r"initial scalar product magnitude 7\.071e-01 .* floor 0\.9"):
+        run_coupled_ensemble(observable, bra, ket, model, [0.1], 1e-2, 10, seed=0, floor=0.9)
+
+
+def assert_frozen_rows_tallied(res, n, steps):
+    assert np.all(np.diff(res.n_alive) <= 0)
+    assert res.n_alive[-1] == n - res.aborted - res.overflowed
+    # every row draws one complex increment (two floats) per step, dead or not
+    assert res.draws_total == n * 2 * steps
+
+
+@pytest.mark.parametrize("variant", ["unity", "quasi_linear"])
+@pytest.mark.parametrize("floor", [0.3, 0.5])
+def test_rows_below_the_floor_are_aborted_and_frozen(floor, variant):
+    observable, bra, ket, model = decay_element_setup()
+    grid = np.linspace(0.1, 1.0, 10)
+    res = run_coupled_ensemble(
+        observable, bra, ket, model, grid, 0.01, 200, seed=3, variant=variant, floor=floor
+    )
+    assert res.aborted > 0
+    assert_frozen_rows_tallied(res, 200, 100)
+    assert np.all(np.isfinite(res.mean))
+
+
+@pytest.mark.parametrize("variant", ["unity", "quasi_linear"])
+@pytest.mark.parametrize("strength", [1e3, 1e60])
+def test_overflowing_rows_are_flagged_without_warnings(strength, variant):
+    # the suite turns numpy RuntimeWarnings into errors, so this also checks
+    # that the overflow stays silent
+    observable, bra, ket, _ = decay_element_setup()
+    model = LindbladModel(
+        hamiltonian=Operator(np.zeros((2, 2))),
+        lindblads=(Operator(np.array([[0, strength], [0, 0]])),),
+    )
+    grid = np.linspace(0.1, 1.0, 10)
+    res = run_coupled_ensemble(observable, bra, ket, model, grid, 0.01, 50, seed=0, variant=variant)
+    assert res.overflowed > 0
+    assert np.isfinite(res.max_scalar_drift)
+    assert_frozen_rows_tallied(res, 50, 100)
+    step = step_coupled if variant == "unity" else step_coupled_quasilinear
+    pair, stream = CoupledPair(bra_side=bra, ket_side=ket), substream(0, 0)
+    with pytest.raises(InstabilityError, match="non-finite"):
+        for _ in range(100):
+            pair = step(pair, model, 0.01, stream.wiener(1, 0.01))
+
+
 def accumulated_drift(model, bra, ket, dt, horizon=0.2, n=60, seed=17):
     drifts = []
     for i in range(n):

@@ -5,7 +5,8 @@ row-major form: one (batch, width) array, doubled rows stepped with the
 block-diagonal operators of ``extend_model``, and noise drawn stepwise with
 ``NoiseStream.wiener``.  The engines step doubled rows block by block with
 the model's own operators, so agreement also shows that the two blocks see
-the same dynamics and share their noise.
+the same dynamics and share their noise.  The coupled-pair reference steps
+separate (batch, dim) arrays of kets and bras, one product per operator.
 """
 
 import sys
@@ -16,6 +17,7 @@ import pytest
 from conftest import decay_element_setup, random_ket, random_model
 from qsdsim import (
     CorrelationRequest,
+    CoupledPair,
     DoubledState,
     JumpEngine,
     Ket,
@@ -30,11 +32,14 @@ from qsdsim import (
     make_doubled_state,
     sigma_minus,
     sigma_plus,
+    step_coupled,
+    step_coupled_quasilinear,
     step_jump,
     step_normalized,
     step_quasilinear,
     substream,
 )
+from qsdsim.gisin import VARIANTS, _PairKernel
 
 DIMS = (2, 3, 8)
 CHANNELS = (1, 2, 3)
@@ -95,6 +100,35 @@ def reference_jump_run(states, model, dt, streams, n_steps):
         jumps += jump
         states = new
     return states, jumps
+
+
+def reference_pair_step(kets, bras, model, dt, variant, dxi):
+    """One row-major coupled-pair step of (batch, dim) kets and bras."""
+    sp = np.einsum("bi,bi->b", bras.conj(), kets)
+    new_kets = kets + dt * (kets @ model.generator().T)
+    new_bras = bras + dt * (bras @ model.generator().T)
+    for j, op in enumerate(model.lindblads):
+        l_kets = kets @ op.matrix.T
+        l_bras = bras @ op.matrix.T
+        # l_j(ket, bra) = <ket|L_j|bra> / <ket|bra>; <ket|bra> = conj(sp)
+        l_ket_bra = np.einsum("bi,bi->b", kets.conj(), l_bras) / sp.conj()
+        l_bra_ket = np.einsum("bi,bi->b", bras.conj(), l_kets) / sp
+        xi = dxi[:, j]
+        if variant == "unity":
+            new_kets += dt * (
+                l_ket_bra.conj()[:, None] * l_kets
+                - 0.5 * (l_bra_ket * l_ket_bra.conj())[:, None] * kets
+            )
+            new_bras += dt * (
+                l_bra_ket.conj()[:, None] * l_bras
+                - 0.5 * (l_ket_bra * l_bra_ket.conj())[:, None] * bras
+            )
+            new_kets += xi[:, None] * l_kets - (xi * l_bra_ket)[:, None] * kets
+            new_bras += xi[:, None] * l_bras - (xi * l_ket_bra)[:, None] * bras
+        else:
+            new_kets += (xi + l_ket_bra.conj() * dt)[:, None] * l_kets
+            new_bras += (xi + l_bra_ket.conj() * dt)[:, None] * l_bras
+    return new_kets, new_bras
 
 
 def random_rows(rng, model, doubled):
@@ -215,3 +249,61 @@ def test_estimators_never_extend_the_model(monkeypatch):
     for fn in (correlate, jump_correlate):
         res = fn(request, driven_decay_model(2.0), seed=1)
         assert np.all(np.isfinite(res.mean))
+
+
+def random_pair_rows(rng, dim):
+    """(batch, dim) unit kets and unit bras."""
+    kets = np.array([random_ket(rng, dim).amplitudes for _ in range(BATCH)])
+    bras = np.array([random_ket(rng, dim).amplitudes for _ in range(BATCH)])
+    return kets, bras
+
+
+def pair_cases():
+    for dim in DIMS:
+        for channels in CHANNELS:
+            yield pytest.param(dim, channels, id=f"d{dim}-c{channels}")
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("n_steps", [1, 200])
+@pytest.mark.parametrize("dim,channels", pair_cases())
+def test_pair_kernel_matches_row_major_reference(dim, channels, n_steps, variant):
+    rng = np.random.default_rng(2000 + 1000 * dim + 10 * channels)
+    model = random_model(rng, dim, channels)
+    kets, bras = random_pair_rows(rng, dim)
+    # at dt = 1e-3 some unity rows blow up within 200 steps (norms near
+    # 1e41), and a one-ulp change of their start moves the reference itself
+    # by 1e-5; at 1e-4 every row stays well conditioned
+    dt = 1e-4
+    streams = [substream(6, i) for i in range(BATCH)]
+    increments = [np.array([s.wiener(channels, dt) for s in streams]) for _ in range(n_steps)]
+    x = np.stack([kets.T, bras.T], axis=1)  # (dim, 2, batch)
+    x, _, aborted, overflowed = _PairKernel(model, dt, variant).advance(
+        x, (dxi.T for dxi in increments), 1e-12, lambda *_: None
+    )
+    assert not aborted.any() and not overflowed.any()
+    want_kets, want_bras = kets, bras
+    for dxi in increments:
+        want_kets, want_bras = reference_pair_step(want_kets, want_bras, model, dt, variant, dxi)
+    assert_rows_close(x[:, 0].T, want_kets)
+    assert_rows_close(x[:, 1].T, want_bras)
+
+
+@pytest.mark.parametrize("dim,channels", pair_cases())
+def test_coupled_step_functions_match_reference(dim, channels):
+    rng = np.random.default_rng(3000 + 7 * dim + channels)
+    model = random_model(rng, dim, channels)
+    kets, bras = random_pair_rows(rng, dim)
+    pair = CoupledPair(bra_side=Ket(bras[0]), ket_side=Ket(kets[0]))
+    dxi = substream(5, 1).wiener(channels, 1e-3)
+    for step, variant in ((step_coupled, "unity"), (step_coupled_quasilinear, "quasi_linear")):
+        out = step(pair, model, 1e-3, dxi)
+        want_kets, want_bras = reference_pair_step(
+            kets[:1], bras[:1], model, 1e-3, variant, dxi[None]
+        )
+        assert_rows_close(out.ket_side.amplitudes.reshape(1, -1), want_kets)
+        assert_rows_close(out.bra_side.amplitudes.reshape(1, -1), want_bras)
+        assert out.scalar_products[:1] == pair.scalar_products
+        assert out.scalar_product() == pytest.approx(
+            np.vdot(want_bras[0], want_kets[0]), rel=TOL
+        )
