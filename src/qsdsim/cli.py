@@ -43,13 +43,14 @@ from .hilbert import (
     sigma_minus,
     sigma_plus,
 )
-from .jumps import jump_correlate, jump_matrix_element
 from .master import regression_matrix_element, two_time_correlation
 from .noise import grid_steps
 
 __all__ = ["RunConfig", "validate", "run", "main"]
 
 UNRAVELINGS = ("qsd", "jump")
+# the SdeConfig scheme each unraveling runs
+_SCHEME = {"qsd": "normalized", "jump": "jump"}
 
 _NAMED_OPERATORS = {
     "sigma_plus": sigma_plus,
@@ -588,14 +589,8 @@ def _results(config: RunConfig, grid, res) -> dict:
 def _run_element(config: RunConfig, p: dict) -> dict:
     """<bra| A(t) |ket> on p["t_grid"] by the chosen unraveling."""
     problem = (p["observable"], p["bra"], p["ket"], p["model"], p["t_grid"])
-    if p["unraveling"] == "qsd":
-        res = heisenberg_element(
-            *problem, p["n"], SdeConfig(dt=config.dt), config.seed, workers=config.workers
-        )
-    else:
-        res = jump_matrix_element(
-            *problem, p["n"], config.dt, config.seed, workers=config.workers
-        )
+    sde = SdeConfig(dt=config.dt, scheme=_SCHEME[p["unraveling"]])
+    res = heisenberg_element(*problem, p["n"], sde, config.seed, workers=config.workers)
     ref = regression_matrix_element(*problem, h_ode=p["h_ode"])
     _write_series_csv(config.out_dir / "reference.csv", p["t_grid"], ref)
     return _results(config, p["t_grid"], res)
@@ -609,12 +604,11 @@ def _correlate(config: RunConfig, p: dict, unraveling: str, n: int, seed: int):
         t=p["t"],
         tau_grid=p["tau_grid"],
         n_trajectories=n,
-        sde=SdeConfig(dt=config.dt),
+        sde=SdeConfig(dt=config.dt, scheme=_SCHEME[unraveling]),
         initial=p["initial"],
         warmup_time=p["warmup"],
     )
-    estimate = correlate if unraveling == "qsd" else jump_correlate
-    return estimate(request, p["model"], seed, workers=config.workers)
+    return correlate(request, p["model"], seed, workers=config.workers)
 
 
 def _correlation_reference(config: RunConfig, p: dict):

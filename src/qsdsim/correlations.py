@@ -13,6 +13,12 @@ through warmup and t, applies the perturbation B to form the stacked vector
 (psi_t, B psi_t)/sqrt(w) with weight w = 1 + ||B psi_t||^2, continues on the
 doubled space over tau, and averages w <upper|A|lower>.  At tau = 0 the
 weight cancels exactly and each realization contributes <psi_t| A B |psi_t>.
+
+Both unravelings share these estimators; ``SdeConfig.scheme`` alone picks
+the engine that steps the states, ``JumpEngine`` for "jump" and
+``QsdEngine`` otherwise.  A chunk task returns its values together with
+its counts: the jumps its engines made, as ``jumps_total``, for the jump
+unraveling, and nothing for the diffusive ones.
 """
 
 from dataclasses import dataclass
@@ -22,6 +28,7 @@ import numpy as np
 from .diffusion import QsdEngine, SdeConfig
 from .ensemble import EnsembleResult, run_ensemble
 from .hilbert import Ket, LindbladModel, Operator, make_doubled_state
+from .jumps import JumpEngine
 from .noise import NoiseStream, grid_steps
 
 __all__ = [
@@ -93,8 +100,24 @@ def _haar_rows(streams, dim: int) -> np.ndarray:
     return out
 
 
-def _default_engine_factory(model: LindbladModel, sde: SdeConfig):
+def _engine(model: LindbladModel, sde: SdeConfig):
+    """The engine of the unraveling that ``sde.scheme`` names."""
+    if sde.scheme == "jump":
+        return JumpEngine(model, sde.dt)
     return QsdEngine(model, sde.dt, sde.scheme)
+
+
+def _run(engine, counts: dict, states, streams, n_steps, record_steps=(), on_record=None):
+    """``engine.run``, adding the jumps a jump engine made to ``counts``."""
+    out = engine.run(states, streams, n_steps, record_steps, on_record)
+    if isinstance(engine, JumpEngine):
+        jumps = int(engine.last_jump_counts.sum())
+        counts["jumps_total"] = counts.get("jumps_total", 0) + jumps
+    return out
+
+
+def _method(sde: SdeConfig) -> str:
+    return "jump" if sde.scheme == "jump" else f"qsd-{sde.scheme}"
 
 
 def _normalize_rows(states: np.ndarray) -> np.ndarray:
@@ -103,19 +126,19 @@ def _normalize_rows(states: np.ndarray) -> np.ndarray:
 
 
 def _doubled_series_chunk(
+    engine,
+    counts: dict,
     streams,
     theta: np.ndarray,
     weights: np.ndarray,
-    model: LindbladModel,
     observable: Operator,
     sde: SdeConfig,
     node_steps: list[int],
-    engine_factory,
-) -> np.ndarray:
+):
     """Propagate stacked states over the recording grid, returning the
     weighted block inner products w <upper|A|lower> (per norm^2 for the
-    quasi-linear scheme) for every trajectory and node."""
-    d = model.dim
+    quasi-linear scheme) for every trajectory and node, and ``counts``."""
+    d = engine.dim
     a_mat = observable.matrix
     vals = np.empty((theta.shape[0], len(node_steps)), dtype=complex)
     quasi = sde.scheme == "quasi_linear"
@@ -126,41 +149,32 @@ def _doubled_series_chunk(
             inner = inner / norms**2
         vals[:, slot] = weights * inner
 
-    engine = engine_factory(model, sde)
-    engine.run(theta, streams, node_steps[-1], node_steps, on_record)
-    return vals
+    _run(engine, counts, theta, streams, node_steps[-1], node_steps, on_record)
+    return vals, counts
 
 
 def _correlation_chunk(
     streams,
     request: CorrelationRequest,
     model: LindbladModel,
-    engine_factory,
     pre_steps: int,
     node_steps: list[int],
-) -> np.ndarray:
+):
     sde = request.sde
+    engine, counts = _engine(model, sde), {}
     if isinstance(request.initial, Ket):
         states = np.tile(request.initial.normalized().amplitudes, (len(streams), 1))
     else:
         states = _haar_rows(streams, model.dim)
     if pre_steps > 0:
-        engine = engine_factory(model, sde)
-        states = engine.run(states, streams, pre_steps)
+        states = _run(engine, counts, states, streams, pre_steps)
         if sde.scheme == "quasi_linear":
             states = _normalize_rows(states)
     b_psi = states @ request.perturbation.matrix.T
     weights = 1.0 + np.einsum("bi,bi->b", b_psi.conj(), b_psi).real
     theta = np.concatenate([states, b_psi], axis=1) / np.sqrt(weights)[:, None]
     return _doubled_series_chunk(
-        streams,
-        theta,
-        weights,
-        model,
-        request.observable,
-        sde,
-        node_steps,
-        engine_factory,
+        engine, counts, streams, theta, weights, request.observable, sde, node_steps
     )
 
 
@@ -170,7 +184,6 @@ def prepare_initial(
     warmup_time: float,
     sde: SdeConfig,
     stream: NoiseStream,
-    engine_factory=None,
 ) -> Ket:
     """Single-trajectory initial state: explicit ket, or Haar draw + warmup.
 
@@ -182,11 +195,10 @@ def prepare_initial(
         return initial.normalized()
     if initial not in INITIAL_SPECS:
         raise ValueError(f"unknown initial spec {initial!r}")
-    factory = engine_factory or _default_engine_factory
     states = _haar_rows([stream], model.dim)
     (steps,) = grid_steps([warmup_time], sde.dt, "warmup_time")
     if steps > 0:
-        states = factory(model, sde).run(states, [stream], steps)
+        states = _engine(model, sde).run(states, [stream], steps)
         if sde.scheme == "quasi_linear":
             states = _normalize_rows(states)
     return Ket(states[0])
@@ -202,25 +214,24 @@ def heisenberg_element(
     sde: SdeConfig,
     seed: int,
     workers: int = 1,
-    engine_factory=None,
     keep_samples: bool = False,
 ) -> EnsembleResult:
     """Trajectory estimate of <bra| A(t) |ket> on ``t_grid``.
 
     Stacks the pair into (bra, ket)/sqrt(2) and averages the doubled-space
-    estimator over ``n_trajectories`` realizations.
+    estimator over ``n_trajectories`` realizations of the unraveling that
+    ``sde.scheme`` names.
     """
     grid = np.asarray(t_grid, dtype=float)
     node_steps = grid_steps(grid, sde.dt)
     theta0 = make_doubled_state(bra_state.normalized(), ket_state.normalized())
-    factory = engine_factory or _default_engine_factory
     base = theta0.vector()
 
     def task(streams):
         theta = np.tile(base, (len(streams), 1))
         weights = np.full(len(streams), 2.0)
         return _doubled_series_chunk(
-            streams, theta, weights, model, observable, sde, node_steps, factory
+            _engine(model, sde), {}, streams, theta, weights, observable, sde, node_steps
         )
 
     return run_ensemble(
@@ -229,7 +240,7 @@ def heisenberg_element(
         seed,
         workers=workers,
         grid=grid,
-        method=f"qsd-{sde.scheme}" if factory is _default_engine_factory else "custom",
+        method=_method(sde),
         keep_samples=keep_samples,
     )
 
@@ -239,10 +250,10 @@ def correlate(
     model: LindbladModel,
     seed: int,
     workers: int = 1,
-    engine_factory=None,
     keep_samples: bool = False,
 ) -> EnsembleResult:
-    """Trajectory estimate of <A(t + tau) B(t)> over ``request.tau_grid``."""
+    """Trajectory estimate of <A(t + tau) B(t)> over ``request.tau_grid``,
+    by the unraveling that ``request.sde.scheme`` names."""
     if request.observable.dim != model.dim:
         raise ValueError(
             f"dimension mismatch: observable {request.observable.dim}, model {model.dim}"
@@ -256,12 +267,9 @@ def correlate(
             [request.warmup_time + request.t], dt, "warmup_time + t"
         )
     node_steps = grid_steps(request.tau_grid, dt, "tau node")
-    factory = engine_factory or _default_engine_factory
 
     def task(streams):
-        return _correlation_chunk(
-            streams, request, model, factory, pre_steps, node_steps
-        )
+        return _correlation_chunk(streams, request, model, pre_steps, node_steps)
 
     return run_ensemble(
         task,
@@ -269,6 +277,6 @@ def correlate(
         seed,
         workers=workers,
         grid=request.tau_grid,
-        method=f"qsd-{request.sde.scheme}" if factory is _default_engine_factory else "custom",
+        method=_method(request.sde),
         keep_samples=keep_samples,
     )

@@ -50,21 +50,23 @@ __all__ = [
     "complex_standard_error",
 ]
 
-SCHEMES = ("normalized", "quasi_linear")
+SCHEMES = ("normalized", "quasi_linear", "jump")
+_DIFFUSIVE = SCHEMES[:2]
 
 
 @dataclass(frozen=True)
 class SdeConfig:
-    """Step size and scheme selection for the diffusive integrators.
+    """Step size and unraveling of a trajectory estimate.
 
-    ``renormalize_each_step`` applies to the normalized scheme only; the
-    quasi-linear scheme never rescales the propagated state (the estimator
-    divides by the squared norm instead).
+    ``scheme`` selects the engine: "normalized" and "quasi_linear" are the
+    diffusive schemes of :class:`QsdEngine`, "jump" is the jump unraveling
+    of :class:`qsdsim.jumps.JumpEngine`.  The normalized and jump engines
+    renormalize the state every step; the quasi-linear one never rescales
+    it, and the estimators divide by its squared norm instead.
     """
 
     dt: float
     scheme: str = "normalized"
-    renormalize_each_step: bool = True
 
     def __post_init__(self):
         check_step(self.dt)
@@ -106,8 +108,10 @@ class QsdEngine:
     """
 
     def __init__(self, model: LindbladModel, dt: float, scheme: str = "normalized"):
-        if scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {scheme!r}")
+        if scheme not in _DIFFUSIVE:
+            raise ValueError(
+                f"scheme {scheme!r} is not a diffusive scheme, expected one of {_DIFFUSIVE}"
+            )
         self.dt = check_step(dt)
         self.scheme = scheme
         self.dim = model.dim
@@ -358,9 +362,10 @@ def estimate_matrix_element(
 ) -> tuple[complex, float]:
     """Matrix-element estimate from doubled-space samples at one time.
 
-    For the normalized scheme each sample contributes 2 <upper|A|lower>;
-    for the quasi-linear scheme the contribution is divided by the squared
-    norm of the stacked vector.  Returns (mean, standard_error).
+    For the normalized and jump schemes, whose engines renormalize every
+    step, each sample contributes 2 <upper|A|lower>; for the quasi-linear
+    scheme the contribution is divided by the squared norm of the stacked
+    vector.  Returns (mean, standard_error).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")

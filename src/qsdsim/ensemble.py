@@ -1,7 +1,8 @@
 """Deterministic parallel execution of trajectory ensembles.
 
 Trajectories are embarrassingly parallel: the work is split into fixed-size
-index chunks, each chunk builds its own substreams from (seed, index), and
+index chunks, each chunk builds its own substreams from (seed, index) and
+returns its values, the draws of its streams and its task's counts, and
 results are reduced in chunk order.  The outcome is therefore independent of
 the worker count, and trajectory i is bitwise reproducible no matter how the
 ensemble is scheduled.
@@ -46,6 +47,7 @@ class EnsembleResult:
 
     ``std_error[k]`` follows the complex 2-vector convention:
     sqrt((var Re + var Im) / n) of the per-trajectory values at node k.
+    ``extras`` holds the tasks' counts, summed over chunks.
     """
 
     grid: np.ndarray
@@ -91,8 +93,10 @@ def run_ensemble(
     """Run ``task`` over ``n`` trajectories and reduce to mean and error.
 
     ``task(streams)`` receives the substreams for one contiguous index chunk
-    and must return a complex array of shape (len(streams), n_nodes), drawing
-    all its randomness from the given streams.  Chunk boundaries are fixed by
+    and must return ``(values, counts)``: a complex array of shape
+    (len(streams), n_nodes), drawing all its randomness from the given
+    streams, and a dict of integer counts, which are summed key by key in
+    chunk order into ``extras``.  Chunk boundaries are fixed by
     ``chunk_size`` alone, so the result does not depend on ``workers``.
     """
     if n < 2:
@@ -101,18 +105,20 @@ def run_ensemble(
         raise ValueError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
     ranges = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
-    all_streams: list = [None] * len(ranges)
 
-    def run_chunk(idx: int) -> np.ndarray:
+    def run_chunk(idx: int):
+        """The chunk's values, the draws of its streams and its counts."""
         lo, hi = ranges[idx]
         streams = [substream(seed, i) for i in range(lo, hi)]
-        all_streams[idx] = streams
-        out = np.asarray(task(streams))
-        if out.ndim != 2 or out.shape[0] != hi - lo:
+        out = task(streams)
+        if not (isinstance(out, tuple) and len(out) == 2):
+            raise TypeError(f"task returned {type(out).__name__}, expected (values, counts)")
+        values, counts = np.asarray(out[0]), out[1]
+        if values.ndim != 2 or values.shape[0] != hi - lo:
             raise ValueError(
-                f"task returned shape {out.shape}, expected ({hi - lo}, n_nodes)"
+                f"task returned shape {values.shape}, expected ({hi - lo}, n_nodes)"
             )
-        return out
+        return values, sum(s.draws for s in streams), counts
 
     failures = []
     results: list = [None] * len(ranges)
@@ -133,12 +139,16 @@ def run_ensemble(
     if failures:
         raise EnsembleError(sorted(failures, key=lambda item: item[0]))
 
-    samples = np.concatenate(results, axis=0)
+    values, draws, counts = zip(*results)
+    samples = np.concatenate(values, axis=0)
     mean = samples.mean(axis=0)
     std_error = np.array(
         [complex_standard_error(samples[:, k]) for k in range(samples.shape[1])]
     )
-    draws = sum(s.draws for streams in all_streams for s in streams)
+    extras: dict = {}
+    for chunk_counts in counts:
+        for key, count in chunk_counts.items():
+            extras[key] = extras.get(key, 0) + count
     wall = time.perf_counter() - start
     out_grid = np.arange(samples.shape[1], dtype=float) if grid is None else np.asarray(grid, dtype=float)
     if out_grid.size != samples.shape[1]:
@@ -152,7 +162,8 @@ def run_ensemble(
         n=n,
         method=method,
         wall_time_seconds=wall,
-        draws_total=draws,
+        draws_total=sum(draws),
+        extras=extras,
         samples=samples if keep_samples else None,
     )
 

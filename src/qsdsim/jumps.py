@@ -20,18 +20,18 @@ engine steps a doubled state block by block with the model's own d x d
 operators, jump probabilities and norms summed over both blocks, and a zero
 block stays zero through drifts and jumps alike.
 
-The no-jump drift is built from ``LindbladModel.generator`` and the step is
-checked by ``noise.check_step``, as in the diffusive engine.
+:class:`JumpEngine` is an engine like ``QsdEngine``, with the same ``run``
+signature; the estimators in :mod:`qsdsim.correlations` build it for
+``SdeConfig(dt, scheme="jump")`` and total its ``last_jump_counts`` per
+chunk.  The no-jump drift is built from ``LindbladModel.generator`` and the
+step is checked by ``noise.check_step``, as in the diffusive engine.
 """
 
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .correlations import CorrelationRequest, correlate, heisenberg_element
 from .diffusion import (
-    SdeConfig,
     _columns,
     _pack_state,
     _real_inner,
@@ -40,17 +40,14 @@ from .diffusion import (
     _split_state,
     _unstable_row,
 )
-from .ensemble import EnsembleResult
 from .errors import InstabilityError
-from .hilbert import Ket, LindbladModel, Operator
+from .hilbert import LindbladModel
 from .noise import NoiseStream, check_step
 
 __all__ = [
     "JumpControl",
     "JumpEngine",
     "step_jump",
-    "jump_matrix_element",
-    "jump_correlate",
 ]
 
 MAX_JUMP_PROBABILITY = 0.1
@@ -85,15 +82,9 @@ class JumpEngine:
     and one norm.
     """
 
-    def __init__(self, model: LindbladModel, dt: float,
-                 max_jump_probability: float = MAX_JUMP_PROBABILITY):
+    def __init__(self, model: LindbladModel, dt: float):
         self.dt = check_step(dt)
-        if not 0 < max_jump_probability <= 1:
-            raise ValueError(
-                f"max_jump_probability must be in (0, 1], got {max_jump_probability}"
-            )
         self.dim = model.dim
-        self.max_jump_probability = max_jump_probability
         self._ls = [op.matrix for op in model.lindblads]
         no_jump = np.eye(model.dim) + dt * model.generator()
         self._stack = np.concatenate([no_jump, model.ldl_sum()])
@@ -158,11 +149,11 @@ class JumpEngine:
                 p_tot = dt * _real_inner(x, ldl_psi)
                 norms = np.sqrt(_real_inner(new, new))
             worst = float(p_tot.max(initial=0.0))
-            if worst > self.max_jump_probability:
+            if worst > MAX_JUMP_PROBABILITY:
                 raise _unstable_row(
                     f"jump probability {worst:.3g} exceeds "
-                    f"{self.max_jump_probability} at substep {step}; reduce dt",
-                    p_tot > self.max_jump_probability, streams,
+                    f"{MAX_JUMP_PROBABILITY} at substep {step}; reduce dt",
+                    p_tot > MAX_JUMP_PROBABILITY, streams,
                 )
             survival *= 1.0 - p_tot
             jump_rows = np.flatnonzero(survival < thresholds)
@@ -211,83 +202,3 @@ def step_jump(
     controls = [control] if control is not None else None
     out = JumpEngine(model, dt).run(vec.reshape(1, -1), [stream], 1, controls=controls)[0]
     return _pack_state(out, model.dim, doubled)
-
-
-class _JumpFactory:
-    """Engine factory that totals jump counts across all chunks it serves."""
-
-    def __init__(self):
-        self._engines: list[JumpEngine] = []
-        self._lock = threading.Lock()
-
-    def __call__(self, model: LindbladModel, sde: SdeConfig) -> JumpEngine:
-        engine = JumpEngine(model, sde.dt)
-        with self._lock:
-            self._engines.append(engine)
-        return engine
-
-    def total_jumps(self) -> int:
-        with self._lock:
-            return int(
-                sum(
-                    int(engine.last_jump_counts.sum())
-                    for engine in self._engines
-                    if engine.last_jump_counts is not None
-                )
-            )
-
-
-def jump_matrix_element(
-    observable: Operator,
-    bra_state: Ket,
-    ket_state: Ket,
-    model: LindbladModel,
-    t_grid,
-    n_trajectories: int,
-    dt: float,
-    seed: int,
-    workers: int = 1,
-    keep_samples: bool = False,
-) -> EnsembleResult:
-    """Jump-unraveling estimate of <bra| A(t) |ket>; same estimator as the
-    diffusive doubled-space scheme, 2 <upper|A|lower> averaged."""
-    factory = _JumpFactory()
-    res = heisenberg_element(
-        observable,
-        bra_state,
-        ket_state,
-        model,
-        t_grid,
-        n_trajectories,
-        SdeConfig(dt=dt, scheme="normalized"),
-        seed,
-        workers=workers,
-        engine_factory=factory,
-        keep_samples=keep_samples,
-    )
-    return replace(
-        res, method="jump", extras={**res.extras, "jumps_total": factory.total_jumps()}
-    )
-
-
-def jump_correlate(
-    request: CorrelationRequest,
-    model: LindbladModel,
-    seed: int,
-    workers: int = 1,
-    keep_samples: bool = False,
-) -> EnsembleResult:
-    """Jump-unraveling estimate of <A(t + tau) B(t)>; both the preparation
-    segment and the doubled-space segment use the jump scheme."""
-    factory = _JumpFactory()
-    res = correlate(
-        request,
-        model,
-        seed,
-        workers=workers,
-        engine_factory=factory,
-        keep_samples=keep_samples,
-    )
-    return replace(
-        res, method="jump", extras={**res.extras, "jumps_total": factory.total_jumps()}
-    )

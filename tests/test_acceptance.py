@@ -27,7 +27,6 @@ from qsdsim import (
     driven_decay_model,
     evolve,
     heisenberg_element,
-    jump_correlate,
     make_doubled_state,
     regression_matrix_element,
     run_coupled_ensemble,
@@ -127,7 +126,7 @@ def test_criterion_4_ensemble_covariance_reproduces_density_matrix():
         def task(streams):
             states = np.tile(psi0, (len(streams), 1))
             out = engine.run(states, streams, 1000)
-            return np.einsum("bi,bj->bij", out, out.conj()).reshape(len(streams), 4)
+            return np.einsum("bi,bj->bij", out, out.conj()).reshape(len(streams), 4), {}
 
         res = run_ensemble(task, 10_000, seed=0)
         worst[name] = float(np.max(np.abs(res.mean - rho) / res.std_error))
@@ -249,11 +248,11 @@ def test_criterion_8_jump_method_is_no_slower_at_matched_error():
     def runner(method, n, seed):
         request = CorrelationRequest(
             observable=sigma_plus(), perturbation=sigma_minus(), t=0.0,
-            tau_grid=tau_grid, n_trajectories=n, sde=SdeConfig(dt=dt),
+            tau_grid=tau_grid, n_trajectories=n,
+            sde=SdeConfig(dt=dt, scheme="normalized" if method == "qsd" else "jump"),
             initial="steady_state", warmup_time=warmup,
         )
-        fn = correlate if method == "qsd" else jump_correlate
-        res = fn(request, model, seed, workers=1)
+        res = correlate(request, model, seed, workers=1)
         results[(method, n)] = res
         return res
 
@@ -300,7 +299,7 @@ def test_criterion_9_convergence_orders():
 
         def task(streams):
             out = engine.run(np.tile(ground, (len(streams), 1)), streams, steps)
-            return (np.abs(out[:, 1]) ** 2)[:, None].astype(complex)
+            return (np.abs(out[:, 1]) ** 2)[:, None].astype(complex), {}
 
         res = run_ensemble(task, 100_000, seed=0)
         biases.append(res.mean[0].real - exact)

@@ -15,7 +15,6 @@ from qsdsim import (
     doubled_matrix_element,
     driven_decay_model,
     heisenberg_element,
-    jump_matrix_element,
     prepare_initial,
     sigma_minus,
     sigma_plus,
@@ -76,14 +75,12 @@ def test_incommensurate_time_rejected():
 @pytest.mark.parametrize("grid", [[1.0, 0.5, 1.0], [0.5, 0.7, 0.7]])
 def test_unordered_grid_rejected(grid):
     observable, bra, ket, model = decay_element_setup()
-    with pytest.raises(ValueError, match="strictly increasing"):
-        heisenberg_element(
-            observable, bra, ket, model, grid, 4, SdeConfig(dt=1e-2), seed=0
-        )
-    with pytest.raises(ValueError, match="strictly increasing"):
-        jump_matrix_element(
-            observable, bra, ket, model, grid, n_trajectories=4, dt=1e-2, seed=0
-        )
+    for scheme in ("normalized", "jump"):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            heisenberg_element(
+                observable, bra, ket, model, grid, 4, SdeConfig(dt=1e-2, scheme=scheme),
+                seed=0,
+            )
 
 
 def test_zero_delay_value_is_exact_per_realization():
@@ -167,6 +164,7 @@ def test_heisenberg_element_matches_oracle_on_random_model(rng):
         tol = max(4.0 * res.std_error[k], 1e-12)
         assert abs(res.mean[k] - oracle[k]) < tol
     assert res.method == "qsd-normalized"
+    assert res.extras == {}
 
 
 def test_prepare_initial_passthrough_and_validation():
@@ -222,3 +220,5 @@ def test_fluorescence_correlation_matches_oracle():
     oracle = two_time_correlation(sigma_plus(), sigma_minus(), model, 0.0, tau_grid)
     dev = np.abs(res.mean - oracle)
     assert np.all(dev < 3.0 * res.std_error)
+    assert res.method == "qsd-normalized"
+    assert res.extras == {}

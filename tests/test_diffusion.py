@@ -7,6 +7,7 @@ from qsdsim import (
     DensityMatrix,
     DoubledState,
     InstabilityError,
+    JumpEngine,
     Ket,
     Operator,
     QsdEngine,
@@ -24,7 +25,7 @@ from qsdsim import (
     substream,
 )
 
-from conftest import decay_element_setup
+from conftest import decay_element_setup, random_ket, random_model
 
 
 def test_sde_config_validation():
@@ -35,7 +36,13 @@ def test_sde_config_validation():
             QsdEngine(decay_model(), dt)
     with pytest.raises(ValueError):
         SdeConfig(dt=0.1, scheme="euler")
-    assert SdeConfig(dt=0.1).renormalize_each_step
+    assert SdeConfig(dt=0.1, scheme="jump").scheme == "jump"
+
+
+def test_qsd_engine_rejects_the_jump_scheme():
+    # SdeConfig accepts "jump", but only JumpEngine runs it
+    with pytest.raises(ValueError, match="'jump'"):
+        QsdEngine(decay_model(), 1e-2, "jump")
 
 
 def test_excited_state_is_deterministic_fixed_direction():
@@ -115,18 +122,30 @@ def test_propagate_rejects_incommensurate_grid():
         propagate(basis_ket(2, 0), decay_model(), config, substream(0, 0), [0.0, 0.005])
 
 
-def test_batched_run_matches_single_runs():
-    observable, bra, ket, model = decay_element_setup()
-    engine = QsdEngine(model, 1e-2)
-    base = ket.amplitudes
-    states = np.tile(base, (3, 1))
-    streams = [substream(9, i) for i in range(3)]
-    out = engine.run(states, streams, 40)
-    for i in range(3):
-        alone = QsdEngine(model, 1e-2).run(
-            base.reshape(1, -1), [substream(9, i)], 40
-        )
-        assert np.array_equal(out[i], alone[0])
+@pytest.mark.parametrize("engine_cls", [QsdEngine, JumpEngine])
+@pytest.mark.parametrize("dim", [None, 2, 3, 8], ids=["decay", "d2", "d3", "d8"])
+def test_batched_run_matches_single_runs(engine_cls, dim):
+    # dim None is the decay model, whose operators make every product exact,
+    # so a row's result is bitwise the same in a batch and alone.  For random
+    # models BLAS rounds a (dim, dim) @ (dim, batch) product differently for
+    # different batch widths, so rows agree only to the last bits.
+    rows, n_steps = 7, 50
+    if dim is None:
+        _, _, ket, model = decay_element_setup()
+        states = np.tile(ket.amplitudes, (rows, 1))
+    else:
+        rng = np.random.default_rng(40 + dim)
+        model = random_model(rng, dim, 2)
+        states = np.array([random_ket(rng, dim).amplitudes for _ in range(rows)])
+    # keeps each jump probability below 0.05 per substep
+    dt = min(1e-2, 0.05 / np.linalg.eigvalsh(model.ldl_sum()).max())
+    out = engine_cls(model, dt).run(states, [substream(9, i) for i in range(rows)], n_steps)
+    for i in range(rows):
+        alone = engine_cls(model, dt).run(states[i : i + 1], [substream(9, i)], n_steps)
+        if dim is None:
+            assert np.array_equal(out[i], alone[0])
+        else:
+            np.testing.assert_allclose(out[i], alone[0], rtol=0, atol=1e-12)
 
 
 def test_run_validates_shapes_and_records():

@@ -18,18 +18,19 @@ def noisy_task(streams, nodes=3, draws=10):
     for i, stream in enumerate(streams):
         z = stream.complex_normals(draws // 2)
         out[i] = 1.0 + z.sum() / np.sqrt(draws // 2)
-    return out
+    return out, {}
 
 
 def test_constant_task_statistics():
     def task(streams):
-        return np.full((len(streams), 2), 3.0 - 1.0j)
+        return np.full((len(streams), 2), 3.0 - 1.0j), {}
 
     res = run_ensemble(task, 2, seed=0)
     assert np.allclose(res.mean, 3.0 - 1.0j)
     assert np.allclose(res.std_error, 0.0)
     assert res.n == 2
     assert res.samples is None
+    assert res.extras == {}
     assert res.wall_time_seconds > 0
 
 
@@ -45,10 +46,34 @@ def test_input_validation():
 
 def test_task_shape_errors_are_aggregated():
     def bad(streams):
-        return np.zeros((len(streams) + 1, 2))
+        return np.zeros((len(streams) + 1, 2)), {}
 
-    with pytest.raises(EnsembleError):
+    with pytest.raises(EnsembleError, match="expected \\(4, n_nodes\\)"):
         run_ensemble(bad, 4, seed=0)
+
+    def bare(streams):
+        return np.zeros((len(streams), 2))
+
+    with pytest.raises(EnsembleError, match="expected \\(values, counts\\)"):
+        run_ensemble(bare, 4, seed=0)
+
+
+def test_counts_are_summed_over_chunks_in_order():
+    def counting(streams):
+        lo = streams[0].trajectory_index
+        for stream in streams[: lo // 4 + 1]:
+            stream.uniform()
+        counts = {"rows": len(streams), "chunk": lo // 4}
+        if lo == 4:
+            counts["second_only"] = 5
+        return np.zeros((len(streams), 1)), counts
+
+    for workers in (1, 3):
+        res = run_ensemble(counting, 10, seed=0, workers=workers, chunk_size=4)
+        assert res.extras == {"rows": 10, "chunk": 3, "second_only": 5}
+        assert list(res.extras) == ["rows", "chunk", "second_only"]
+        # each chunk counts the draws of its own streams: 1 + 2 + 2
+        assert res.draws_total == 5
 
 
 def test_result_independent_of_worker_count():
@@ -72,7 +97,7 @@ def test_failures_carry_index_ranges():
     def fails_in_second_chunk(streams):
         if any(s.trajectory_index == 8 for s in streams):
             raise RuntimeError("boom")
-        return np.zeros((len(streams), 1))
+        return np.zeros((len(streams), 1)), {}
 
     with pytest.raises(EnsembleError) as excinfo:
         run_ensemble(fails_in_second_chunk, 24, seed=0, chunk_size=8)
@@ -141,7 +166,7 @@ def busy_task(streams):
         for _ in range(4):
             acc += np.linalg.eigvalsh(sym + stream.uniform() * np.eye(40)).sum()
         out[i] = acc
-    return out
+    return out, {}
 
 
 def test_wall_time_scales_linearly_with_n():

@@ -16,9 +16,9 @@ from qsdsim import (
     basis_ket,
     decay_model,
     driven_decay_model,
+    correlate,
     evolve,
-    jump_correlate,
-    jump_matrix_element,
+    heisenberg_element,
     regression_matrix_element,
     sigma_plus,
     substream,
@@ -32,10 +32,6 @@ def test_jump_engine_validation():
     for dt in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
             JumpEngine(decay_model(), dt)
-    for bad in (0.0, 1.5, float("nan")):
-        with pytest.raises(ValueError, match="max_jump_probability"):
-            JumpEngine(decay_model(), 0.1, max_jump_probability=bad)
-    assert JumpEngine(decay_model(), 0.1).max_jump_probability == 0.1
 
 
 def test_ground_state_never_jumps():
@@ -136,13 +132,15 @@ def test_persistent_control_draw_economy():
 def test_jump_matrix_element_against_oracle():
     observable, bra, ket, model = decay_element_setup()
     grid = np.array([0.5, 1.0, 2.0])
-    res = jump_matrix_element(
-        observable, bra, ket, model, grid, n_trajectories=600, dt=1e-3, seed=6
+    sde = SdeConfig(dt=1e-3, scheme="jump")
+    res = heisenberg_element(
+        observable, bra, ket, model, grid, n_trajectories=600, sde=sde, seed=6
     )
     oracle = regression_matrix_element(observable, bra, ket, model, grid)
     assert np.all(np.abs(res.mean - oracle) < 4.0 * res.std_error)
     assert res.method == "jump"
-    assert res.extras["jumps_total"] >= 0
+    assert list(res.extras) == ["jumps_total"]
+    assert res.extras["jumps_total"] > 0
     # one threshold per trajectory plus two draws per jump
     assert res.draws_total == res.n + 2 * res.extras["jumps_total"]
 
@@ -157,10 +155,12 @@ def test_jump_correlate_against_oracle():
         t=0.5,
         tau_grid=tau_grid,
         n_trajectories=800,
-        sde=SdeConfig(dt=1e-3),
+        sde=SdeConfig(dt=1e-3, scheme="jump"),
         initial=psi0,
     )
-    res = jump_correlate(request, model, seed=11)
+    res = correlate(request, model, seed=11)
+    assert res.method == "jump"
+    assert list(res.extras) == ["jumps_total"]
     oracle = two_time_correlation(
         sigma_plus(), sigma_plus(), model, 0.5, tau_grid,
         rho0=DensityMatrix.from_ket(psi0),

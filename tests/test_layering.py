@@ -1,0 +1,50 @@
+"""Import layering: engines and the oracle sit below the estimators.
+
+The estimators (``correlations``, ``ensemble``) choose and drive engines,
+and ``cli`` drives the estimators; nothing below them may import them back.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import qsdsim
+
+PACKAGE = Path(qsdsim.__file__).parent
+LOWER = ("noise", "hilbert", "diffusion", "jumps", "gisin", "master")
+UPPER = {"correlations", "ensemble", "cli"}
+
+
+def qsdsim_imports(module: str) -> set:
+    """The qsdsim modules that ``module`` imports, by their short names."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                found.add(node.module.split(".")[0])
+            elif node.level == 1:  # from . import x
+                found.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("qsdsim."):
+                found.add(node.module.split(".")[1])
+            elif node.module == "qsdsim":
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(
+                alias.name.split(".")[1]
+                for alias in node.names
+                if alias.name.startswith("qsdsim.")
+            )
+    return found
+
+
+@pytest.mark.parametrize("module", LOWER)
+def test_lower_layers_do_not_import_estimators(module):
+    assert qsdsim_imports(module) & UPPER == set()
+
+
+def test_import_parser_sees_relative_imports():
+    assert {"diffusion", "ensemble", "hilbert", "jumps", "noise"} <= qsdsim_imports(
+        "correlations"
+    )

@@ -27,8 +27,6 @@ from qsdsim import (
     driven_decay_model,
     extend_model,
     heisenberg_element,
-    jump_correlate,
-    jump_matrix_element,
     make_doubled_state,
     sigma_minus,
     sigma_plus,
@@ -237,17 +235,18 @@ def test_estimators_never_extend_the_model(monkeypatch):
 
     observable, bra, ket, model = decay_element_setup()
     grid = np.array([0.1, 0.2])
-    for fn in (heisenberg_element, jump_matrix_element):
-        extra = {"sde": SdeConfig(dt=1e-2)} if fn is heisenberg_element else {"dt": 1e-2}
-        res = fn(observable, bra, ket, model, grid, n_trajectories=4, seed=1, **extra)
+    for scheme in ("normalized", "jump"):
+        sde = SdeConfig(dt=1e-2, scheme=scheme)
+        res = heisenberg_element(
+            observable, bra, ket, model, grid, n_trajectories=4, sde=sde, seed=1
+        )
         assert np.all(np.isfinite(res.mean))
-    request = CorrelationRequest(
-        observable=sigma_plus(), perturbation=sigma_minus(), t=0.1,
-        tau_grid=np.array([0.0, 0.1]), n_trajectories=4, sde=SdeConfig(dt=1e-2),
-        initial="random_uniform", warmup_time=0.1,
-    )
-    for fn in (correlate, jump_correlate):
-        res = fn(request, driven_decay_model(2.0), seed=1)
+        request = CorrelationRequest(
+            observable=sigma_plus(), perturbation=sigma_minus(), t=0.1,
+            tau_grid=np.array([0.0, 0.1]), n_trajectories=4, sde=sde,
+            initial="random_uniform", warmup_time=0.1,
+        )
+        res = correlate(request, driven_decay_model(2.0), seed=1)
         assert np.all(np.isfinite(res.mean))
 
 
