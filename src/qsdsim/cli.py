@@ -4,9 +4,11 @@ A run is described by a JSON config file naming a scenario plus its
 parameters; command-line flags override individual keys.  Every scenario
 writes a results CSV (``grid,mean_re,mean_im,std_error``), a reference CSV
 computed by the deterministic oracle on the same grid, and a metadata JSON
-echoing the effective configuration.  Outputs are byte-identical for
-identical (config, seed) regardless of worker count, except for the files
-that record wall-clock timings (metadata.json, benchmark.csv).
+echoing the effective configuration; for an element or correlation estimate
+it also records how far results sit from the reference.  Outputs are
+byte-identical for identical (config, seed) regardless of worker count,
+except for the files that record wall-clock timings (metadata.json,
+benchmark.csv).
 
 Each scenario's keys, defaults and parsers are one table in ``SCHEMAS``.
 Each estimate shape (matrix element, two-time correlation) has one run path.
@@ -30,7 +32,7 @@ import numpy as np
 from . import __version__
 from .correlations import INITIAL_SPECS, CorrelationRequest, correlate, heisenberg_element
 from .diffusion import SdeConfig
-from .ensemble import EnsembleError, benchmark_sweep
+from .ensemble import EnsembleError, benchmark_sweep, relative_rms_error
 from .errors import InstabilityError
 from .gisin import instability_report, run_coupled_ensemble
 from .hilbert import (
@@ -580,10 +582,33 @@ def _g1_preset(params: dict) -> dict:
     }
 
 
-def _results(config: RunConfig, grid, res) -> dict:
-    """Write the estimate to results.csv; the run summary."""
+def _oracle_agreement(res, ref) -> dict:
+    """How far the estimate sits from the oracle: the largest |z| over the
+    nodes, the fraction of nodes within 3 sigma and the rms relative error
+    (None for an identically zero reference).  A node whose standard error
+    is below 1e-12 (every trajectory gives the same value, as at t = 0)
+    agrees when it is within 1e-9 and has no z."""
+    gap = np.abs(res.mean - ref)
+    noisy = res.std_error >= 1e-12
+    z = gap[noisy] / res.std_error[noisy]
+    within = np.where(noisy, gap < 3.0 * res.std_error, gap <= 1e-9)
+    try:
+        rms = relative_rms_error(res.mean, ref)
+    except ValueError:
+        rms = None
+    return {
+        "max_abs_z": float(z.max()) if z.size else None,
+        "within_3sigma_frac": float(within.mean()),
+        "rms_relative_error": rms,
+    }
+
+
+def _results(config: RunConfig, grid, res, ref) -> dict:
+    """Write the estimate to results.csv; the run summary, with the
+    estimate's agreement with the oracle ``ref``."""
     _write_series_csv(config.out_dir / "results.csv", grid, res.mean, res.std_error)
-    return {key: getattr(res, key) for key in ("n", "method", "draws_total", "extras")}
+    summary = {key: getattr(res, key) for key in ("n", "method", "draws_total", "extras")}
+    return {**summary, "oracle_agreement": _oracle_agreement(res, ref)}
 
 
 def _run_element(config: RunConfig, p: dict) -> dict:
@@ -593,7 +618,7 @@ def _run_element(config: RunConfig, p: dict) -> dict:
     res = heisenberg_element(*problem, p["n"], sde, config.seed, workers=config.workers)
     ref = regression_matrix_element(*problem, h_ode=p["h_ode"])
     _write_series_csv(config.out_dir / "reference.csv", p["t_grid"], ref)
-    return _results(config, p["t_grid"], res)
+    return _results(config, p["t_grid"], res, ref)
 
 
 def _correlate(config: RunConfig, p: dict, unraveling: str, n: int, seed: int):
@@ -624,8 +649,8 @@ def _correlation_reference(config: RunConfig, p: dict):
 
 def _run_correlation(config: RunConfig, p: dict) -> dict:
     res = _correlate(config, p, p["unraveling"], p["n"], config.seed)
-    _correlation_reference(config, p)
-    return _results(config, p["tau_grid"], res)
+    ref = _correlation_reference(config, p)
+    return _results(config, p["tau_grid"], res, ref)
 
 
 def _run_gisin_compare(config: RunConfig) -> dict:

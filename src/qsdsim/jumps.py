@@ -1,32 +1,47 @@
-r"""Piecewise-deterministic jump unraveling of the master equation.
+r"""Event-driven jump unraveling of the master equation.
 
-Between jumps the normalized state follows the non-Hermitian drift
-H - (i/2) sum_j L_j^dag L_j (first-order update, renormalized every
-substep).  Jumps are sampled by the survival-threshold method: one uniform
-threshold is drawn per inter-jump interval and compared against the
-accumulated no-jump probability prod_k (1 - p(t_k)) with per-substep
-p = dt sum_j ||L_j psi||^2; when the product drops below the threshold the
-trajectory jumps, a second uniform selects the channel with weights
-||L_j psi||^2, and the state is replaced by L_j psi / ||L_j psi||.
+Between jumps a trajectory follows the no-jump propagator U = exp(dt G),
+G = -iH - (1/2) sum_j L_j^dag L_j, applied exactly on the dt grid.  Since
+G + G^dag = -sum_j L_j^dag L_j <= 0, U is a contraction: for a unit state
+psi, S(m) = ||U^m psi||^2 is the exact probability that no jump happens
+within m substeps, and it never increases.  Jumps are sampled by the
+survival-threshold (waiting-time) method.  One uniform threshold r is drawn
+per inter-jump interval, and the trajectory jumps at the first substep m
+with S(m) < r.  A second uniform picks channel j with weight
+||L_j phi||^2 at the state phi one substep before the jump, and the state
+becomes L_j phi / ||L_j phi||.  Where every weight vanishes there (a jump
+within the first substep after landing in the kernel of every L_j), the
+weights and the jump are taken at the jump substep itself.
 
-Per substep this is exactly a Bernoulli(p) jump decision, but only two
-random numbers are consumed per jump (the channel draw and the next
-threshold), plus one initial threshold per trajectory segment.  A substep
-with p > 0.1 aborts: the first-order scheme needs a smaller dt.
+Jump times lie on the dt grid, but the drift between them carries no
+discretization error, so dt does not limit stability.  Only two random
+numbers are consumed per jump (the channel draw and the next threshold),
+plus one threshold per ``run`` segment unless a :class:`JumpControl` carries
+the sampler over from the previous one.
+
+``run`` moves the whole batch in lock-step rounds, to each record node and
+then to ``n_steps``.  Within a round, the jump substep of every trajectory
+is found at once by binary lifting over the cached powers U^(2^k): each
+level tries one power on every trajectory still short of the round's end
+and keeps it where the survival stays at or above the threshold.  A round
+therefore costs about log2(steps) small products per jump instead of one
+per substep.  At every record node and at the end the states are
+renormalized and their survival carried on.
 
 The same machinery runs on the doubled space for matrix elements and
 two-time correlations.  The duplicated operators are block-diagonal, so the
 engine steps a doubled state block by block with the model's own d x d
-operators, jump probabilities and norms summed over both blocks, and a zero
-block stays zero through drifts and jumps alike.
+operators, jump weights and norms summed over both blocks, and a zero block
+stays zero through drifts and jumps alike.
 
 :class:`JumpEngine` is an engine like ``QsdEngine``, with the same ``run``
 signature; the estimators in :mod:`qsdsim.correlations` build it for
 ``SdeConfig(dt, scheme="jump")`` and total its ``last_jump_counts`` per
-chunk.  The no-jump drift is built from ``LindbladModel.generator`` and the
+chunk.  The propagator is built from ``LindbladModel.generator`` and the
 step is checked by ``noise.check_step``, as in the diffusive engine.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +55,6 @@ from .diffusion import (
     _split_state,
     _unstable_row,
 )
-from .errors import InstabilityError
 from .hilbert import LindbladModel
 from .noise import NoiseStream, check_step
 
@@ -50,17 +64,44 @@ __all__ = [
     "step_jump",
 ]
 
-MAX_JUMP_PROBABILITY = 0.1
+# exp(a) is a degree-16 Taylor polynomial of a / 2^s, ||a / 2^s||_1 <= 1/2,
+# squared s times; the truncation error is below 0.5^17 / 17! = 2e-20.
+# Rounding grows about like 2^s eps in the squarings, so beyond ||a||_1 = 2^32
+# (an error near 1e-6, enough to let the survival grow) no result is given.
+_TAYLOR_DEGREE = 16
+_TAYLOR_RADIUS = 0.5
+_MAX_NORM = 2.0**32
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) of a complex square matrix by scaling and squaring; NaN
+    throughout when ``a`` is not finite or its 1-norm exceeds 2^32."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not norm <= _MAX_NORM:
+        return np.full_like(a, np.nan)
+    squarings = math.ceil(math.log2(norm / _TAYLOR_RADIUS)) if norm > _TAYLOR_RADIUS else 0
+    scaled = a / 2.0**squarings
+    eye = np.eye(len(a), dtype=complex)
+    out = eye
+    for k in range(_TAYLOR_DEGREE, 0, -1):
+        out = eye + (scaled @ out) / k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(squarings):
+            out = out @ out
+    return out
 
 
 @dataclass
 class JumpControl:
-    """Waiting-time sampler state carried between substeps.
+    """Waiting-time sampler state carried between ``run`` segments.
 
     ``threshold`` is the uniform the survival probability is compared
-    against; ``survival`` accumulates prod (1 - p) since the last jump.
-    With a fresh control per substep the decision degenerates to an
-    independent Bernoulli(p) draw per call.
+    against; ``survival`` is the exact no-jump probability since the last
+    jump, ||U^m psi||^2 for the unit state psi left by that jump.  With a
+    fresh control per substep the decision degenerates to an independent
+    draw per call, with jump probability 1 - ||U psi||^2.
     """
 
     threshold: float
@@ -76,37 +117,29 @@ class JumpEngine:
     """Batched jump-unraveling propagation, API-compatible with QsdEngine.
 
     Rows of width 2 dim are doubled states, stepped block by block with the
-    model's d x d operators like in QsdEngine, and the batch is stepped
-    column-major in the same way.  A substep is one product with the stacked
-    (2 dim, dim) matrix of the no-jump map I + dt G and sum_j L_j^dag L_j,
-    and one norm.
+    model's d x d operators like in QsdEngine, and the batch is column-major
+    in the same way.  ``__init__`` computes the no-jump propagator
+    U = exp(dt G); ``run`` squares it into the powers U^(2^k) it needs and
+    keeps them for later runs.  A round of ``run`` costs one product with
+    each power per trajectory still moving, and each jump one product with
+    the stacked (n_channels dim, dim) matrix of every L_j.
     """
 
     def __init__(self, model: LindbladModel, dt: float):
         self.dt = check_step(dt)
         self.dim = model.dim
-        self._ls = [op.matrix for op in model.lindblads]
-        no_jump = np.eye(model.dim) + dt * model.generator()
-        self._stack = np.concatenate([no_jump, model.ldl_sum()])
+        self._ls = np.concatenate([op.matrix for op in model.lindblads])
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = _expm(dt * model.generator())
+        self._finite = bool(np.all(np.isfinite(step)))
+        self._powers = [step]  # U^(2^k) for k = 0, 1, ...
         self.last_jump_counts: np.ndarray | None = None
 
-    def _jump(self, psi: np.ndarray, stream: NoiseStream) -> np.ndarray:
-        """L_j psi / ||L_j psi|| for the pre-jump (dim, k) columns ``psi`` of
-        one trajectory, channel j drawn with weight ||L_j psi||^2."""
-        candidates = [lmat @ psi for lmat in self._ls]
-        weights = [float(np.vdot(c, c).real) for c in candidates]
-        total = sum(weights)
-        if total <= 0.0:
-            raise InstabilityError("jump selected with zero total jump weight")
-        pick = stream.uniform() * total
-        acc = 0.0
-        channel = len(weights) - 1
-        for j, w in enumerate(weights):
-            acc += w
-            if pick < acc:
-                channel = j
-                break
-        return candidates[channel] / np.sqrt(weights[channel])
+    def _propagate(self, power: int, x: np.ndarray) -> np.ndarray:
+        """U^(2^power) applied to every block of column-major ``x``."""
+        while len(self._powers) <= power:
+            self._powers.append(self._powers[-1] @ self._powers[-1])
+        return (self._powers[power] @ x.reshape(self.dim, -1)).reshape(x.shape)
 
     def run(
         self,
@@ -117,13 +150,15 @@ class JumpEngine:
         on_record=None,
         controls: "list[JumpControl] | None" = None,
     ) -> np.ndarray:
-        """Advance normalized states by ``n_steps`` substeps.
+        """Advance states by ``n_steps`` substeps.
 
-        Records fire exactly like in QsdEngine; the norms handed to
-        ``on_record`` are the pre-renormalization norms of the update that
-        landed on the node.  Fresh waiting-time controls are drawn from the
-        streams unless ``controls`` is given; per-trajectory jump counts are
-        left in ``last_jump_counts``.
+        Records fire at the same steps as in QsdEngine, with unit states;
+        the norms handed to ``on_record`` are those of the no-jump
+        propagation since the previous record node or jump, before
+        renormalization (1 where a jump lands on the node).  The input
+        states are normalized first.  Fresh waiting-time controls are drawn
+        from the streams unless ``controls`` is given; per-trajectory jump
+        counts are left in ``last_jump_counts``.
         """
         x = _columns(states, self.dim)
         batch = x.shape[2]
@@ -138,43 +173,25 @@ class JumpEngine:
         survival = np.array([c.survival for c in controls])
         jumps = np.zeros(batch, dtype=np.int64)
 
+        norms = np.sqrt(_real_inner(x, x))
         if 0 in slots and on_record is not None:
-            on_record(slots[0], _rows(x), np.sqrt(_real_inner(x, x)))
-
-        dt = self.dt
-        for step in range(1, n_steps + 1):
-            # overflow shows up as a non-finite norm, which raises below
-            with np.errstate(over="ignore", invalid="ignore"):
-                new, ldl_psi = (self._stack @ x.reshape(self.dim, -1)).reshape(2, *x.shape)
-                p_tot = dt * _real_inner(x, ldl_psi)
-                norms = np.sqrt(_real_inner(new, new))
-            worst = float(p_tot.max(initial=0.0))
-            if worst > MAX_JUMP_PROBABILITY:
+            on_record(slots[0], _rows(x), norms)
+        if n_steps > 0:
+            if not self._finite:
                 raise _unstable_row(
-                    f"jump probability {worst:.3g} exceeds "
-                    f"{MAX_JUMP_PROBABILITY} at substep {step}; reduce dt",
-                    p_tot > MAX_JUMP_PROBABILITY, streams,
+                    f"no-jump propagator exp(dt G) at dt={self.dt} is not finite or "
+                    f"||dt G||_1 exceeds 2^32; reduce dt", np.ones(batch, dtype=bool), streams,
                 )
-            survival *= 1.0 - p_tot
-            jump_rows = np.flatnonzero(survival < thresholds)
-            if not (norms.min() > 0.0 and norms.max() < np.inf):
-                degenerate = ~np.isfinite(norms) | (norms == 0.0)
-                degenerate[jump_rows] &= ~np.isfinite(norms[jump_rows])
-                if np.any(degenerate):
-                    raise _unstable_row(
-                        f"degenerate no-jump update at substep {step}", degenerate, streams
-                    )
-            if jump_rows.size:
-                for i in jump_rows:
-                    new[:, :, i] = self._jump(x[:, :, i], streams[i])
-                    thresholds[i] = streams[i].uniform()
-                norms[jump_rows] = 1.0
-                survival[jump_rows] = 1.0
-                jumps[jump_rows] += 1
-            new *= 1.0 / norms
-            x = new
-            if step in slots and on_record is not None:
-                on_record(slots[step], _rows(x), norms)
+            degenerate = ~np.isfinite(norms) | (norms == 0.0)
+            if np.any(degenerate):
+                raise _unstable_row("degenerate initial state", degenerate, streams)
+            x /= norms
+            start = 0
+            for stop in sorted((set(slots) | {n_steps}) - {0}):
+                norms = self._advance(x, stop - start, survival, thresholds, jumps, streams)
+                if stop in slots and on_record is not None:
+                    on_record(slots[stop], _rows(x), norms)
+                start = stop
 
         for c, thr, sur, jmp in zip(controls, thresholds, survival, jumps):
             c.threshold = float(thr)
@@ -182,6 +199,83 @@ class JumpEngine:
             c.jumps += int(jmp)
         self.last_jump_counts = jumps
         return _rows(x)
+
+    def _advance(self, x, span, survival, thresholds, jumps, streams) -> np.ndarray:
+        """Move the unit columns of ``x`` by ``span`` substeps in place,
+        updating each trajectory's ``survival``, ``thresholds`` and
+        ``jumps``; returns the norms of the last no-jump stretch."""
+        norms = np.ones(x.shape[2])
+        left = np.full(x.shape[2], span)
+        active = np.arange(x.shape[2])
+        while active.size:
+            phi = np.take(x, active, axis=2)
+            reach = left[active]
+            carried = survival[active]
+            limit = thresholds[active]
+            # moved = the most substeps m <= reach with carried S(m) >= limit
+            moved = np.zeros(active.size, dtype=np.int64)
+            for k in reversed(range(int(reach.max()).bit_length())):
+                trial = self._propagate(k, phi)
+                take = (moved + (1 << k) <= reach) & (carried * _real_inner(trial, trial) >= limit)
+                phi = np.where(take, trial, phi)
+                moved += take * (1 << k)
+
+            arrived = moved == reach
+            rows = active[arrived]
+            landed = np.compress(arrived, phi, axis=2)
+            norm2 = _real_inner(landed, landed)
+            if not np.all(norm2 > 0.0):
+                raise _unstable_row(
+                    f"degenerate no-jump update over {span} substeps",
+                    np.isin(np.arange(x.shape[2]), rows[~(norm2 > 0.0)]), streams,
+                )
+            survival[rows] = carried[arrived] * norm2
+            norms[rows] = np.sqrt(norm2)
+            x[:, :, rows] = landed / norms[rows]
+
+            # the rest jump at substep moved + 1, from phi = U^moved psi
+            rows = active[~arrived]
+            if rows.size:
+                pre = np.compress(~arrived, phi, axis=2)
+                x[:, :, rows] = self._jump(pre, rows, thresholds, streams)
+                survival[rows] = 1.0
+                jumps[rows] += 1
+                norms[rows] = 1.0
+                left[rows] = (reach - moved - 1)[~arrived]
+            active = rows[left[rows] > 0]
+        return norms
+
+    def _jump(self, pre, rows, thresholds, streams) -> np.ndarray:
+        """Unit jumped states for the pre-jump columns ``pre`` of trajectories
+        ``rows``, channel j drawn with weight ||L_j pre||^2; draws each
+        trajectory's channel and its next entry of ``thresholds``."""
+        weights, candidates = self._channels(pre)
+        dark = weights.sum(axis=0) == 0.0
+        if np.any(dark):
+            # the jump fell in the first substep after a jump into the
+            # kernel of every L_j: take it at the jump substep
+            weights[:, dark], candidates[..., dark] = self._channels(
+                self._propagate(0, np.compress(dark, pre, axis=2))
+            )
+        total = weights.sum(axis=0)
+        bad = ~((total > 0.0) & (total < np.inf))
+        if np.any(bad):
+            raise _unstable_row(
+                "jump selected with zero total jump weight",
+                np.isin(np.arange(len(streams)), rows[bad]), streams,
+            )
+        picks = np.array([streams[i].uniform() for i in rows]) * total
+        thresholds[rows] = [streams[i].uniform() for i in rows]
+        # the first channel whose cumulative weight exceeds the pick
+        channel = np.minimum((picks >= np.cumsum(weights, axis=0)).sum(axis=0), len(weights) - 1)
+        chosen = np.take_along_axis(candidates, channel[None, None, None, :], axis=0)[0]
+        return chosen / np.sqrt(np.take_along_axis(weights, channel[None, :], axis=0)[0])
+
+    def _channels(self, x):
+        """(n_channels, n) weights ||L_j x||^2 and (n_channels, dim, k, n)
+        states L_j x of column-major ``x``."""
+        lx = (self._ls @ x.reshape(self.dim, -1)).reshape(-1, *x.shape)
+        return (lx.real**2 + lx.imag**2).sum(axis=(1, 2)), lx
 
 
 def step_jump(
@@ -193,8 +287,8 @@ def step_jump(
 ):
     """One jump-unraveling substep on a Ket or DoubledState.
 
-    Without ``control`` the jump decision is an independent Bernoulli with
-    probability dt sum_j ||L_j state||^2 (one fresh threshold per call); a
+    Without ``control`` the jump decision is an independent draw with
+    probability 1 - ||exp(dt G) state||^2 (one fresh threshold per call); a
     persistent control carries the waiting-time sampler across calls so a
     whole inter-jump interval consumes only the two draws of its jump.
     """

@@ -457,6 +457,34 @@ def test_custom_element_run(tmp_path):
     assert results.shape == (2, 4)
 
 
+@pytest.mark.parametrize("scenario,unraveling", [
+    ("decay-element", "jump"), ("decay-element", "qsd"), ("fluorescence-g1", "jump"),
+])
+def test_metadata_reports_oracle_agreement(tmp_path, scenario, unraveling):
+    out = tmp_path / "out"
+    grid = ({"t_start": 0.0, "t_stop": 1.0, "t_nodes": 5} if scenario == "decay-element"
+            else {"warmup": 1.0, "tau_start": 0.0, "tau_stop": 0.5, "tau_nodes": 6})
+    path = make_config(tmp_path, scenario=scenario, unraveling=unraveling, n=200,
+                       dt=0.01, seed=3, out=str(out), **grid)
+    assert run_main(["--config", str(path)]) == 0
+    results = read_series(out / "results.csv")
+    reference = read_series(out / "reference.csv")
+    gap = np.abs((results[:, 1] - reference[:, 1]) + 1j * (results[:, 2] - reference[:, 2]))
+    se = results[:, 3]
+    noisy = se >= 1e-12
+    # the t = 0 node of an element run is exact in every trajectory
+    assert noisy.sum() == (4 if scenario == "decay-element" else 6)
+    agreement = json.loads((out / "metadata.json").read_text())["oracle_agreement"]
+    assert agreement["max_abs_z"] == pytest.approx((gap[noisy] / se[noisy]).max(), rel=1e-12)
+    within = np.where(noisy, gap < 3 * se, gap <= 1e-9)
+    assert agreement["within_3sigma_frac"] == within.mean()
+    ref_norm = np.sqrt(np.sum(reference[:, 1] ** 2 + reference[:, 2] ** 2))
+    assert agreement["rms_relative_error"] == pytest.approx(
+        np.sqrt(np.sum(gap**2)) / ref_norm, rel=1e-12
+    )
+    assert agreement["within_3sigma_frac"] >= 0.8
+
+
 def test_custom_correlation_run(tmp_path):
     out = tmp_path / "out"
     path = make_config(
@@ -545,22 +573,28 @@ def test_command_line_overrides_reach_metadata(tmp_path):
 
 
 def test_jump_instability_exits_3(tmp_path, capsys):
+    # H = 1e300 sigma_x validates (the generator is finite), but no
+    # propagator exp(dt G) can be computed for it in floating point
     out = tmp_path / "out"
+    model = {"hamiltonian": [[0, 1e300], [1e300, 0]], "lindblads": [[[0, 1], [0, 0]]]}
     path = make_config(
         tmp_path,
-        scenario="decay-element",
+        scenario="custom",
         unraveling="jump",
         n=2,
         dt=0.5,
-        t_start=0.5,
-        t_stop=1.0,
-        t_nodes=2,
+        model=model,
+        observable="sigma_plus",
+        bra=[0, 1],
+        ket=[1, 1],
+        t_grid=[0.5, 1.0],
         out=str(out),
     )
     assert run_main(["--config", str(path)]) == 3
     assert "numerical instability" in capsys.readouterr().err
     report = json.loads((out / "instability-report.json").read_text())
-    assert report["scenario"] == "decay-element"
+    assert report["scenario"] == "custom"
+    assert "exp(dt G)" in report["error"]
     assert report["dt"] == 0.5
     assert 0 <= named_trajectory(report["error"]) < 2
     assert not (out / "metadata.json").exists()

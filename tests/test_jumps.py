@@ -2,13 +2,12 @@
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import linalg, stats
 
 from qsdsim import (
     CorrelationRequest,
     DensityMatrix,
     DoubledState,
-    InstabilityError,
     JumpControl,
     JumpEngine,
     Ket,
@@ -19,13 +18,15 @@ from qsdsim import (
     correlate,
     evolve,
     heisenberg_element,
+    make_doubled_state,
     regression_matrix_element,
     sigma_plus,
     substream,
     two_time_correlation,
 )
 
-from conftest import decay_element_setup
+from conftest import decay_element_setup, random_ket, random_model
+from qsdsim.jumps import _expm
 
 
 def test_jump_engine_validation():
@@ -108,12 +109,107 @@ def test_zero_lower_block_is_preserved_through_jumps():
     assert control.jumps > 0
 
 
-def test_excessive_jump_probability_raises():
-    engine = JumpEngine(decay_model(), 0.15)
-    with pytest.raises(InstabilityError, match="reduce dt"):
-        engine.run(
-            np.tile(basis_ket(2, 1).amplitudes, (1, 1)), [substream(0, 0)], 1
-        )
+@pytest.mark.parametrize("dt", [0.15, 0.5])
+def test_survival_matches_oracle_at_large_dt(dt):
+    # the no-jump drift is exact, so at any dt the fraction of rows still in
+    # |e> at each grid node is the oracle's rho_ee(t) = exp(-t); the jumps
+    # fall on the dt grid
+    n, n_steps = 4000, int(round(3.0 / dt))
+    model = decay_model()
+    grid = dt * np.arange(n_steps + 1)
+    rho = evolve(DensityMatrix.from_ket(basis_ket(2, 1)), model, grid)
+    oracle = np.array([r.entries[1, 1].real for r in rho])
+    np.testing.assert_allclose(oracle, np.exp(-grid), rtol=1e-6)
+    survived = np.empty(n_steps + 1)
+
+    def on_record(slot, states, norms):
+        survived[slot] = np.mean(np.abs(states[:, 1]) ** 2 > 0.5)
+
+    engine = JumpEngine(model, dt)
+    states = np.tile(basis_ket(2, 1).amplitudes, (n, 1))
+    streams = [substream(21, i) for i in range(n)]
+    engine.run(states, streams, n_steps, range(n_steps + 1), on_record)
+    sigma = np.sqrt(oracle * (1.0 - oracle) / n)
+    assert np.all(np.abs(survived - oracle) <= 4.0 * sigma + 1e-12)
+    assert engine.last_jump_counts.max() == 1
+    for stream, jumps in zip(streams, engine.last_jump_counts):
+        assert stream.draws == 1 + 2 * int(jumps)
+
+
+def test_jump_from_a_dark_state_is_taken_at_the_jump_substep():
+    # |g> is dark for L = sigma_minus; a threshold of 1 forces a jump in the
+    # first substep, whose weights vanish one substep before it
+    model = driven_decay_model(3.0)
+    stream = substream(5, 0)
+    control = JumpControl(threshold=1.0)
+    engine = JumpEngine(model, 0.1)
+    out = engine.run(basis_ket(2, 0).amplitudes.reshape(1, -1), [stream], 1, controls=[control])
+    assert control.jumps == 1 and control.survival == 1.0
+    assert stream.draws == 2
+    assert abs(abs(out[0, 0]) - 1.0) < 1e-15 and out[0, 1] == 0.0
+
+
+@pytest.mark.parametrize("dim,channels", [(2, 1), (3, 2), (8, 3)])
+def test_expm_matches_scipy(dim, channels):
+    rng = np.random.default_rng(60 + dim)
+    generator = random_model(rng, dim, channels).generator()
+    scale = np.abs(generator).sum(axis=0).max()
+    for size in (1e-4, 1e-2, 0.3, 0.5, 1.0, 7.0, 50.0):
+        a = generator * (size / scale)
+        want = linalg.expm(a)
+        got = _expm(a)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), size
+
+
+def test_segmented_runs_match_one_run():
+    rng = np.random.default_rng(77)
+    model = random_model(rng, 3, 2)
+    states = np.array([
+        make_doubled_state(random_ket(rng, 3), random_ket(rng, 3)).vector() for _ in range(6)
+    ])
+    dt, n_steps = 1e-2, 300
+
+    def started(seed):
+        streams = [substream(seed, i) for i in range(len(states))]
+        return streams, [JumpControl.start(s) for s in streams]
+
+    streams, controls = started(3)
+    engine = JumpEngine(model, dt)
+    whole = engine.run(states, streams, n_steps, controls=controls)
+    assert engine.last_jump_counts.sum() > 6
+    split_streams, split_controls = started(3)
+    out = states
+    for start, stop in zip([0, 1, 37, 38, 150], [1, 37, 38, 150, n_steps]):
+        out = engine.run(out, split_streams, stop - start, controls=split_controls)
+    assert [c.jumps for c in controls] == [c.jumps for c in split_controls]
+    assert [s.draws for s in streams] == [s.draws for s in split_streams]
+    assert [c.threshold for c in controls] == [c.threshold for c in split_controls]
+    np.testing.assert_allclose(
+        [c.survival for c in split_controls], [c.survival for c in controls], rtol=1e-12
+    )
+    np.testing.assert_allclose(out, whole, rtol=0, atol=1e-12)
+
+
+def test_stepwise_calls_match_one_run():
+    from qsdsim import step_jump
+
+    model = driven_decay_model(3.0)
+    psi0 = Ket(np.array([1.0, 1.0j]) / np.sqrt(2.0))
+    dt, n_steps = 1e-2, 400
+    stream = substream(8, 0)
+    control = JumpControl.start(stream)
+    whole = JumpEngine(model, dt).run(
+        psi0.amplitudes.reshape(1, -1), [stream], n_steps, controls=[control]
+    )[0]
+    assert control.jumps >= 2
+    step_stream = substream(8, 0)
+    step_control = JumpControl.start(step_stream)
+    state = psi0
+    for _ in range(n_steps):
+        state = step_jump(state, model, dt, step_stream, step_control)
+    assert step_control.jumps == control.jumps
+    assert step_stream.draws == stream.draws
+    np.testing.assert_allclose(state.amplitudes, whole, rtol=0, atol=1e-12)
 
 
 def test_persistent_control_draw_economy():

@@ -5,14 +5,18 @@ row-major form: one (batch, width) array, doubled rows stepped with the
 block-diagonal operators of ``extend_model``, and noise drawn stepwise with
 ``NoiseStream.wiener``.  The engines step doubled rows block by block with
 the model's own operators, so agreement also shows that the two blocks see
-the same dynamics and share their noise.  The coupled-pair reference steps
-separate (batch, dim) arrays of kets and bras, one product per operator.
+the same dynamics and share their noise.  The jump reference takes one
+substep at a time with ``scipy.linalg.expm`` of dt G, where the engine
+finds each jump by binary lifting over powers of its own propagator.  The
+coupled-pair reference steps separate (batch, dim) arrays of kets and bras,
+one product per operator.
 """
 
 import sys
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from conftest import decay_element_setup, random_ket, random_model
 from qsdsim import (
@@ -67,24 +71,27 @@ def reference_qsd_run(states, model, dt, scheme, streams, n_steps):
     return states
 
 
-def reference_jump_run(states, model, dt, streams, n_steps):
-    """Row-major survival-threshold jump substeps; returns the states and
-    the number of jumps of each row."""
-    ldl = model.ldl_sum()
-    no_jump = np.eye(model.dim) + dt * model.generator()
+def reference_jump_run(states, model, dt, streams, n_steps, record_steps=()):
+    """Row-major survival-threshold jump substeps under the exact no-jump
+    propagator; returns the states, the number of jumps of each row and the
+    states at ``record_steps``."""
+    step = linalg.expm(dt * model.generator())
     thresholds = np.array([s.uniform() for s in streams])
     survival = np.ones(len(streams))
     jumps = np.zeros(len(streams), dtype=int)
-    for _ in range(n_steps):
-        p_tot = dt * np.einsum("bi,bi->b", states.conj(), states @ ldl.T).real
-        assert p_tot.max() <= 0.1
-        next_survival = survival * (1.0 - p_tot)
+    recorded = {0: states.copy()} if 0 in record_steps else {}
+    for n in range(1, n_steps + 1):
+        new = states @ step.T
+        norm2 = np.einsum("bi,bi->b", new.conj(), new).real
+        next_survival = survival * norm2
         jump = next_survival < thresholds
-        new = states @ no_jump.T
-        new /= np.linalg.norm(new, axis=1)[:, None]
+        new /= np.sqrt(norm2)[:, None]
         for i in np.nonzero(jump)[0]:
             candidates = [op.matrix @ states[i] for op in model.lindblads]
             weights = np.array([np.linalg.norm(c) ** 2 for c in candidates])
+            if weights.sum() == 0.0:
+                candidates = [op.matrix @ (step @ states[i]) for op in model.lindblads]
+                weights = np.array([np.linalg.norm(c) ** 2 for c in candidates])
             pick = streams[i].uniform() * weights.sum()
             acc, channel = 0.0, len(weights) - 1
             for j, w in enumerate(weights):
@@ -97,7 +104,9 @@ def reference_jump_run(states, model, dt, streams, n_steps):
         survival = np.where(jump, 1.0, next_survival)
         jumps += jump
         states = new
-    return states, jumps
+        if n in record_steps:
+            recorded[n] = states.copy()
+    return states, jumps, recorded
 
 
 def reference_pair_step(kets, bras, model, dt, variant, dxi):
@@ -188,24 +197,45 @@ def test_single_step_functions_match_reference(dim, channels, doubled):
         assert_rows_close(got.reshape(1, -1), want)
 
 
-@pytest.mark.parametrize("n_steps", [1, 200])
+# irregular record steps, with neighbouring nodes, a power of two and its
+# neighbour, so that rounds of one substep and of many both occur
+JUMP_RECORDS = {
+    1: (),
+    37: (0, 1, 2, 5, 17, 36, 37),
+    200: (),
+    1000: (3, 64, 65, 511, 512, 513, 999),
+}
+
+
+@pytest.mark.parametrize("n_steps", sorted(JUMP_RECORDS))
 @pytest.mark.parametrize("dim,channels,doubled", cases())
 def test_jump_engine_matches_row_major_reference(dim, channels, doubled, n_steps):
     rng = np.random.default_rng(500 + 1000 * dim + 10 * channels + doubled)
     model = random_model(rng, dim, channels)
     states = random_rows(rng, model, doubled)
-    # the largest possible jump probability per substep is 0.05
+    # the largest possible jump probability per substep is about 0.05
     dt = 0.05 / np.linalg.eigvalsh(model.ldl_sum()).max()
     engine = JumpEngine(model, dt)
     streams = [substream(8, i) for i in range(BATCH)]
-    got = engine.run(states, streams, n_steps)
+    record_steps = JUMP_RECORDS[n_steps]
+    recorded = {}
+
+    def on_record(slot, rows, norms):
+        recorded[record_steps[slot]] = rows.copy()
+
+    got = engine.run(states, streams, n_steps, record_steps, on_record)
     ref_model = extend_model(model) if doubled else model
     ref_streams = [substream(8, i) for i in range(BATCH)]
-    want, jumps = reference_jump_run(states, ref_model, dt, ref_streams, n_steps)
+    want, jumps, want_recorded = reference_jump_run(
+        states, ref_model, dt, ref_streams, n_steps, record_steps
+    )
     assert np.array_equal(engine.last_jump_counts, jumps)
     assert [s.draws for s in streams] == [s.draws for s in ref_streams]
     assert_rows_close(got, want)
-    if n_steps == 200:
+    assert sorted(recorded) == sorted(want_recorded) == sorted(record_steps)
+    for step in record_steps:
+        assert_rows_close(recorded[step], want_recorded[step])
+    if n_steps >= 200:
         assert jumps.sum() > 0
 
 
@@ -220,7 +250,7 @@ def test_step_jump_matches_reference_on_doubled_state(rng):
     ref_stream = substream(2, 0)
     want = pair.vector().reshape(1, -1)
     for _ in range(50):
-        want, _ = reference_jump_run(want, extend_model(model), dt, [ref_stream], 1)
+        want, _, _ = reference_jump_run(want, extend_model(model), dt, [ref_stream], 1)
     assert_rows_close(state.vector().reshape(1, -1), want)
     assert stream.draws == ref_stream.draws
 
