@@ -7,18 +7,12 @@ from .correlations import (
     CorrelationRequest,
     correlate,
     heisenberg_element,
-    prepare_initial,
 )
 from .diffusion import (
     SCHEMES,
     QsdEngine,
     SdeConfig,
-    Trajectory,
     complex_standard_error,
-    estimate_matrix_element,
-    propagate,
-    step_normalized,
-    step_quasilinear,
 )
 from .ensemble import (
     BenchmarkPoint,
@@ -32,12 +26,9 @@ from .errors import InstabilityError
 from .gisin import (
     DEFAULT_FLOOR,
     VARIANTS,
-    CoupledPair,
     GisinResult,
     instability_report,
     run_coupled_ensemble,
-    step_coupled,
-    step_coupled_quasilinear,
 )
 from .hilbert import (
     DoubledState,
@@ -53,11 +44,7 @@ from .hilbert import (
     sigma_minus,
     sigma_plus,
 )
-from .jumps import (
-    JumpControl,
-    JumpEngine,
-    step_jump,
-)
+from .jumps import JumpEngine
 from .master import (
     DegenerateSteadyStateError,
     DensityMatrix,
@@ -69,14 +56,13 @@ from .master import (
     steady_state,
     two_time_correlation,
 )
-from .noise import NoiseStream, substream, wiener_increments
+from .noise import NoiseStream, substream
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkPoint",
     "CorrelationRequest",
-    "CoupledPair",
     "DEFAULT_FLOOR",
     "DegenerateSteadyStateError",
     "DensityMatrix",
@@ -86,7 +72,6 @@ __all__ = [
     "GisinResult",
     "INITIAL_SPECS",
     "InstabilityError",
-    "JumpControl",
     "JumpEngine",
     "Ket",
     "LindbladModel",
@@ -95,7 +80,6 @@ __all__ = [
     "QsdEngine",
     "SCHEMES",
     "SdeConfig",
-    "Trajectory",
     "VARIANTS",
     "basis_ket",
     "benchmark_sweep",
@@ -107,14 +91,11 @@ __all__ = [
     "doubled_matrix_element",
     "drive_hamiltonian",
     "driven_decay_model",
-    "estimate_matrix_element",
     "evolve",
     "extend_model",
     "heisenberg_element",
     "instability_report",
     "make_doubled_state",
-    "prepare_initial",
-    "propagate",
     "regression_matrix_element",
     "relative_rms_error",
     "run_coupled_ensemble",
@@ -122,13 +103,7 @@ __all__ = [
     "sigma_minus",
     "sigma_plus",
     "steady_state",
-    "step_coupled",
-    "step_coupled_quasilinear",
-    "step_jump",
-    "step_normalized",
-    "step_quasilinear",
     "substream",
     "two_time_correlation",
-    "wiener_increments",
     "__version__",
 ]

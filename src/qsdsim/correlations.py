@@ -27,13 +27,12 @@ import numpy as np
 
 from .diffusion import QsdEngine, SdeConfig
 from .ensemble import EnsembleResult, run_ensemble
-from .hilbert import Ket, LindbladModel, Operator, make_doubled_state
+from .hilbert import Ket, LindbladModel, Operator, _check_dims, make_doubled_state
 from .jumps import JumpEngine
-from .noise import NoiseStream, grid_steps
+from .noise import grid_steps
 
 __all__ = [
     "CorrelationRequest",
-    "prepare_initial",
     "heisenberg_element",
     "correlate",
 ]
@@ -178,32 +177,6 @@ def _correlation_chunk(
     )
 
 
-def prepare_initial(
-    initial: "Ket | str",
-    model: LindbladModel,
-    warmup_time: float,
-    sde: SdeConfig,
-    stream: NoiseStream,
-) -> Ket:
-    """Single-trajectory initial state: explicit ket, or Haar draw + warmup.
-
-    An explicit Ket is returned unchanged (normalized); the named specs draw
-    a Haar-uniform ket from ``stream`` and relax it for ``warmup_time``
-    under the model's unraveled dynamics.
-    """
-    if isinstance(initial, Ket):
-        return initial.normalized()
-    if initial not in INITIAL_SPECS:
-        raise ValueError(f"unknown initial spec {initial!r}")
-    states = _haar_rows([stream], model.dim)
-    (steps,) = grid_steps([warmup_time], sde.dt, "warmup_time")
-    if steps > 0:
-        states = _engine(model, sde).run(states, [stream], steps)
-        if sde.scheme == "quasi_linear":
-            states = _normalize_rows(states)
-    return Ket(states[0])
-
-
 def heisenberg_element(
     observable: Operator,
     bra_state: Ket,
@@ -216,12 +189,14 @@ def heisenberg_element(
     workers: int = 1,
     keep_samples: bool = False,
 ) -> EnsembleResult:
-    """Trajectory estimate of <bra| A(t) |ket> on ``t_grid``.
+    """Ensemble estimate of <bra| A(t) |ket> on ``t_grid``.
 
     Stacks the pair into (bra, ket)/sqrt(2) and averages the doubled-space
     estimator over ``n_trajectories`` realizations of the unraveling that
     ``sde.scheme`` names.
     """
+    # a pair of the wrong width would be stepped as something else
+    _check_dims(model, observable=observable, bra=bra_state, ket=ket_state)
     grid = np.asarray(t_grid, dtype=float)
     node_steps = grid_steps(grid, sde.dt)
     theta0 = make_doubled_state(bra_state.normalized(), ket_state.normalized())
@@ -252,12 +227,12 @@ def correlate(
     workers: int = 1,
     keep_samples: bool = False,
 ) -> EnsembleResult:
-    """Trajectory estimate of <A(t + tau) B(t)> over ``request.tau_grid``,
+    """Ensemble estimate of <A(t + tau) B(t)> over ``request.tau_grid``,
     by the unraveling that ``request.sde.scheme`` names."""
-    if request.observable.dim != model.dim:
-        raise ValueError(
-            f"dimension mismatch: observable {request.observable.dim}, model {model.dim}"
-        )
+    parts = {"observable": request.observable}
+    if isinstance(request.initial, Ket):
+        parts["initial"] = request.initial
+    _check_dims(model, **parts)
     # fail on incommensurate times before any trajectory work starts
     dt = request.sde.dt
     if isinstance(request.initial, Ket):

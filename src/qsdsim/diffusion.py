@@ -18,13 +18,16 @@ quasi_linear
     state; the propagated state is never renormalized and the estimator
     divides by its squared norm instead.
 
-Both schemes run unchanged on the doubled space.  The duplicated operators
-are block-diagonal, so a DoubledState input is stepped block by block with
-the model's own d x d operators, both blocks driven by the same noise, and
-expectations and norms are summed over both blocks; the duplicated model
-(``extend_model``) is never built.  Ensemble averages of the block inner
-product 2 <upper|A|lower> then estimate Heisenberg-picture matrix elements
-between the two stacked states.
+Both schemes run unchanged on the doubled space.  :class:`QsdEngine` steps
+a batch of rows, each a ket of width d or a stacked doubled state of width
+2d.  The duplicated operators are block-diagonal, so a doubled row is
+stepped block by block with the model's own d x d operators, both blocks
+driven by the same noise, and expectations and norms are summed over both
+blocks; the duplicated model (``extend_model``) is never built.  Ensemble
+averages of the block inner product 2 <upper|A|lower> then estimate
+Heisenberg-picture matrix elements between the two stacked states
+(:mod:`qsdsim.correlations`).  There is no single-trajectory stepper: one
+trajectory is a batch of one row.
 
 The drift is ``LindbladModel.generator``; the step-size check, the dt grid
 rule and the blocked noise come from :mod:`qsdsim.noise`.
@@ -36,17 +39,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InstabilityError
-from .hilbert import DoubledState, Ket, LindbladModel, Operator
-from .noise import NoiseStream, check_step, grid_steps, wiener_blocks
+from .hilbert import LindbladModel
+from .noise import NoiseStream, check_step, wiener_blocks
 
 __all__ = [
     "SdeConfig",
-    "Trajectory",
     "QsdEngine",
-    "step_normalized",
-    "step_quasilinear",
-    "propagate",
-    "estimate_matrix_element",
     "complex_standard_error",
 ]
 
@@ -74,29 +72,15 @@ class SdeConfig:
             raise ValueError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """One realization sampled at grid nodes.
-
-    ``norm_history[k]`` is the norm of the state at node k before any
-    renormalization was applied on the step landing there (node 0 records
-    the initial norm).
-    """
-
-    times: np.ndarray
-    states: list
-    norm_history: np.ndarray
-
-
 class QsdEngine:
     """Batched Euler-Maruyama propagation of many trajectories at once.
 
     Each row of the (batch, dim) input is one trajectory; a row of width
     2 dim is a doubled state, whose two blocks are stepped with the model's
     own d x d operators under the row's shared noise, expectations and norms
-    summed over both blocks.  Trajectory i draws its noise from streams[i],
-    in the same order as a stepwise single-trajectory run, so batching never
-    changes the noise a trajectory sees.  Overflow during a step is not
+    summed over both blocks.  Row i draws its noise from streams[i],
+    in the same order as stepwise ``NoiseStream.wiener`` draws, so batching
+    never changes the noise a trajectory sees.  Overflow during a step is not
     warned about: it makes a norm non-finite, which raises InstabilityError
     naming the first trajectory it hit.
 
@@ -116,8 +100,7 @@ class QsdEngine:
         self.scheme = scheme
         self.dim = model.dim
         self.n_channels = model.n_channels
-        drift = np.eye(model.dim) + dt * model.generator()
-        self._stack = np.concatenate([drift] + [op.matrix for op in model.lindblads])
+        self._stack = _euler_stack(model, dt)
 
     def _step(self, x: np.ndarray, inv_norm2, dxi: np.ndarray) -> np.ndarray:
         """One step of column-major states ``x`` (dim, k, batch).
@@ -172,8 +155,7 @@ class QsdEngine:
 
     def _advance(self, x, increments, n_steps, slots, on_record=None, streams=None):
         """Step column-major ``x`` once per (n_channels, batch) entry of
-        ``increments``, checking every norm; the loop behind :meth:`run` and
-        the single-step functions."""
+        ``increments``, checking every norm; the loop behind :meth:`run`."""
         renorm = self.scheme == "normalized"
         norm2 = _real_inner(x, x)
         if 0 in slots and on_record is not None:
@@ -219,6 +201,13 @@ class QsdEngine:
         return x
 
 
+def _euler_stack(model: LindbladModel, dt: float) -> np.ndarray:
+    """The stacked (dim (1 + n_channels), dim) matrix (I + dt G; L_1; ...; L_c):
+    one product with it gives a batch's Euler drift and every L_j psi."""
+    drift = np.eye(model.dim) + dt * model.generator()
+    return np.concatenate([drift] + [op.matrix for op in model.lindblads])
+
+
 def _columns(states, dim: int) -> np.ndarray:
     """(batch, k dim) rows, k = 1 for kets and 2 for doubled states, as a
     new C-contiguous (dim, k, batch) array: [i, blk, b] is amplitude i of
@@ -246,7 +235,6 @@ def _real_inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return sums[0::2] + sums[1::2]
 
 
-
 def _record_slots(record_steps, n_steps: int) -> dict:
     """Slot of each distinct step count in ``record_steps``, in order."""
     record = sorted(set(int(k) for k in record_steps))
@@ -263,82 +251,6 @@ def _unstable_row(what: str, bad: np.ndarray, streams=None) -> InstabilityError:
     return InstabilityError(what)
 
 
-def _split_state(state, model: LindbladModel):
-    """A Ket or DoubledState as a flat vector (the doubled one stacked) plus
-    whether it is doubled; the engines step either with the base model."""
-    if isinstance(state, DoubledState):
-        if state.dim != model.dim:
-            raise ValueError(
-                f"dimension mismatch: doubled state blocks {state.dim}, model {model.dim}"
-            )
-        return state.vector(), True
-    if isinstance(state, Ket):
-        if state.dim != model.dim:
-            raise ValueError(f"dimension mismatch: state {state.dim}, model {model.dim}")
-        return state.amplitudes.copy(), False
-    raise TypeError(f"expected Ket or DoubledState, got {type(state).__name__}")
-
-
-def _pack_state(vec: np.ndarray, dim: int, doubled: bool):
-    if doubled:
-        return DoubledState.from_vector(vec, dim)
-    return Ket(vec)
-
-
-def _single_step(state, model: LindbladModel, dt: float, scheme: str, increments):
-    vec, doubled = _split_state(state, model)
-    engine = QsdEngine(model, dt, scheme)
-    dxi = np.asarray(increments, dtype=complex).reshape(-1, 1)
-    if dxi.shape[0] != model.n_channels:
-        raise ValueError(f"expected {model.n_channels} increments, got {dxi.shape[0]}")
-    x = engine._advance(_columns(vec.reshape(1, -1), model.dim), [dxi], 1, {})
-    return _pack_state(_rows(x)[0], model.dim, doubled)
-
-
-def step_normalized(state, model: LindbladModel, dt: float, increments: np.ndarray):
-    """One renormalized Euler-Maruyama step; returns the same state type.
-
-    ``increments`` holds one complex Wiener increment per channel.  A
-    DoubledState is stepped block by block with the model's operators and
-    expectations over the whole stacked vector.
-    """
-    return _single_step(state, model, dt, "normalized", increments)
-
-
-def step_quasilinear(state, model: LindbladModel, dt: float, increments: np.ndarray):
-    """One quasi-linear Euler-Maruyama step; no renormalization."""
-    return _single_step(state, model, dt, "quasi_linear", increments)
-
-
-def propagate(
-    state0,
-    model: LindbladModel,
-    config: SdeConfig,
-    stream: NoiseStream,
-    t_grid,
-) -> Trajectory:
-    """Integrate one realization, sampling states at the grid nodes.
-
-    The grid must start at the initial time of ``state0`` and every node
-    must be an integer number of dt steps from the first.
-    """
-    grid = np.asarray(t_grid, dtype=float)
-    steps = grid_steps(grid - grid[:1], config.dt)  # counted from the first node
-    vec, doubled = _split_state(state0, model)
-    engine = QsdEngine(model, config.dt, config.scheme)
-
-    recorded: list[np.ndarray] = [None] * len(steps)
-    norms = np.zeros(len(steps))
-
-    def on_record(slot, states, pre_norms):
-        recorded[slot] = states[0].copy()
-        norms[slot] = pre_norms[0]
-
-    engine.run(vec.reshape(1, -1), [stream], steps[-1], steps, on_record)
-    states = [_pack_state(v, model.dim, doubled) for v in recorded]
-    return Trajectory(times=grid.copy(), states=states, norm_history=norms)
-
-
 def complex_standard_error(samples: np.ndarray) -> float:
     """Standard error of a complex sample mean.
 
@@ -353,33 +265,3 @@ def complex_standard_error(samples: np.ndarray) -> float:
     return float(
         np.sqrt((np.var(samples.real, ddof=1) + np.var(samples.imag, ddof=1)) / n)
     )
-
-
-def estimate_matrix_element(
-    samples: Sequence[DoubledState],
-    observable: Operator,
-    scheme: str = "normalized",
-) -> tuple[complex, float]:
-    """Matrix-element estimate from doubled-space samples at one time.
-
-    For the normalized and jump schemes, whose engines renormalize every
-    step, each sample contributes 2 <upper|A|lower>; for the quasi-linear
-    scheme the contribution is divided by the squared norm of the stacked
-    vector.  Returns (mean, standard_error).
-    """
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if not samples:
-        raise ValueError("need at least one sample")
-    vals = np.empty(len(samples), dtype=complex)
-    for i, s in enumerate(samples):
-        if not isinstance(s, DoubledState):
-            raise TypeError("samples must be DoubledState instances")
-        raw = 2.0 * np.vdot(s.upper.amplitudes, observable.matrix @ s.lower.amplitudes)
-        if scheme == "quasi_linear":
-            nrm2 = s.norm() ** 2
-            if nrm2 == 0.0:
-                raise InstabilityError("quasi-linear sample has zero norm")
-            raw /= nrm2
-        vals[i] = raw
-    return complex(vals.mean()), complex_standard_error(vals)

@@ -56,53 +56,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import complex_standard_error
-from .errors import InstabilityError
-from .hilbert import Ket, LindbladModel, Operator
+from .diffusion import _euler_stack, _record_slots, complex_standard_error
+from .hilbert import Ket, LindbladModel, Operator, _check_dims
 from .noise import check_step, grid_steps, substream, wiener_blocks
 
 __all__ = [
-    "CoupledPair",
     "GisinResult",
-    "step_coupled",
-    "step_coupled_quasilinear",
     "run_coupled_ensemble",
     "instability_report",
 ]
 
 DEFAULT_FLOOR = 1e-12
 VARIANTS = ("unity", "quasi_linear")
-
-
-@dataclass(frozen=True, eq=False)
-class CoupledPair:
-    """Bra-side and ket-side states evolving under shared noise.
-
-    ``scalar_products`` records <bra|ket> after each applied step (index 0
-    is the initial value); the full scheme keeps it constant up to
-    discretization error, the quasi-linear variant lets it wander.
-    """
-
-    bra_side: Ket
-    ket_side: Ket
-    scalar_products: tuple = ()
-
-    def __post_init__(self):
-        if self.bra_side.dim != self.ket_side.dim:
-            raise ValueError(
-                f"dimension mismatch: {self.bra_side.dim} vs {self.ket_side.dim}"
-            )
-        if not self.scalar_products:
-            object.__setattr__(
-                self, "scalar_products", (self.bra_side.overlap(self.ket_side),)
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.bra_side.dim
-
-    def scalar_product(self) -> complex:
-        return self.scalar_products[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,9 +95,9 @@ class _PairKernel:
     operation and every sum over the dimension runs on contiguous rows of
     length batch.  A step is one product with the stacked
     (dim (1 + n_channels), dim) matrix of the Euler drift I + dt G and every
-    L_j.  :meth:`advance` steps every row and never raises: rows it aborts
-    or flags as overflowed are frozen by a mask, and callers decide what
-    that means (raise for single pairs, tally for ensembles).
+    L_j, shared with :class:`qsdsim.diffusion.QsdEngine`.  :meth:`advance`
+    steps every row and never raises: rows it aborts or flags as overflowed
+    are frozen by a mask, and the ensemble tallies them.
     """
 
     def __init__(self, model: LindbladModel, dt: float, variant: str):
@@ -141,8 +106,7 @@ class _PairKernel:
         self.dt = check_step(dt)
         self.variant = variant
         self.dim = model.dim
-        drift = np.eye(model.dim) + self.dt * model.generator()
-        self._stack = np.concatenate([drift] + [op.matrix for op in model.lindblads])
+        self._stack = _euler_stack(model, self.dt)
 
     def step(self, x: np.ndarray, sp: np.ndarray, dxi: np.ndarray) -> np.ndarray:
         """One step of column-major pairs ``x`` whose scalar products
@@ -205,51 +169,6 @@ def _scalar_products(x: np.ndarray) -> np.ndarray:
     return (x[:, 1].conj() * x[:, 0]).sum(axis=0)
 
 
-def _single_step(pair, model, dt, increments, variant, floor) -> CoupledPair:
-    if pair.dim != model.dim:
-        raise ValueError(f"dimension mismatch: pair {pair.dim}, model {model.dim}")
-    dxi = np.asarray(increments, dtype=complex).reshape(-1, 1)
-    if dxi.shape[0] != model.n_channels:
-        raise ValueError(f"expected {model.n_channels} increments, got {dxi.shape[0]}")
-    kernel = _PairKernel(model, dt, variant)
-    x = np.stack([pair.ket_side.amplitudes, pair.bra_side.amplitudes], axis=1)[:, :, None]
-    x, sp, aborted, overflowed = kernel.advance(x, [dxi], floor, lambda *_: None)
-    if aborted[0]:
-        raise InstabilityError(
-            f"scalar product magnitude {abs(sp[0]):.3e} below floor {floor:g}; "
-            "realization aborted"
-        )
-    if overflowed[0]:
-        raise InstabilityError("coupled step produced non-finite amplitudes or scalar product")
-    bra, ket = Ket(x[:, 1, 0]), Ket(x[:, 0, 0])
-    return CoupledPair(
-        bra_side=bra, ket_side=ket, scalar_products=pair.scalar_products + (bra.overlap(ket),)
-    )
-
-
-def step_coupled(
-    pair: CoupledPair,
-    model: LindbladModel,
-    dt: float,
-    increments: np.ndarray,
-    floor: float = DEFAULT_FLOOR,
-) -> CoupledPair:
-    """One step of the scalar-product-preserving coupled scheme."""
-    return _single_step(pair, model, dt, increments, "unity", floor)
-
-
-def step_coupled_quasilinear(
-    pair: CoupledPair,
-    model: LindbladModel,
-    dt: float,
-    increments: np.ndarray,
-    floor: float = DEFAULT_FLOOR,
-) -> CoupledPair:
-    """One step of the quasi-linear coupled variant (shared increments,
-    cross drift coefficients, no nonlinear compensation)."""
-    return _single_step(pair, model, dt, increments, "quasi_linear", floor)
-
-
 def run_coupled_ensemble(
     observable: Operator,
     bra_state: Ket,
@@ -270,6 +189,7 @@ def run_coupled_ensemble(
     excluded from the mean and error from that node on; ``n_alive`` tracks
     how many realizations still contribute at each node.
     """
+    _check_dims(model, observable=observable, bra=bra_state, ket=ket_state)
     grid = np.asarray(t_grid, dtype=float)
     steps = grid_steps(grid, dt)
     if n < 1:
@@ -291,7 +211,7 @@ def run_coupled_ensemble(
     x[:, 1] = bra0[:, None]
     streams = [substream(seed, i) for i in range(n)]
     vals = np.full((len(steps), n), np.nan + 0j, dtype=complex)
-    slots = {k: i for i, k in enumerate(steps)}
+    slots = _record_slots(steps, steps[-1])
     max_drift = 0.0
 
     def on_step(done, x, sp, alive):

@@ -230,6 +230,14 @@ class DoubledState:
         return float(np.sqrt(self.upper.norm() ** 2 + self.lower.norm() ** 2))
 
 
+def _check_dims(model: LindbladModel, **parts) -> None:
+    """Raise a ValueError naming the first of ``parts`` (Kets or Operators)
+    whose dimension is not the model's."""
+    for name, part in parts.items():
+        if part.dim != model.dim:
+            raise ValueError(f"dimension mismatch: {name} {part.dim}, model {model.dim}")
+
+
 def make_doubled_state(bra_state: Ket, ket_state: Ket) -> DoubledState:
     """Stack two normalized states into the unit-norm doubled vector.
 

@@ -16,8 +16,8 @@ weights and the jump are taken at the jump substep itself.
 Jump times lie on the dt grid, but the drift between them carries no
 discretization error, so dt does not limit stability.  Only two random
 numbers are consumed per jump (the channel draw and the next threshold),
-plus one threshold per ``run`` segment unless a :class:`JumpControl` carries
-the sampler over from the previous one.
+plus one threshold per trajectory at the start of every ``run``, which
+starts each trajectory afresh with survival 1.
 
 ``run`` moves the whole batch in lock-step rounds, to each record node and
 then to ``n_steps``.  Within a round, the jump substep of every trajectory
@@ -42,27 +42,14 @@ step is checked by ``noise.check_step``, as in the diffusive engine.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (
-    _columns,
-    _pack_state,
-    _real_inner,
-    _record_slots,
-    _rows,
-    _split_state,
-    _unstable_row,
-)
+from .diffusion import _columns, _real_inner, _record_slots, _rows, _unstable_row
 from .hilbert import LindbladModel
-from .noise import NoiseStream, check_step
+from .noise import check_step
 
-__all__ = [
-    "JumpControl",
-    "JumpEngine",
-    "step_jump",
-]
+__all__ = ["JumpEngine"]
 
 # exp(a) is a degree-16 Taylor polynomial of a / 2^s, ||a / 2^s||_1 <= 1/2,
 # squared s times; the truncation error is below 0.5^17 / 17! = 2e-20.
@@ -91,26 +78,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
         for _ in range(squarings):
             out = out @ out
     return out
-
-
-@dataclass
-class JumpControl:
-    """Waiting-time sampler state carried between ``run`` segments.
-
-    ``threshold`` is the uniform the survival probability is compared
-    against; ``survival`` is the exact no-jump probability since the last
-    jump, ||U^m psi||^2 for the unit state psi left by that jump.  With a
-    fresh control per substep the decision degenerates to an independent
-    draw per call, with jump probability 1 - ||U psi||^2.
-    """
-
-    threshold: float
-    survival: float = 1.0
-    jumps: int = 0
-
-    @classmethod
-    def start(cls, stream: NoiseStream) -> "JumpControl":
-        return cls(threshold=stream.uniform())
 
 
 class JumpEngine:
@@ -148,7 +115,6 @@ class JumpEngine:
         n_steps: int,
         record_steps=(),
         on_record=None,
-        controls: "list[JumpControl] | None" = None,
     ) -> np.ndarray:
         """Advance states by ``n_steps`` substeps.
 
@@ -156,21 +122,18 @@ class JumpEngine:
         the norms handed to ``on_record`` are those of the no-jump
         propagation since the previous record node or jump, before
         renormalization (1 where a jump lands on the node).  The input
-        states are normalized first.  Fresh waiting-time controls are drawn
-        from the streams unless ``controls`` is given; per-trajectory jump
-        counts are left in ``last_jump_counts``.
+        states are normalized first.  Every trajectory starts with survival
+        1 and a fresh threshold, one uniform drawn from each stream in
+        stream order; per-trajectory jump counts are left in
+        ``last_jump_counts``.
         """
         x = _columns(states, self.dim)
         batch = x.shape[2]
         if len(streams) != batch:
             raise ValueError(f"need one stream per row: {len(streams)} streams, batch {batch}")
         slots = _record_slots(record_steps, n_steps)
-        if controls is None:
-            controls = [JumpControl.start(s) for s in streams]
-        elif len(controls) != batch:
-            raise ValueError("need one control per trajectory")
-        thresholds = np.array([c.threshold for c in controls])
-        survival = np.array([c.survival for c in controls])
+        thresholds = np.array([s.uniform() for s in streams])
+        survival = np.ones(batch)
         jumps = np.zeros(batch, dtype=np.int64)
 
         norms = np.sqrt(_real_inner(x, x))
@@ -193,10 +156,6 @@ class JumpEngine:
                     on_record(slots[stop], _rows(x), norms)
                 start = stop
 
-        for c, thr, sur, jmp in zip(controls, thresholds, survival, jumps):
-            c.threshold = float(thr)
-            c.survival = float(sur)
-            c.jumps += int(jmp)
         self.last_jump_counts = jumps
         return _rows(x)
 
@@ -276,23 +235,3 @@ class JumpEngine:
         states L_j x of column-major ``x``."""
         lx = (self._ls @ x.reshape(self.dim, -1)).reshape(-1, *x.shape)
         return (lx.real**2 + lx.imag**2).sum(axis=(1, 2)), lx
-
-
-def step_jump(
-    state,
-    model: LindbladModel,
-    dt: float,
-    stream: NoiseStream,
-    control: JumpControl | None = None,
-):
-    """One jump-unraveling substep on a Ket or DoubledState.
-
-    Without ``control`` the jump decision is an independent draw with
-    probability 1 - ||exp(dt G) state||^2 (one fresh threshold per call); a
-    persistent control carries the waiting-time sampler across calls so a
-    whole inter-jump interval consumes only the two draws of its jump.
-    """
-    vec, doubled = _split_state(state, model)
-    controls = [control] if control is not None else None
-    out = JumpEngine(model, dt).run(vec.reshape(1, -1), [stream], 1, controls=controls)[0]
-    return _pack_state(out, model.dim, doubled)

@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-__all__ = ["NoiseStream", "substream", "wiener_increments"]
+__all__ = ["NoiseStream", "substream"]
 
 # steps of noise generated per block in batched runs; bounds memory while
 # keeping per-trajectory draw order identical to stepwise generation
@@ -133,13 +133,6 @@ class NoiseStream:
 def substream(seed: int, trajectory_index: int) -> NoiseStream:
     """Independent stream for trajectory ``trajectory_index`` under ``seed``."""
     return NoiseStream(seed, trajectory_index)
-
-
-def wiener_increments(stream: NoiseStream, n_channels: int, dt: float) -> np.ndarray:
-    """Draw one step of complex Wiener increments from ``stream``."""
-    if n_channels < 1:
-        raise ValueError(f"n_channels must be >= 1, got {n_channels}")
-    return stream.wiener(n_channels, check_step(dt))
 
 
 def wiener_blocks(streams, n_steps: int, n_channels: int, dt: float):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from qsdsim import Ket, LindbladModel, Operator, basis_ket, decay_model, sigma_plus
+from qsdsim import Ket, LindbladModel, Operator, QsdEngine, basis_ket, decay_model, sigma_plus
+from qsdsim.diffusion import _columns, _rows
 
 
 def analytic_decay_element(t):
@@ -41,6 +42,14 @@ def random_model(rng, dim, n_channels, scale=1.0):
 def random_ket(rng, dim):
     vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return Ket(vec / np.linalg.norm(vec))
+
+
+def qsd_step(model, dt, scheme, rows, dxi):
+    """One QsdEngine step of (batch, width) ``rows`` under the given
+    (batch, n_channels) increments instead of drawn ones."""
+    engine = QsdEngine(model, dt, scheme)
+    dxi = np.asarray(dxi, dtype=complex).T
+    return _rows(engine._advance(_columns(rows, model.dim), [dxi], 1, {}))
 
 
 @pytest.fixture

@@ -15,7 +15,6 @@ from qsdsim import (
     doubled_matrix_element,
     driven_decay_model,
     heisenberg_element,
-    prepare_initial,
     sigma_minus,
     sigma_plus,
     steady_state,
@@ -167,27 +166,41 @@ def test_heisenberg_element_matches_oracle_on_random_model(rng):
     assert res.extras == {}
 
 
-def test_prepare_initial_passthrough_and_validation():
-    sde = SdeConfig(dt=1e-2)
-    stream = substream(0, 0)
-    psi = prepare_initial(Ket([2.0, 0.0]), decay_model(), 5.0, sde, stream)
-    assert np.allclose(psi.amplitudes, [1.0, 0.0])
-    assert stream.draws == 0
-    with pytest.raises(ValueError):
-        prepare_initial("thermal", decay_model(), 1.0, sde, stream)
+def zero_delay_request(initial, warmup_time=0.0):
+    """<sigma_plus sigma_minus> = |psi_e|^2 at t = tau = 0, from ``initial``."""
+    return CorrelationRequest(
+        observable=sigma_plus(), perturbation=sigma_minus(), t=0.0, tau_grid=[0.0],
+        n_trajectories=4, sde=SdeConfig(dt=1e-2), initial=initial, warmup_time=warmup_time,
+    )
 
 
-def test_prepare_initial_relaxes_decay_to_ground():
-    sde = SdeConfig(dt=1e-2)
-    psi = prepare_initial("steady_state", decay_model(), 15.0, sde, substream(8, 0))
-    assert abs(psi.overlap(basis_ket(2, 0))) > 1.0 - 1e-6
+def test_explicit_initial_is_normalized_and_draws_nothing():
+    res = correlate(zero_delay_request(Ket([0.0, 2.0])), decay_model(), seed=0)
+    assert res.mean[0] == pytest.approx(1.0, abs=1e-14)
+    assert res.draws_total == 0
 
 
-def test_prepare_initial_is_reproducible():
-    sde = SdeConfig(dt=1e-2)
-    a = prepare_initial("random_uniform", driven_decay_model(4.0), 2.0, sde, substream(3, 1))
-    b = prepare_initial("random_uniform", driven_decay_model(4.0), 2.0, sde, substream(3, 1))
-    assert np.array_equal(a.amplitudes, b.amplitudes)
+def test_warmup_relaxes_decay_to_ground_reproducibly():
+    request = zero_delay_request("steady_state", warmup_time=15.0)
+    res = correlate(request, decay_model(), seed=8)
+    assert 0.0 <= res.mean[0].real < 1e-5
+    again = correlate(request, decay_model(), seed=8)
+    assert np.array_equal(res.mean, again.mean)
+
+
+def test_dimensions_are_checked_against_the_model():
+    # a d = 1 pair stacks to width 2 = d and would be stepped as a ket
+    sde = SdeConfig(dt=0.01)
+    cases = [
+        (Operator(np.eye(1)), Ket([1.0]), Ket([1.0]), "observable 1, model 2"),
+        (sigma_plus(), Ket([1.0, 0.0, 0.0]), Ket([0.0, 1.0, 0.0]), "bra 3, model 2"),
+        (Operator(np.eye(3)), basis_ket(2, 0), basis_ket(2, 1), "observable 3, model 2"),
+    ]
+    for observable, bra, ket, message in cases:
+        with pytest.raises(ValueError, match=f"dimension mismatch: {message}"):
+            heisenberg_element(observable, bra, ket, decay_model(), [0.1], 4, sde, 1)
+    with pytest.raises(ValueError, match="dimension mismatch: initial 3, model 2"):
+        correlate(zero_delay_request(Ket([1.0, 0.0, 0.0])), decay_model(), seed=1)
 
 
 def test_warmup_reaches_stationary_covariance():

@@ -1,11 +1,10 @@
-"""Diffusive unraveling: stepping, propagation, estimator identities."""
+"""Diffusive unraveling: the QsdEngine step, its checks and its statistics."""
 
 import numpy as np
 import pytest
 
 from qsdsim import (
     DensityMatrix,
-    DoubledState,
     InstabilityError,
     JumpEngine,
     Ket,
@@ -15,17 +14,12 @@ from qsdsim import (
     basis_ket,
     complex_standard_error,
     decay_model,
-    estimate_matrix_element,
     evolve,
-    make_doubled_state,
-    propagate,
-    sigma_plus,
-    step_normalized,
-    step_quasilinear,
     substream,
 )
+from qsdsim.diffusion import _columns
 
-from conftest import decay_element_setup, random_ket, random_model
+from conftest import decay_element_setup, qsd_step, random_ket, random_model
 
 
 def test_sde_config_validation():
@@ -48,78 +42,50 @@ def test_qsd_engine_rejects_the_jump_scheme():
 def test_excited_state_is_deterministic_fixed_direction():
     # zero increments: the decay drift only shrinks |e> along itself, so the
     # renormalized step returns exactly the same direction
-    psi = basis_ket(2, 1)
-    out = step_normalized(psi, decay_model(), 1e-3, np.zeros(1, dtype=complex))
-    assert np.max(np.abs(out.amplitudes - psi.amplitudes)) < 1e-12
+    psi = basis_ket(2, 1).amplitudes.reshape(1, -1)
+    out = qsd_step(decay_model(), 1e-3, "normalized", psi, np.zeros((1, 1)))
+    assert np.max(np.abs(out - psi)) < 1e-12
 
 
 def test_ground_state_is_dark_for_quasilinear():
-    psi = basis_ket(2, 0)
-    increments = np.array([0.3 + 0.4j])
-    out = step_quasilinear(psi, decay_model(), 1e-3, increments)
-    assert np.array_equal(out.amplitudes, psi.amplitudes)
+    psi = basis_ket(2, 0).amplitudes.reshape(1, -1)
+    out = qsd_step(decay_model(), 1e-3, "quasi_linear", psi, np.array([[0.3 + 0.4j]]))
+    assert np.array_equal(out, psi)
 
 
-def test_step_preserves_state_type():
-    observable, bra, ket, model = decay_element_setup()
-    theta = make_doubled_state(bra, ket)
-    dxi = substream(0, 0).wiener(1, 1e-3)
-    assert isinstance(step_normalized(theta, model, 1e-3, dxi), DoubledState)
-    assert isinstance(step_normalized(ket, model, 1e-3, dxi), Ket)
-    assert isinstance(step_quasilinear(theta, model, 1e-3, dxi), DoubledState)
+@pytest.mark.parametrize("scheme", ["normalized", "quasi_linear"])
+def test_doubled_rows_stay_doubled(scheme):
+    # a row of width 2d is a doubled state: a zero lower block stays zero,
+    # and the upper block then follows the ket run under the same noise
+    _, _, ket, model = decay_element_setup()
+    engine = QsdEngine(model, 1e-3, scheme)
+    doubled = np.concatenate([ket.amplitudes, np.zeros(2)]).reshape(1, -1)
+    out = engine.run(doubled, [substream(0, 0)], 30)
+    alone = engine.run(ket.amplitudes.reshape(1, -1), [substream(0, 0)], 30)
+    assert out.shape == (1, 4) and alone.shape == (1, 2)
+    assert not out[0, 2:].any()
+    np.testing.assert_allclose(out[:, :2], alone, rtol=0, atol=1e-14)
 
 
-def test_step_rejects_wrong_increment_count():
-    with pytest.raises(ValueError):
-        step_normalized(basis_ket(2, 0), decay_model(), 1e-3, np.zeros(2, dtype=complex))
-    with pytest.raises(TypeError):
-        step_normalized(np.zeros(2), decay_model(), 1e-3, np.zeros(1, dtype=complex))
+def test_normalized_run_keeps_unit_norm():
+    norms = []
 
+    def on_record(slot, states, pre_norms):
+        norms.append(np.linalg.norm(states[0]))
 
-def test_normalized_step_keeps_unit_norm():
-    psi = Ket(np.array([0.6, 0.8]))
-    stream = substream(7, 0)
-    for _ in range(50):
-        psi = step_normalized(psi, decay_model(), 1e-2, stream.wiener(1, 1e-2))
-        assert psi.norm() == pytest.approx(1.0, abs=1e-12)
+    engine = QsdEngine(decay_model(), 1e-2)
+    psi = np.array([[0.6, 0.8]], dtype=complex)
+    engine.run(psi, [substream(7, 0)], 50, range(1, 51), on_record)
+    assert len(norms) == 50
+    np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
 
 
 def test_repeated_huge_kicks_raise_instability():
-    psi = Ket(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    with pytest.raises(InstabilityError):
-        for _ in range(5):
-            psi = step_quasilinear(
-                psi, decay_model(), 1e-3, np.array([1e200 + 0j])
-            )
-
-
-def test_propagate_is_bitwise_reproducible():
-    observable, bra, ket, model = decay_element_setup()
-    config = SdeConfig(dt=1e-2, scheme="normalized")
-    grid = np.linspace(0.0, 1.0, 5)
-    a = propagate(make_doubled_state(bra, ket), model, config, substream(3, 5), grid)
-    b = propagate(make_doubled_state(bra, ket), model, config, substream(3, 5), grid)
-    for sa, sb in zip(a.states, b.states):
-        assert np.array_equal(sa.vector(), sb.vector())
-    assert np.array_equal(a.norm_history, b.norm_history)
-
-
-def test_propagate_records_grid_and_types():
-    config = SdeConfig(dt=1e-2)
-    grid = np.array([0.0, 0.5, 1.0])
-    traj = propagate(basis_ket(2, 1), decay_model(), config, substream(0, 0), grid)
-    assert np.array_equal(traj.times, grid)
-    assert len(traj.states) == 3
-    assert all(isinstance(s, Ket) for s in traj.states)
-    assert traj.norm_history[0] == pytest.approx(1.0)
-    for s in traj.states:
-        assert s.norm() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_propagate_rejects_incommensurate_grid():
-    config = SdeConfig(dt=1e-2)
-    with pytest.raises(ValueError):
-        propagate(basis_ket(2, 0), decay_model(), config, substream(0, 0), [0.0, 0.005])
+    psi = np.array([[1.0, 1.0]]) / np.sqrt(2.0)
+    engine = QsdEngine(decay_model(), 1e-3, "quasi_linear")
+    kicks = [np.array([[1e200 + 0j]])] * 5
+    with pytest.raises(InstabilityError, match="non-finite state norm after step 1"):
+        engine._advance(_columns(psi, 2), kicks, 5, {})
 
 
 @pytest.mark.parametrize("engine_cls", [QsdEngine, JumpEngine])
@@ -158,6 +124,8 @@ def test_run_validates_shapes_and_records():
         engine.run(states, streams, 5, record_steps=[7])
     with pytest.raises(ValueError):
         engine.run(np.zeros((2, 3), dtype=complex), streams, 5)
+    with pytest.raises(ValueError):  # one trajectory is a batch of one row
+        engine.run(basis_ket(2, 1).amplitudes, streams[:1], 5)
 
 
 def pre_renorm_norm_drift(dt, n_steps, batch=64):
@@ -179,27 +147,6 @@ def test_norm_drift_scales_linearly_in_dt():
     coarse = pre_renorm_norm_drift(1e-2, 100)
     fine = pre_renorm_norm_drift(1e-3, 1000)
     assert 5.0 <= coarse / fine <= 20.0
-
-
-def test_estimator_identity_at_time_zero():
-    observable, bra, ket, model = decay_element_setup()
-    theta = make_doubled_state(bra, ket)
-    expected = complex(np.vdot(bra.amplitudes, observable.matrix @ ket.amplitudes))
-    for scheme in ("normalized", "quasi_linear"):
-        mean, se = estimate_matrix_element([theta, theta], observable, scheme)
-        assert mean == pytest.approx(expected, abs=1e-14)
-        assert se == 0.0
-
-
-def test_estimator_input_validation():
-    observable, bra, ket, model = decay_element_setup()
-    theta = make_doubled_state(bra, ket)
-    with pytest.raises(ValueError):
-        estimate_matrix_element([], observable)
-    with pytest.raises(TypeError):
-        estimate_matrix_element([ket], observable)
-    with pytest.raises(ValueError):
-        estimate_matrix_element([theta], observable, "other")
 
 
 def test_schemes_agree_with_master_equation():

@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from qsdsim import (
-    CoupledPair,
-    InstabilityError,
-    Ket,
     LindbladModel,
     Operator,
     SdeConfig,
@@ -15,49 +12,65 @@ from qsdsim import (
     instability_report,
     regression_matrix_element,
     run_coupled_ensemble,
-    step_coupled,
-    step_coupled_quasilinear,
     substream,
 )
+from qsdsim.gisin import VARIANTS, _PairKernel
 
 from conftest import decay_element_setup
 
 
-def test_pair_records_initial_scalar_product():
+def pair_rows(bras, kets):
+    """Column-major (dim, 2, batch) pairs: kets in block 0, bras in block 1."""
+    return np.stack([np.asarray(kets).T, np.asarray(bras).T], axis=1).astype(complex)
+
+
+def stepwise_increments(streams, n_steps, dt):
+    """(1, batch) increments of one channel, drawn step by step."""
+    for _ in range(n_steps):
+        yield np.array([s.wiener(1, dt) for s in streams]).T
+
+
+def skip(*_):
+    pass
+
+
+def test_dimension_mismatch_is_named():
     observable, bra, ket, model = decay_element_setup()
-    pair = CoupledPair(bra_side=bra, ket_side=ket)
-    assert pair.scalar_product() == pytest.approx(1.0 / np.sqrt(2.0))
-    assert len(pair.scalar_products) == 1
-    with pytest.raises(ValueError):
-        CoupledPair(bra_side=bra, ket_side=basis_ket(3, 0))
+    with pytest.raises(ValueError, match="dimension mismatch: bra 3, model 2"):
+        run_coupled_ensemble(observable, basis_ket(3, 0), ket, model, [0.1], 1e-2, 10, seed=0)
+    with pytest.raises(ValueError, match="dimension mismatch: observable 3, model 2"):
+        run_coupled_ensemble(Operator(np.eye(3)), bra, ket, model, [0.1], 1e-2, 10, seed=0)
 
 
-def test_trivial_model_leaves_pair_unchanged():
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_trivial_model_leaves_pair_unchanged(variant):
     model = LindbladModel(hamiltonian=Operator(np.zeros((2, 2))), lindblads=())
     observable, bra, ket, _ = decay_element_setup()
-    pair = CoupledPair(bra_side=bra, ket_side=ket)
-    increments = np.zeros(0, dtype=complex)
-    for stepper in (step_coupled, step_coupled_quasilinear):
-        out = stepper(pair, model, 1e-2, increments)
-        assert np.array_equal(out.ket_side.amplitudes, ket.amplitudes)
-        assert np.array_equal(out.bra_side.amplitudes, bra.amplitudes)
-        assert out.scalar_product() == pair.scalar_product()
-        assert len(out.scalar_products) == 2
+    start = pair_rows([bra.amplitudes], [ket.amplitudes])
+    x, sp, aborted, overflowed = _PairKernel(model, 1e-2, variant).advance(
+        start.copy(), [np.zeros((0, 1), dtype=complex)], 1e-12, skip
+    )
+    assert np.array_equal(x, start)
+    assert sp[0] == np.vdot(bra.amplitudes, ket.amplitudes)
+    assert not aborted.any() and not overflowed.any()
 
 
-def test_step_validation():
+def test_kernel_validation():
     observable, bra, ket, model = decay_element_setup()
-    pair = CoupledPair(bra_side=bra, ket_side=ket)
-    with pytest.raises(ValueError):
-        step_coupled(pair, model, 1e-2, np.zeros(3, dtype=complex))
     for dt in (0.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
-            step_coupled(pair, model, dt, np.zeros(1, dtype=complex))
+            _PairKernel(model, dt, "unity")
         with pytest.raises(ValueError, match="finite and positive"):
             run_coupled_ensemble(observable, bra, ket, model, [0.1], dt, 10, seed=0)
-    orthogonal = CoupledPair(bra_side=basis_ket(2, 0), ket_side=basis_ket(2, 1))
-    with pytest.raises(InstabilityError):
-        step_coupled(orthogonal, model, 1e-2, np.zeros(1, dtype=complex))
+    with pytest.raises(ValueError, match="unknown variant"):
+        _PairKernel(model, 1e-2, "linear")
+    # an orthogonal pair is aborted before its first step and stays frozen
+    start = pair_rows([basis_ket(2, 0).amplitudes], [basis_ket(2, 1).amplitudes])
+    x, sp, aborted, overflowed = _PairKernel(model, 1e-2, "unity").advance(
+        start.copy(), [np.zeros((1, 1), dtype=complex)], 1e-12, skip
+    )
+    assert aborted[0] and not overflowed[0]
+    assert np.array_equal(x, start) and sp[0] == 0.0
 
 
 def test_orthogonal_initial_pair_rejected_by_ensemble():
@@ -110,22 +123,23 @@ def test_overflowing_rows_are_flagged_without_warnings(strength, variant):
     assert res.overflowed > 0
     assert np.isfinite(res.max_scalar_drift)
     assert_frozen_rows_tallied(res, 50, 100)
-    step = step_coupled if variant == "unity" else step_coupled_quasilinear
-    pair, stream = CoupledPair(bra_side=bra, ket_side=ket), substream(0, 0)
-    with pytest.raises(InstabilityError, match="non-finite"):
-        for _ in range(100):
-            pair = step(pair, model, 0.01, stream.wiener(1, 0.01))
+    # trajectory 0 alone: flagged as overflowed, not aborted, and frozen finite
+    x, sp, aborted, overflowed = _PairKernel(model, 0.01, variant).advance(
+        pair_rows([bra.amplitudes], [ket.amplitudes]),
+        stepwise_increments([substream(0, 0)], 100, 0.01), 1e-12, skip,
+    )
+    assert overflowed[0] and not aborted[0]
+    assert np.all(np.isfinite(x)) and np.isfinite(sp[0])
 
 
 def accumulated_drift(model, bra, ket, dt, horizon=0.2, n=60, seed=17):
-    drifts = []
-    for i in range(n):
-        stream = substream(seed, i)
-        pair = CoupledPair(bra_side=bra, ket_side=ket)
-        for _ in range(int(round(horizon / dt))):
-            pair = step_coupled(pair, model, dt, stream.wiener(1, dt))
-        drifts.append(abs(pair.scalar_product() - pair.scalar_products[0]))
-    return float(np.mean(drifts))
+    streams = [substream(seed, i) for i in range(n)]
+    x = pair_rows([bra.amplitudes] * n, [ket.amplitudes] * n)
+    x, sp, aborted, overflowed = _PairKernel(model, dt, "unity").advance(
+        x, stepwise_increments(streams, int(round(horizon / dt)), dt), 1e-12, skip
+    )
+    assert not aborted.any() and not overflowed.any()
+    return float(np.mean(np.abs(sp - np.vdot(bra.amplitudes, ket.amplitudes))))
 
 
 def test_scalar_product_drift_shrinks_under_refinement():

@@ -8,7 +8,6 @@ from qsdsim import (
     CorrelationRequest,
     DensityMatrix,
     DoubledState,
-    JumpControl,
     JumpEngine,
     Ket,
     SdeConfig,
@@ -18,14 +17,14 @@ from qsdsim import (
     correlate,
     evolve,
     heisenberg_element,
-    make_doubled_state,
     regression_matrix_element,
     sigma_plus,
     substream,
     two_time_correlation,
 )
 
-from conftest import decay_element_setup, random_ket, random_model
+from conftest import decay_element_setup, random_model
+from qsdsim.diffusion import _columns, _rows
 from qsdsim.jumps import _expm
 
 
@@ -57,24 +56,23 @@ def test_two_draws_per_jump_accounting():
 
 
 def test_waiting_times_are_exponential():
-    # excited atom with unit decay rate: first-jump times ~ Exp(1)
-    n, dt = 2000, 2e-3
+    # excited atom with unit decay rate: first-jump times ~ Exp(1); the one
+    # jump takes |e> to the dark |g>, so the first node with |psi_e|^2 < 0.5
+    # is the substep of the jump
+    n, dt, n_steps = 2000, 2e-3, 6000
+    first_jump = np.full(n, -1.0)
+
+    def on_record(slot, states, norms):
+        fresh = (np.abs(states[:, 1]) ** 2 < 0.5) & (first_jump < 0)
+        first_jump[fresh] = slot * dt
+
     engine = JumpEngine(decay_model(), dt)
     states = np.tile(basis_ket(2, 1).amplitudes, (n, 1))
     streams = [substream(99, i) for i in range(n)]
-    controls = [JumpControl.start(s) for s in streams]
-    first_jump = np.full(n, -1.0)
-    for step in range(1, 6001):
-        states = engine.run(states, streams, 1, controls=controls)
-        fresh = [
-            i for i, c in enumerate(controls) if c.jumps > 0 and first_jump[i] < 0
-        ]
-        for i in fresh:
-            first_jump[i] = step * dt
-        if np.all(first_jump > 0):
-            break
+    engine.run(states, streams, n_steps, range(n_steps + 1), on_record)
     times = first_jump[first_jump > 0]
     assert times.size >= n - 1
+    assert times.size == np.count_nonzero(engine.last_jump_counts)
     _, p_value = stats.kstest(times, "expon")
     assert p_value > 0.01
 
@@ -97,16 +95,16 @@ def test_trajectory_covariance_matches_master_equation():
 
 
 def test_zero_lower_block_is_preserved_through_jumps():
-    from qsdsim import step_jump
+    lower = []
 
-    model = decay_model()
-    state = DoubledState(basis_ket(2, 1), Ket([0.0, 0.0]))
-    stream = substream(4, 0)
-    control = JumpControl.start(stream)
-    for _ in range(300):
-        state = step_jump(state, model, 1e-2, stream, control)
-        assert not state.lower.amplitudes.any()
-    assert control.jumps > 0
+    def on_record(slot, states, norms):
+        lower.append(np.abs(states[0, 2:]).max())
+
+    state = DoubledState(basis_ket(2, 1), Ket([0.0, 0.0])).vector().reshape(1, -1)
+    engine = JumpEngine(decay_model(), 1e-2)
+    engine.run(state, [substream(4, 0)], 300, range(301), on_record)
+    assert lower == [0.0] * 301
+    assert engine.last_jump_counts[0] > 0
 
 
 @pytest.mark.parametrize("dt", [0.15, 0.5])
@@ -139,13 +137,15 @@ def test_survival_matches_oracle_at_large_dt(dt):
 def test_jump_from_a_dark_state_is_taken_at_the_jump_substep():
     # |g> is dark for L = sigma_minus; a threshold of 1 forces a jump in the
     # first substep, whose weights vanish one substep before it
-    model = driven_decay_model(3.0)
     stream = substream(5, 0)
-    control = JumpControl(threshold=1.0)
-    engine = JumpEngine(model, 0.1)
-    out = engine.run(basis_ket(2, 0).amplitudes.reshape(1, -1), [stream], 1, controls=[control])
-    assert control.jumps == 1 and control.survival == 1.0
-    assert stream.draws == 2
+    engine = JumpEngine(driven_decay_model(3.0), 0.1)
+    x = _columns(basis_ket(2, 0).amplitudes.reshape(1, -1), 2)
+    survival, thresholds, jumps = np.ones(1), np.ones(1), np.zeros(1, dtype=np.int64)
+    engine._advance(x, 1, survival, thresholds, jumps, [stream])
+    assert jumps[0] == 1 and survival[0] == 1.0
+    # the channel pick and the next threshold
+    assert stream.draws == 2 and thresholds[0] < 1.0
+    out = _rows(x)
     assert abs(abs(out[0, 0]) - 1.0) < 1e-15 and out[0, 1] == 0.0
 
 
@@ -159,70 +159,6 @@ def test_expm_matches_scipy(dim, channels):
         want = linalg.expm(a)
         got = _expm(a)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), size
-
-
-def test_segmented_runs_match_one_run():
-    rng = np.random.default_rng(77)
-    model = random_model(rng, 3, 2)
-    states = np.array([
-        make_doubled_state(random_ket(rng, 3), random_ket(rng, 3)).vector() for _ in range(6)
-    ])
-    dt, n_steps = 1e-2, 300
-
-    def started(seed):
-        streams = [substream(seed, i) for i in range(len(states))]
-        return streams, [JumpControl.start(s) for s in streams]
-
-    streams, controls = started(3)
-    engine = JumpEngine(model, dt)
-    whole = engine.run(states, streams, n_steps, controls=controls)
-    assert engine.last_jump_counts.sum() > 6
-    split_streams, split_controls = started(3)
-    out = states
-    for start, stop in zip([0, 1, 37, 38, 150], [1, 37, 38, 150, n_steps]):
-        out = engine.run(out, split_streams, stop - start, controls=split_controls)
-    assert [c.jumps for c in controls] == [c.jumps for c in split_controls]
-    assert [s.draws for s in streams] == [s.draws for s in split_streams]
-    assert [c.threshold for c in controls] == [c.threshold for c in split_controls]
-    np.testing.assert_allclose(
-        [c.survival for c in split_controls], [c.survival for c in controls], rtol=1e-12
-    )
-    np.testing.assert_allclose(out, whole, rtol=0, atol=1e-12)
-
-
-def test_stepwise_calls_match_one_run():
-    from qsdsim import step_jump
-
-    model = driven_decay_model(3.0)
-    psi0 = Ket(np.array([1.0, 1.0j]) / np.sqrt(2.0))
-    dt, n_steps = 1e-2, 400
-    stream = substream(8, 0)
-    control = JumpControl.start(stream)
-    whole = JumpEngine(model, dt).run(
-        psi0.amplitudes.reshape(1, -1), [stream], n_steps, controls=[control]
-    )[0]
-    assert control.jumps >= 2
-    step_stream = substream(8, 0)
-    step_control = JumpControl.start(step_stream)
-    state = psi0
-    for _ in range(n_steps):
-        state = step_jump(state, model, dt, step_stream, step_control)
-    assert step_control.jumps == control.jumps
-    assert step_stream.draws == stream.draws
-    np.testing.assert_allclose(state.amplitudes, whole, rtol=0, atol=1e-12)
-
-
-def test_persistent_control_draw_economy():
-    from qsdsim import step_jump
-
-    model = decay_model()
-    stream = substream(42, 0)
-    control = JumpControl.start(stream)
-    state = basis_ket(2, 1)
-    for _ in range(400):
-        state = step_jump(state, model, 5e-3, stream, control)
-    assert control.jumps >= 1
-    assert stream.draws == 1 + 2 * control.jumps
 
 
 def test_jump_matrix_element_against_oracle():

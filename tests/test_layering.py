@@ -1,10 +1,13 @@
-"""Import layering: engines and the oracle sit below the estimators.
+"""Import layering and the package surface.
 
 The estimators (``correlations``, ``ensemble``) choose and drive engines,
 and ``cli`` drives the estimators; nothing below them may import them back.
+Every library module's ``__all__`` is re-exported by ``qsdsim``, so a name
+deleted from a module cannot linger in the package's exports.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,10 @@ import qsdsim
 PACKAGE = Path(qsdsim.__file__).parent
 LOWER = ("noise", "hilbert", "diffusion", "jumps", "gisin", "master")
 UPPER = {"correlations", "ensemble", "cli"}
+# the command line is not part of the library surface
+LIBRARY = sorted(
+    path.stem for path in PACKAGE.glob("*.py") if path.stem not in ("__init__", "__main__", "cli")
+)
 
 
 def qsdsim_imports(module: str) -> set:
@@ -48,3 +55,17 @@ def test_import_parser_sees_relative_imports():
     assert {"diffusion", "ensemble", "hilbert", "jumps", "noise"} <= qsdsim_imports(
         "correlations"
     )
+
+
+@pytest.mark.parametrize("module", LIBRARY)
+def test_module_exports_exist_and_are_reexported(module):
+    mod = importlib.import_module(f"qsdsim.{module}")
+    for name in mod.__all__:
+        assert hasattr(mod, name), f"qsdsim.{module}.__all__ names a missing {name}"
+        assert name in qsdsim.__all__, f"qsdsim.{module}.{name} is not re-exported"
+        assert getattr(qsdsim, name) is getattr(mod, name)
+
+
+def test_package_exports_resolve():
+    assert [name for name in qsdsim.__all__ if not hasattr(qsdsim, name)] == []
+    assert len(set(qsdsim.__all__)) == len(qsdsim.__all__)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from qsdsim import NoiseStream, substream, wiener_increments
+from qsdsim import NoiseStream, substream
 from qsdsim.noise import NOISE_BLOCK, wiener_blocks
 
 
@@ -125,17 +125,6 @@ def test_streams_are_uncorrelated():
     b = substream(10, 1).wiener_block(n, 1, 1.0)[:, 0].real
     r = np.corrcoef(a, b)[0, 1]
     assert abs(r) < 0.02
-
-
-def test_wiener_increments_validation():
-    stream = NoiseStream(0)
-    with pytest.raises(ValueError):
-        wiener_increments(stream, 0, 0.1)
-    for dt in (0.0, -0.1, float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(ValueError, match="finite and positive"):
-            wiener_increments(stream, 1, dt)
-    out = wiener_increments(stream, 2, 0.5)
-    assert out.shape == (2,)
 
 
 def test_negative_trajectory_index_rejected():

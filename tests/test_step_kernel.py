@@ -1,9 +1,11 @@
 """The column-major step kernels against row-major reference steps.
 
-The references below are the engines' step formulas in their plain
-row-major form: one (batch, width) array, doubled rows stepped with the
-block-diagonal operators of ``extend_model``, and noise drawn stepwise with
-``NoiseStream.wiener``.  The engines step doubled rows block by block with
+The engines are the only steppers in the package, so every test here drives
+one of them (``QsdEngine``, ``JumpEngine``, the coupled-pair kernel); a
+single trajectory is a batch of one row.  The references below are the
+engines' step formulas in their plain row-major form: one (batch, width)
+array, doubled rows stepped with the block-diagonal operators of
+``extend_model``, and noise drawn stepwise with ``NoiseStream.wiener``.  The engines step doubled rows block by block with
 the model's own operators, so agreement also shows that the two blocks see
 the same dynamics and share their noise.  The jump reference takes one
 substep at a time with ``scipy.linalg.expm`` of dt G, where the engine
@@ -18,13 +20,10 @@ import numpy as np
 import pytest
 from scipy import linalg
 
-from conftest import decay_element_setup, random_ket, random_model
+from conftest import decay_element_setup, qsd_step, random_ket, random_model
 from qsdsim import (
     CorrelationRequest,
-    CoupledPair,
-    DoubledState,
     JumpEngine,
-    Ket,
     QsdEngine,
     SdeConfig,
     correlate,
@@ -34,11 +33,6 @@ from qsdsim import (
     make_doubled_state,
     sigma_minus,
     sigma_plus,
-    step_coupled,
-    step_coupled_quasilinear,
-    step_jump,
-    step_normalized,
-    step_quasilinear,
     substream,
 )
 from qsdsim.gisin import VARIANTS, _PairKernel
@@ -182,19 +176,17 @@ def test_qsd_engine_matches_row_major_reference(dim, channels, doubled, n_steps,
 
 
 @pytest.mark.parametrize("dim,channels,doubled", cases())
-def test_single_step_functions_match_reference(dim, channels, doubled):
+def test_one_row_step_matches_reference(dim, channels, doubled):
+    # a batch of one row under given increments
     rng = np.random.default_rng(7 * dim + channels + 100 * doubled)
     model = random_model(rng, dim, channels)
     ref_model = extend_model(model) if doubled else model
-    vec = random_rows(rng, model, doubled)[0]
-    state = DoubledState.from_vector(vec, dim) if doubled else Ket(vec)
-    dxi = substream(5, 0).wiener(channels, 1e-3)
-    for step, scheme in ((step_normalized, "normalized"), (step_quasilinear, "quasi_linear")):
-        out = step(state, model, 1e-3, dxi)
-        assert isinstance(out, type(state))
-        got = out.vector() if doubled else out.amplitudes
-        want = reference_qsd_step(vec.reshape(1, -1), ref_model, 1e-3, scheme, dxi[None])
-        assert_rows_close(got.reshape(1, -1), want)
+    row = random_rows(rng, model, doubled)[:1]
+    dxi = substream(5, 0).wiener(channels, 1e-3)[None]
+    for scheme in ("normalized", "quasi_linear"):
+        got = qsd_step(model, 1e-3, scheme, row, dxi)
+        assert got.shape == row.shape
+        assert_rows_close(got, reference_qsd_step(row, ref_model, 1e-3, scheme, dxi))
 
 
 # irregular record steps, with neighbouring nodes, a power of two and its
@@ -239,19 +231,21 @@ def test_jump_engine_matches_row_major_reference(dim, channels, doubled, n_steps
         assert jumps.sum() > 0
 
 
-def test_step_jump_matches_reference_on_doubled_state(rng):
+def test_one_substep_runs_match_reference_on_doubled_state(rng):
+    # every run draws a fresh threshold, so 50 runs of one substep each
+    # decide every substep by an independent draw
     model = random_model(rng, 3, 2)
     pair = make_doubled_state(random_ket(rng, 3), random_ket(rng, 3))
     dt = 0.05 / np.linalg.eigvalsh(model.ldl_sum()).max()
-    stream = substream(2, 0)
-    state = pair
+    engine, stream = JumpEngine(model, dt), substream(2, 0)
+    state = pair.vector().reshape(1, -1)
     for _ in range(50):
-        state = step_jump(state, model, dt, stream)
+        state = engine.run(state, [stream], 1)
     ref_stream = substream(2, 0)
     want = pair.vector().reshape(1, -1)
     for _ in range(50):
         want, _, _ = reference_jump_run(want, extend_model(model), dt, [ref_stream], 1)
-    assert_rows_close(state.vector().reshape(1, -1), want)
+    assert_rows_close(state, want)
     assert stream.draws == ref_stream.draws
 
 
@@ -319,20 +313,20 @@ def test_pair_kernel_matches_row_major_reference(dim, channels, n_steps, variant
 
 
 @pytest.mark.parametrize("dim,channels", pair_cases())
-def test_coupled_step_functions_match_reference(dim, channels):
+def test_one_pair_step_matches_reference(dim, channels):
+    # a batch of one pair under given increments
     rng = np.random.default_rng(3000 + 7 * dim + channels)
     model = random_model(rng, dim, channels)
     kets, bras = random_pair_rows(rng, dim)
-    pair = CoupledPair(bra_side=Ket(bras[0]), ket_side=Ket(kets[0]))
-    dxi = substream(5, 1).wiener(channels, 1e-3)
-    for step, variant in ((step_coupled, "unity"), (step_coupled_quasilinear, "quasi_linear")):
-        out = step(pair, model, 1e-3, dxi)
-        want_kets, want_bras = reference_pair_step(
-            kets[:1], bras[:1], model, 1e-3, variant, dxi[None]
+    kets, bras = kets[:1], bras[:1]
+    dxi = substream(5, 1).wiener(channels, 1e-3)[None]
+    for variant in VARIANTS:
+        x = np.stack([kets.T, bras.T], axis=1)
+        x, sp, aborted, overflowed = _PairKernel(model, 1e-3, variant).advance(
+            x, [dxi.T], 1e-12, lambda *_: None
         )
-        assert_rows_close(out.ket_side.amplitudes.reshape(1, -1), want_kets)
-        assert_rows_close(out.bra_side.amplitudes.reshape(1, -1), want_bras)
-        assert out.scalar_products[:1] == pair.scalar_products
-        assert out.scalar_product() == pytest.approx(
-            np.vdot(want_bras[0], want_kets[0]), rel=TOL
-        )
+        assert not aborted.any() and not overflowed.any()
+        want_kets, want_bras = reference_pair_step(kets, bras, model, 1e-3, variant, dxi)
+        assert_rows_close(x[:, 0].T, want_kets)
+        assert_rows_close(x[:, 1].T, want_bras)
+        assert sp[0] == pytest.approx(np.vdot(want_bras[0], want_kets[0]), rel=TOL)
