@@ -6,9 +6,8 @@ writes a results CSV (``grid,mean_re,mean_im,std_error``), a reference CSV
 computed by the deterministic oracle on the same grid, and a metadata JSON
 echoing the effective configuration; for an element or correlation estimate
 it also records how far results sit from the reference.  Outputs are
-byte-identical for identical (config, seed) regardless of worker count,
-except for the files that record wall-clock timings (metadata.json,
-benchmark.csv).
+byte-identical for identical (config, seed) across reruns, except for the
+files that record wall-clock timings (metadata.json, benchmark.csv).
 
 Each scenario's keys, defaults and parsers are one table in ``SCHEMAS``.
 Each estimate shape (matrix element, two-time correlation) has one run path.
@@ -67,7 +66,6 @@ class RunConfig:
     scenario: str
     seed: int
     dt: float
-    workers: int
     out_dir: Path
     params: dict
 
@@ -370,7 +368,6 @@ def _schema(scenario: str) -> dict:
     return {
         "dt": (_as_positive_float, 1e-3),
         "seed": (_as_seed, 0),
-        "workers": (_as_positive_int, 1),
         "out": (_as_out_dir, f"out-{scenario}"),
         "h_ode": (_as_positive_float, 1e-3),
         **SCHEMAS[scenario],
@@ -490,7 +487,6 @@ def validate(text: str, overrides: "dict | None" = None):
         scenario=scenario,
         seed=values.pop("seed"),
         dt=values.pop("dt"),
-        workers=values.pop("workers"),
         out_dir=values.pop("out"),
         params=values,
     ), []
@@ -550,7 +546,6 @@ def _write_metadata(path: Path, config: RunConfig, wall: float, extra: dict):
         "scenario": config.scenario,
         "seed": config.seed,
         "dt": config.dt,
-        "workers": config.workers,
         "version": _version_string(),
         "wall_time_seconds": wall,
         "effective_config": config.params,
@@ -615,7 +610,7 @@ def _run_element(config: RunConfig, p: dict) -> dict:
     """<bra| A(t) |ket> on p["t_grid"] by the chosen unraveling."""
     problem = (p["observable"], p["bra"], p["ket"], p["model"], p["t_grid"])
     sde = SdeConfig(dt=config.dt, scheme=_SCHEME[p["unraveling"]])
-    res = heisenberg_element(*problem, p["n"], sde, config.seed, workers=config.workers)
+    res = heisenberg_element(*problem, p["n"], sde, config.seed)
     ref = regression_matrix_element(*problem, h_ode=p["h_ode"])
     _write_series_csv(config.out_dir / "reference.csv", p["t_grid"], ref)
     return _results(config, p["t_grid"], res, ref)
@@ -633,7 +628,7 @@ def _correlate(config: RunConfig, p: dict, unraveling: str, n: int, seed: int):
         initial=p["initial"],
         warmup_time=p["warmup"],
     )
-    return correlate(request, p["model"], seed, workers=config.workers)
+    return correlate(request, p["model"], seed)
 
 
 def _correlation_reference(config: RunConfig, p: dict):
@@ -750,7 +745,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--unraveling", choices=UNRAVELINGS, help="override the unraveling scheme"
     )
-    parser.add_argument("--workers", type=int, help="override the worker count")
     parser.add_argument("--out", help="override the output directory")
     return parser
 

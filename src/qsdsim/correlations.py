@@ -44,7 +44,8 @@ INITIAL_SPECS = ("steady_state", "random_uniform")
 class CorrelationRequest:
     """Specification of one two-time correlation estimate.
 
-    ``initial`` is either an explicit Ket (used as-is, no warmup applied) or
+    ``initial`` is either an explicit Ket (normalized here, so a zero-norm
+    Ket raises ValueError before any trajectory work; no warmup applied) or
     one of the named specs: "random_uniform" draws a Haar-uniform ket per
     trajectory and relaxes it for ``warmup_time``; "steady_state" is the
     same with the understanding that the warmup should reach stationarity
@@ -83,7 +84,9 @@ class CorrelationRequest:
                 raise ValueError(
                     f"unknown initial spec {self.initial!r}, expected a Ket or one of {INITIAL_SPECS}"
                 )
-        elif not isinstance(self.initial, Ket):
+        elif isinstance(self.initial, Ket):
+            object.__setattr__(self, "initial", self.initial.normalized())
+        else:
             raise TypeError("initial must be a Ket or a named spec string")
 
 
@@ -162,7 +165,7 @@ def _correlation_chunk(
     sde = request.sde
     engine, counts = _engine(model, sde), {}
     if isinstance(request.initial, Ket):
-        states = np.tile(request.initial.normalized().amplitudes, (len(streams), 1))
+        states = np.tile(request.initial.amplitudes, (len(streams), 1))
     else:
         states = _haar_rows(streams, model.dim)
     if pre_steps > 0:
@@ -186,7 +189,6 @@ def heisenberg_element(
     n_trajectories: int,
     sde: SdeConfig,
     seed: int,
-    workers: int = 1,
     keep_samples: bool = False,
 ) -> EnsembleResult:
     """Ensemble estimate of <bra| A(t) |ket> on ``t_grid``.
@@ -213,7 +215,6 @@ def heisenberg_element(
         task,
         n_trajectories,
         seed,
-        workers=workers,
         grid=grid,
         method=_method(sde),
         keep_samples=keep_samples,
@@ -224,7 +225,6 @@ def correlate(
     request: CorrelationRequest,
     model: LindbladModel,
     seed: int,
-    workers: int = 1,
     keep_samples: bool = False,
 ) -> EnsembleResult:
     """Ensemble estimate of <A(t + tau) B(t)> over ``request.tau_grid``,
@@ -250,7 +250,6 @@ def correlate(
         task,
         request.n_trajectories,
         seed,
-        workers=workers,
         grid=request.tau_grid,
         method=_method(request.sde),
         keep_samples=keep_samples,

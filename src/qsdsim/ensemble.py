@@ -1,15 +1,14 @@
-"""Deterministic parallel execution of trajectory ensembles.
+"""Deterministic execution of trajectory ensembles.
 
-Trajectories are embarrassingly parallel: the work is split into fixed-size
-index chunks, each chunk builds its own substreams from (seed, index) and
-returns its values, the draws of its streams and its task's counts, and
-results are reduced in chunk order.  The outcome is therefore independent of
-the worker count, and trajectory i is bitwise reproducible no matter how the
-ensemble is scheduled.
+The work is split into fixed-size index chunks, run one after another: each
+chunk builds its own substreams from (seed, index) and returns its values,
+the draws of its streams and its task's counts, and results are reduced in
+chunk order.  Trajectory i draws only from its own substream, and the chunk
+size alone fixes the batch widths the engines see, so a run is bitwise
+reproducible across reruns.
 """
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,7 +83,6 @@ def run_ensemble(
     task,
     n: int,
     seed: int,
-    workers: int = 1,
     grid=None,
     method: str = "",
     keep_samples: bool = False,
@@ -96,13 +94,12 @@ def run_ensemble(
     and must return ``(values, counts)``: a complex array of shape
     (len(streams), n_nodes), drawing all its randomness from the given
     streams, and a dict of integer counts, which are summed key by key in
-    chunk order into ``extras``.  Chunk boundaries are fixed by
-    ``chunk_size`` alone, so the result does not depend on ``workers``.
+    chunk order into ``extras``.  Chunks run serially in index order; their
+    boundaries are fixed by ``chunk_size`` alone, which therefore fixes the
+    last bits of the result.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2 for a standard error, got {n}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     start = time.perf_counter()
     ranges = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
 
@@ -122,20 +119,11 @@ def run_ensemble(
 
     failures = []
     results: list = [None] * len(ranges)
-    if workers == 1:
-        for idx in range(len(ranges)):
-            try:
-                results[idx] = run_chunk(idx)
-            except Exception as err:  # noqa: BLE001 - aggregated and re-raised
-                failures.append((ranges[idx], err))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(run_chunk, idx): idx for idx in range(len(ranges))}
-            for fut, idx in futures.items():
-                try:
-                    results[idx] = fut.result()
-                except Exception as err:  # noqa: BLE001
-                    failures.append((ranges[idx], err))
+    for idx in range(len(ranges)):
+        try:
+            results[idx] = run_chunk(idx)
+        except Exception as err:  # noqa: BLE001 - aggregated and re-raised
+            failures.append((ranges[idx], err))
     if failures:
         raise EnsembleError(sorted(failures, key=lambda item: item[0]))
 

@@ -122,18 +122,16 @@ class JumpEngine:
         the norms handed to ``on_record`` are those of the no-jump
         propagation since the previous record node or jump, before
         renormalization (1 where a jump lands on the node).  The input
-        states are normalized first.  Every trajectory starts with survival
-        1 and a fresh threshold, one uniform drawn from each stream in
-        stream order; per-trajectory jump counts are left in
-        ``last_jump_counts``.
+        states are normalized first.  When ``n_steps > 0`` every trajectory
+        starts with survival 1 and a fresh threshold, one uniform drawn from
+        each stream in stream order; with no steps nothing is drawn.
+        Per-trajectory jump counts are left in ``last_jump_counts``.
         """
         x = _columns(states, self.dim)
         batch = x.shape[2]
         if len(streams) != batch:
             raise ValueError(f"need one stream per row: {len(streams)} streams, batch {batch}")
         slots = _record_slots(record_steps, n_steps)
-        thresholds = np.array([s.uniform() for s in streams])
-        survival = np.ones(batch)
         jumps = np.zeros(batch, dtype=np.int64)
 
         norms = np.sqrt(_real_inner(x, x))
@@ -149,6 +147,8 @@ class JumpEngine:
             if np.any(degenerate):
                 raise _unstable_row("degenerate initial state", degenerate, streams)
             x /= norms
+            thresholds = np.array([s.uniform() for s in streams])
+            survival = np.ones(batch)
             start = 0
             for stop in sorted((set(slots) | {n_steps}) - {0}):
                 norms = self._advance(x, stop - start, survival, thresholds, jumps, streams)

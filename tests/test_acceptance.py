@@ -60,7 +60,7 @@ def run_scenario(tmp_path, **cfg):
 
 def test_criterion_1_decay_element_tracks_analytic_curve(tmp_path):
     out = run_scenario(
-        tmp_path, scenario="decay-element", n=1000, dt=1e-3, seed=0, workers=2
+        tmp_path, scenario="decay-element", n=1000, dt=1e-3, seed=0
     )
     grid, mean, se = read_series(out / "results.csv")
     assert grid.size == 40 and grid[-1] == 4.0
@@ -137,7 +137,7 @@ def test_criterion_4_ensemble_covariance_reproduces_density_matrix():
 def test_criterion_5_fluorescence_correlation_matches_oracle(tmp_path):
     out = run_scenario(
         tmp_path, scenario="fluorescence-g1", n=10_000, omega=10.0, warmup=30.0,
-        dt=1e-3, seed=0, workers=4,
+        dt=1e-3, seed=0,
     )
     grid, mean, se = read_series(out / "results.csv")
     _, oracle, _ = read_series(out / "reference.csv")
@@ -163,7 +163,7 @@ def test_criterion_6_coupled_scheme_deviates_while_doubled_passes():
 
     wide = np.linspace(0.1, 4.0, 40)
     doubled = heisenberg_element(
-        obs, bra, ket, model, wide, 1000, SdeConfig(dt=1e-3), seed=0, workers=2
+        obs, bra, ket, model, wide, 1000, SdeConfig(dt=1e-3), seed=0
     )
     wide_target = analytic_decay_element(wide)
     re_hits = int(np.sum(np.abs(doubled.mean.real - wide_target) < 3 * doubled.std_error))
@@ -226,7 +226,7 @@ def test_criterion_7_estimator_identities():
     overlap = complex(np.vdot(bra.amplitudes, ket.amplitudes))
     res = heisenberg_element(
         Operator(np.eye(2)), bra, ket, model, grid, 1000, SdeConfig(dt=1e-3),
-        seed=0, workers=2,
+        seed=0,
     )
     mean_hits = int(np.sum(np.abs(res.mean - overlap) < 3 * res.std_error))
     ok = zero_delay_ok and identity_ok and mean_hits == 40
@@ -252,7 +252,7 @@ def test_criterion_8_jump_method_is_no_slower_at_matched_error():
             sde=SdeConfig(dt=dt, scheme="normalized" if method == "qsd" else "jump"),
             initial="steady_state", warmup_time=warmup,
         )
-        res = correlate(request, model, seed, workers=1)
+        res = correlate(request, model, seed)
         results[(method, n)] = res
         return res
 

@@ -42,7 +42,6 @@ def test_validate_fills_defaults():
     assert errors == []
     assert config.dt == 1e-3
     assert config.seed == 0
-    assert config.workers == 1
     assert config.out_dir.name == "out-decay-element"
     assert config.params["n"] == 1000
     assert config.params["unraveling"] == "qsd"
@@ -139,7 +138,8 @@ _CUSTOM_NON_FINITE_CASES = [
         ('{"scenario": "decay-element", "dt": 0}', "dt"),
         ('{"scenario": "decay-element", "n": 1}', "n: must be >= 2"),
         ('{"scenario": "decay-element", "seed": -3}', "seed"),
-        ('{"scenario": "decay-element", "workers": 0}', "workers"),
+        ('{"scenario": "decay-element", "workers": 2}',
+         "workers: not applicable to scenario 'decay-element'"),
         ('{"scenario": "decay-element", "unraveling": "euler"}', "unraveling"),
         ('{"scenario": "decay-element", "t_start": 0.1005}', "integer multiple"),
         ('{"scenario": "gisin-compare", "h_list": [0.3]}', "h=0.3"),
@@ -344,7 +344,7 @@ def test_decay_element_run_and_reference(tmp_path):
     assert meta["wall_time_seconds"] > 0
 
 
-def test_results_are_identical_across_workers_and_reruns(tmp_path):
+def test_results_are_identical_across_reruns(tmp_path):
     base = dict(
         scenario="decay-element",
         n=6,
@@ -355,9 +355,9 @@ def test_results_are_identical_across_workers_and_reruns(tmp_path):
         seed=11,
     )
     outputs = []
-    for label, workers in (("a", 1), ("b", 3), ("c", 1)):
+    for label in ("a", "b", "c"):
         out = tmp_path / label
-        path = make_config(tmp_path, f"{label}.json", out=str(out), workers=workers, **base)
+        path = make_config(tmp_path, f"{label}.json", out=str(out), **base)
         assert run_main(["--config", str(path)]) == 0
         outputs.append(out)
     first = (outputs[0] / "results.csv").read_bytes()
@@ -516,6 +516,15 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "config error" in err and "dt" in err
     assert not (tmp_path / "out-decay-element").exists()
+
+
+def test_workers_flag_exits_2(tmp_path):
+    out = tmp_path / "out"
+    path = make_config(tmp_path, scenario="decay-element", n=4, out=str(out))
+    with pytest.raises(SystemExit) as exc:
+        run_main(["--config", str(path), "--workers", "2"])
+    assert exc.value.code == 2
+    assert not out.exists()
 
 
 def test_floor_above_initial_scalar_product_exits_2(tmp_path, capsys):

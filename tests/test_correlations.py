@@ -55,6 +55,9 @@ def test_request_validation():
         CorrelationRequest(**{**good, "initial": "thermal"})
     with pytest.raises(TypeError):
         CorrelationRequest(**{**good, "initial": 3})
+    # a zero-norm ket is a named error before any trajectory work
+    with pytest.raises(ValueError, match="cannot normalize a zero-norm state"):
+        CorrelationRequest(**{**good, "initial": Ket([0.0, 0.0])})
 
 
 def test_incommensurate_time_rejected():
@@ -166,17 +169,22 @@ def test_heisenberg_element_matches_oracle_on_random_model(rng):
     assert res.extras == {}
 
 
-def zero_delay_request(initial, warmup_time=0.0):
+def zero_delay_request(initial, warmup_time=0.0, scheme="normalized"):
     """<sigma_plus sigma_minus> = |psi_e|^2 at t = tau = 0, from ``initial``."""
     return CorrelationRequest(
         observable=sigma_plus(), perturbation=sigma_minus(), t=0.0, tau_grid=[0.0],
-        n_trajectories=4, sde=SdeConfig(dt=1e-2), initial=initial, warmup_time=warmup_time,
+        n_trajectories=4, sde=SdeConfig(dt=1e-2, scheme=scheme), initial=initial,
+        warmup_time=warmup_time,
     )
 
 
-def test_explicit_initial_is_normalized_and_draws_nothing():
-    res = correlate(zero_delay_request(Ket([0.0, 2.0])), decay_model(), seed=0)
+@pytest.mark.parametrize("scheme", ["normalized", "jump"])
+def test_explicit_initial_is_normalized_and_draws_nothing(scheme):
+    request = zero_delay_request(Ket([0.0, 2.0j]), scheme=scheme)
+    assert np.array_equal(request.initial.amplitudes, [0.0, 1.0j])
+    res = correlate(request, decay_model(), seed=0)
     assert res.mean[0] == pytest.approx(1.0, abs=1e-14)
+    # no segment takes a step, so not even a jump threshold is drawn
     assert res.draws_total == 0
 
 
@@ -229,7 +237,7 @@ def test_fluorescence_correlation_matches_oracle():
         tau_grid=tau_grid, n_trajectories=1500, sde=SdeConfig(dt=dt),
         initial="steady_state", warmup_time=10.0,
     )
-    res = correlate(request, model, seed=77, workers=2)
+    res = correlate(request, model, seed=77)
     oracle = two_time_correlation(sigma_plus(), sigma_minus(), model, 0.0, tau_grid)
     dev = np.abs(res.mean - oracle)
     assert np.all(dev < 3.0 * res.std_error)

@@ -1,4 +1,4 @@
-"""Parallel ensemble reduction, statistics, and benchmark plumbing."""
+"""Ensemble reduction, statistics, and benchmark plumbing."""
 
 import numpy as np
 import pytest
@@ -39,8 +39,6 @@ def test_input_validation():
     with pytest.raises(ValueError):
         run_ensemble(task, 1, seed=0)
     with pytest.raises(ValueError):
-        run_ensemble(task, 4, seed=0, workers=0)
-    with pytest.raises(ValueError):
         run_ensemble(task, 4, seed=0, grid=[0.0, 1.0])  # length 2 vs 3 nodes
 
 
@@ -68,22 +66,11 @@ def test_counts_are_summed_over_chunks_in_order():
             counts["second_only"] = 5
         return np.zeros((len(streams), 1)), counts
 
-    for workers in (1, 3):
-        res = run_ensemble(counting, 10, seed=0, workers=workers, chunk_size=4)
-        assert res.extras == {"rows": 10, "chunk": 3, "second_only": 5}
-        assert list(res.extras) == ["rows", "chunk", "second_only"]
-        # each chunk counts the draws of its own streams: 1 + 2 + 2
-        assert res.draws_total == 5
-
-
-def test_result_independent_of_worker_count():
-    kwargs = dict(n=16, seed=5, chunk_size=4, keep_samples=True)
-    serial = run_ensemble(noisy_task, workers=1, **kwargs)
-    threaded = run_ensemble(noisy_task, workers=4, **kwargs)
-    assert np.array_equal(serial.mean, threaded.mean)
-    assert np.array_equal(serial.std_error, threaded.std_error)
-    assert np.array_equal(serial.samples, threaded.samples)
-    assert serial.draws_total == threaded.draws_total == 16 * 10
+    res = run_ensemble(counting, 10, seed=0, chunk_size=4)
+    assert res.extras == {"rows": 10, "chunk": 3, "second_only": 5}
+    assert list(res.extras) == ["rows", "chunk", "second_only"]
+    # each chunk counts the draws of its own streams: 1 + 2 + 2
+    assert res.draws_total == 5
 
 
 def test_standard_error_scales_as_inverse_sqrt_n():

@@ -42,6 +42,9 @@ def test_ground_state_never_jumps():
     assert engine.last_jump_counts.sum() == 0
     # only the initial waiting-time threshold was drawn
     assert stream.draws == 1
+    # a run of no substeps draws no threshold
+    engine.run(out, [stream], 0)
+    assert stream.draws == 1
 
 
 def test_two_draws_per_jump_accounting():
