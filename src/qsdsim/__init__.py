@@ -3,7 +3,6 @@ elements and two-time correlations, with a deterministic master-equation
 oracle for verification."""
 
 from .correlations import (
-    INITIAL_SPECS,
     CorrelationRequest,
     correlate,
     heisenberg_element,
@@ -31,7 +30,6 @@ from .gisin import (
     run_coupled_ensemble,
 )
 from .hilbert import (
-    DoubledState,
     Ket,
     LindbladModel,
     Operator,
@@ -56,7 +54,7 @@ from .master import (
     steady_state,
     two_time_correlation,
 )
-from .noise import NoiseStream, substream
+from .noise import NoiseStream
 
 __version__ = "0.1.0"
 
@@ -66,11 +64,9 @@ __all__ = [
     "DEFAULT_FLOOR",
     "DegenerateSteadyStateError",
     "DensityMatrix",
-    "DoubledState",
     "EnsembleError",
     "EnsembleResult",
     "GisinResult",
-    "INITIAL_SPECS",
     "InstabilityError",
     "JumpEngine",
     "Ket",
@@ -103,7 +99,6 @@ __all__ = [
     "sigma_minus",
     "sigma_plus",
     "steady_state",
-    "substream",
     "two_time_correlation",
     "__version__",
 ]

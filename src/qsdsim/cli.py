@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .correlations import INITIAL_SPECS, CorrelationRequest, correlate, heisenberg_element
+from .correlations import CorrelationRequest, correlate, heisenberg_element
 from .diffusion import SdeConfig
 from .ensemble import EnsembleError, benchmark_sweep, relative_rms_error
 from .errors import InstabilityError
@@ -313,7 +313,7 @@ _UNRAVELING = (_choice(UNRAVELINGS, f"one of {UNRAVELINGS}"), "qsd")
 # the custom keys that only runs of one mode read
 _MODE_KEYS = {
     "element": ("bra", "ket", "t_grid"),
-    "correlation": ("perturbation", "t", "warmup", "initial", "tau_grid"),
+    "correlation": ("perturbation", "t", "warmup", "tau_grid"),
 }
 
 # each scenario's keys mapped to (parser, default), after those _schema
@@ -356,7 +356,6 @@ SCHEMAS = {
         "perturbation": (_parse_operator, _REQUIRED),
         "t": (_as_nonnegative_float, 0.0),
         "warmup": (_as_nonnegative_float, 30.0),
-        "initial": (_choice(INITIAL_SPECS), "steady_state"),
         "tau_grid": (_parse_grid, _REQUIRED),
     },
 }
@@ -573,7 +572,6 @@ def _g1_preset(params: dict) -> dict:
         "observable": sigma_plus(),
         "perturbation": sigma_minus(),
         "t": 0.0,
-        "initial": "steady_state",
     }
 
 
@@ -625,7 +623,6 @@ def _correlate(config: RunConfig, p: dict, unraveling: str, n: int, seed: int):
         tau_grid=p["tau_grid"],
         n_trajectories=n,
         sde=SdeConfig(dt=config.dt, scheme=_SCHEME[unraveling]),
-        initial=p["initial"],
         warmup_time=p["warmup"],
     )
     return correlate(request, p["model"], seed)

@@ -1,17 +1,20 @@
 r"""Heisenberg-picture matrix elements and two-time correlation functions.
 
 A matrix element <bra| A(t) |ket> between two different states is estimated
-by stacking the pair into one doubled-space vector (bra, ket)/sqrt(2),
-propagating it with an unraveling of the duplicated dynamics, and averaging
+by stacking the pair into one doubled-space vector (bra, ket)/sqrt(2)
+(``hilbert.make_doubled_state``, a plain (2d,) array), propagating it with
+an unraveling of the duplicated dynamics, and averaging
 2 <upper_t| A |lower_t> over realizations.  The engines are built on the
 base model and step the two blocks with its d x d operators; only the
 oracle (``master.doubled_block_evolution``) builds the duplicated model.
 
 A two-time correlation <A(t + tau) B(t)> follows the same pattern with a
-trajectory-dependent pair: each realization propagates a single-space state
-through warmup and t, applies the perturbation B to form the stacked vector
-(psi_t, B psi_t)/sqrt(w) with weight w = 1 + ||B psi_t||^2, continues on the
-doubled space over tau, and averages w <upper|A|lower>.  At tau = 0 the
+trajectory-dependent pair: each realization starts from the request's Ket,
+or from a Haar-random ket that it relaxes for the warmup when there is none,
+propagates that single-space state through t, applies the perturbation B to
+form the stacked vector (psi_t, B psi_t)/sqrt(w) with weight
+w = 1 + ||B psi_t||^2, continues on the doubled space over tau, and averages
+w <upper|A|lower>.  At tau = 0 the
 weight cancels exactly and each realization contributes <psi_t| A B |psi_t>.
 
 Both unravelings share these estimators; ``SdeConfig.scheme`` alone picks
@@ -37,19 +40,15 @@ __all__ = [
     "correlate",
 ]
 
-INITIAL_SPECS = ("steady_state", "random_uniform")
-
-
 @dataclass(frozen=True, eq=False)
 class CorrelationRequest:
     """Specification of one two-time correlation estimate.
 
     ``initial`` is either an explicit Ket (normalized here, so a zero-norm
     Ket raises ValueError before any trajectory work; no warmup applied) or
-    one of the named specs: "random_uniform" draws a Haar-uniform ket per
-    trajectory and relaxes it for ``warmup_time``; "steady_state" is the
-    same with the understanding that the warmup should reach stationarity
-    (default 30 inverse decay rates when built through the CLI).
+    None, which draws a Haar-uniform ket per trajectory and relaxes it for
+    ``warmup_time``, meant to reach stationarity (default 30 inverse decay
+    rates when built through the CLI).
     """
 
     observable: Operator
@@ -58,7 +57,7 @@ class CorrelationRequest:
     tau_grid: np.ndarray
     n_trajectories: int
     sde: SdeConfig
-    initial: "Ket | str" = "steady_state"
+    initial: Ket | None = None
     warmup_time: float = 0.0
 
     def __post_init__(self):
@@ -79,24 +78,20 @@ class CorrelationRequest:
                 f"operator dimension mismatch: observable {self.observable.dim}, "
                 f"perturbation {self.perturbation.dim}"
             )
-        if isinstance(self.initial, str):
-            if self.initial not in INITIAL_SPECS:
-                raise ValueError(
-                    f"unknown initial spec {self.initial!r}, expected a Ket or one of {INITIAL_SPECS}"
-                )
-        elif isinstance(self.initial, Ket):
+        if self.initial is not None:
+            if not isinstance(self.initial, Ket):
+                raise TypeError(f"initial must be a Ket or None, got {type(self.initial).__name__}")
             object.__setattr__(self, "initial", self.initial.normalized())
-        else:
-            raise TypeError("initial must be a Ket or a named spec string")
 
 
 def _haar_rows(streams, dim: int) -> np.ndarray:
     out = np.empty((len(streams), dim), dtype=complex)
     for i, stream in enumerate(streams):
-        vec = stream.complex_normals(dim)
+        # wiener at dt = 1 gives standard complex normals, N(0, 1/2) parts
+        vec = stream.wiener(dim, 1.0)
         norm = np.linalg.norm(vec)
         while norm == 0.0:  # probability zero, but stay total
-            vec = stream.complex_normals(dim)
+            vec = stream.wiener(dim, 1.0)
             norm = np.linalg.norm(vec)
         out[i] = vec / norm
     return out
@@ -164,7 +159,7 @@ def _correlation_chunk(
 ):
     sde = request.sde
     engine, counts = _engine(model, sde), {}
-    if isinstance(request.initial, Ket):
+    if request.initial is not None:
         states = np.tile(request.initial.amplitudes, (len(streams), 1))
     else:
         states = _haar_rows(streams, model.dim)
@@ -201,8 +196,7 @@ def heisenberg_element(
     _check_dims(model, observable=observable, bra=bra_state, ket=ket_state)
     grid = np.asarray(t_grid, dtype=float)
     node_steps = grid_steps(grid, sde.dt)
-    theta0 = make_doubled_state(bra_state.normalized(), ket_state.normalized())
-    base = theta0.vector()
+    base = make_doubled_state(bra_state.normalized(), ket_state.normalized())
 
     def task(streams):
         theta = np.tile(base, (len(streams), 1))
@@ -230,12 +224,12 @@ def correlate(
     """Ensemble estimate of <A(t + tau) B(t)> over ``request.tau_grid``,
     by the unraveling that ``request.sde.scheme`` names."""
     parts = {"observable": request.observable}
-    if isinstance(request.initial, Ket):
+    if request.initial is not None:
         parts["initial"] = request.initial
     _check_dims(model, **parts)
     # fail on incommensurate times before any trajectory work starts
     dt = request.sde.dt
-    if isinstance(request.initial, Ket):
+    if request.initial is not None:
         (pre_steps,) = grid_steps([request.t], dt, "t")
     else:
         (pre_steps,) = grid_steps(

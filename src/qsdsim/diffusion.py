@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import InstabilityError
 from .hilbert import LindbladModel
-from .noise import NoiseStream, check_step, wiener_blocks
+from .noise import NoiseStream, check_step, wiener_steps
 
 __all__ = [
     "SdeConfig",
@@ -149,8 +149,7 @@ class QsdEngine:
                 f"need one stream per row: {len(streams)} streams, batch {x.shape[2]}"
             )
         slots = _record_slots(record_steps, n_steps)
-        blocks = wiener_blocks(streams, n_steps, self.n_channels, self.dt)
-        increments = (block[:, k, :].T for block in blocks for k in range(block.shape[1]))
+        increments = wiener_steps(streams, n_steps, self.n_channels, self.dt)
         return _rows(self._advance(x, increments, n_steps, slots, on_record, streams))
 
     def _advance(self, x, increments, n_steps, slots, on_record=None, streams=None):

@@ -1,11 +1,12 @@
 """Deterministic execution of trajectory ensembles.
 
 The work is split into fixed-size index chunks, run one after another: each
-chunk builds its own substreams from (seed, index) and returns its values,
-the draws of its streams and its task's counts, and results are reduced in
-chunk order.  Trajectory i draws only from its own substream, and the chunk
-size alone fixes the batch widths the engines see, so a run is bitwise
-reproducible across reruns.
+chunk builds the streams ``NoiseStream(seed, i)`` of its indices and returns
+its values, the draws of its streams and its task's counts, and results are
+reduced in chunk order.  Trajectory i draws only from its own stream, and
+the chunk size alone fixes the batch widths the engines see, so a run is
+bitwise reproducible across reruns.  The first chunk that fails stops the
+run.
 """
 
 import time
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import complex_standard_error
-from .noise import substream
+from .noise import NoiseStream
 
 __all__ = [
     "EnsembleResult",
@@ -29,7 +30,7 @@ _CHUNK = 2048
 
 
 class EnsembleError(RuntimeError):
-    """One or more trajectory chunks failed; carries (index range, error) pairs."""
+    """A trajectory chunk failed; ``failures`` holds its (index range, error) pair."""
 
     def __init__(self, failures):
         self.failures = failures
@@ -90,53 +91,44 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Run ``task`` over ``n`` trajectories and reduce to mean and error.
 
-    ``task(streams)`` receives the substreams for one contiguous index chunk
+    ``task(streams)`` receives the streams for one contiguous index chunk
     and must return ``(values, counts)``: a complex array of shape
     (len(streams), n_nodes), drawing all its randomness from the given
     streams, and a dict of integer counts, which are summed key by key in
     chunk order into ``extras``.  Chunks run serially in index order; their
     boundaries are fixed by ``chunk_size`` alone, which therefore fixes the
-    last bits of the result.
+    last bits of the result.  The first chunk that raises stops the run with
+    an :class:`EnsembleError` naming its index range.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2 for a standard error, got {n}")
     start = time.perf_counter()
-    ranges = [(lo, min(lo + chunk_size, n)) for lo in range(0, n, chunk_size)]
-
-    def run_chunk(idx: int):
-        """The chunk's values, the draws of its streams and its counts."""
-        lo, hi = ranges[idx]
-        streams = [substream(seed, i) for i in range(lo, hi)]
-        out = task(streams)
-        if not (isinstance(out, tuple) and len(out) == 2):
-            raise TypeError(f"task returned {type(out).__name__}, expected (values, counts)")
-        values, counts = np.asarray(out[0]), out[1]
-        if values.ndim != 2 or values.shape[0] != hi - lo:
-            raise ValueError(
-                f"task returned shape {values.shape}, expected ({hi - lo}, n_nodes)"
-            )
-        return values, sum(s.draws for s in streams), counts
-
-    failures = []
-    results: list = [None] * len(ranges)
-    for idx in range(len(ranges)):
+    values, draws, extras = [], 0, {}
+    for lo in range(0, n, chunk_size):
+        hi = min(lo + chunk_size, n)
         try:
-            results[idx] = run_chunk(idx)
-        except Exception as err:  # noqa: BLE001 - aggregated and re-raised
-            failures.append((ranges[idx], err))
-    if failures:
-        raise EnsembleError(sorted(failures, key=lambda item: item[0]))
+            streams = [NoiseStream(seed, i) for i in range(lo, hi)]
+            out = task(streams)
+            if not (isinstance(out, tuple) and len(out) == 2):
+                raise TypeError(f"task returned {type(out).__name__}, expected (values, counts)")
+            chunk = np.asarray(out[0])
+            if chunk.ndim != 2 or chunk.shape[0] != hi - lo:
+                raise ValueError(
+                    f"task returned shape {chunk.shape}, expected ({hi - lo}, n_nodes)"
+                )
+        except Exception as err:  # noqa: BLE001 - re-raised with the chunk's range
+            raise EnsembleError([((lo, hi), err)]) from err
+        values.append(chunk)
+        draws += sum(s.draws for s in streams)
+        del streams  # free this chunk's generators before the next are built
+        for key, count in out[1].items():
+            extras[key] = extras.get(key, 0) + count
 
-    values, draws, counts = zip(*results)
     samples = np.concatenate(values, axis=0)
     mean = samples.mean(axis=0)
     std_error = np.array(
         [complex_standard_error(samples[:, k]) for k in range(samples.shape[1])]
     )
-    extras: dict = {}
-    for chunk_counts in counts:
-        for key, count in chunk_counts.items():
-            extras[key] = extras.get(key, 0) + count
     wall = time.perf_counter() - start
     out_grid = np.arange(samples.shape[1], dtype=float) if grid is None else np.asarray(grid, dtype=float)
     if out_grid.size != samples.shape[1]:
@@ -150,7 +142,7 @@ def run_ensemble(
         n=n,
         method=method,
         wall_time_seconds=wall,
-        draws_total=sum(draws),
+        draws_total=draws,
         extras=extras,
         samples=samples if keep_samples else None,
     )

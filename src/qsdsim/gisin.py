@@ -58,7 +58,7 @@ import numpy as np
 
 from .diffusion import _euler_stack, _record_slots, complex_standard_error
 from .hilbert import Ket, LindbladModel, Operator, _check_dims
-from .noise import check_step, grid_steps, substream, wiener_blocks
+from .noise import NoiseStream, check_step, grid_steps, wiener_steps
 
 __all__ = [
     "GisinResult",
@@ -209,7 +209,7 @@ def run_coupled_ensemble(
     x = np.empty((model.dim, 2, n), dtype=complex)
     x[:, 0] = ket0[:, None]
     x[:, 1] = bra0[:, None]
-    streams = [substream(seed, i) for i in range(n)]
+    streams = [NoiseStream(seed, i) for i in range(n)]
     vals = np.full((len(steps), n), np.nan + 0j, dtype=complex)
     slots = _record_slots(steps, steps[-1])
     max_drift = 0.0
@@ -228,8 +228,7 @@ def run_coupled_ensemble(
 
     # every row keeps drawing, aborted ones included, so that a trajectory's
     # draw sequence does not depend on when it stops
-    blocks = wiener_blocks(streams, steps[-1], model.n_channels, dt)
-    increments = (block[:, k].T for block in blocks for k in range(block.shape[1]))
+    increments = wiener_steps(streams, steps[-1], model.n_channels, dt)
     _, _, aborted, overflowed = kernel.advance(x, increments, floor, on_step)
 
     n_alive = np.sum(~np.isnan(vals.real), axis=1)

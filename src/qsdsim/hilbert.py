@@ -3,9 +3,10 @@
 State vectors, operators, and Lindblad models for open-system trajectory
 simulation, plus the doubled-space construction used to turn matrix-element
 problems between two different states into ordinary expectation problems:
-a pair (bra_state, ket_state) is stacked into one vector on H (+) H and every
-system operator is duplicated block-diagonally, so both blocks see identical
-dynamics.  ``LindbladModel.generator`` builds the non-Hermitian generator
+``make_doubled_state`` stacks a pair (bra_state, ket_state) into one plain
+(2d,) vector on H (+) H, and ``extend_model`` duplicates every system
+operator block-diagonally, so both blocks see identical dynamics.
+``LindbladModel.generator`` builds the non-Hermitian generator
 G = -iH - (1/2) sum_j L_j^dag L_j once for every integrator and the
 master-equation oracle.
 
@@ -23,7 +24,6 @@ __all__ = [
     "Ket",
     "Operator",
     "LindbladModel",
-    "DoubledState",
     "make_doubled_state",
     "extend_model",
     "basis_ket",
@@ -132,17 +132,6 @@ class Operator:
     def is_hermitian(self, tol: float = _HERMITICITY_TOL) -> bool:
         return bool(_hermitian_deviation(self.matrix) <= tol)
 
-    def apply(self, state: Ket) -> Ket:
-        if state.dim != self.dim:
-            raise ValueError(f"dimension mismatch: operator {self.dim}, state {state.dim}")
-        return Ket(self.matrix @ state.amplitudes)
-
-    def expectation(self, state: Ket) -> complex:
-        """<state|self|state> without normalizing the input."""
-        if state.dim != self.dim:
-            raise ValueError(f"dimension mismatch: operator {self.dim}, state {state.dim}")
-        return complex(np.vdot(state.amplitudes, self.matrix @ state.amplitudes))
-
 
 @dataclass(frozen=True, eq=False)
 class LindbladModel:
@@ -194,42 +183,6 @@ class LindbladModel:
         return -1j * self.hamiltonian.matrix - 0.5 * self.ldl_sum()
 
 
-@dataclass(frozen=True, eq=False)
-class DoubledState:
-    """Vector on the doubled space H (+) H, stored as two equal-length blocks.
-
-    The upper block is the bra-side state and the lower block the ket-side
-    state of the matrix element being estimated.
-    """
-
-    upper: Ket
-    lower: Ket
-
-    def __post_init__(self):
-        if self.upper.dim != self.lower.dim:
-            raise ValueError(
-                f"block dimension mismatch: {self.upper.dim} vs {self.lower.dim}"
-            )
-
-    @property
-    def dim(self) -> int:
-        """Dimension of one block (the doubled vector has length 2*dim)."""
-        return self.upper.dim
-
-    def vector(self) -> np.ndarray:
-        return np.concatenate([self.upper.amplitudes, self.lower.amplitudes])
-
-    @classmethod
-    def from_vector(cls, vec, dim: int) -> "DoubledState":
-        arr = np.asarray(vec, dtype=complex)
-        if arr.ndim != 1 or arr.size != 2 * dim:
-            raise ValueError(f"expected a flat vector of length {2 * dim}, got shape {arr.shape}")
-        return cls(Ket(arr[:dim]), Ket(arr[dim:]))
-
-    def norm(self) -> float:
-        return float(np.sqrt(self.upper.norm() ** 2 + self.lower.norm() ** 2))
-
-
 def _check_dims(model: LindbladModel, **parts) -> None:
     """Raise a ValueError naming the first of ``parts`` (Kets or Operators)
     whose dimension is not the model's."""
@@ -238,13 +191,13 @@ def _check_dims(model: LindbladModel, **parts) -> None:
             raise ValueError(f"dimension mismatch: {name} {part.dim}, model {model.dim}")
 
 
-def make_doubled_state(bra_state: Ket, ket_state: Ket) -> DoubledState:
+def make_doubled_state(bra_state: Ket, ket_state: Ket) -> np.ndarray:
     """Stack two normalized states into the unit-norm doubled vector.
 
-    Returns the doubled state with blocks (bra_state, ket_state)/sqrt(2), so
-    that the rank-1 projector of the result has the bra-side and ket-side
-    outer products in its diagonal blocks and |ket><bra|/2 in the lower-left
-    block.
+    Returns the (2d,) vector (bra_state, ket_state)/sqrt(2): its upper block
+    is the bra side and its lower block the ket side of the matrix element,
+    so its rank-1 projector has the bra-side and ket-side outer products in
+    its diagonal blocks and |ket><bra|/2 in the lower-left block.
 
     Raises
     ------
@@ -263,7 +216,7 @@ def make_doubled_state(bra_state: Ket, ket_state: Ket) -> DoubledState:
         if abs(n - 1.0) > 1e-9:
             raise ValueError(f"{name} is not normalized: norm {n!r}")
     s = 1.0 / np.sqrt(2.0)
-    return DoubledState(Ket(bra_state.amplitudes * s), Ket(ket_state.amplitudes * s))
+    return np.concatenate([bra_state.amplitudes * s, ket_state.amplitudes * s])
 
 
 def extend_model(model: LindbladModel) -> LindbladModel:

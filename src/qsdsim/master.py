@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
-    DoubledState,
     Ket,
     LindbladModel,
     Operator,
+    _check_dims,
     extend_model,
     make_doubled_state,
 )
@@ -256,10 +256,7 @@ def regression_matrix_element(
     returns Tr{A X(t)} at every node of ``t_grid``.  Nodes are absolute
     times with the seed at zero; the grid itself need not contain zero.
     """
-    if observable.dim != model.dim:
-        raise ValueError(
-            f"dimension mismatch: observable {observable.dim}, model {model.dim}"
-        )
+    _check_dims(model, observable=observable, bra=bra_state, ket=ket_state)
     grid, padded = _grid_from_zero(t_grid)
     seed = DensityMatrix(
         np.outer(ket_state.amplitudes, bra_state.amplitudes.conj()), hermitian=False
@@ -286,11 +283,10 @@ def doubled_block_evolution(
     like every block, obeys the original master equation on its own.  Nodes
     are absolute times with the seed at zero.
     """
+    _check_dims(model, bra=bra_state, ket=ket_state)
     theta0 = make_doubled_state(bra_state, ket_state)
     grid, padded = _grid_from_zero(t_grid)
-    seed = DensityMatrix(
-        np.outer(theta0.vector(), theta0.vector().conj()), hermitian=True
-    )
+    seed = DensityMatrix(np.outer(theta0, theta0.conj()), hermitian=True)
     states = evolve(seed, extend_model(model), grid, h_ode)
     return states[1:] if padded else states
 
@@ -304,6 +300,7 @@ def doubled_matrix_element(
     h_ode: float = DEFAULT_H_ODE,
 ) -> np.ndarray:
     """Matrix element series 2 Tr{A rho_21(t)} from the doubled evolution."""
+    _check_dims(model, observable=observable)
     d = model.dim
     states = doubled_block_evolution(bra_state, ket_state, model, t_grid, h_ode)
     return np.array(
@@ -330,6 +327,9 @@ def two_time_correlation(
     returned at every node.  At tau = 0 this is Tr{A B rho(t)}; tau nodes
     are absolute delays with the seed at tau = 0.
     """
+    _check_dims(model, observable=observable, perturbation=perturbation)
+    if rho0 is not None:
+        _check_dims(model, rho0=rho0)
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     start = steady_state(model) if rho0 is None else rho0

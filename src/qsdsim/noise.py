@@ -1,7 +1,7 @@
 """Reproducible complex Wiener increments for trajectory ensembles.
 
-Each trajectory owns an independent substream derived from (seed,
-trajectory_index) through numpy's SeedSequence spawn-key mechanism, so the
+Trajectory i of a run owns the stream ``NoiseStream(seed, i)``, derived from
+(seed, i) through numpy's SeedSequence spawn-key mechanism, so the
 noise seen by trajectory i never depends on how many trajectories run, on
 scheduling, or on chunking.  A complex increment dxi has independent real and
 imaginary parts, each Gaussian with variance dt/2, which gives
@@ -15,14 +15,15 @@ The rules every integrator shares also live here, so that the engines, the
 master-equation oracle and the command line can all import them without a
 cycle: :func:`check_step` (a step size is finite and positive),
 :func:`grid_steps` (times on the dt grid as integer step counts) and
-:func:`wiener_blocks` (batched noise in blocks of ``NOISE_BLOCK`` steps).
+:func:`wiener_steps` (each step's increments for a batch of streams, drawn
+in blocks of ``NOISE_BLOCK`` steps).
 """
 
 import math
 
 import numpy as np
 
-__all__ = ["NoiseStream", "substream"]
+__all__ = ["NoiseStream"]
 
 # steps of noise generated per block in batched runs; bounds memory while
 # keeping per-trajectory draw order identical to stepwise generation
@@ -123,25 +124,15 @@ class NoiseStream:
         self.draws += 1
         return float(self._gen.random())
 
-    def complex_normals(self, n: int) -> np.ndarray:
-        """n standard complex Gaussians (components N(0, 1/2) each)."""
-        z = self._gen.standard_normal(2 * n)
-        self.draws += 2 * n
-        return np.sqrt(0.5) * (z[0::2] + 1j * z[1::2])
 
+def wiener_steps(streams, n_steps: int, n_channels: int, dt: float):
+    """Yield the increments of each of ``n_steps`` steps, shape
+    (n_channels, len(streams)): column i holds streams[i]'s draw.
 
-def substream(seed: int, trajectory_index: int) -> NoiseStream:
-    """Independent stream for trajectory ``trajectory_index`` under ``seed``."""
-    return NoiseStream(seed, trajectory_index)
-
-
-def wiener_blocks(streams, n_steps: int, n_channels: int, dt: float):
-    """Yield the increments of ``n_steps`` steps in blocks of at most
-    ``NOISE_BLOCK`` steps, each of shape (len(streams), span, n_channels).
-
-    Row i of every block comes from one ``wiener_block`` call on streams[i],
-    so each stream is consumed exactly as by stepwise generation.  Every
-    block is a view of one buffer that the next block overwrites.
+    The noise is drawn in blocks of at most ``NOISE_BLOCK`` steps, row i of
+    a block by one ``wiener_block`` call on streams[i], so each stream is
+    consumed exactly as by stepwise generation.  Every step is a strided
+    view of one buffer that the next block overwrites.
     """
     buffer = np.empty((len(streams), min(NOISE_BLOCK, n_steps), n_channels), dtype=complex)
     for done in range(0, n_steps, NOISE_BLOCK):
@@ -149,4 +140,5 @@ def wiener_blocks(streams, n_steps: int, n_channels: int, dt: float):
         block = buffer[:, :span]
         for i, stream in enumerate(streams):
             stream.wiener_block(span, n_channels, dt, out=block[i])
-        yield block
+        for k in range(span):
+            yield block[:, k].T

@@ -16,6 +16,7 @@ from qsdsim import (
     DensityMatrix,
     JumpEngine,
     Ket,
+    NoiseStream,
     Operator,
     QsdEngine,
     SdeConfig,
@@ -33,7 +34,6 @@ from qsdsim import (
     run_ensemble,
     sigma_minus,
     sigma_plus,
-    substream,
     two_time_correlation,
 )
 
@@ -94,7 +94,7 @@ def test_criterion_3_doubled_blocks_follow_single_space_evolution(rng):
         bra = random_ket(rng, dim)
         ket = random_ket(rng, dim)
         full = doubled_block_evolution(bra, ket, model, grid, h_ode=h_ode)
-        vec = make_doubled_state(bra, ket).vector()
+        vec = make_doubled_state(bra, ket)
         for a in (0, 1):
             for b in (0, 1):
                 seed_block = np.outer(
@@ -189,7 +189,7 @@ def test_criterion_7_estimator_identities():
             n_trajectories=n, sde=SdeConfig(dt=dt, scheme=scheme), initial=psi0,
         )
         res = correlate(request, model, seed=seed, keep_samples=True)
-        streams = [substream(seed, i) for i in range(n)]
+        streams = [NoiseStream(seed, i) for i in range(n)]
         states = QsdEngine(model, dt, scheme).run(
             np.tile(psi0.amplitudes, (n, 1)), streams, steps
         )
@@ -206,7 +206,7 @@ def test_criterion_7_estimator_identities():
         n_trajectories=n, sde=SdeConfig(dt=dt), initial=psi0,
     )
     res = correlate(request, model, seed=seed, keep_samples=True)
-    streams = [substream(seed, i) for i in range(n)]
+    streams = [NoiseStream(seed, i) for i in range(n)]
     engine = QsdEngine(model, dt)
     states = engine.run(np.tile(psi0.amplitudes, (n, 1)), streams, steps)
     manual = np.empty((n, tau_grid.size), dtype=complex)
@@ -250,7 +250,7 @@ def test_criterion_8_jump_method_is_no_slower_at_matched_error():
             observable=sigma_plus(), perturbation=sigma_minus(), t=0.0,
             tau_grid=tau_grid, n_trajectories=n,
             sde=SdeConfig(dt=dt, scheme="normalized" if method == "qsd" else "jump"),
-            initial="steady_state", warmup_time=warmup,
+            warmup_time=warmup,
         )
         res = correlate(request, model, seed)
         results[(method, n)] = res

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsdsim import (
-    INITIAL_SPECS,
     EnsembleError,
     Ket,
     LindbladModel,
@@ -50,6 +49,25 @@ def test_validate_fills_defaults():
     assert grid.size == 40
     assert grid[0] == pytest.approx(0.1)
     assert grid[-1] == pytest.approx(4.0)
+
+
+def _readme_keys(scenario: str) -> list:
+    """The keys named in the first column of the README table for ``scenario``."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # the table follows a line that opens with the scenario in backticks
+    # and whose sentence ends in a colon
+    match = re.search(rf"^`{re.escape(scenario)}`.*?:\n\n((?:\|[^\n]*\n)+)", text, re.M | re.S)
+    assert match, f"no key table for {scenario!r} in README.md"
+    rows = match.group(1).splitlines()[2:]  # after the header and the rule
+    return [key for row in rows for key in re.findall(r"`([^`]+)`", row.split("|")[1])]
+
+
+@pytest.mark.parametrize("scenario", sorted(cli.SCHEMAS))
+def test_readme_key_tables_match_the_schemas(scenario):
+    expected = []
+    for name, (parse, _) in cli.SCHEMAS[scenario].items():
+        expected.extend(parse.keys if isinstance(parse, cli._Linspace) else (name,))
+    assert sorted(_readme_keys(scenario)) == sorted(expected)
 
 
 # every linspace-grid key of each scenario, with unparsable values
@@ -140,6 +158,9 @@ _CUSTOM_NON_FINITE_CASES = [
         ('{"scenario": "decay-element", "seed": -3}', "seed"),
         ('{"scenario": "decay-element", "workers": 2}',
          "workers: not applicable to scenario 'decay-element'"),
+        (_custom(mode='"correlation"', bra=None, ket=None, t_grid=None,
+                 perturbation='"sigma_minus"', tau_grid="[0]", initial='"steady_state"'),
+         "initial: not applicable to scenario 'custom'"),
         ('{"scenario": "decay-element", "unraveling": "euler"}', "unraveling"),
         ('{"scenario": "decay-element", "t_start": 0.1005}', "integer multiple"),
         ('{"scenario": "gisin-compare", "h_list": [0.3]}', "h=0.3"),
@@ -252,7 +273,6 @@ def _custom_values(dim):
         "model": models, "observable": operators, "perturbation": operators,
         "bra": vectors, "ket": vectors, "t_grid": grids, "tau_grid": grids,
         "t": _TIMES | _NUMBERS, "warmup": _TIMES | _NUMBERS,
-        "initial": st.sampled_from(INITIAL_SPECS),
     }
 
 

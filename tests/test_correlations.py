@@ -6,6 +6,7 @@ import pytest
 from qsdsim import (
     CorrelationRequest,
     Ket,
+    NoiseStream,
     Operator,
     QsdEngine,
     SdeConfig,
@@ -18,7 +19,6 @@ from qsdsim import (
     sigma_minus,
     sigma_plus,
     steady_state,
-    substream,
     two_time_correlation,
 )
 
@@ -28,7 +28,7 @@ from conftest import decay_element_setup, random_ket, random_model
 def haar_rows(streams, dim):
     out = np.empty((len(streams), dim), dtype=complex)
     for i, stream in enumerate(streams):
-        vec = stream.complex_normals(dim)
+        vec = stream.wiener(dim, 1.0)
         out[i] = vec / np.linalg.norm(vec)
     return out
 
@@ -51,10 +51,10 @@ def test_request_validation():
         CorrelationRequest(**{**good, "n_trajectories": 1})
     with pytest.raises(ValueError):
         CorrelationRequest(**{**good, "perturbation": Operator(np.eye(3))})
-    with pytest.raises(ValueError):
-        CorrelationRequest(**{**good, "initial": "thermal"})
-    with pytest.raises(TypeError):
-        CorrelationRequest(**{**good, "initial": 3})
+    # the Haar-random start is initial=None; no string names it
+    for initial in ("thermal", "steady_state", 3):
+        with pytest.raises(TypeError, match="initial must be a Ket or None"):
+            CorrelationRequest(**{**good, "initial": initial})
     # a zero-norm ket is a named error before any trajectory work
     with pytest.raises(ValueError, match="cannot normalize a zero-norm state"):
         CorrelationRequest(**{**good, "initial": Ket([0.0, 0.0])})
@@ -99,7 +99,7 @@ def test_zero_delay_value_is_exact_per_realization():
             n_trajectories=n, sde=sde, initial=psi0,
         )
         res = correlate(request, model, seed=seed, keep_samples=True)
-        streams = [substream(seed, i) for i in range(n)]
+        streams = [NoiseStream(seed, i) for i in range(n)]
         states = np.tile(psi0.amplitudes, (n, 1))
         states = QsdEngine(model, dt, scheme).run(states, streams, int(round(t / dt)))
         states /= np.linalg.norm(states, axis=1)[:, None]
@@ -124,7 +124,7 @@ def test_identity_perturbation_reduces_to_single_space_run():
     )
     res = correlate(request, model, seed=seed, keep_samples=True)
 
-    streams = [substream(seed, i) for i in range(n)]
+    streams = [NoiseStream(seed, i) for i in range(n)]
     engine = QsdEngine(model, dt)
     states = engine.run(np.tile(psi0.amplitudes, (n, 1)), streams, int(round(t / dt)))
     manual = np.empty((n, tau_grid.size), dtype=complex)
@@ -189,7 +189,7 @@ def test_explicit_initial_is_normalized_and_draws_nothing(scheme):
 
 
 def test_warmup_relaxes_decay_to_ground_reproducibly():
-    request = zero_delay_request("steady_state", warmup_time=15.0)
+    request = zero_delay_request(None, warmup_time=15.0)
     res = correlate(request, decay_model(), seed=8)
     assert 0.0 <= res.mean[0].real < 1e-5
     again = correlate(request, decay_model(), seed=8)
@@ -215,7 +215,7 @@ def test_warmup_reaches_stationary_covariance():
     # relaxed Haar ensemble matches the steady state componentwise
     model = driven_decay_model(10.0)
     dt, warmup, n = 2e-3, 12.0, 2000
-    streams = [substream(31, i) for i in range(n)]
+    streams = [NoiseStream(31, i) for i in range(n)]
     states = haar_rows(streams, 2)
     states = QsdEngine(model, dt).run(states, streams, int(round(warmup / dt)))
     outer = np.einsum("bi,bj->bij", states, states.conj())
@@ -235,7 +235,7 @@ def test_fluorescence_correlation_matches_oracle():
     request = CorrelationRequest(
         observable=sigma_plus(), perturbation=sigma_minus(), t=0.0,
         tau_grid=tau_grid, n_trajectories=1500, sde=SdeConfig(dt=dt),
-        initial="steady_state", warmup_time=10.0,
+        warmup_time=10.0,
     )
     res = correlate(request, model, seed=77)
     oracle = two_time_correlation(sigma_plus(), sigma_minus(), model, 0.0, tau_grid)

@@ -8,6 +8,7 @@ from qsdsim import (
     InstabilityError,
     JumpEngine,
     Ket,
+    NoiseStream,
     Operator,
     QsdEngine,
     SdeConfig,
@@ -15,7 +16,6 @@ from qsdsim import (
     complex_standard_error,
     decay_model,
     evolve,
-    substream,
 )
 from qsdsim.diffusion import _columns
 
@@ -60,8 +60,8 @@ def test_doubled_rows_stay_doubled(scheme):
     _, _, ket, model = decay_element_setup()
     engine = QsdEngine(model, 1e-3, scheme)
     doubled = np.concatenate([ket.amplitudes, np.zeros(2)]).reshape(1, -1)
-    out = engine.run(doubled, [substream(0, 0)], 30)
-    alone = engine.run(ket.amplitudes.reshape(1, -1), [substream(0, 0)], 30)
+    out = engine.run(doubled, [NoiseStream(0, 0)], 30)
+    alone = engine.run(ket.amplitudes.reshape(1, -1), [NoiseStream(0, 0)], 30)
     assert out.shape == (1, 4) and alone.shape == (1, 2)
     assert not out[0, 2:].any()
     np.testing.assert_allclose(out[:, :2], alone, rtol=0, atol=1e-14)
@@ -75,7 +75,7 @@ def test_normalized_run_keeps_unit_norm():
 
     engine = QsdEngine(decay_model(), 1e-2)
     psi = np.array([[0.6, 0.8]], dtype=complex)
-    engine.run(psi, [substream(7, 0)], 50, range(1, 51), on_record)
+    engine.run(psi, [NoiseStream(7, 0)], 50, range(1, 51), on_record)
     assert len(norms) == 50
     np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-12)
 
@@ -105,9 +105,9 @@ def test_batched_run_matches_single_runs(engine_cls, dim):
         states = np.array([random_ket(rng, dim).amplitudes for _ in range(rows)])
     # keeps each jump probability below 0.05 per substep
     dt = min(1e-2, 0.05 / np.linalg.eigvalsh(model.ldl_sum()).max())
-    out = engine_cls(model, dt).run(states, [substream(9, i) for i in range(rows)], n_steps)
+    out = engine_cls(model, dt).run(states, [NoiseStream(9, i) for i in range(rows)], n_steps)
     for i in range(rows):
-        alone = engine_cls(model, dt).run(states[i : i + 1], [substream(9, i)], n_steps)
+        alone = engine_cls(model, dt).run(states[i : i + 1], [NoiseStream(9, i)], n_steps)
         if dim is None:
             assert np.array_equal(out[i], alone[0])
         else:
@@ -117,7 +117,7 @@ def test_batched_run_matches_single_runs(engine_cls, dim):
 def test_run_validates_shapes_and_records():
     engine = QsdEngine(decay_model(), 1e-2)
     states = np.tile(basis_ket(2, 1).amplitudes, (2, 1))
-    streams = [substream(0, i) for i in range(2)]
+    streams = [NoiseStream(0, i) for i in range(2)]
     with pytest.raises(ValueError):
         engine.run(states, streams[:1], 5)
     with pytest.raises(ValueError):
@@ -133,7 +133,7 @@ def pre_renorm_norm_drift(dt, n_steps, batch=64):
     engine = QsdEngine(model, dt)
     base = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0)
     states = np.tile(base, (batch, 1))
-    streams = [substream(77, i) for i in range(batch)]
+    streams = [NoiseStream(77, i) for i in range(batch)]
     drifts = []
 
     def on_record(slot, recorded, norms):
@@ -160,7 +160,7 @@ def test_schemes_agree_with_master_equation():
     for scheme in ("normalized", "quasi_linear"):
         engine = QsdEngine(model, dt, scheme)
         states = np.tile(base, (n, 1))
-        streams = [substream(15, i) for i in range(n)]
+        streams = [NoiseStream(15, i) for i in range(n)]
         out = engine.run(states, streams, int(round(t / dt)))
         norm2 = np.einsum("bi,bi->b", out.conj(), out).real
         vals = np.einsum("bi,ij,bj->b", out.conj(), number.matrix, out).real / norm2

@@ -1,5 +1,7 @@
 """Ensemble reduction, statistics, and benchmark plumbing."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from qsdsim import (
 def noisy_task(streams, nodes=3, draws=10):
     out = np.empty((len(streams), nodes), dtype=complex)
     for i, stream in enumerate(streams):
-        z = stream.complex_normals(draws // 2)
+        z = stream.wiener(draws // 2, 1.0)
         out[i] = 1.0 + z.sum() / np.sqrt(draws // 2)
     return out, {}
 
@@ -96,6 +98,23 @@ def test_failures_carry_index_ranges():
     assert "[8, 16)" in str(excinfo.value)
 
 
+def test_first_failing_chunk_stops_the_run():
+    starts = []
+
+    def fails_in_first_chunk(streams):
+        starts.append(streams[0].trajectory_index)
+        raise RuntimeError("boom")
+
+    with pytest.raises(EnsembleError) as excinfo:
+        run_ensemble(fails_in_first_chunk, 24, seed=0, chunk_size=8)
+    # the two later chunks never run
+    assert starts == [0]
+    assert len(excinfo.value.failures) == 1
+    assert str(excinfo.value) == (
+        "ensemble execution failed for trajectories [0, 8): RuntimeError: boom"
+    )
+
+
 def test_keep_samples_shape():
     res = run_ensemble(noisy_task, 10, seed=1, keep_samples=True, grid=[0.0, 0.5, 1.0])
     assert res.samples.shape == (10, 3)
@@ -156,11 +175,21 @@ def busy_task(streams):
     return out, {}
 
 
+def _cpu_timed(n, seed):
+    """The result of one run and the CPU time this process spent on it."""
+    start = time.process_time()
+    res = run_ensemble(busy_task, n, seed=seed)
+    return res, time.process_time() - start
+
+
 def test_wall_time_scales_linearly_with_n():
-    # doubling n should roughly double the wall time of a compute-bound task
+    # doubling n should roughly double the cost of a compute-bound task;
+    # CPU time, unlike wall time, does not count time other processes hold
+    # the cores
     ratios = []
     for rep in range(5):
-        small = run_ensemble(busy_task, 400, seed=rep)
-        large = run_ensemble(busy_task, 800, seed=rep)
-        ratios.append(large.wall_time_seconds / small.wall_time_seconds)
+        small, small_s = _cpu_timed(400, rep)
+        large, large_s = _cpu_timed(800, rep)
+        assert small.wall_time_seconds > 0 and large.wall_time_seconds > 0
+        ratios.append(large_s / small_s)
     assert 1.6 <= float(np.median(ratios)) <= 2.6

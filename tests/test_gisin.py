@@ -5,6 +5,7 @@ import pytest
 
 from qsdsim import (
     LindbladModel,
+    NoiseStream,
     Operator,
     SdeConfig,
     basis_ket,
@@ -12,7 +13,6 @@ from qsdsim import (
     instability_report,
     regression_matrix_element,
     run_coupled_ensemble,
-    substream,
 )
 from qsdsim.gisin import VARIANTS, _PairKernel
 
@@ -126,14 +126,14 @@ def test_overflowing_rows_are_flagged_without_warnings(strength, variant):
     # trajectory 0 alone: flagged as overflowed, not aborted, and frozen finite
     x, sp, aborted, overflowed = _PairKernel(model, 0.01, variant).advance(
         pair_rows([bra.amplitudes], [ket.amplitudes]),
-        stepwise_increments([substream(0, 0)], 100, 0.01), 1e-12, skip,
+        stepwise_increments([NoiseStream(0, 0)], 100, 0.01), 1e-12, skip,
     )
     assert overflowed[0] and not aborted[0]
     assert np.all(np.isfinite(x)) and np.isfinite(sp[0])
 
 
 def accumulated_drift(model, bra, ket, dt, horizon=0.2, n=60, seed=17):
-    streams = [substream(seed, i) for i in range(n)]
+    streams = [NoiseStream(seed, i) for i in range(n)]
     x = pair_rows([bra.amplitudes] * n, [ket.amplitudes] * n)
     x, sp, aborted, overflowed = _PairKernel(model, dt, "unity").advance(
         x, stepwise_increments(streams, int(round(horizon / dt)), dt), 1e-12, skip

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qsdsim import (
-    DoubledState,
     Ket,
     LindbladModel,
     Operator,
@@ -111,14 +110,6 @@ def test_operator_hermiticity_flag():
     assert not sigma_minus().is_hermitian()
 
 
-def test_operator_apply_and_expectation():
-    op = sigma_plus()
-    excited = op.apply(basis_ket(2, 0))
-    assert np.allclose(excited.amplitudes, [0.0, 1.0])
-    plus = Ket(np.array([1.0, 1.0]) / np.sqrt(2.0))
-    assert op.expectation(plus) == pytest.approx(0.5)
-
-
 def test_two_level_algebra():
     sm, sp = sigma_minus(), sigma_plus()
     number = sp.matrix @ sm.matrix
@@ -166,9 +157,10 @@ def test_make_doubled_state_blocks():
     ket = Ket(np.array([1.0, 1.0]) / np.sqrt(2.0))
     theta = make_doubled_state(bra, ket)
     s = 1.0 / np.sqrt(2.0)
-    assert np.allclose(theta.upper.amplitudes, [s, 0.0])
-    assert np.allclose(theta.lower.amplitudes, [0.5, 0.5])
-    assert theta.norm() == pytest.approx(1.0)
+    assert theta.shape == (4,)
+    assert np.allclose(theta[:2], [s, 0.0])
+    assert np.allclose(theta[2:], [0.5, 0.5])
+    assert np.linalg.norm(theta) == pytest.approx(1.0)
 
 
 def test_make_doubled_state_rejects_unnormalized():
@@ -178,27 +170,18 @@ def test_make_doubled_state_rejects_unnormalized():
         make_doubled_state(Ket([1.0, 0.0]), Ket([1.0, 0.0, 0.0]))
 
 
-def test_doubled_state_round_trip():
-    theta = DoubledState(Ket([1.0, 2.0]), Ket([3.0, 4.0]))
-    back = DoubledState.from_vector(theta.vector(), 2)
-    assert np.allclose(back.upper.amplitudes, [1.0, 2.0])
-    assert np.allclose(back.lower.amplitudes, [3.0, 4.0])
-    with pytest.raises(ValueError):
-        DoubledState.from_vector(np.zeros(3), 2)
-
-
 def test_projector_blocks_and_positivity(rng):
     bra = random_ket(rng, 3)
     ket = random_ket(rng, 3)
     theta = make_doubled_state(bra, ket)
-    rho = np.outer(theta.vector(), theta.vector().conj())
+    rho = np.outer(theta, theta.conj())
     d = 3
     # lower-left block carries |ket><bra| / 2
     expected = 0.5 * np.outer(ket.amplitudes, bra.amplitudes.conj())
     assert np.max(np.abs(rho[d:, :d] - expected)) < 1e-14
     bra_projector = np.outer(bra.amplitudes, bra.amplitudes.conj())
     assert np.max(np.abs(rho[:d, :d] - 0.5 * bra_projector)) < 1e-14
-    assert np.trace(rho).real == pytest.approx(theta.norm() ** 2, abs=1e-12)
+    assert np.trace(rho).real == pytest.approx(np.linalg.norm(theta) ** 2, abs=1e-12)
     evals = np.linalg.eigvalsh(rho)
     assert evals.min() >= -1e-14
     assert np.sum(evals > 1e-12) == 1

@@ -7,9 +7,9 @@ from scipy import linalg, stats
 from qsdsim import (
     CorrelationRequest,
     DensityMatrix,
-    DoubledState,
     JumpEngine,
     Ket,
+    NoiseStream,
     SdeConfig,
     basis_ket,
     decay_model,
@@ -19,7 +19,6 @@ from qsdsim import (
     heisenberg_element,
     regression_matrix_element,
     sigma_plus,
-    substream,
     two_time_correlation,
 )
 
@@ -35,7 +34,7 @@ def test_jump_engine_validation():
 
 
 def test_ground_state_never_jumps():
-    stream = substream(0, 0)
+    stream = NoiseStream(0, 0)
     engine = JumpEngine(decay_model(), 1e-2)
     out = engine.run(basis_ket(2, 0).amplitudes.reshape(1, -1), [stream], 200)
     assert np.array_equal(out[0], basis_ket(2, 0).amplitudes)
@@ -51,7 +50,7 @@ def test_two_draws_per_jump_accounting():
     n, steps = 50, 2000
     engine = JumpEngine(driven_decay_model(3.0), 1e-3)
     states = np.tile(basis_ket(2, 1).amplitudes, (n, 1))
-    streams = [substream(12, i) for i in range(n)]
+    streams = [NoiseStream(12, i) for i in range(n)]
     engine.run(states, streams, steps)
     assert engine.last_jump_counts.sum() > 0
     for stream, jumps in zip(streams, engine.last_jump_counts):
@@ -71,7 +70,7 @@ def test_waiting_times_are_exponential():
 
     engine = JumpEngine(decay_model(), dt)
     states = np.tile(basis_ket(2, 1).amplitudes, (n, 1))
-    streams = [substream(99, i) for i in range(n)]
+    streams = [NoiseStream(99, i) for i in range(n)]
     engine.run(states, streams, n_steps, range(n_steps + 1), on_record)
     times = first_jump[first_jump > 0]
     assert times.size >= n - 1
@@ -86,7 +85,7 @@ def test_trajectory_covariance_matches_master_equation():
     n, dt, t = 3000, 1e-3, 1.0
     engine = JumpEngine(model, dt)
     states = np.tile(psi0, (n, 1))
-    streams = [substream(7, i) for i in range(n)]
+    streams = [NoiseStream(7, i) for i in range(n)]
     out = engine.run(states, streams, int(round(t / dt)))
     outer = np.einsum("bi,bj->bij", out, out.conj())
     rho = evolve(DensityMatrix.from_ket(Ket(psi0)), model, [0.0, t])[-1].entries
@@ -103,9 +102,10 @@ def test_zero_lower_block_is_preserved_through_jumps():
     def on_record(slot, states, norms):
         lower.append(np.abs(states[0, 2:]).max())
 
-    state = DoubledState(basis_ket(2, 1), Ket([0.0, 0.0])).vector().reshape(1, -1)
+    # upper block the excited state, lower block zero
+    state = np.array([[0.0, 1.0, 0.0, 0.0]], dtype=complex)
     engine = JumpEngine(decay_model(), 1e-2)
-    engine.run(state, [substream(4, 0)], 300, range(301), on_record)
+    engine.run(state, [NoiseStream(4, 0)], 300, range(301), on_record)
     assert lower == [0.0] * 301
     assert engine.last_jump_counts[0] > 0
 
@@ -128,7 +128,7 @@ def test_survival_matches_oracle_at_large_dt(dt):
 
     engine = JumpEngine(model, dt)
     states = np.tile(basis_ket(2, 1).amplitudes, (n, 1))
-    streams = [substream(21, i) for i in range(n)]
+    streams = [NoiseStream(21, i) for i in range(n)]
     engine.run(states, streams, n_steps, range(n_steps + 1), on_record)
     sigma = np.sqrt(oracle * (1.0 - oracle) / n)
     assert np.all(np.abs(survived - oracle) <= 4.0 * sigma + 1e-12)
@@ -140,7 +140,7 @@ def test_survival_matches_oracle_at_large_dt(dt):
 def test_jump_from_a_dark_state_is_taken_at_the_jump_substep():
     # |g> is dark for L = sigma_minus; a threshold of 1 forces a jump in the
     # first substep, whose weights vanish one substep before it
-    stream = substream(5, 0)
+    stream = NoiseStream(5, 0)
     engine = JumpEngine(driven_decay_model(3.0), 0.1)
     x = _columns(basis_ket(2, 0).amplitudes.reshape(1, -1), 2)
     survival, thresholds, jumps = np.ones(1), np.ones(1), np.zeros(1, dtype=np.int64)

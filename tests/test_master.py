@@ -178,6 +178,42 @@ def test_density_matrix_validation():
     DensityMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=False)
 
 
+_WIDE_KET = Ket(np.ones(3) / np.sqrt(3.0))
+_WIDE_OP = Operator(np.eye(3))
+_TWO = dict(observable=sigma_plus(), bra_state=basis_ket(2, 1), ket_state=basis_ket(2, 0))
+
+
+@pytest.mark.parametrize(
+    "oracle,kwargs,name",
+    [
+        (regression_matrix_element, {**_TWO, "bra_state": _WIDE_KET}, "bra"),
+        (regression_matrix_element, {**_TWO, "ket_state": _WIDE_KET}, "ket"),
+        (regression_matrix_element, {**_TWO, "observable": _WIDE_OP}, "observable"),
+        (doubled_matrix_element, {**_TWO, "bra_state": _WIDE_KET}, "bra"),
+        (doubled_matrix_element, {**_TWO, "observable": _WIDE_OP}, "observable"),
+        (doubled_block_evolution, {"bra_state": _WIDE_KET, "ket_state": _WIDE_KET}, "bra"),
+        (doubled_block_evolution, {"bra_state": _TWO["bra_state"], "ket_state": _WIDE_KET},
+         "ket"),
+        (two_time_correlation,
+         {"observable": _WIDE_OP, "perturbation": sigma_minus(), "t": 0.5}, "observable"),
+        (two_time_correlation,
+         {"observable": sigma_plus(), "perturbation": _WIDE_OP, "t": 0.5}, "perturbation"),
+        (two_time_correlation,
+         {"observable": sigma_plus(), "perturbation": sigma_minus(), "t": 0.0,
+          "rho0": DensityMatrix(np.eye(3) / 3.0)}, "rho0"),
+    ],
+)
+def test_oracles_name_a_mismatched_dimension_before_any_work(oracle, kwargs, name, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("oracle work started")
+
+    for work in ("evolve", "steady_state", "build_liouvillian"):
+        monkeypatch.setattr(master, work, refuse)
+    grid = "tau_grid" if oracle is two_time_correlation else "t_grid"
+    with pytest.raises(ValueError, match=f"^dimension mismatch: {name} 3, model 2$"):
+        oracle(model=decay_model(), **{grid: [0.0, 0.5]}, **kwargs)
+
+
 def test_regression_element_constant_without_dynamics():
     model = LindbladModel(hamiltonian=Operator(np.zeros((2, 2))), lindblads=())
     bra, ket = basis_ket(2, 1), Ket(np.array([0.6, 0.8]))
@@ -232,10 +268,7 @@ def test_doubled_lower_block_obeys_original_master_equation():
     grid = np.linspace(0.0, 3.0, 7)
     states = doubled_block_evolution(bra, ket, model, grid)
     theta0 = make_doubled_state(bra, ket)
-    seed = DensityMatrix(
-        np.outer(theta0.lower.amplitudes, theta0.upper.amplitudes.conj()),
-        hermitian=False,
-    )
+    seed = DensityMatrix(np.outer(theta0[2:], theta0[:2].conj()), hermitian=False)
     alone = evolve(seed, model, grid)
     for full, block in zip(states, alone):
         assert np.max(np.abs(full.entries[2:, :2] - block.entries)) < 1e-10

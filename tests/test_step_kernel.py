@@ -24,6 +24,7 @@ from conftest import decay_element_setup, qsd_step, random_ket, random_model
 from qsdsim import (
     CorrelationRequest,
     JumpEngine,
+    NoiseStream,
     QsdEngine,
     SdeConfig,
     correlate,
@@ -33,7 +34,6 @@ from qsdsim import (
     make_doubled_state,
     sigma_minus,
     sigma_plus,
-    substream,
 )
 from qsdsim.gisin import VARIANTS, _PairKernel
 
@@ -137,8 +137,7 @@ def random_rows(rng, model, doubled):
     rows = []
     for _ in range(BATCH):
         if doubled:
-            pair = make_doubled_state(random_ket(rng, model.dim), random_ket(rng, model.dim))
-            rows.append(pair.vector())
+            rows.append(make_doubled_state(random_ket(rng, model.dim), random_ket(rng, model.dim)))
         else:
             rows.append(random_ket(rng, model.dim).amplitudes)
     return np.array(rows)
@@ -166,11 +165,11 @@ def test_qsd_engine_matches_row_major_reference(dim, channels, doubled, n_steps,
     states = random_rows(rng, model, doubled)
     dt = 1e-3
     got = QsdEngine(model, dt, scheme).run(
-        states, [substream(3, i) for i in range(BATCH)], n_steps
+        states, [NoiseStream(3, i) for i in range(BATCH)], n_steps
     )
     ref_model = extend_model(model) if doubled else model
     want = reference_qsd_run(
-        states, ref_model, dt, scheme, [substream(3, i) for i in range(BATCH)], n_steps
+        states, ref_model, dt, scheme, [NoiseStream(3, i) for i in range(BATCH)], n_steps
     )
     assert_rows_close(got, want)
 
@@ -182,7 +181,7 @@ def test_one_row_step_matches_reference(dim, channels, doubled):
     model = random_model(rng, dim, channels)
     ref_model = extend_model(model) if doubled else model
     row = random_rows(rng, model, doubled)[:1]
-    dxi = substream(5, 0).wiener(channels, 1e-3)[None]
+    dxi = NoiseStream(5, 0).wiener(channels, 1e-3)[None]
     for scheme in ("normalized", "quasi_linear"):
         got = qsd_step(model, 1e-3, scheme, row, dxi)
         assert got.shape == row.shape
@@ -208,7 +207,7 @@ def test_jump_engine_matches_row_major_reference(dim, channels, doubled, n_steps
     # the largest possible jump probability per substep is about 0.05
     dt = 0.05 / np.linalg.eigvalsh(model.ldl_sum()).max()
     engine = JumpEngine(model, dt)
-    streams = [substream(8, i) for i in range(BATCH)]
+    streams = [NoiseStream(8, i) for i in range(BATCH)]
     record_steps = JUMP_RECORDS[n_steps]
     recorded = {}
 
@@ -217,7 +216,7 @@ def test_jump_engine_matches_row_major_reference(dim, channels, doubled, n_steps
 
     got = engine.run(states, streams, n_steps, record_steps, on_record)
     ref_model = extend_model(model) if doubled else model
-    ref_streams = [substream(8, i) for i in range(BATCH)]
+    ref_streams = [NoiseStream(8, i) for i in range(BATCH)]
     want, jumps, want_recorded = reference_jump_run(
         states, ref_model, dt, ref_streams, n_steps, record_steps
     )
@@ -237,12 +236,12 @@ def test_one_substep_runs_match_reference_on_doubled_state(rng):
     model = random_model(rng, 3, 2)
     pair = make_doubled_state(random_ket(rng, 3), random_ket(rng, 3))
     dt = 0.05 / np.linalg.eigvalsh(model.ldl_sum()).max()
-    engine, stream = JumpEngine(model, dt), substream(2, 0)
-    state = pair.vector().reshape(1, -1)
+    engine, stream = JumpEngine(model, dt), NoiseStream(2, 0)
+    state = pair.reshape(1, -1)
     for _ in range(50):
         state = engine.run(state, [stream], 1)
-    ref_stream = substream(2, 0)
-    want = pair.vector().reshape(1, -1)
+    ref_stream = NoiseStream(2, 0)
+    want = pair.reshape(1, -1)
     for _ in range(50):
         want, _, _ = reference_jump_run(want, extend_model(model), dt, [ref_stream], 1)
     assert_rows_close(state, want)
@@ -268,7 +267,7 @@ def test_estimators_never_extend_the_model(monkeypatch):
         request = CorrelationRequest(
             observable=sigma_plus(), perturbation=sigma_minus(), t=0.1,
             tau_grid=np.array([0.0, 0.1]), n_trajectories=4, sde=sde,
-            initial="random_uniform", warmup_time=0.1,
+            warmup_time=0.1,
         )
         res = correlate(request, driven_decay_model(2.0), seed=1)
         assert np.all(np.isfinite(res.mean))
@@ -298,7 +297,7 @@ def test_pair_kernel_matches_row_major_reference(dim, channels, n_steps, variant
     # 1e41), and a one-ulp change of their start moves the reference itself
     # by 1e-5; at 1e-4 every row stays well conditioned
     dt = 1e-4
-    streams = [substream(6, i) for i in range(BATCH)]
+    streams = [NoiseStream(6, i) for i in range(BATCH)]
     increments = [np.array([s.wiener(channels, dt) for s in streams]) for _ in range(n_steps)]
     x = np.stack([kets.T, bras.T], axis=1)  # (dim, 2, batch)
     x, _, aborted, overflowed = _PairKernel(model, dt, variant).advance(
@@ -319,7 +318,7 @@ def test_one_pair_step_matches_reference(dim, channels):
     model = random_model(rng, dim, channels)
     kets, bras = random_pair_rows(rng, dim)
     kets, bras = kets[:1], bras[:1]
-    dxi = substream(5, 1).wiener(channels, 1e-3)[None]
+    dxi = NoiseStream(5, 1).wiener(channels, 1e-3)[None]
     for variant in VARIANTS:
         x = np.stack([kets.T, bras.T], axis=1)
         x, sp, aborted, overflowed = _PairKernel(model, 1e-3, variant).advance(
