@@ -540,6 +540,28 @@ def _version_string() -> str:
     return __version__
 
 
+def _holds_containers(value) -> bool:
+    return isinstance(value, dict) or (
+        isinstance(value, list) and any(isinstance(v, (list, dict)) for v in value)
+    )
+
+
+def _json_text(value, pad: str = "") -> str:
+    """JSON text of plain data ``value``: a dict one key per line (sorted), a
+    list one item per line while an item holds lists or dicts itself, so a
+    complex matrix takes one line per row, and anything else on one line."""
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = [
+            f"{inner}{json.dumps(k)}: {_json_text(v, inner)}" for k, v in sorted(value.items())
+        ]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(value, list) and any(_holds_containers(v) for v in value):
+        items = [inner + _json_text(v, inner) for v in value]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    return json.dumps(value)
+
+
 def _write_metadata(path: Path, config: RunConfig, wall: float, extra: dict):
     payload = {
         "scenario": config.scenario,
@@ -550,7 +572,10 @@ def _write_metadata(path: Path, config: RunConfig, wall: float, extra: dict):
         "effective_config": config.params,
         **extra,
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n")
+    # arrays become plain lists through the C encoder; the indented layout
+    # of json.dumps would put every number of a matrix on its own line
+    plain = json.loads(json.dumps(payload, default=_json_default))
+    path.write_text(_json_text(plain) + "\n")
 
 
 # <e| sigma_plus(t) |+> for the decaying two-level atom

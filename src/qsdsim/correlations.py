@@ -85,16 +85,31 @@ class CorrelationRequest:
 
 
 def _haar_rows(streams, dim: int) -> np.ndarray:
-    out = np.empty((len(streams), dim), dtype=complex)
-    for i, stream in enumerate(streams):
-        # wiener at dt = 1 gives standard complex normals, N(0, 1/2) parts
-        vec = stream.wiener(dim, 1.0)
-        norm = np.linalg.norm(vec)
-        while norm == 0.0:  # probability zero, but stay total
-            vec = stream.wiener(dim, 1.0)
-            norm = np.linalg.norm(vec)
-        out[i] = vec / norm
-    return out
+    """One Haar-random unit ket per stream, shape (len(streams), dim).
+
+    Each stream draws one block of standard complex normals (wiener at
+    dt = 1, N(0, 1/2) parts) into its row, and all rows are normalized at
+    once.  The rare zero row is redrawn from its own stream until it is not.
+    """
+    rows = np.empty((len(streams), 1, dim), dtype=complex)
+    for stream, row in zip(streams, rows):
+        stream.wiener_block(1, dim, 1.0, out=row)
+    norms = _row_norms(rows)
+    for i in np.flatnonzero(norms == 0.0):  # probability zero, but stay total
+        while norms[i] == 0.0:
+            streams[i].wiener_block(1, dim, 1.0, out=rows[i])
+            norms[i] = _row_norms(rows[i : i + 1])[0]
+    return rows[:, 0] / norms[:, None]
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each (1, dim) complex row, rounded as
+    ``np.linalg.norm`` rounds one: sqrt(re . re + im . im), each a dot
+    product over the row's strided real or imaginary parts."""
+    re, im = rows.real, rows.imag
+    return np.sqrt(
+        (re @ re.swapaxes(1, 2))[:, 0, 0] + (im @ im.swapaxes(1, 2))[:, 0, 0]
+    )
 
 
 def _engine(model: LindbladModel, sde: SdeConfig):

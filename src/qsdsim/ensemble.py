@@ -1,8 +1,9 @@
 """Deterministic execution of trajectory ensembles.
 
 The work is split into fixed-size index chunks, run one after another: each
-chunk builds the streams ``NoiseStream(seed, i)`` of its indices and returns
-its values, the draws of its streams and its task's counts, and results are
+chunk spawns the streams of its indices together (``noise.spawn``, whose
+streams are bit-identical to ``NoiseStream(seed, i)``) and returns its
+values, the draws of its streams and its task's counts, and results are
 reduced in chunk order.  Trajectory i draws only from its own stream, and
 the chunk size alone fixes the batch widths the engines see, so a run is
 bitwise reproducible across reruns.  The first chunk that fails stops the
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import complex_standard_error
-from .noise import NoiseStream
+from .noise import spawn
 
 __all__ = [
     "EnsembleResult",
@@ -107,7 +108,7 @@ def run_ensemble(
     for lo in range(0, n, chunk_size):
         hi = min(lo + chunk_size, n)
         try:
-            streams = [NoiseStream(seed, i) for i in range(lo, hi)]
+            streams = spawn(seed, lo, hi)
             out = task(streams)
             if not (isinstance(out, tuple) and len(out) == 2):
                 raise TypeError(f"task returned {type(out).__name__}, expected (values, counts)")

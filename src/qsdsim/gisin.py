@@ -58,7 +58,7 @@ import numpy as np
 
 from .diffusion import _euler_stack, _record_slots, complex_standard_error
 from .hilbert import Ket, LindbladModel, Operator, _check_dims
-from .noise import NoiseStream, check_step, grid_steps, wiener_steps
+from .noise import check_step, grid_steps, spawn, wiener_steps
 
 __all__ = [
     "GisinResult",
@@ -209,7 +209,7 @@ def run_coupled_ensemble(
     x = np.empty((model.dim, 2, n), dtype=complex)
     x[:, 0] = ket0[:, None]
     x[:, 1] = bra0[:, None]
-    streams = [NoiseStream(seed, i) for i in range(n)]
+    streams = spawn(seed, 0, n)
     vals = np.full((len(steps), n), np.nan + 0j, dtype=complex)
     slots = _record_slots(steps, steps[-1])
     max_drift = 0.0

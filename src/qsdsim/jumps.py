@@ -15,9 +15,10 @@ weights and the jump are taken at the jump substep itself.
 
 Jump times lie on the dt grid, but the drift between them carries no
 discretization error, so dt does not limit stability.  Only two random
-numbers are consumed per jump (the channel draw and the next threshold),
-plus one threshold per trajectory at the start of every ``run``, which
-starts each trajectory afresh with survival 1.
+numbers are consumed per jump, the channel draw and the next threshold,
+taken by one ``uniform(2)`` call on the trajectory's stream, plus one
+threshold per trajectory at the start of every ``run``, which starts each
+trajectory afresh with survival 1.
 
 ``run`` moves the whole batch in lock-step rounds, to each record node and
 then to ``n_steps``.  Within a round, the jump substep of every trajectory
@@ -223,8 +224,10 @@ class JumpEngine:
                 "jump selected with zero total jump weight",
                 np.isin(np.arange(len(streams)), rows[bad]), streams,
             )
-        picks = np.array([streams[i].uniform() for i in rows]) * total
-        thresholds[rows] = [streams[i].uniform() for i in rows]
+        # one call per trajectory: its channel pick, then its next threshold
+        draws = np.array([streams[i].uniform(2) for i in rows])
+        picks = draws[:, 0] * total
+        thresholds[rows] = draws[:, 1]
         # the first channel whose cumulative weight exceeds the pick
         channel = np.minimum((picks >= np.cumsum(weights, axis=0)).sum(axis=0), len(weights) - 1)
         chosen = np.take_along_axis(candidates, channel[None, None, None, :], axis=0)[0]

@@ -477,6 +477,64 @@ def test_custom_element_run(tmp_path):
     assert results.shape == (2, 4)
 
 
+def test_metadata_writes_matrices_one_row_per_line(tmp_path):
+    out = tmp_path / "out"
+    dim = 6
+    lowering = [[math.sqrt(j) if j == i + 1 else 0.0 for j in range(dim)] for i in range(dim)]
+    hamiltonian = [[[0.0, 0.5 * (i - j)] if i != j else float(i) for j in range(dim)]
+                   for i in range(dim)]
+    path = make_config(
+        tmp_path, scenario="custom", n=4, dt=0.01,
+        model={"hamiltonian": hamiltonian, "lindblads": [lowering]},
+        observable=lowering, bra=[1] + [0] * (dim - 1), ket=[1, 1] + [0] * (dim - 2),
+        t_grid={"start": 0.0, "stop": 0.1, "num": 2}, out=str(out),
+    )
+    assert run_main(["--config", str(path)]) == 0
+    text = (out / "metadata.json").read_text()
+    meta = json.loads(text)
+    config, errors = cli.validate(path.read_text())
+    assert errors == []
+    # the same data as the indented layout, which took one line per number
+    payload = {**meta, "effective_config": config.params}
+    indented = json.dumps(payload, indent=2, sort_keys=True, default=cli._json_default)
+    assert json.loads(indented) == meta
+    assert list(meta) == sorted(meta)
+    # every row of a complex matrix is one line
+    lines = {line.strip().rstrip(",") for line in text.splitlines()}
+    for row in meta["effective_config"]["model"]["hamiltonian"]:
+        assert json.dumps(row) in lines
+    assert meta["effective_config"]["model"]["hamiltonian"][1][0] == [0.0, 0.5]
+    assert len(text.splitlines()) < len(indented.splitlines()) / 10
+
+
+def test_json_text_matches_the_indented_layout_when_parsed():
+    value = {"b": [[[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]]], "a": {},
+             "c": [{"z": 1, "y": [1, [2, [3]]]}, [], "s"], "d": [[1, 2], [3, 4]]}
+    text = cli._json_text(value)
+    assert json.loads(text) == value
+    assert text.splitlines() == [
+        "{",
+        '  "a": {},',
+        '  "b": [',
+        "    [[1.0, 2.0], [3.0, 4.0]],",
+        "    [[5.0, 6.0], [7.0, 8.0]]",
+        "  ],",
+        '  "c": [',
+        "    {",
+        '      "y": [',
+        "        1,",
+        "        [2, [3]]",
+        "      ],",
+        '      "z": 1',
+        "    },",
+        "    [],",
+        '    "s"',
+        "  ],",
+        '  "d": [[1, 2], [3, 4]]',
+        "}",
+    ]
+
+
 @pytest.mark.parametrize("scenario,unraveling", [
     ("decay-element", "jump"), ("decay-element", "qsd"), ("fluorescence-g1", "jump"),
 ])

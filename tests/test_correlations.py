@@ -22,6 +22,9 @@ from qsdsim import (
     two_time_correlation,
 )
 
+from qsdsim.correlations import _haar_rows
+from qsdsim.noise import spawn
+
 from conftest import decay_element_setup, random_ket, random_model
 
 
@@ -209,6 +212,45 @@ def test_dimensions_are_checked_against_the_model():
             heisenberg_element(observable, bra, ket, decay_model(), [0.1], 4, sde, 1)
     with pytest.raises(ValueError, match="dimension mismatch: initial 3, model 2"):
         correlate(zero_delay_request(Ket([1.0, 0.0, 0.0])), decay_model(), seed=1)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
+def test_batched_haar_starts_match_per_row_normalization(dim):
+    # one draw per stream and one normalization of all rows give the bits of
+    # per-row wiener draws divided by np.linalg.norm
+    streams, ref_streams = spawn(4, 0, 300), [NoiseStream(4, i) for i in range(300)]
+    assert _haar_rows(streams, dim).tobytes() == haar_rows(ref_streams, dim).tobytes()
+    assert [s.draws for s in streams] == [s.draws for s in ref_streams] == [2 * dim] * 300
+
+
+class _ZeroFirstBlock:
+    """A stream's generator whose first normals are drawn and then zeroed."""
+
+    def __init__(self, gen):
+        self.gen, self.calls = gen, 0
+
+    def standard_normal(self, out):
+        self.calls += 1
+        self.gen.standard_normal(out=out)
+        if self.calls == 1:
+            out[...] = 0.0
+        return out
+
+
+def test_haar_start_redraws_only_a_zero_row_from_its_own_stream():
+    dim = 3
+    streams = [NoiseStream(9, i) for i in range(4)]
+    streams[2]._gen = _ZeroFirstBlock(streams[2]._gen)
+    rows = _haar_rows(streams, dim)
+
+    want = haar_rows([NoiseStream(9, i) for i in range(4)], dim)
+    assert np.array_equal(np.delete(rows, 2, axis=0), np.delete(want, 2, axis=0))
+    # row 2 is the second draw of stream (9, 2), and the redraw is counted
+    ref = NoiseStream(9, 2)
+    ref.wiener(dim, 1.0)
+    assert rows[2].tobytes() == haar_rows([ref], dim)[0].tobytes()
+    assert streams[2]._gen.calls == 2
+    assert [s.draws for s in streams] == [2 * dim, 2 * dim, 4 * dim, 2 * dim]
 
 
 def test_warmup_reaches_stationary_covariance():

@@ -8,6 +8,8 @@ deleted from a module cannot linger in the package's exports.
 
 import ast
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -69,3 +71,17 @@ def test_module_exports_exist_and_are_reexported(module):
 def test_package_exports_resolve():
     assert [name for name in qsdsim.__all__ if not hasattr(qsdsim, name)] == []
     assert len(set(qsdsim.__all__)) == len(qsdsim.__all__)
+
+
+def test_import_loads_neither_numpy_random_nor_logging():
+    # both cost milliseconds of every run's start; streams load numpy.random
+    # on first use
+    code = (
+        "import sys, qsdsim, qsdsim.cli; "
+        "print(sorted({'numpy.random', 'logging'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={"PYTHONPATH": str(PACKAGE.parent)},
+    )
+    assert out.stdout.strip() == "[]"

@@ -2,10 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from qsdsim import NoiseStream
-from qsdsim.noise import NOISE_BLOCK, wiener_steps
+from qsdsim import EnsembleError, NoiseStream, run_ensemble
+from qsdsim.noise import NOISE_BLOCK, spawn, wiener_steps
+
+# seeds of one to nine 32-bit words; the last is a fixed draw above 2^200
+SPAWN_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 5,
+               0x1F3A5C7E9B2D4F6081A3C5E7092B4D6F8A1C3E5F7092B4D6F8A1C3E5F70]
 
 
 def test_same_seed_and_index_reproduce_exactly():
@@ -134,5 +140,95 @@ def test_streams_are_uncorrelated():
 
 
 def test_negative_trajectory_index_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="trajectory_index must be >= 0"):
         NoiseStream(0, -1)
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        NoiseStream(-1, 0)
+
+
+def test_uniform_of_a_size_matches_successive_draws():
+    fused, single = NoiseStream(13, 4), NoiseStream(13, 4)
+    got = fused.uniform(2)
+    assert got.shape == (2,)
+    assert fused.draws == 2
+    assert got.tolist() == [single.uniform(), single.uniform()]
+    assert fused.uniform() == single.uniform()
+    assert fused.draws == single.draws == 3
+
+
+def seed_words(seed, i):
+    return np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(4, np.uint64)
+
+
+def assert_spawned_like_seed_sequence(seed, lo, hi, normals=64):
+    streams = spawn(seed, lo, hi)
+    assert [s.trajectory_index for s in streams] == list(range(lo, hi))
+    for stream in streams:
+        i = stream.trajectory_index
+        assert (stream.seed, stream.draws) == (seed, 0)
+        words = stream._gen.bit_generator.seed_seq.generate_state(4, np.uint64)
+        assert words.tolist() == seed_words(seed, i).tolist(), (seed, i)
+        ref = NoiseStream(seed, i)
+        assert stream.wiener_block(normals // 2, 1, 1.0).tobytes() == \
+            ref.wiener_block(normals // 2, 1, 1.0).tobytes()
+
+
+@pytest.mark.parametrize("seed", SPAWN_SEEDS)
+def test_spawned_streams_match_seed_sequence(seed):
+    # the window crosses the ensemble's default chunk boundary at 2048
+    assert_spawned_like_seed_sequence(seed, 2040, 2056)
+
+
+@pytest.mark.parametrize("seed", [0, 2**130 + 5])
+def test_spawn_crosses_to_two_word_indices(seed):
+    # 2^32 - 3 .. 2^32 + 2: computed with one spawn word, then built
+    # through SeedSequence with two
+    assert_spawned_like_seed_sequence(seed, 2**32 - 3, 2**32 + 3, normals=8)
+    assert_spawned_like_seed_sequence(seed, 2**64 - 2, 2**64 + 2, normals=8)
+
+
+def test_spawn_of_an_empty_window_is_empty():
+    assert spawn(5, 7, 7) == []
+    assert spawn(5, 7, 3) == []
+
+
+@pytest.mark.parametrize("seed,lo,needle", [
+    (-1, 0, "seed must be >= 0, got -1"),
+    (0, -3, "trajectory_index must be >= 0, got -3"),
+])
+def test_spawn_rejects_negative_seeds_and_indices(seed, lo, needle):
+    with pytest.raises(ValueError, match=needle):
+        spawn(seed, lo, lo + 4)
+
+
+def test_negative_seed_fails_the_first_chunk_of_an_ensemble():
+    def task(streams):
+        return np.zeros((len(streams), 1)), {}
+
+    with pytest.raises(EnsembleError) as excinfo:
+        run_ensemble(task, 12, seed=-2, chunk_size=8)
+    ((lo, hi), err), = excinfo.value.failures
+    assert (lo, hi) == (0, 8)
+    assert isinstance(err, ValueError)
+    assert "trajectories [0, 8): ValueError: seed must be >= 0, got -2" in str(excinfo.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**256 - 1),
+    lo=st.one_of(st.integers(0, 5000), st.integers(0, 2**32 - 1), st.integers(2**32 - 8, 2**40)),
+    width=st.integers(0, 6),
+)
+def test_spawned_seed_words_match_seed_sequence_property(seed, lo, width):
+    streams = spawn(seed, lo, lo + width)
+    assert len(streams) == width
+    for stream in streams:
+        words = stream._gen.bit_generator.seed_seq.generate_state(4, np.uint64)
+        assert words.tolist() == seed_words(seed, stream.trajectory_index).tolist()
+
+
+def test_spawned_seed_words_serve_only_the_pcg64_request():
+    seq = spawn(3, 0, 1)[0]._gen.bit_generator.seed_seq
+    for n_words, dtype in ((8, np.uint32), (2, np.uint64), (4, np.uint32)):
+        with pytest.raises(ValueError, match="generate_state\\(4, np.uint64\\)"):
+            seq.generate_state(n_words, dtype)
