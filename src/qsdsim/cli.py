@@ -33,7 +33,7 @@ from .correlations import CorrelationRequest, correlate, heisenberg_element
 from .diffusion import SdeConfig
 from .ensemble import EnsembleError, benchmark_sweep, relative_rms_error
 from .errors import InstabilityError
-from .gisin import instability_report, run_coupled_ensemble
+from .gisin import DEFAULT_FLOOR, instability_report, run_coupled_ensemble
 from .hilbert import (
     Ket,
     LindbladModel,
@@ -44,7 +44,7 @@ from .hilbert import (
     sigma_minus,
     sigma_plus,
 )
-from .master import regression_matrix_element, two_time_correlation
+from .master import DEFAULT_H_ODE, regression_matrix_element, two_time_correlation
 from .noise import grid_steps
 
 __all__ = ["RunConfig", "validate", "run", "main"]
@@ -335,7 +335,7 @@ SCHEMAS = {
     "gisin-compare": {
         "n": (_ensemble_size, 10_000),
         "h_list": (_list_of(_as_positive_float, "step sizes"), [0.01, 0.001, 0.0001]),
-        "floor": (_as_positive_float, 1e-12),
+        "floor": (_as_positive_float, DEFAULT_FLOOR),
         "t_grid": (_Linspace("t"), (0.1, 1.0, 10)),
     },
     "benchmark": {  # sized by n_list alone
@@ -368,7 +368,7 @@ def _schema(scenario: str) -> dict:
         "dt": (_as_positive_float, 1e-3),
         "seed": (_as_seed, 0),
         "out": (_as_out_dir, f"out-{scenario}"),
-        "h_ode": (_as_positive_float, 1e-3),
+        "h_ode": (_as_positive_float, DEFAULT_H_ODE),
         **SCHEMAS[scenario],
     }
 

@@ -45,7 +45,8 @@ class CorrelationRequest:
     """Specification of one two-time correlation estimate.
 
     ``initial`` is either an explicit Ket (normalized here, so a zero-norm
-    Ket raises ValueError before any trajectory work; no warmup applied) or
+    Ket raises ValueError before any trajectory work; no warmup is applied,
+    so a nonzero ``warmup_time`` with it is a ValueError too) or
     None, which draws a Haar-uniform ket per trajectory and relaxes it for
     ``warmup_time``, meant to reach stationarity (default 30 inverse decay
     rates when built through the CLI).
@@ -81,6 +82,11 @@ class CorrelationRequest:
         if self.initial is not None:
             if not isinstance(self.initial, Ket):
                 raise TypeError(f"initial must be a Ket or None, got {type(self.initial).__name__}")
+            if self.warmup_time != 0:
+                raise ValueError(
+                    "warmup_time applies only to the Haar-random start (initial=None); "
+                    f"got an explicit initial with warmup_time {self.warmup_time}"
+                )
             object.__setattr__(self, "initial", self.initial.normalized())
 
 

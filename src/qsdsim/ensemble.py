@@ -31,15 +31,16 @@ _CHUNK = 2048
 
 
 class EnsembleError(RuntimeError):
-    """A trajectory chunk failed; ``failures`` holds its (index range, error) pair."""
+    """A trajectory chunk failed: ``trajectories`` is its index range
+    (lo, hi) and ``error`` the exception it raised."""
 
-    def __init__(self, failures):
-        self.failures = failures
-        parts = "; ".join(
-            f"trajectories [{lo}, {hi}): {type(err).__name__}: {err}"
-            for (lo, hi), err in failures
+    def __init__(self, lo: int, hi: int, error: Exception):
+        self.trajectories = (lo, hi)
+        self.error = error
+        super().__init__(
+            f"ensemble execution failed for trajectories [{lo}, {hi}): "
+            f"{type(error).__name__}: {error}"
         )
-        super().__init__(f"ensemble execution failed for {parts}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,7 +119,7 @@ def run_ensemble(
                     f"task returned shape {chunk.shape}, expected ({hi - lo}, n_nodes)"
                 )
         except Exception as err:  # noqa: BLE001 - re-raised with the chunk's range
-            raise EnsembleError([((lo, hi), err)]) from err
+            raise EnsembleError(lo, hi, err) from err
         values.append(chunk)
         draws += sum(s.draws for s in streams)
         del streams  # free this chunk's generators before the next are built

@@ -12,7 +12,13 @@ G = -iH - (1/2) sum_j L_j^dag L_j (``LindbladModel.generator``, the same
 matrix the trajectory engines drift with), one RK4 step of this autonomous
 linear system equals the degree-4 Taylor polynomial of exp(h*L), applied in
 Horner form X + h L(X + h/2 L(X + h/3 L(X + h/4 L X))).  Each step costs O(d^3);
-the dense (d^2 x d^2) Liouvillian is built only for :func:`steady_state`.
+the dense (d^2 x d^2) Liouvillian, built from the same factors, is needed only
+by :func:`steady_state`.
+
+Every time grid in this module means the same thing: its nodes are absolute
+times, non-negative and non-decreasing, and the seed state sits at time 0
+whether or not the grid contains 0.  :func:`evolve` is the one function that
+reads the nodes; everything else hands its grid on unchanged.
 
 The same propagator applied to non-Hermitian seeds |ket><bra| yields
 Heisenberg-picture matrix elements between different states (quantum
@@ -48,6 +54,8 @@ __all__ = [
 ]
 
 DEFAULT_H_ODE = 1e-3
+# relative singular-value cutoff of the Liouvillian kernel in steady_state
+KERNEL_TOL = 1e-10
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -104,21 +112,6 @@ def _unvec(v: np.ndarray, dim: int) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-def build_liouvillian(model: LindbladModel) -> np.ndarray:
-    """Dense (d^2 x d^2) Liouvillian in column-stacking convention.
-
-    With vec(A X B) = (B^T kron A) vec(X), the generator
-    L(X) = G X + X G^dag + sum_j L_j X L_j^dag reads
-    I kron G + conj(G) kron I + sum_j conj(L_j) kron L_j.
-    """
-    eye = np.eye(model.dim)
-    gen = model.generator()
-    out = np.kron(eye, gen) + np.kron(gen.conj(), eye)
-    for op in model.lindblads:
-        out += np.kron(op.matrix.conj(), op.matrix)
-    return out
-
-
 def _generator_factors(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
     """Factors of the generator written as L(X) = sum_k A_k X B_k.
 
@@ -131,6 +124,23 @@ def _generator_factors(model: LindbladModel) -> tuple[np.ndarray, np.ndarray]:
     left = np.concatenate([gen, eye, *lmats])
     right = np.concatenate([eye, gen.conj().T, *(lmat.conj().T for lmat in lmats)])
     return left, right
+
+
+def build_liouvillian(model: LindbladModel) -> np.ndarray:
+    """Dense (d^2 x d^2) Liouvillian in column-stacking convention.
+
+    With vec(A X B) = (B^T kron A) vec(X), the generator
+    L(X) = sum_k A_k X B_k of :func:`_generator_factors` reads
+    sum_k B_k^T kron A_k.
+    """
+    d = model.dim
+    left, right = _generator_factors(model)
+    pairs = zip(left.reshape(-1, d, d), right.reshape(-1, d, d))
+    a, b = next(pairs)
+    out = np.kron(b.T, a)
+    for a, b in pairs:
+        out += np.kron(b.T, a)
+    return out
 
 
 def _rk4_steps(
@@ -150,31 +160,6 @@ def _rk4_steps(
     return x
 
 
-def _validate_grid(t_grid: np.ndarray) -> np.ndarray:
-    grid = np.asarray(t_grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 1:
-        raise ValueError("time grid must be a non-empty 1-D array")
-    if np.any(np.diff(grid) < 0):
-        raise ValueError("time grid must be non-decreasing")
-    return grid
-
-
-def _grid_from_zero(t_grid) -> tuple[np.ndarray, bool]:
-    """Pad a grid of absolute times so evolution starts at the seed time 0.
-
-    The series wrappers seed their evolution at time zero by construction,
-    while :func:`evolve` reads ``t_grid[0]`` as the time of the initial
-    state; a grid that starts later is therefore evolved from an implicit
-    leading zero whose node is dropped from the result.
-    """
-    grid = _validate_grid(t_grid)
-    if grid[0] < 0:
-        raise ValueError(f"grid nodes must be >= 0, got {grid[0]}")
-    if grid[0] > 0:
-        return np.concatenate([[0.0], grid]), True
-    return grid, False
-
-
 def evolve(
     rho0: DensityMatrix,
     model: LindbladModel,
@@ -183,51 +168,56 @@ def evolve(
 ) -> list[DensityMatrix]:
     """Integrate the master equation, returning the state at every grid node.
 
-    ``t_grid[0]`` is the time of ``rho0``.  The trace of the result is
-    checked against the seed's trace at every node (the generator is
-    trace-preserving; drift beyond 1e-10 raises).
+    ``rho0`` is the state at time 0 and the nodes are absolute times, so the
+    first node is reached after ``t_grid[0]``; a grid starting above 0 gives,
+    bit for bit, the tail of the same grid with 0 prepended.  The trace of
+    the result is checked against the seed's trace at every node (the
+    generator is trace-preserving; drift beyond 1e-10 raises).
     """
     if rho0.dim != model.dim:
         raise ValueError(f"dimension mismatch: state {rho0.dim}, model {model.dim}")
     check_step(h_ode, "h_ode")
-    grid = _validate_grid(t_grid)
+    grid = np.asarray(t_grid, dtype=float)
+    if grid.ndim != 1 or grid.size < 1:
+        raise ValueError("time grid must be a non-empty 1-D array")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("time grid nodes must be finite")
+    if np.any(np.diff(grid) < 0):
+        raise ValueError("time grid must be non-decreasing")
+    if grid[0] < 0:
+        raise ValueError(f"grid nodes must be >= 0, got {grid[0]}")
     left, right = _generator_factors(model)
     mat = rho0.entries
-    mats = [mat]
-    for gap in np.diff(grid):
+    tr0 = complex(np.trace(mat))
+    out = []
+    for gap in np.diff(grid, prepend=0.0):
         if gap > 0:
             n_sub = max(1, int(np.ceil(gap / h_ode - 1e-12)))
             mat = _rk4_steps(mat, left, right, gap / n_sub, n_sub)
-        mats.append(mat)
-    tr0 = complex(np.trace(rho0.entries))
-    out = []
-    for mat in mats:
         drift = abs(complex(np.trace(mat)) - tr0)
         if drift > 1e-10 * (1.0 + abs(tr0)):
             raise RuntimeError(f"trace drift {drift:.3e} exceeds tolerance")
-        if rho0.hermitian:
-            # integration preserves hermiticity only up to roundoff
-            mat = 0.5 * (mat + mat.conj().T)
-        out.append(DensityMatrix(mat, hermitian=rho0.hermitian))
+        # integration preserves hermiticity only up to roundoff
+        node = 0.5 * (mat + mat.conj().T) if rho0.hermitian else mat
+        out.append(DensityMatrix(node, hermitian=rho0.hermitian))
     return out
 
 
-def steady_state(model: LindbladModel, tol: float = 1e-10) -> DensityMatrix:
+def steady_state(model: LindbladModel) -> DensityMatrix:
     """Unique trace-1 kernel element of the Liouvillian via SVD.
 
     Raises
     ------
     DegenerateSteadyStateError
-        If the kernel is empty at tolerance ``tol`` or has dimension > 1.
+        If the kernel is empty at tolerance ``KERNEL_TOL`` (relative to the
+        largest singular value) or has dimension > 1.
     """
     gen = build_liouvillian(model)
     _, svals, vh = np.linalg.svd(gen)
-    cutoff = tol * float(svals.max()) if svals.size else tol
-    null_mask = svals <= cutoff
-    n_null = int(np.sum(null_mask))
+    n_null = int(np.sum(svals <= KERNEL_TOL * float(svals.max())))
     if n_null != 1:
         raise DegenerateSteadyStateError(
-            f"Liouvillian kernel has dimension {n_null} at tolerance {tol:g}; "
+            f"Liouvillian kernel has dimension {n_null} at tolerance {KERNEL_TOL:g}; "
             "the steady state is not unique"
         )
     candidate = _unvec(vh[-1].conj(), model.dim)
@@ -242,6 +232,16 @@ def steady_state(model: LindbladModel, tol: float = 1e-10) -> DensityMatrix:
     return DensityMatrix(rho, hermitian=True)
 
 
+def _trace_series(
+    observable: Operator, seed: np.ndarray, model: LindbladModel, t_grid, h_ode: float
+) -> np.ndarray:
+    """Tr{A X(t)} at every node, X evolved from the (non-Hermitian) seed."""
+    states = evolve(DensityMatrix(seed, hermitian=False), model, t_grid, h_ode)
+    return np.array(
+        [complex(np.trace(observable.matrix @ s.entries)) for s in states]
+    )
+
+
 def regression_matrix_element(
     observable: Operator,
     bra_state: Ket,
@@ -253,20 +253,11 @@ def regression_matrix_element(
     """Heisenberg-picture matrix element series <bra| A(t) |ket>.
 
     Evolves the seed |ket><bra| with the master-equation propagator and
-    returns Tr{A X(t)} at every node of ``t_grid``.  Nodes are absolute
-    times with the seed at zero; the grid itself need not contain zero.
+    returns Tr{A X(t)} at every node of ``t_grid``.
     """
     _check_dims(model, observable=observable, bra=bra_state, ket=ket_state)
-    grid, padded = _grid_from_zero(t_grid)
-    seed = DensityMatrix(
-        np.outer(ket_state.amplitudes, bra_state.amplitudes.conj()), hermitian=False
-    )
-    states = evolve(seed, model, grid, h_ode)
-    if padded:
-        states = states[1:]
-    return np.array(
-        [complex(np.trace(observable.matrix @ s.entries)) for s in states]
-    )
+    seed = np.outer(ket_state.amplitudes, bra_state.amplitudes.conj())
+    return _trace_series(observable, seed, model, t_grid, h_ode)
 
 
 def doubled_block_evolution(
@@ -280,15 +271,12 @@ def doubled_block_evolution(
 
     The seed is the rank-1 projector of (bra_state, ket_state)/sqrt(2); its
     lower-left block |ket><bra|/2 carries the matrix-element information and,
-    like every block, obeys the original master equation on its own.  Nodes
-    are absolute times with the seed at zero.
+    like every block, obeys the original master equation on its own.
     """
     _check_dims(model, bra=bra_state, ket=ket_state)
     theta0 = make_doubled_state(bra_state, ket_state)
-    grid, padded = _grid_from_zero(t_grid)
     seed = DensityMatrix(np.outer(theta0, theta0.conj()), hermitian=True)
-    states = evolve(seed, extend_model(model), grid, h_ode)
-    return states[1:] if padded else states
+    return evolve(seed, extend_model(model), t_grid, h_ode)
 
 
 def doubled_matrix_element(
@@ -324,24 +312,16 @@ def two_time_correlation(
 
     ``rho0`` (default: the steady state) is evolved to time ``t``, the seed
     B rho(t) is formed, propagated over ``tau_grid``, and Tr{A X(tau)} is
-    returned at every node.  At tau = 0 this is Tr{A B rho(t)}; tau nodes
-    are absolute delays with the seed at tau = 0.
+    returned at every node.  At tau = 0 this is Tr{A B rho(t)}.
     """
     _check_dims(model, observable=observable, perturbation=perturbation)
     if rho0 is not None:
         _check_dims(model, rho0=rho0)
-    if t < 0:
+    if not t >= 0:
         raise ValueError(f"t must be >= 0, got {t}")
-    start = steady_state(model) if rho0 is None else rho0
+    rho_t = steady_state(model) if rho0 is None else rho0
     if t > 0:
-        rho_t = evolve(start, model, np.array([0.0, t]), h_ode)[-1].entries
-    else:
-        rho_t = start.entries
-    grid, padded = _grid_from_zero(tau_grid)
-    seed = DensityMatrix(perturbation.matrix @ rho_t, hermitian=False)
-    evolved = evolve(seed, model, grid, h_ode)
-    if padded:
-        evolved = evolved[1:]
-    return np.array(
-        [complex(np.trace(observable.matrix @ s.entries)) for s in evolved]
-    )
+        # at t = 0 the start is used as given: evolve would re-hermitize it
+        rho_t = evolve(rho_t, model, [t], h_ode)[-1]
+    seed = perturbation.matrix @ rho_t.entries
+    return _trace_series(observable, seed, model, tau_grid, h_ode)

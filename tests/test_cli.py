@@ -19,7 +19,9 @@ from qsdsim import (
     Operator,
     SdeConfig,
     cli,
+    gisin,
     heisenberg_element,
+    master,
 )
 
 
@@ -49,6 +51,16 @@ def test_validate_fills_defaults():
     assert grid.size == 40
     assert grid[0] == pytest.approx(0.1)
     assert grid[-1] == pytest.approx(4.0)
+
+
+@pytest.mark.parametrize("scenario", sorted(cli.SCHEMAS))
+def test_cli_defaults_are_the_library_defaults(scenario):
+    text = _custom() if scenario == "custom" else json.dumps({"scenario": scenario})
+    config, errors = cli.validate(text)
+    assert errors == []
+    assert config.params["h_ode"] == master.DEFAULT_H_ODE
+    if scenario == "gisin-compare":
+        assert config.params["floor"] == gisin.DEFAULT_FLOOR
 
 
 def _readme_keys(scenario: str) -> list:
@@ -130,6 +142,26 @@ _CUSTOM_NON_FINITE_CASES = [
      "t: must be a finite number"),
 ]
 
+_ZERO_3 = "[[0, 0, 0], [0, 0, 0], [0, 0, 0]]"
+# custom vectors, models and operators that have the wrong shape or keys
+_CUSTOM_SHAPE_CASES = [
+    (_custom(bra="[0, 0]"), "bra: must be a nonzero vector"),
+    (_custom(ket="[0, [0, 0]]"), "ket: must be a nonzero vector"),
+    (_custom(model='{"builder": "decay", "gamma": 2}'),
+     "model: unknown keys ['gamma'] for a named builder"),
+    (_custom(model='{"builder": "decay", "omega": 3}'),
+     "model: omega is not applicable to the decay builder"),
+    (_custom(model='{"hamiltonian": [[0, 0], [0, 0]], "lindblads": [[[0, 1], [0, 0]]], '
+                   '"gamma": 1}'),
+     "model: unknown keys ['gamma']"),
+    (_custom(model='{"hamiltonian": [[0, 0], [0, 0]], "lindblads": []}'),
+     "model.lindblads: expected a non-empty list of matrices"),
+    (_custom(observable=_ZERO_3), "observable: shape (3, 3) does not match model dim 2"),
+    (_custom(model=_EXPLICIT_MODEL.format(h=_ZERO_3, l="[[0, 1, 0], [0, 0, 1], [0, 0, 0]]"),
+             bra="[1, 0, 0]", ket="[0, 1, 0]"),
+     "observable: 'sigma_plus' is a 2-level operator, model dim is 3"),
+]
+
 
 @pytest.mark.parametrize(
     "text,needle",
@@ -178,6 +210,7 @@ _CUSTOM_NON_FINITE_CASES = [
             '"t_grid": [0.5]}',
             "unknown operator name",
         ),
+        *_CUSTOM_SHAPE_CASES,
     ],
 )
 def test_validate_rejects(text, needle):

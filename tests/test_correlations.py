@@ -61,6 +61,11 @@ def test_request_validation():
     # a zero-norm ket is a named error before any trajectory work
     with pytest.raises(ValueError, match="cannot normalize a zero-norm state"):
         CorrelationRequest(**{**good, "initial": Ket([0.0, 0.0])})
+    # an explicit start takes no warmup, so asking for one is a named error
+    for warmup in (2.0, float("nan")):
+        with pytest.raises(ValueError, match=f"initial.*warmup_time {warmup}"):
+            CorrelationRequest(**{**good, "initial": Ket([1.0, 0.0]), "warmup_time": warmup})
+    CorrelationRequest(**{**good, "initial": Ket([1.0, 0.0]), "warmup_time": 0.0})
 
 
 def test_incommensurate_time_rejected():

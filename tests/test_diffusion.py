@@ -128,6 +128,19 @@ def test_run_validates_shapes_and_records():
         engine.run(basis_ket(2, 1).amplitudes, streams[:1], 5)
 
 
+@pytest.mark.parametrize(
+    "bad,what",
+    [(0.0, "underflowed to zero"), (np.nan, "became non-finite"), (np.inf, "became non-finite")],
+)
+def test_degenerate_initial_row_is_named(bad, what):
+    states = np.tile(basis_ket(2, 1).amplitudes, (3, 1))
+    states[1] = bad
+    streams = [NoiseStream(0, 10 + i) for i in range(3)]
+    with pytest.raises(InstabilityError, match=f"{what} .*first at trajectory 11"):
+        QsdEngine(decay_model(), 1e-2).run(states, streams, 5)
+    assert all(s.draws == 0 for s in streams)
+
+
 def pre_renorm_norm_drift(dt, n_steps, batch=64):
     model = decay_model()
     engine = QsdEngine(model, dt)

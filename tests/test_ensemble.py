@@ -90,11 +90,8 @@ def test_failures_carry_index_ranges():
 
     with pytest.raises(EnsembleError) as excinfo:
         run_ensemble(fails_in_second_chunk, 24, seed=0, chunk_size=8)
-    failures = excinfo.value.failures
-    assert len(failures) == 1
-    (lo, hi), err = failures[0]
-    assert (lo, hi) == (8, 16)
-    assert isinstance(err, RuntimeError)
+    assert excinfo.value.trajectories == (8, 16)
+    assert isinstance(excinfo.value.error, RuntimeError)
     assert "[8, 16)" in str(excinfo.value)
 
 
@@ -109,7 +106,7 @@ def test_first_failing_chunk_stops_the_run():
         run_ensemble(fails_in_first_chunk, 24, seed=0, chunk_size=8)
     # the two later chunks never run
     assert starts == [0]
-    assert len(excinfo.value.failures) == 1
+    assert excinfo.value.trajectories == (0, 8)
     assert str(excinfo.value) == (
         "ensemble execution failed for trajectories [0, 8): RuntimeError: boom"
     )

@@ -7,6 +7,7 @@ from scipy import linalg, stats
 from qsdsim import (
     CorrelationRequest,
     DensityMatrix,
+    InstabilityError,
     JumpEngine,
     Ket,
     NoiseStream,
@@ -31,6 +32,20 @@ def test_jump_engine_validation():
     for dt in (0.0, -1e-3, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="finite and positive"):
             JumpEngine(decay_model(), dt)
+
+
+def test_run_rejects_stream_mismatch_and_degenerate_rows():
+    engine = JumpEngine(decay_model(), 1e-2)
+    states = np.tile(basis_ket(2, 1).amplitudes, (3, 1))
+    streams = [NoiseStream(0, 10 + i) for i in range(3)]
+    with pytest.raises(ValueError, match="need one stream per row: 2 streams, batch 3"):
+        engine.run(states, streams[:2], 5)
+    for bad in (0.0, np.nan, np.inf):
+        states[2] = bad
+        with pytest.raises(InstabilityError, match="degenerate initial state .*trajectory 12"):
+            engine.run(states, streams, 5)
+    # the check comes before any waiting-time threshold is drawn
+    assert all(s.draws == 0 for s in streams)
 
 
 def test_ground_state_never_jumps():

@@ -164,10 +164,27 @@ def test_evolve_rejects_non_finite_or_non_positive_step(h_ode):
         evolve(rho0, decay_model(), [0.0, 1.0], h_ode=h_ode)
 
 
-def test_evolve_rejects_bad_grid():
+@pytest.mark.parametrize(
+    "grid,needle",
+    [
+        ([], "non-empty 1-D"),
+        ([[0.0, 1.0]], "non-empty 1-D"),
+        ([1.0, 0.5], "non-decreasing"),
+        ([-0.5, 1.0], "grid nodes must be >= 0, got -0.5"),
+        ([0.0, float("nan")], "finite"),
+        ([0.5, float("inf")], "finite"),
+    ],
+)
+def test_evolve_rejects_bad_grid(grid, needle):
     rho0 = DensityMatrix.from_ket(basis_ket(2, 0))
-    with pytest.raises(ValueError):
-        evolve(rho0, decay_model(), [1.0, 0.5])
+    with pytest.raises(ValueError, match=needle):
+        evolve(rho0, decay_model(), grid)
+
+
+def test_correlation_rejects_a_negative_or_nan_start():
+    for t in (-1.0, float("nan")):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            two_time_correlation(sigma_plus(), sigma_minus(), decay_model(), t, [0.0])
 
 
 def test_density_matrix_validation():
@@ -228,17 +245,38 @@ def test_regression_element_matches_analytic_decay():
     assert np.max(np.abs(series - analytic_decay_element(grid))) < 1e-8
 
 
-def test_series_grids_are_absolute_times():
+def test_grids_are_absolute_times():
     # a grid that does not contain zero still means absolute times: the
     # seed always sits at t = 0, never at the first node
     observable, bra, ket, model = decay_element_setup()
     grid = np.array([0.5, 1.0, 2.0])
+    states = evolve(DensityMatrix.from_ket(basis_ket(2, 1)), model, grid)
+    excited = np.array([s.entries[1, 1].real for s in states])
+    assert np.max(np.abs(excited - np.exp(-grid))) < 1e-8
     series = regression_matrix_element(observable, bra, ket, model, grid)
     assert np.max(np.abs(series - analytic_decay_element(grid))) < 1e-8
     doubled = doubled_matrix_element(observable, bra, ket, model, grid)
     assert np.max(np.abs(doubled - analytic_decay_element(grid))) < 1e-8
     with pytest.raises(ValueError):
         regression_matrix_element(observable, bra, ket, model, [-1.0, 0.0])
+
+
+def test_late_grid_is_the_tail_of_the_grid_from_zero(rng):
+    model = random_model(rng, 3, 2)
+    bra, ket = random_ket(rng, 3), random_ket(rng, 3)
+    obs = Operator(rng.standard_normal((3, 3)))
+    rho0 = DensityMatrix.from_ket(ket)
+    late = np.array([0.3, 0.7, 0.7, 1.25])
+    oracles = {
+        "evolve": lambda g: [s.entries for s in evolve(rho0, model, g)],
+        "regression": lambda g: regression_matrix_element(obs, bra, ket, model, g),
+        "correlation": lambda g: two_time_correlation(obs, obs, model, 0.4, g),
+        "doubled": lambda g: [s.entries for s in doubled_block_evolution(bra, ket, model, g)],
+    }
+    for name, oracle in oracles.items():
+        got = np.asarray(oracle(late))
+        want = np.asarray(oracle(np.concatenate([[0.0], late])))[1:]
+        assert got.tobytes() == want.tobytes(), name
 
 
 def test_doubled_route_agrees_with_regression(rng):

@@ -207,9 +207,8 @@ def test_negative_seed_fails_the_first_chunk_of_an_ensemble():
 
     with pytest.raises(EnsembleError) as excinfo:
         run_ensemble(task, 12, seed=-2, chunk_size=8)
-    ((lo, hi), err), = excinfo.value.failures
-    assert (lo, hi) == (0, 8)
-    assert isinstance(err, ValueError)
+    assert excinfo.value.trajectories == (0, 8)
+    assert isinstance(excinfo.value.error, ValueError)
     assert "trajectories [0, 8): ValueError: seed must be >= 0, got -2" in str(excinfo.value)
 
 
