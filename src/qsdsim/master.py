@@ -11,9 +11,14 @@ Writing the generator as L(X) = G X + X G^dag + sum_j L_j X L_j^dag with
 G = -iH - (1/2) sum_j L_j^dag L_j (``LindbladModel.generator``, the same
 matrix the trajectory engines drift with), one RK4 step of this autonomous
 linear system equals the degree-4 Taylor polynomial of exp(h*L), applied in
-Horner form X + h L(X + h/2 L(X + h/3 L(X + h/4 L X))).  Each step costs O(d^3);
-the dense (d^2 x d^2) Liouvillian, built from the same factors, is needed only
-by :func:`steady_state`.
+Horner form X + h L(X + h/2 L(X + h/3 L(X + h/4 L X))).  Above d = 8
+(``STEP_MAP_MAX_DIM``) each step acts on the d x d matrix at O(d^3).  At
+d <= 8, where that step is almost all numpy call overhead, :func:`evolve`
+applies it once to the d^2 basis matrices and then advances vec(X) by one
+product with the resulting (d^2 x d^2) step map per substep, O(d^4) but a
+single call; a gap of fewer than d^2 substeps whose step length has no map
+yet keeps the d x d steps.  The dense Liouvillian, built from the same
+factors, is needed only by :func:`steady_state`.
 
 Every time grid in this module means the same thing: its nodes are absolute
 times, non-negative and non-decreasing, and the seed state sits at time 0
@@ -54,6 +59,9 @@ __all__ = [
 ]
 
 DEFAULT_H_ODE = 1e-3
+# largest d stepped with the (d^2 x d^2) RK4 step map: d^4 multiply-adds a
+# step against 8(c + 2) d^3 for the factor form, and the map is <= 64 KB
+STEP_MAP_MAX_DIM = 8
 # relative singular-value cutoff of the Liouvillian kernel in steady_state
 KERNEL_TOL = 1e-10
 
@@ -160,6 +168,19 @@ def _rk4_steps(
     return x
 
 
+def _step_map(left: np.ndarray, right: np.ndarray, h: float) -> np.ndarray:
+    """The (d^2 x d^2) matrix of one RK4 step of length ``h``, acting on vec(X).
+
+    Column k is vec of the :func:`_rk4_steps` step applied to the k-th basis
+    matrix; the step is linear, so the map equals it up to rounding.
+    """
+    d = left.shape[1]
+    basis = np.eye(d * d, dtype=complex)
+    return np.stack(
+        [_vec(_rk4_steps(_unvec(e, d), left, right, h, 1)) for e in basis], axis=1
+    )
+
+
 def evolve(
     rho0: DensityMatrix,
     model: LindbladModel,
@@ -173,6 +194,11 @@ def evolve(
     bit for bit, the tail of the same grid with 0 prepended.  The trace of
     the result is checked against the seed's trace at every node (the
     generator is trace-preserving; drift beyond 1e-10 raises).
+
+    At d <= ``STEP_MAP_MAX_DIM`` each substep is one product with the step's
+    (d^2 x d^2) matrix (:func:`_step_map`, built once per distinct substep
+    length in the call, and only for a gap of at least d^2 substeps); other
+    steps act on the d x d matrix.
     """
     if rho0.dim != model.dim:
         raise ValueError(f"dimension mismatch: state {rho0.dim}, model {model.dim}")
@@ -186,14 +212,30 @@ def evolve(
         raise ValueError("time grid must be non-decreasing")
     if grid[0] < 0:
         raise ValueError(f"grid nodes must be >= 0, got {grid[0]}")
+    d = model.dim
     left, right = _generator_factors(model)
+    maps = {}
     mat = rho0.entries
     tr0 = complex(np.trace(mat))
     out = []
     for gap in np.diff(grid, prepend=0.0):
         if gap > 0:
             n_sub = max(1, int(np.ceil(gap / h_ode - 1e-12)))
-            mat = _rk4_steps(mat, left, right, gap / n_sub, n_sub)
+            h = gap / n_sub
+            step = maps.get(h)
+            # a map costs d^2 steps to build: not worth it for a shorter gap
+            if step is None and d <= STEP_MAP_MAX_DIM and n_sub >= d * d:
+                step = maps[h] = _step_map(left, right, h)
+            if step is None:
+                mat = _rk4_steps(mat, left, right, h, n_sub)
+            else:
+                vec = _vec(mat)
+                # ndarray.dot, not @: with threaded OpenBLAS, matmul's 64 x 64
+                # matrix-vector product stalls for 0.2-3 ms whenever another
+                # core is busy, where dot takes a few microseconds
+                for _ in range(n_sub):
+                    vec = step.dot(vec)
+                mat = _unvec(vec, d)
         drift = abs(complex(np.trace(mat)) - tr0)
         if drift > 1e-10 * (1.0 + abs(tr0)):
             raise RuntimeError(f"trace drift {drift:.3e} exceeds tolerance")

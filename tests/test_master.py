@@ -20,6 +20,7 @@ from qsdsim import (
     drive_hamiltonian,
     driven_decay_model,
     evolve,
+    extend_model,
     make_doubled_state,
     regression_matrix_element,
     sigma_minus,
@@ -118,19 +119,64 @@ def taylor4_reference(model, seed, grid, h_ode):
     return out
 
 
-@pytest.mark.parametrize("dim", [3, 8])
-def test_matrix_rk4_matches_taylor_map_of_liouvillian(rng, dim):
-    # uneven gaps exercise the substep rule n_sub = ceil(gap / h_ode)
-    grid = np.array([0.0, 0.05, 0.12, 0.3])
+def assert_matches_taylor_map(rng, model):
+    # uneven gaps exercise the substep rule n_sub = ceil(gap / h_ode); the
+    # last gap's 65 substeps are enough for the step map up to d = 8
+    grid = np.array([0.0, 0.05, 0.12, 0.3, 1.6])
     h_ode = 0.02
+    dim = model.dim
+    ket, bra = random_ket(rng, dim), random_ket(rng, dim)
+    seed = np.outer(ket.amplitudes, bra.amplitudes.conj())
+    got = evolve(DensityMatrix(seed, hermitian=False), model, grid, h_ode)
+    want = taylor4_reference(model, seed, grid, h_ode)
+    for state, ref in zip(got, want):
+        assert np.max(np.abs(state.entries - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8, 9])
+def test_matrix_rk4_matches_taylor_map_of_liouvillian(rng, dim):
+    # d = 8 is stepped with the step map, d = 9 with the d x d factors
     for channels in (1, 2, 3):
-        model = random_model(rng, dim, channels)
-        ket, bra = random_ket(rng, dim), random_ket(rng, dim)
-        seed = np.outer(ket.amplitudes, bra.amplitudes.conj())
-        got = evolve(DensityMatrix(seed, hermitian=False), model, grid, h_ode)
-        want = taylor4_reference(model, seed, grid, h_ode)
-        for state, ref in zip(got, want):
-            assert np.max(np.abs(state.entries - ref)) <= 1e-12
+        assert_matches_taylor_map(rng, random_model(rng, dim, channels))
+
+
+def test_doubled_rk4_matches_taylor_map_of_liouvillian(rng):
+    for channels in (1, 2):
+        assert_matches_taylor_map(rng, extend_model(random_model(rng, 2, channels)))
+
+
+def handed_substeps(monkeypatch, rng, dim, grid):
+    """(h, n_steps) of every _rk4_steps call made by one evolution."""
+    handed = []
+    rk4_steps = master._rk4_steps
+
+    def counting(x, left, right, h, n_steps):
+        handed.append((h, n_steps))
+        return rk4_steps(x, left, right, h, n_steps)
+
+    monkeypatch.setattr(master, "_rk4_steps", counting)
+    rho0 = DensityMatrix.from_ket(random_ket(rng, dim))
+    evolve(rho0, random_model(rng, dim, 1), grid, h_ode=1e-3)
+    return handed
+
+
+@pytest.mark.parametrize("dim", [2, 9])
+def test_step_map_replaces_the_substeps_at_small_dimension(rng, dim, monkeypatch):
+    # 15 gaps of 50 substeps; rounding in the gaps gives a few distinct h
+    handed = handed_substeps(monkeypatch, rng, dim, np.linspace(0.0, 0.75, 16))
+    total = sum(n for _, n in handed)
+    if dim == 2:
+        distinct = {h for h, _ in handed}
+        assert all(n == 1 for _, n in handed)
+        assert total <= dim**2 * len(distinct) < 750
+    else:
+        assert total == 750
+
+
+def test_a_gap_shorter_than_the_map_build_is_stepped_directly(rng, monkeypatch):
+    # 10 substeps at d = 8, where a step map would cost 64 steps to build
+    handed = handed_substeps(monkeypatch, rng, 8, [0.0, 0.01])
+    assert [n for _, n in handed] == [10]
 
 
 def test_evolve_never_builds_the_dense_liouvillian(rng, monkeypatch):
