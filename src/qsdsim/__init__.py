@@ -3,7 +3,6 @@ elements and two-time correlations, with a deterministic master-equation
 oracle for verification."""
 
 from .correlations import (
-    CorrelationRequest,
     correlate,
     heisenberg_element,
 )
@@ -60,7 +59,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BenchmarkPoint",
-    "CorrelationRequest",
     "DEFAULT_FLOOR",
     "DegenerateSteadyStateError",
     "DensityMatrix",

@@ -29,11 +29,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .correlations import CorrelationRequest, correlate, heisenberg_element
+from .correlations import correlate, heisenberg_element
 from .diffusion import SdeConfig
 from .ensemble import EnsembleError, benchmark_sweep, relative_rms_error
 from .errors import InstabilityError
-from .gisin import DEFAULT_FLOOR, instability_report, run_coupled_ensemble
+from .gisin import instability_report, run_coupled_ensemble
 from .hilbert import (
     Ket,
     LindbladModel,
@@ -44,7 +44,7 @@ from .hilbert import (
     sigma_minus,
     sigma_plus,
 )
-from .master import DEFAULT_H_ODE, regression_matrix_element, two_time_correlation
+from .master import regression_matrix_element, two_time_correlation
 from .noise import grid_steps
 
 __all__ = ["RunConfig", "validate", "run", "main"]
@@ -313,7 +313,7 @@ _UNRAVELING = (_choice(UNRAVELINGS, f"one of {UNRAVELINGS}"), "qsd")
 # the custom keys that only runs of one mode read
 _MODE_KEYS = {
     "element": ("bra", "ket", "t_grid"),
-    "correlation": ("perturbation", "t", "warmup", "tau_grid"),
+    "correlation": ("perturbation", "warmup", "tau_grid"),
 }
 
 # each scenario's keys mapped to (parser, default), after those _schema
@@ -335,7 +335,6 @@ SCHEMAS = {
     "gisin-compare": {
         "n": (_ensemble_size, 10_000),
         "h_list": (_list_of(_as_positive_float, "step sizes"), [0.01, 0.001, 0.0001]),
-        "floor": (_as_positive_float, DEFAULT_FLOOR),
         "t_grid": (_Linspace("t"), (0.1, 1.0, 10)),
     },
     "benchmark": {  # sized by n_list alone
@@ -354,7 +353,6 @@ SCHEMAS = {
         "ket": (_parse_vector, _REQUIRED),
         "t_grid": (_parse_grid, _REQUIRED),
         "perturbation": (_parse_operator, _REQUIRED),
-        "t": (_as_nonnegative_float, 0.0),
         "warmup": (_as_nonnegative_float, 30.0),
         "tau_grid": (_parse_grid, _REQUIRED),
     },
@@ -363,12 +361,11 @@ SCENARIOS = tuple(SCHEMAS)
 
 
 def _schema(scenario: str) -> dict:
-    """The scenario's table after the shared keys (all but h_ode are fields)."""
+    """The scenario's table after the shared keys, which are RunConfig fields."""
     return {
         "dt": (_as_positive_float, 1e-3),
         "seed": (_as_seed, 0),
         "out": (_as_out_dir, f"out-{scenario}"),
-        "h_ode": (_as_positive_float, DEFAULT_H_ODE),
         **SCHEMAS[scenario],
     }
 
@@ -467,18 +464,10 @@ def validate(text: str, overrides: "dict | None" = None):
         if name.endswith("_grid") and name in values:
             label = f"{parse.prefix} grid" if isinstance(parse, _Linspace) else name
             values[name] = _on_dt_grid(values[name], dt, label, errors)
-    warmup, offset = values.get("warmup"), values.get("t", 0.0)
-    if warmup is not None and offset is not None:
-        key = "warmup + t" if "t" in values else "warmup"
-        _on_dt_grid([warmup + offset], dt, key, errors, "value")
+    if values.get("warmup") is not None:
+        _on_dt_grid([values["warmup"]], dt, "warmup", errors, "value")
     for h in values.get("h_list") or ():
         _on_dt_grid(values["t_grid"], h, f"t grid (h={h:g})", errors)
-    floor = values.get("floor")
-    if floor is not None and floor >= _DECAY_SCALAR_PRODUCT:
-        errors.append(
-            f"floor: {floor:g} is not below |<bra|ket>| = {_DECAY_SCALAR_PRODUCT:.6g} "
-            "of the initial states"
-        )
 
     if errors:
         return None, errors
@@ -534,7 +523,7 @@ def _version_string() -> str:
                 )
                 if out.returncode == 0 and out.stdout.strip():
                     return out.stdout.strip()
-            except OSError:
+            except (OSError, subprocess.SubprocessError):
                 pass
             break
     return __version__
@@ -585,8 +574,6 @@ _DECAY = {
     "bra": basis_ket(2, 1),
     "ket": Ket(np.array([1.0, 1.0]) / np.sqrt(2)),
 }
-# |<bra|ket>| of the unit preset states, where the coupled scheme starts
-_DECAY_SCALAR_PRODUCT = abs(_DECAY["bra"].normalized().overlap(_DECAY["ket"].normalized()))
 
 
 def _g1_preset(params: dict) -> dict:
@@ -596,7 +583,6 @@ def _g1_preset(params: dict) -> dict:
         "model": driven_decay_model(params["omega"]),
         "observable": sigma_plus(),
         "perturbation": sigma_minus(),
-        "t": 0.0,
     }
 
 
@@ -634,31 +620,26 @@ def _run_element(config: RunConfig, p: dict) -> dict:
     problem = (p["observable"], p["bra"], p["ket"], p["model"], p["t_grid"])
     sde = SdeConfig(dt=config.dt, scheme=_SCHEME[p["unraveling"]])
     res = heisenberg_element(*problem, p["n"], sde, config.seed)
-    ref = regression_matrix_element(*problem, h_ode=p["h_ode"])
+    ref = regression_matrix_element(*problem)
     _write_series_csv(config.out_dir / "reference.csv", p["t_grid"], ref)
     return _results(config, p["t_grid"], res, ref)
 
 
 def _correlate(config: RunConfig, p: dict, unraveling: str, n: int, seed: int):
-    """<A(t + tau) B(t)> on p["tau_grid"] from ``n`` trajectories."""
-    request = CorrelationRequest(
-        observable=p["observable"],
-        perturbation=p["perturbation"],
-        t=p["t"],
-        tau_grid=p["tau_grid"],
-        n_trajectories=n,
-        sde=SdeConfig(dt=config.dt, scheme=_SCHEME[unraveling]),
-        warmup_time=p["warmup"],
+    """<A(t + tau) B(t)> on p["tau_grid"] from ``n`` trajectories, each
+    prepared from a Haar-random start for t = p["warmup"]."""
+    sde = SdeConfig(dt=config.dt, scheme=_SCHEME[unraveling])
+    return correlate(
+        p["observable"], p["perturbation"], p["model"], p["warmup"], p["tau_grid"],
+        n, sde, seed,
     )
-    return correlate(request, p["model"], seed)
 
 
 def _correlation_reference(config: RunConfig, p: dict):
-    # the oracle assumes the preparation segment reached stationarity; for
-    # short warmups it is only indicative
+    # the oracle starts from the steady state, which the warmup is meant to
+    # reach; for short warmups it is only indicative
     ref = two_time_correlation(
-        p["observable"], p["perturbation"], p["model"], t=p["t"],
-        tau_grid=p["tau_grid"], h_ode=p["h_ode"],
+        p["observable"], p["perturbation"], p["model"], t=0.0, tau_grid=p["tau_grid"]
     )
     _write_series_csv(config.out_dir / "reference.csv", p["tau_grid"], ref)
     return ref
@@ -676,7 +657,7 @@ def _run_gisin_compare(config: RunConfig) -> dict:
     for h in p["h_list"]:
         res = run_coupled_ensemble(
             p["observable"], p["bra"], p["ket"], p["model"], p["t_grid"], dt=h,
-            n=p["n"], seed=config.seed, variant="quasi_linear", floor=p["floor"],
+            n=p["n"], seed=config.seed, variant="quasi_linear",
         )
         label = f"{h:g}"
         _write_series_csv(
@@ -734,7 +715,12 @@ _RUNNERS = {
 
 def run(config: RunConfig) -> int:
     """Execute a validated config; returns the process exit code."""
-    config.out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        print(f"config error: out: cannot create output directory {config.out_dir}: {err}",
+              file=sys.stderr)
+        return 2
     start = time.perf_counter()
     try:
         extra = _RUNNERS[config.scenario](config)

@@ -9,9 +9,9 @@ base model and step the two blocks with its d x d operators; only the
 oracle (``master.doubled_block_evolution``) builds the duplicated model.
 
 A two-time correlation <A(t + tau) B(t)> follows the same pattern with a
-trajectory-dependent pair: each realization starts from the request's Ket,
-or from a Haar-random ket that it relaxes for the warmup when there is none,
-propagates that single-space state through t, applies the perturbation B to
+trajectory-dependent pair: each realization starts from the given Ket, or
+from a Haar-random ket when there is none, propagates that single-space
+state through the preparation time t, applies the perturbation B to
 form the stacked vector (psi_t, B psi_t)/sqrt(w) with weight
 w = 1 + ||B psi_t||^2, continues on the doubled space over tau, and averages
 w <upper|A|lower>.  At tau = 0 the
@@ -24,8 +24,6 @@ its counts: the jumps its engines made, as ``jumps_total``, for the jump
 unraveling, and nothing for the diffusive ones.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .diffusion import QsdEngine, SdeConfig
@@ -35,59 +33,9 @@ from .jumps import JumpEngine
 from .noise import grid_steps
 
 __all__ = [
-    "CorrelationRequest",
     "heisenberg_element",
     "correlate",
 ]
-
-@dataclass(frozen=True, eq=False)
-class CorrelationRequest:
-    """Specification of one two-time correlation estimate.
-
-    ``initial`` is either an explicit Ket (normalized here, so a zero-norm
-    Ket raises ValueError before any trajectory work; no warmup is applied,
-    so a nonzero ``warmup_time`` with it is a ValueError too) or
-    None, which draws a Haar-uniform ket per trajectory and relaxes it for
-    ``warmup_time``, meant to reach stationarity (default 30 inverse decay
-    rates when built through the CLI).
-    """
-
-    observable: Operator
-    perturbation: Operator
-    t: float
-    tau_grid: np.ndarray
-    n_trajectories: int
-    sde: SdeConfig
-    initial: Ket | None = None
-    warmup_time: float = 0.0
-
-    def __post_init__(self):
-        grid = np.asarray(self.tau_grid, dtype=float)
-        if grid.ndim != 1 or grid.size < 1:
-            raise ValueError("tau_grid must be a non-empty 1-D array")
-        if grid[0] < 0 or np.any(np.diff(grid) <= 0):
-            raise ValueError("tau_grid must be non-negative and strictly increasing")
-        object.__setattr__(self, "tau_grid", grid)
-        if self.t < 0:
-            raise ValueError(f"t must be >= 0, got {self.t}")
-        if self.warmup_time < 0:
-            raise ValueError(f"warmup_time must be >= 0, got {self.warmup_time}")
-        if self.n_trajectories < 2:
-            raise ValueError(f"n_trajectories must be >= 2, got {self.n_trajectories}")
-        if self.observable.dim != self.perturbation.dim:
-            raise ValueError(
-                f"operator dimension mismatch: observable {self.observable.dim}, "
-                f"perturbation {self.perturbation.dim}"
-            )
-        if self.initial is not None:
-            if not isinstance(self.initial, Ket):
-                raise TypeError(f"initial must be a Ket or None, got {type(self.initial).__name__}")
-            if self.warmup_time != 0:
-                raise ValueError(
-                    "warmup_time applies only to the Haar-random start (initial=None); "
-                    f"got an explicit initial with warmup_time {self.warmup_time}"
-                )
-            object.__setattr__(self, "initial", self.initial.normalized())
 
 
 def _haar_rows(streams, dim: int) -> np.ndarray:
@@ -171,31 +119,6 @@ def _doubled_series_chunk(
     return vals, counts
 
 
-def _correlation_chunk(
-    streams,
-    request: CorrelationRequest,
-    model: LindbladModel,
-    pre_steps: int,
-    node_steps: list[int],
-):
-    sde = request.sde
-    engine, counts = _engine(model, sde), {}
-    if request.initial is not None:
-        states = np.tile(request.initial.amplitudes, (len(streams), 1))
-    else:
-        states = _haar_rows(streams, model.dim)
-    if pre_steps > 0:
-        states = _run(engine, counts, states, streams, pre_steps)
-        if sde.scheme == "quasi_linear":
-            states = _normalize_rows(states)
-    b_psi = states @ request.perturbation.matrix.T
-    weights = 1.0 + np.einsum("bi,bi->b", b_psi.conj(), b_psi).real
-    theta = np.concatenate([states, b_psi], axis=1) / np.sqrt(weights)[:, None]
-    return _doubled_series_chunk(
-        engine, counts, streams, theta, weights, request.observable, sde, node_steps
-    )
-
-
 def heisenberg_element(
     observable: Operator,
     bra_state: Ket,
@@ -205,7 +128,6 @@ def heisenberg_element(
     n_trajectories: int,
     sde: SdeConfig,
     seed: int,
-    keep_samples: bool = False,
 ) -> EnsembleResult:
     """Ensemble estimate of <bra| A(t) |ket> on ``t_grid``.
 
@@ -226,46 +148,54 @@ def heisenberg_element(
             _engine(model, sde), {}, streams, theta, weights, observable, sde, node_steps
         )
 
-    return run_ensemble(
-        task,
-        n_trajectories,
-        seed,
-        grid=grid,
-        method=_method(sde),
-        keep_samples=keep_samples,
-    )
+    return run_ensemble(task, n_trajectories, seed, grid=grid, method=_method(sde))
 
 
 def correlate(
-    request: CorrelationRequest,
+    observable: Operator,
+    perturbation: Operator,
     model: LindbladModel,
+    t: float,
+    tau_grid,
+    n_trajectories: int,
+    sde: SdeConfig,
     seed: int,
-    keep_samples: bool = False,
+    initial: Ket | None = None,
 ) -> EnsembleResult:
-    """Ensemble estimate of <A(t + tau) B(t)> over ``request.tau_grid``,
-    by the unraveling that ``request.sde.scheme`` names."""
-    parts = {"observable": request.observable}
-    if request.initial is not None:
-        parts["initial"] = request.initial
+    """Ensemble estimate of <A(t + tau) B(t)> over ``tau_grid``, by the
+    unraveling that ``sde.scheme`` names.
+
+    Each trajectory is prepared for time ``t``: from ``initial`` (a Ket,
+    normalized here) when one is given, else from its own Haar-random ket,
+    in which case ``t`` is a warmup meant to reach stationarity.
+    """
+    if initial is not None and not isinstance(initial, Ket):
+        raise TypeError(f"initial must be a Ket or None, got {type(initial).__name__}")
+    parts = {"observable": observable, "perturbation": perturbation}
+    if initial is not None:
+        parts["initial"] = initial
     _check_dims(model, **parts)
+    start = None if initial is None else initial.normalized().amplitudes
     # fail on incommensurate times before any trajectory work starts
-    dt = request.sde.dt
-    if request.initial is not None:
-        (pre_steps,) = grid_steps([request.t], dt, "t")
-    else:
-        (pre_steps,) = grid_steps(
-            [request.warmup_time + request.t], dt, "warmup_time + t"
-        )
-    node_steps = grid_steps(request.tau_grid, dt, "tau node")
+    (pre_steps,) = grid_steps([t], sde.dt, "t")
+    grid = np.asarray(tau_grid, dtype=float)
+    node_steps = grid_steps(grid, sde.dt, "tau node")
 
     def task(streams):
-        return _correlation_chunk(streams, request, model, pre_steps, node_steps)
+        engine, counts = _engine(model, sde), {}
+        if start is None:
+            states = _haar_rows(streams, model.dim)
+        else:
+            states = np.tile(start, (len(streams), 1))
+        if pre_steps > 0:
+            states = _run(engine, counts, states, streams, pre_steps)
+            if sde.scheme == "quasi_linear":
+                states = _normalize_rows(states)
+        b_psi = states @ perturbation.matrix.T
+        weights = 1.0 + np.einsum("bi,bi->b", b_psi.conj(), b_psi).real
+        theta = np.concatenate([states, b_psi], axis=1) / np.sqrt(weights)[:, None]
+        return _doubled_series_chunk(
+            engine, counts, streams, theta, weights, observable, sde, node_steps
+        )
 
-    return run_ensemble(
-        task,
-        request.n_trajectories,
-        seed,
-        grid=request.tau_grid,
-        method=_method(request.sde),
-        keep_samples=keep_samples,
-    )
+    return run_ensemble(task, n_trajectories, seed, grid=grid, method=_method(sde))

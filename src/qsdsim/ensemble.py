@@ -48,8 +48,9 @@ class EnsembleResult:
     """Ensemble mean series with statistical errors and run accounting.
 
     ``std_error[k]`` follows the complex 2-vector convention:
-    sqrt((var Re + var Im) / n) of the per-trajectory values at node k.
-    ``extras`` holds the tasks' counts, summed over chunks.
+    sqrt((var Re + var Im) / n) of the per-trajectory values at node k,
+    which ``samples`` holds as an (n, nodes) array.  ``extras`` holds the
+    tasks' counts, summed over chunks.
     """
 
     grid: np.ndarray
@@ -59,8 +60,8 @@ class EnsembleResult:
     method: str
     wall_time_seconds: float
     draws_total: int
+    samples: np.ndarray
     extras: dict = field(default_factory=dict)
-    samples: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -88,7 +89,6 @@ def run_ensemble(
     seed: int,
     grid=None,
     method: str = "",
-    keep_samples: bool = False,
     chunk_size: int = _CHUNK,
 ) -> EnsembleResult:
     """Run ``task`` over ``n`` trajectories and reduce to mean and error.
@@ -145,8 +145,8 @@ def run_ensemble(
         method=method,
         wall_time_seconds=wall,
         draws_total=draws,
+        samples=samples,
         extras=extras,
-        samples=samples if keep_samples else None,
     )
 
 

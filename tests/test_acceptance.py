@@ -12,7 +12,6 @@ import numpy as np
 
 from conftest import analytic_decay_element, decay_element_setup, random_ket, random_model
 from qsdsim import (
-    CorrelationRequest,
     DensityMatrix,
     JumpEngine,
     Ket,
@@ -184,11 +183,10 @@ def test_criterion_7_estimator_identities():
     # zero-delay value per realization: <psi_t| A B |psi_t>
     zero_delay_ok = True
     for scheme in ("normalized", "quasi_linear"):
-        request = CorrelationRequest(
-            observable=a_op, perturbation=b_op, t=t, tau_grid=[0.0, 0.3],
-            n_trajectories=n, sde=SdeConfig(dt=dt, scheme=scheme), initial=psi0,
+        res = correlate(
+            a_op, b_op, model, t, [0.0, 0.3], n, SdeConfig(dt=dt, scheme=scheme), seed,
+            initial=psi0,
         )
-        res = correlate(request, model, seed=seed, keep_samples=True)
         streams = [NoiseStream(seed, i) for i in range(n)]
         states = QsdEngine(model, dt, scheme).run(
             np.tile(psi0.amplitudes, (n, 1)), streams, steps
@@ -201,11 +199,10 @@ def test_criterion_7_estimator_identities():
 
     # identity perturbation per realization: single-space run, same noise
     tau_grid = np.array([0.0, 0.25, 0.5])
-    request = CorrelationRequest(
-        observable=a_op, perturbation=Operator(np.eye(2)), t=t, tau_grid=tau_grid,
-        n_trajectories=n, sde=SdeConfig(dt=dt), initial=psi0,
+    res = correlate(
+        a_op, Operator(np.eye(2)), model, t, tau_grid, n, SdeConfig(dt=dt), seed,
+        initial=psi0,
     )
-    res = correlate(request, model, seed=seed, keep_samples=True)
     streams = [NoiseStream(seed, i) for i in range(n)]
     engine = QsdEngine(model, dt)
     states = engine.run(np.tile(psi0.amplitudes, (n, 1)), streams, steps)
@@ -246,13 +243,8 @@ def test_criterion_8_jump_method_is_no_slower_at_matched_error():
     results = {}
 
     def runner(method, n, seed):
-        request = CorrelationRequest(
-            observable=sigma_plus(), perturbation=sigma_minus(), t=0.0,
-            tau_grid=tau_grid, n_trajectories=n,
-            sde=SdeConfig(dt=dt, scheme="normalized" if method == "qsd" else "jump"),
-            warmup_time=warmup,
-        )
-        res = correlate(request, model, seed)
+        sde = SdeConfig(dt=dt, scheme="normalized" if method == "qsd" else "jump")
+        res = correlate(sigma_plus(), sigma_minus(), model, warmup, tau_grid, n, sde, seed)
         results[(method, n)] = res
         return res
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import qsdsim
 from qsdsim import (
     EnsembleError,
     Ket,
@@ -19,9 +20,7 @@ from qsdsim import (
     Operator,
     SdeConfig,
     cli,
-    gisin,
     heisenberg_element,
-    master,
 )
 
 
@@ -46,7 +45,6 @@ def test_validate_fills_defaults():
     assert config.out_dir.name == "out-decay-element"
     assert config.params["n"] == 1000
     assert config.params["unraveling"] == "qsd"
-    assert config.params["h_ode"] == 1e-3
     grid = config.params["t_grid"]
     assert grid.size == 40
     assert grid[0] == pytest.approx(0.1)
@@ -58,9 +56,9 @@ def test_cli_defaults_are_the_library_defaults(scenario):
     text = _custom() if scenario == "custom" else json.dumps({"scenario": scenario})
     config, errors = cli.validate(text)
     assert errors == []
-    assert config.params["h_ode"] == master.DEFAULT_H_ODE
-    if scenario == "gisin-compare":
-        assert config.params["floor"] == gisin.DEFAULT_FLOOR
+    # params hold only the scenario's keys: the oracle's step (h_ode) and the
+    # coupled scheme's floor are none, so the runs take the library's defaults
+    assert set(config.params) <= set(cli.SCHEMAS[scenario])
 
 
 def _readme_keys(scenario: str) -> list:
@@ -138,8 +136,8 @@ _CUSTOM_NON_FINITE_CASES = [
     (_custom(model=_EXPLICIT_MODEL.format(h="[[0, 0], [0, 0]]", l="[[0, 1e200], [0, 0]]")),
      "model: the generator -iH - (1/2) sum_j L_j^dag L_j overflows"),
     (_custom(mode='"correlation"', bra=None, ket=None, t_grid=None,
-             perturbation='"sigma_minus"', tau_grid="[0]", t="Infinity"),
-     "t: must be a finite number"),
+             perturbation='"sigma_minus"', tau_grid="[0]", warmup="Infinity"),
+     "warmup: must be a finite number"),
 ]
 
 _ZERO_3 = "[[0, 0, 0], [0, 0, 0], [0, 0, 0]]"
@@ -190,13 +188,21 @@ _CUSTOM_SHAPE_CASES = [
         ('{"scenario": "decay-element", "seed": -3}', "seed"),
         ('{"scenario": "decay-element", "workers": 2}',
          "workers: not applicable to scenario 'decay-element'"),
+        *[(f'{{"scenario": "{scenario}", "h_ode": 1e-3}}',
+           f"h_ode: not applicable to scenario '{scenario}'")
+          for scenario in ("decay-element", "fluorescence-g1", "gisin-compare", "benchmark")],
+        (_custom(h_ode="1e-3"), "h_ode: not applicable to scenario 'custom'"),
+        ('{"scenario": "gisin-compare", "floor": 0.5}',
+         "floor: not applicable to scenario 'gisin-compare'"),
+        (_custom(mode='"correlation"', bra=None, ket=None, t_grid=None,
+                 perturbation='"sigma_minus"', tau_grid="[0]", t="0.5"),
+         "t: not applicable to scenario 'custom'"),
         (_custom(mode='"correlation"', bra=None, ket=None, t_grid=None,
                  perturbation='"sigma_minus"', tau_grid="[0]", initial='"steady_state"'),
          "initial: not applicable to scenario 'custom'"),
         ('{"scenario": "decay-element", "unraveling": "euler"}', "unraveling"),
         ('{"scenario": "decay-element", "t_start": 0.1005}', "integer multiple"),
         ('{"scenario": "gisin-compare", "h_list": [0.3]}', "h=0.3"),
-        ('{"scenario": "gisin-compare", "floor": 0.9}', "floor: 0.9 is not below |<bra|ket>| = 0.707107"),
         ('{"scenario": "custom"}', "model: required"),
         (
             '{"scenario": "custom", "mode": "element", '
@@ -224,8 +230,6 @@ def test_validate_rejects(text, needle):
     [
         ('{"scenario": "decay-element", "dt": NaN}', "dt"),
         ('{"scenario": "decay-element", "dt": Infinity}', "dt"),
-        ('{"scenario": "decay-element", "h_ode": NaN}', "h_ode"),
-        ('{"scenario": "decay-element", "h_ode": Infinity}', "h_ode"),
         ('{"scenario": "fluorescence-g1", "omega": Infinity}', "omega"),
         ('{"scenario": "fluorescence-g1", "warmup": NaN}', "warmup"),
         (_custom(bra="[Infinity, 1]"), "bra[0]"),
@@ -305,7 +309,7 @@ def _custom_values(dim):
     return {
         "model": models, "observable": operators, "perturbation": operators,
         "bra": vectors, "ket": vectors, "t_grid": grids, "tau_grid": grids,
-        "t": _TIMES | _NUMBERS, "warmup": _TIMES | _NUMBERS,
+        "warmup": _TIMES | _NUMBERS,
     }
 
 
@@ -638,12 +642,18 @@ def test_workers_flag_exits_2(tmp_path):
     assert not out.exists()
 
 
-def test_floor_above_initial_scalar_product_exits_2(tmp_path, capsys):
-    out = tmp_path / "out"
-    path = make_config(tmp_path, scenario="gisin-compare", n=4, floor=0.9, out=str(out))
-    assert run_main(["--config", str(path)]) == 2
-    assert "config error: floor: 0.9 is not below" in capsys.readouterr().err
-    assert not out.exists()
+def test_uncreatable_out_exits_2(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    # the directory is a file, or lies under one
+    for out in (afile, afile / "sub"):
+        path = make_config(tmp_path, scenario="decay-element", n=2, dt=0.1, t_start=0.1,
+                           t_stop=0.2, t_nodes=2, out=str(out))
+        assert run_main(["--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: out: cannot create output directory {out}" in err, err
+    assert afile.read_text() == "kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
 
 
 def test_version_is_computed_once_per_process(tmp_path, monkeypatch):
@@ -672,6 +682,26 @@ def test_version_is_computed_once_per_process(tmp_path, monkeypatch):
     finally:
         cli._version_string.cache_clear()
     assert len(calls) == 1
+
+
+def test_version_falls_back_when_git_describe_times_out(tmp_path, monkeypatch):
+    def slow_run(args, **kwargs):
+        raise subprocess.TimeoutExpired(args, kwargs.get("timeout"))
+
+    (tmp_path / ".git").mkdir()
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "src" / "cli.py"))
+    monkeypatch.setattr(cli.subprocess, "run", slow_run)
+    cli._version_string.cache_clear()
+    try:
+        path = make_config(tmp_path, scenario="decay-element", n=2, dt=0.1, t_start=0.1,
+                           t_stop=0.2, t_nodes=2, out=str(tmp_path / "out"))
+        config, errors = cli.validate(path.read_text())
+        assert errors == []
+        assert cli.run(config) == 0
+    finally:
+        cli._version_string.cache_clear()
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    assert meta["version"] == qsdsim.__version__
 
 
 def test_command_line_overrides_reach_metadata(tmp_path):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from qsdsim import (
-    CorrelationRequest,
     Ket,
     NoiseStream,
     Operator,
@@ -36,50 +35,42 @@ def haar_rows(streams, dim):
     return out
 
 
-def test_request_validation():
+def test_correlate_validation(monkeypatch):
     sde = SdeConfig(dt=1e-2)
-    a, b = sigma_plus(), sigma_minus()
-    good = dict(observable=a, perturbation=b, t=0.0, tau_grid=[0.0, 0.5],
-                n_trajectories=10, sde=sde)
-    CorrelationRequest(**good)
-    with pytest.raises(ValueError):
-        CorrelationRequest(**{**good, "tau_grid": [0.5, 0.5]})
-    with pytest.raises(ValueError):
-        CorrelationRequest(**{**good, "tau_grid": [-0.5, 0.0]})
-    with pytest.raises(ValueError):
-        CorrelationRequest(**{**good, "t": -1.0})
-    with pytest.raises(ValueError):
-        CorrelationRequest(**{**good, "warmup_time": -1.0})
-    with pytest.raises(ValueError):
-        CorrelationRequest(**{**good, "n_trajectories": 1})
-    with pytest.raises(ValueError):
-        CorrelationRequest(**{**good, "perturbation": Operator(np.eye(3))})
+    good = dict(observable=sigma_plus(), perturbation=sigma_minus(), model=decay_model(),
+                t=0.0, tau_grid=[0.0, 0.5], n_trajectories=10, sde=sde, seed=0)
+    correlate(**good)
+
+    def no_streams(*args):
+        raise AssertionError("a stream was built before the arguments were checked")
+
+    # every bad argument is named before run_ensemble builds a stream
+    monkeypatch.setattr("qsdsim.ensemble.spawn", no_streams)
+    for bad in (
+        {"tau_grid": [0.5, 0.5]},
+        {"tau_grid": [-0.5, 0.0]},
+        {"t": -1.0},
+        {"t": -1.0, "initial": Ket([1.0, 0.0])},
+        {"n_trajectories": 1},
+        {"perturbation": Operator(np.eye(3))},
+    ):
+        with pytest.raises(ValueError):
+            correlate(**{**good, **bad})
     # the Haar-random start is initial=None; no string names it
     for initial in ("thermal", "steady_state", 3):
         with pytest.raises(TypeError, match="initial must be a Ket or None"):
-            CorrelationRequest(**{**good, "initial": initial})
+            correlate(**good, initial=initial)
     # a zero-norm ket is a named error before any trajectory work
     with pytest.raises(ValueError, match="cannot normalize a zero-norm state"):
-        CorrelationRequest(**{**good, "initial": Ket([0.0, 0.0])})
-    # an explicit start takes no warmup, so asking for one is a named error
-    for warmup in (2.0, float("nan")):
-        with pytest.raises(ValueError, match=f"initial.*warmup_time {warmup}"):
-            CorrelationRequest(**{**good, "initial": Ket([1.0, 0.0]), "warmup_time": warmup})
-    CorrelationRequest(**{**good, "initial": Ket([1.0, 0.0]), "warmup_time": 0.0})
+        correlate(**good, initial=Ket([0.0, 0.0]))
 
 
 def test_incommensurate_time_rejected():
-    request = CorrelationRequest(
-        observable=sigma_plus(),
-        perturbation=sigma_minus(),
-        t=0.005,
-        tau_grid=[0.0, 0.5],
-        n_trajectories=4,
-        sde=SdeConfig(dt=1e-2),
-        initial=basis_ket(2, 1),
-    )
-    with pytest.raises(ValueError):
-        correlate(request, decay_model(), seed=0)
+    with pytest.raises(ValueError, match="t=0.005 is not an integer multiple"):
+        correlate(
+            sigma_plus(), sigma_minus(), decay_model(), 0.005, [0.0, 0.5], 4,
+            SdeConfig(dt=1e-2), seed=0, initial=basis_ket(2, 1),
+        )
 
 
 @pytest.mark.parametrize("grid", [[1.0, 0.5, 1.0], [0.5, 0.7, 0.7]])
@@ -102,11 +93,7 @@ def test_zero_delay_value_is_exact_per_realization():
     n, t, dt, seed = 8, 0.5, 1e-2, 123
     for scheme in ("normalized", "quasi_linear"):
         sde = SdeConfig(dt=dt, scheme=scheme)
-        request = CorrelationRequest(
-            observable=a_op, perturbation=b_op, t=t, tau_grid=[0.0, 0.3],
-            n_trajectories=n, sde=sde, initial=psi0,
-        )
-        res = correlate(request, model, seed=seed, keep_samples=True)
+        res = correlate(a_op, b_op, model, t, [0.0, 0.3], n, sde, seed, initial=psi0)
         streams = [NoiseStream(seed, i) for i in range(n)]
         states = np.tile(psi0.amplitudes, (n, 1))
         states = QsdEngine(model, dt, scheme).run(states, streams, int(round(t / dt)))
@@ -126,11 +113,7 @@ def test_identity_perturbation_reduces_to_single_space_run():
     n, t, dt, seed = 8, 0.5, 1e-2, 321
     tau_grid = np.array([0.0, 0.25, 0.5])
     sde = SdeConfig(dt=dt)
-    request = CorrelationRequest(
-        observable=a_op, perturbation=Operator(np.eye(2)), t=t,
-        tau_grid=tau_grid, n_trajectories=n, sde=sde, initial=psi0,
-    )
-    res = correlate(request, model, seed=seed, keep_samples=True)
+    res = correlate(a_op, Operator(np.eye(2)), model, t, tau_grid, n, sde, seed, initial=psi0)
 
     streams = [NoiseStream(seed, i) for i in range(n)]
     engine = QsdEngine(model, dt)
@@ -150,7 +133,7 @@ def test_estimator_is_linear_in_observable():
     grid = np.array([0.0, 0.5])
     kwargs = dict(
         bra_state=bra, ket_state=ket, model=model, t_grid=grid,
-        n_trajectories=16, sde=SdeConfig(dt=1e-2), seed=5, keep_samples=True,
+        n_trajectories=16, sde=SdeConfig(dt=1e-2), seed=5,
     )
     base = heisenberg_element(observable, **kwargs)
     scaled = heisenberg_element(Operator(2.5 * observable.matrix), **kwargs)
@@ -177,30 +160,29 @@ def test_heisenberg_element_matches_oracle_on_random_model(rng):
     assert res.extras == {}
 
 
-def zero_delay_request(initial, warmup_time=0.0, scheme="normalized"):
-    """<sigma_plus sigma_minus> = |psi_e|^2 at t = tau = 0, from ``initial``."""
-    return CorrelationRequest(
-        observable=sigma_plus(), perturbation=sigma_minus(), t=0.0, tau_grid=[0.0],
-        n_trajectories=4, sde=SdeConfig(dt=1e-2, scheme=scheme), initial=initial,
-        warmup_time=warmup_time,
+def zero_delay(initial, t=0.0, scheme="normalized", seed=0):
+    """<sigma_plus sigma_minus> = |psi_e|^2 at tau = 0 after preparing
+    ``initial`` (a Haar-random ket if None) for ``t``."""
+    return correlate(
+        sigma_plus(), sigma_minus(), decay_model(), t, [0.0], 4,
+        SdeConfig(dt=1e-2, scheme=scheme), seed, initial,
     )
 
 
 @pytest.mark.parametrize("scheme", ["normalized", "jump"])
 def test_explicit_initial_is_normalized_and_draws_nothing(scheme):
-    request = zero_delay_request(Ket([0.0, 2.0j]), scheme=scheme)
-    assert np.array_equal(request.initial.amplitudes, [0.0, 1.0j])
-    res = correlate(request, decay_model(), seed=0)
-    assert res.mean[0] == pytest.approx(1.0, abs=1e-14)
+    # |psi_e|^2 of the unnormalized (0, 2i) would be 4
+    res = zero_delay(Ket([0.0, 2.0j]), scheme=scheme)
+    assert res.samples.shape == (4, 1)
+    assert np.allclose(res.samples, 1.0, rtol=0.0, atol=1e-14)
     # no segment takes a step, so not even a jump threshold is drawn
     assert res.draws_total == 0
 
 
 def test_warmup_relaxes_decay_to_ground_reproducibly():
-    request = zero_delay_request(None, warmup_time=15.0)
-    res = correlate(request, decay_model(), seed=8)
+    res = zero_delay(None, t=15.0, seed=8)
     assert 0.0 <= res.mean[0].real < 1e-5
-    again = correlate(request, decay_model(), seed=8)
+    again = zero_delay(None, t=15.0, seed=8)
     assert np.array_equal(res.mean, again.mean)
 
 
@@ -216,7 +198,7 @@ def test_dimensions_are_checked_against_the_model():
         with pytest.raises(ValueError, match=f"dimension mismatch: {message}"):
             heisenberg_element(observable, bra, ket, decay_model(), [0.1], 4, sde, 1)
     with pytest.raises(ValueError, match="dimension mismatch: initial 3, model 2"):
-        correlate(zero_delay_request(Ket([1.0, 0.0, 0.0])), decay_model(), seed=1)
+        zero_delay(Ket([1.0, 0.0, 0.0]))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 32])
@@ -279,12 +261,9 @@ def test_fluorescence_correlation_matches_oracle():
     model = driven_decay_model(omega)
     dt = 2e-3
     tau_grid = np.linspace(0.0, 1.5, 7)
-    request = CorrelationRequest(
-        observable=sigma_plus(), perturbation=sigma_minus(), t=0.0,
-        tau_grid=tau_grid, n_trajectories=1500, sde=SdeConfig(dt=dt),
-        warmup_time=10.0,
+    res = correlate(
+        sigma_plus(), sigma_minus(), model, 10.0, tau_grid, 1500, SdeConfig(dt=dt), seed=77
     )
-    res = correlate(request, model, seed=77)
     oracle = two_time_correlation(sigma_plus(), sigma_minus(), model, 0.0, tau_grid)
     dev = np.abs(res.mean - oracle)
     assert np.all(dev < 3.0 * res.std_error)

@@ -13,6 +13,7 @@ from qsdsim import (
     relative_rms_error,
     run_ensemble,
 )
+from qsdsim.noise import spawn
 
 
 def noisy_task(streams, nodes=3, draws=10):
@@ -31,9 +32,15 @@ def test_constant_task_statistics():
     assert np.allclose(res.mean, 3.0 - 1.0j)
     assert np.allclose(res.std_error, 0.0)
     assert res.n == 2
-    assert res.samples is None
+    assert np.array_equal(res.samples, np.full((2, 2), 3.0 - 1.0j))
     assert res.extras == {}
     assert res.wall_time_seconds > 0
+    # every chunk's rows, in index order
+    res = run_ensemble(noisy_task, 10, seed=1, grid=[0.0, 0.5, 1.0], chunk_size=4)
+    assert res.samples.shape == (10, 3)
+    assert np.array_equal(res.samples, noisy_task(spawn(1, 0, 10))[0])
+    assert np.allclose(res.samples.mean(axis=0), res.mean)
+    assert np.array_equal(res.grid, [0.0, 0.5, 1.0])
 
 
 def test_input_validation():
@@ -110,13 +117,6 @@ def test_first_failing_chunk_stops_the_run():
     assert str(excinfo.value) == (
         "ensemble execution failed for trajectories [0, 8): RuntimeError: boom"
     )
-
-
-def test_keep_samples_shape():
-    res = run_ensemble(noisy_task, 10, seed=1, keep_samples=True, grid=[0.0, 0.5, 1.0])
-    assert res.samples.shape == (10, 3)
-    assert np.allclose(res.samples.mean(axis=0), res.mean)
-    assert np.array_equal(res.grid, [0.0, 0.5, 1.0])
 
 
 def test_relative_rms_error_conventions():

@@ -5,7 +5,6 @@ import pytest
 from scipy import linalg, stats
 
 from qsdsim import (
-    CorrelationRequest,
     DensityMatrix,
     InstabilityError,
     JumpEngine,
@@ -199,16 +198,10 @@ def test_jump_correlate_against_oracle():
     model = driven_decay_model(4.0)
     psi0 = Ket(np.array([1.0, 1.0]) / np.sqrt(2.0))
     tau_grid = np.array([0.0, 0.5, 1.0])
-    request = CorrelationRequest(
-        observable=sigma_plus(),
-        perturbation=sigma_plus(),
-        t=0.5,
-        tau_grid=tau_grid,
-        n_trajectories=800,
-        sde=SdeConfig(dt=1e-3, scheme="jump"),
-        initial=psi0,
+    res = correlate(
+        sigma_plus(), sigma_plus(), model, 0.5, tau_grid, 800,
+        SdeConfig(dt=1e-3, scheme="jump"), seed=11, initial=psi0,
     )
-    res = correlate(request, model, seed=11)
     assert res.method == "jump"
     assert list(res.extras) == ["jumps_total"]
     oracle = two_time_correlation(

@@ -22,7 +22,6 @@ from scipy import linalg
 
 from conftest import decay_element_setup, qsd_step, random_ket, random_model
 from qsdsim import (
-    CorrelationRequest,
     JumpEngine,
     NoiseStream,
     QsdEngine,
@@ -264,12 +263,10 @@ def test_estimators_never_extend_the_model(monkeypatch):
             observable, bra, ket, model, grid, n_trajectories=4, sde=sde, seed=1
         )
         assert np.all(np.isfinite(res.mean))
-        request = CorrelationRequest(
-            observable=sigma_plus(), perturbation=sigma_minus(), t=0.1,
-            tau_grid=np.array([0.0, 0.1]), n_trajectories=4, sde=sde,
-            warmup_time=0.1,
+        res = correlate(
+            sigma_plus(), sigma_minus(), driven_decay_model(2.0), 0.2,
+            np.array([0.0, 0.1]), 4, sde, seed=1,
         )
-        res = correlate(request, driven_decay_model(2.0), seed=1)
         assert np.all(np.isfinite(res.mean))
 
 
