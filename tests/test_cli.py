@@ -1,5 +1,6 @@
 """Config validation, scenario runs, output files, and exit codes."""
 
+import inspect
 import json
 import math
 import re
@@ -51,14 +52,41 @@ def test_validate_fills_defaults():
     assert grid[-1] == pytest.approx(4.0)
 
 
-@pytest.mark.parametrize("scenario", sorted(cli.SCHEMAS))
-def test_cli_defaults_are_the_library_defaults(scenario):
-    text = _custom() if scenario == "custom" else json.dumps({"scenario": scenario})
-    config, errors = cli.validate(text)
-    assert errors == []
-    # params hold only the scenario's keys: the oracle's step (h_ode) and the
-    # coupled scheme's floor are none, so the runs take the library's defaults
-    assert set(config.params) <= set(cli.SCHEMAS[scenario])
+# one small run of each scenario (custom in both modes)
+_SMALL_RUNS = {
+    "decay-element": dict(n=4, t_start=0.5, t_stop=1.0, t_nodes=2),
+    "fluorescence-g1": dict(n=4, warmup=0.2, tau_stop=0.2, tau_nodes=2),
+    "gisin-compare": dict(n=4, h_list=[0.01], t_start=0.1, t_stop=0.2, t_nodes=2),
+    "benchmark": dict(warmup=0.2, tau_stop=0.2, tau_nodes=2, n_list=[4]),
+    "custom": dict(n=4, model={"builder": "decay"}, observable="sigma_plus",
+                   bra=[0, 1], ket=[1, 1], t_grid=[0.2]),
+    "custom-correlation": dict(n=4, mode="correlation", model={"builder": "decay"},
+                               observable="sigma_plus", perturbation="sigma_minus",
+                               warmup=0.2, tau_grid=[0.0, 0.1]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SMALL_RUNS))
+def test_runs_take_the_library_step_and_floor(tmp_path, monkeypatch, name):
+    # the oracle's step (h_ode) and the coupled scheme's floor are not config
+    # keys, so no run may pass either: the library defaults apply
+    calls = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            calls.append((fn.__name__, inspect.signature(fn).bind(*args, **kwargs).arguments))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for fn in ("regression_matrix_element", "two_time_correlation", "run_coupled_ensemble"):
+        monkeypatch.setattr(cli, fn, recording(getattr(cli, fn)))
+    scenario = name.partition("-correlation")[0] if name.startswith("custom") else name
+    path = make_config(tmp_path, scenario=scenario, dt=0.01, out=str(tmp_path / "out"),
+                       **_SMALL_RUNS[name])
+    assert run_main(["--config", str(path)]) == 0
+    assert calls
+    for fn, bound in calls:
+        assert not {"h_ode", "floor"} & set(bound), fn
 
 
 def _readme_keys(scenario: str) -> list:

@@ -18,14 +18,12 @@ suite is too slow for this loop and is never run.
 
 Usage, from the repository root::
 
-    python tools/mutants.py              # every mutant
-    python tools/mutants.py -k jump      # mutants whose name contains "jump"
+    python tools/mutants.py
 
-The exit status is 0 when every selected mutant is killed, 1 when one
+The exit status is 0 when every mutant is killed, 1 when one
 survived or is stale, and 2 when a test file fails on the clean copy.
 """
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -118,14 +116,7 @@ def _pytest(work: Path, tests: str) -> tuple[bool, float]:
     return proc.returncode == 0, time.perf_counter() - start
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("-k", default="", help="run only mutants whose name contains this")
-    args = parser.parse_args(argv)
-    selected = [m for m in MUTANTS if args.k in m.name]
-    if any(m.tests == "tests/test_acceptance.py" for m in selected):
-        raise SystemExit("the acceptance suite is too slow to run per mutant")
-
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="qsdsim-mutants-") as tmp:
         work = Path(tmp)
         for name in COPIED:
@@ -136,7 +127,7 @@ def main(argv=None) -> int:
             else:
                 shutil.copy2(source, work / name)
 
-        for tests in sorted({m.tests for m in selected}):
+        for tests in sorted({m.tests for m in MUTANTS}):
             passed, seconds = _pytest(work, tests)
             print(f"{'clean' if passed else 'FAILS':8} {seconds:6.1f}s  {tests} (unmutated)",
                   flush=True)
@@ -144,7 +135,7 @@ def main(argv=None) -> int:
                 return 2
 
         outcomes = []
-        for m in selected:
+        for m in MUTANTS:
             target = work / m.path
             original = target.read_text()
             if original.count(m.anchor) != 1:
