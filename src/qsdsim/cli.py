@@ -7,7 +7,9 @@ computed by the deterministic oracle on the same grid, and a metadata JSON
 echoing the effective configuration; for an element or correlation estimate
 it also records how far results sit from the reference.  Outputs are
 byte-identical for identical (config, seed) across reruns, except for the
-files that record wall-clock timings (metadata.json, benchmark.csv).
+files that record wall-clock timings (metadata.json, benchmark.csv).  A run
+first deletes from its output directory the files an earlier run may have
+left there, and nothing else.
 
 Each scenario's keys, defaults and parsers are one table in ``SCHEMAS``.
 Each estimate shape (matrix element, two-time correlation) has one run path.
@@ -713,12 +715,28 @@ _RUNNERS = {
 }
 
 
+def _clear_outputs(out_dir: Path):
+    """Delete the files an earlier run left in ``out_dir``; every other file
+    stays."""
+    for pattern in ("results.csv", "reference.csv", "metadata.json",
+                    "instability-report.json", "benchmark.csv",
+                    "gisin-h*.csv", "instability-h*.json"):
+        for path in out_dir.glob(pattern):
+            path.unlink()
+
+
 def run(config: RunConfig) -> int:
     """Execute a validated config; returns the process exit code."""
     try:
         config.out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         print(f"config error: out: cannot create output directory {config.out_dir}: {err}",
+              file=sys.stderr)
+        return 2
+    try:
+        _clear_outputs(config.out_dir)
+    except OSError as err:
+        print(f"config error: out: cannot clear output directory {config.out_dir}: {err}",
               file=sys.stderr)
         return 2
     start = time.perf_counter()

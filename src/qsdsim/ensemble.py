@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import complex_standard_error
-from .noise import spawn
+from .noise import _CHUNK, spawn
 
 __all__ = [
     "EnsembleResult",
@@ -26,8 +26,6 @@ __all__ = [
     "relative_rms_error",
     "benchmark_sweep",
 ]
-
-_CHUNK = 2048
 
 
 class EnsembleError(RuntimeError):

@@ -48,17 +48,21 @@ engines: the batch is one column-major (dim, 2, batch) array, ket-side
 states in block 0 and bra-side states in block 1, and a step is a single
 product with the stacked matrix (I + dt G; L_1; ...; L_c).  Every row is
 stepped every step; aborted and overflowed rows are frozen by a mask, so
-rows are never gathered or scattered.
+rows are never gathered or scattered.  The rows run in the ensemble
+runner's chunks of ``_CHUNK`` (2048), each with its own streams, batch and
+noise buffer, so memory does not grow with the ensemble size; as for every
+ensemble, the chunk size fixes the last bits of a run.
 """
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .diffusion import _euler_stack, _record_slots, complex_standard_error
 from .hilbert import Ket, LindbladModel, Operator, _check_dims
-from .noise import check_step, grid_steps, spawn, wiener_steps
+from .noise import _CHUNK, check_step, grid_steps, spawn, wiener_steps
 
 __all__ = [
     "GisinResult",
@@ -206,15 +210,12 @@ def run_coupled_ensemble(
             f"{floor:g}; the scheme is undefined"
         )
 
-    x = np.empty((model.dim, 2, n), dtype=complex)
-    x[:, 0] = ket0[:, None]
-    x[:, 1] = bra0[:, None]
-    streams = spawn(seed, 0, n)
     vals = np.full((len(steps), n), np.nan + 0j, dtype=complex)
     slots = _record_slots(steps, steps[-1])
     max_drift = 0.0
+    aborted = overflowed = draws = 0
 
-    def on_step(done, x, sp, alive):
+    def on_step(cols, done, x, sp, alive):
         nonlocal max_drift
         if done:  # frozen rows keep the finite scalar product they had
             drift = np.max(np.abs(sp - sp0), where=alive, initial=0.0)
@@ -224,12 +225,22 @@ def run_coupled_ensemble(
                 inner = (x[:, 1].conj() * (observable.matrix @ x[:, 0])).sum(axis=0)
                 if variant == "quasi_linear":
                     inner = inner * (sp0 / sp)
-            vals[slots[done]] = np.where(alive, inner, np.nan)
+            cols[slots[done]] = np.where(alive, inner, np.nan)
 
-    # every row keeps drawing, aborted ones included, so that a trajectory's
-    # draw sequence does not depend on when it stops
-    increments = wiener_steps(streams, steps[-1], model.n_channels, dt)
-    _, _, aborted, overflowed = kernel.advance(x, increments, floor, on_step)
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        x = np.empty((model.dim, 2, hi - lo), dtype=complex)
+        x[:, 0] = ket0[:, None]
+        x[:, 1] = bra0[:, None]
+        streams = spawn(seed, lo, hi)
+        # every row keeps drawing, aborted ones included, so that a
+        # trajectory's draw sequence does not depend on when it stops
+        increments = wiener_steps(streams, steps[-1], model.n_channels, dt)
+        _, _, low, bad = kernel.advance(x, increments, floor, partial(on_step, vals[:, lo:hi]))
+        aborted += int(low.sum())
+        overflowed += int(bad.sum())
+        draws += sum(s.draws for s in streams)
+        del streams  # free this chunk's generators before the next are built
 
     n_alive = np.sum(~np.isnan(vals.real), axis=1)
     mean = np.empty(len(steps), dtype=complex)
@@ -252,11 +263,11 @@ def run_coupled_ensemble(
         n=n,
         n_alive=n_alive.astype(int),
         variant=variant,
-        aborted=int(aborted.sum()),
-        overflowed=int(overflowed.sum()),
+        aborted=aborted,
+        overflowed=overflowed,
         max_scalar_drift=max_drift,
         wall_time_seconds=time.perf_counter() - start,
-        draws_total=sum(s.draws for s in streams),
+        draws_total=draws,
     )
 
 

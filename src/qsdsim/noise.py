@@ -33,6 +33,10 @@ __all__ = ["NoiseStream"]
 # keeping per-trajectory draw order identical to stepwise generation
 NOISE_BLOCK = 256
 
+# trajectories stepped together by every ensemble; BLAS rounds differently
+# at different batch widths, so this fixes the last bits of every estimate
+_CHUNK = 2048
+
 # SeedSequence's constants (numpy/random/bit_generator.pyx): the entropy pool
 # of four uint32 words is filled by hashmix with (INIT_A, MULT_A) and mixed by
 # mix; generate_state hashes the pool words with (INIT_B, MULT_B)

@@ -804,6 +804,65 @@ def test_instability_errors_name_the_trajectory(tmp_path):
     assert 0 <= named_trajectory(report["error"]) < 4
 
 
+# L = 1e150 sigma_minus overflows the state norm at the first step: exit 3
+_UNSTABLE = dict(scenario="custom", n=4, model={"hamiltonian": [[0, 0], [0, 0]],
+                                                "lindblads": [[[0, 1e150], [0, 0]]]},
+                 observable="sigma_plus", bra=[0, 1], ket=[1, 1], t_grid=[0.5])
+
+
+def run_into(tmp_path, out, **cfg):
+    """Exit code of one run of ``cfg`` into ``out``, and the names left there."""
+    path = make_config(tmp_path, dt=0.01, out=str(out), **cfg)
+    code = run_main(["--config", str(path)])
+    return code, sorted(p.name for p in out.iterdir())
+
+
+def test_a_run_clears_what_an_earlier_run_left(tmp_path):
+    out = tmp_path / "out"
+    element = dict(scenario="decay-element", **_SMALL_RUNS["decay-element"])
+    estimate = ["metadata.json", "reference.csv", "results.csv"]
+    assert run_into(tmp_path, out, **element) == (0, estimate)
+    # a failed run leaves only its report, not the results it replaced
+    assert run_into(tmp_path, out, **_UNSTABLE) == (3, ["instability-report.json"])
+    # and a later successful run leaves no stale report
+    assert run_into(tmp_path, out, **element) == (0, estimate)
+    gisin = dict(scenario="gisin-compare", **_SMALL_RUNS["gisin-compare"])
+    assert run_into(tmp_path, out, **gisin) == (
+        0, ["gisin-h0.01.csv", "instability-h0.01.json", *estimate])
+    assert run_into(tmp_path, out, **element) == (0, estimate)
+    benchmark = dict(scenario="benchmark", **_SMALL_RUNS["benchmark"])
+    assert run_into(tmp_path, out, **benchmark) == (
+        0, ["benchmark.csv", "metadata.json", "reference.csv"])
+    assert run_into(tmp_path, out, **element) == (0, estimate)
+
+
+def test_a_run_keeps_every_other_file_in_out(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    mine = ["gisin-h.json", "notes.txt", "results.csv.bak", "sub"]
+    for name in mine[:-1]:
+        (out / name).write_text("mine\n")
+    (out / "sub").mkdir()
+    (out / "sub" / "results.csv").write_text("mine\n")
+    gisin = dict(scenario="gisin-compare", **_SMALL_RUNS["gisin-compare"])
+    assert run_into(tmp_path, out, **gisin)[0] == 0
+    code, names = run_into(tmp_path, out, **_UNSTABLE)
+    assert code == 3
+    assert names == sorted(["instability-report.json", *mine])
+    for name in mine[:-1]:
+        assert (out / name).read_text() == "mine\n"
+    assert (out / "sub" / "results.csv").read_text() == "mine\n"
+
+
+def test_an_uncleared_output_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "results.csv").mkdir(parents=True)  # a directory in the way
+    element = dict(scenario="decay-element", **_SMALL_RUNS["decay-element"])
+    assert run_into(tmp_path, out, **element) == (2, ["results.csv"])
+    err = capsys.readouterr().err
+    assert f"config error: out: cannot clear output directory {out}" in err, err
+
+
 def test_overflowing_custom_vector_runs_as_a_unit_ket(tmp_path):
     out = tmp_path / "out"
     path = make_config(tmp_path, scenario="custom", n=4, dt=0.01,

@@ -22,7 +22,7 @@ from qsdsim import (
     two_time_correlation,
 )
 
-from conftest import decay_element_setup, random_model
+from conftest import decay_element_setup, random_ket, random_model
 from qsdsim.diffusion import _columns, _rows
 from qsdsim.jumps import _expm
 
@@ -164,6 +164,23 @@ def test_jump_from_a_dark_state_is_taken_at_the_jump_substep():
     assert stream.draws == 2 and thresholds[0] < 1.0
     out = _rows(x)
     assert abs(abs(out[0, 0]) - 1.0) < 1e-15 and out[0, 1] == 0.0
+
+
+def test_jump_applies_the_channel_to_the_state_one_substep_before(rng):
+    # a threshold of 1 forces a jump in the first substep, from psi itself:
+    # the channel is drawn with weights ||L_j psi||^2 and applied to psi,
+    # not to U psi at the jump substep
+    model = random_model(rng, 3, 2)
+    psi = random_ket(rng, 3).amplitudes
+    x = _columns(psi.reshape(1, -1), 3)
+    survival, thresholds, jumps = np.ones(1), np.ones(1), np.zeros(1, dtype=np.int64)
+    JumpEngine(model, 0.1)._advance(x, 1, survival, thresholds, jumps, [NoiseStream(5, 0)])
+    assert jumps[0] == 1
+    candidates = [op.matrix @ psi for op in model.lindblads]
+    weights = np.array([np.vdot(c, c).real for c in candidates])
+    pick = NoiseStream(5, 0).uniform(2)[0] * weights.sum()
+    j = int(np.searchsorted(np.cumsum(weights), pick, side="right"))
+    assert np.allclose(_rows(x)[0], candidates[j] / np.sqrt(weights[j]), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("dim,channels", [(2, 1), (3, 2), (8, 3)])

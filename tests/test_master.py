@@ -173,6 +173,13 @@ def test_step_map_replaces_the_substeps_at_small_dimension(rng, dim, monkeypatch
         assert total == 750
 
 
+def test_no_step_map_above_dimension_8(rng, monkeypatch):
+    # one gap of 100 substeps would pay for the 81 steps of a map at d = 9,
+    # but d = 9 lies above the map's boundary: every substep is stepped
+    handed = handed_substeps(monkeypatch, rng, 9, [0.0, 0.1])
+    assert [n for _, n in handed] == [100]
+
+
 def test_a_gap_shorter_than_the_map_build_is_stepped_directly(rng, monkeypatch):
     # 10 substeps at d = 8, where a step map would cost 64 steps to build
     handed = handed_substeps(monkeypatch, rng, 8, [0.0, 0.01])

@@ -99,6 +99,26 @@ MUTANTS = [
     Mutant("run-ensemble-keeps-first-chunk-samples", "src/qsdsim/ensemble.py",
            "samples=samples,", "samples=values[0],",
            "tests/test_ensemble.py"),
+    Mutant("jump-channel-taken-at-the-jump-substep", "src/qsdsim/jumps.py",
+           "weights, candidates = self._channels(pre)",
+           "weights, candidates = self._channels(self._propagate(0, pre))",
+           "tests/test_jumps.py"),
+    Mutant("step-map-boundary-at-16", "src/qsdsim/master.py",
+           "STEP_MAP_MAX_DIM = 8", "STEP_MAP_MAX_DIM = 16",
+           "tests/test_master.py"),
+    Mutant("coupled-draws-of-last-chunk-only", "src/qsdsim/gisin.py",
+           "draws += sum(", "draws = sum(",
+           "tests/test_gisin.py"),
+    Mutant("coupled-tallies-of-last-chunk-only", "src/qsdsim/gisin.py",
+           "aborted += int(low.sum())\n        overflowed += int(bad.sum())",
+           "aborted = int(low.sum())\n        overflowed = int(bad.sum())",
+           "tests/test_gisin.py"),
+    Mutant("coupled-drift-of-last-chunk-only", "src/qsdsim/gisin.py",
+           "hi = min(lo + _CHUNK, n)\n", "hi = min(lo + _CHUNK, n)\n        max_drift = 0.0\n",
+           "tests/test_gisin.py"),
+    Mutant("output-cleanup-skipped", "src/qsdsim/cli.py",
+           "        _clear_outputs(config.out_dir)\n", "        pass\n",
+           "tests/test_cli.py"),
 ]
 
 
