@@ -468,8 +468,16 @@ def validate(text: str, overrides: "dict | None" = None):
             values[name] = _on_dt_grid(values[name], dt, label, errors)
     if values.get("warmup") is not None:
         _on_dt_grid([values["warmup"]], dt, "warmup", errors, "value")
+    labels = {}
     for h in values.get("h_list") or ():
         _on_dt_grid(values["t_grid"], h, f"t grid (h={h:g})", errors)
+        # each step size names its output files by this label
+        label = f"{h:g}"
+        if label in labels:
+            errors.append(
+                f"h_list: step sizes {labels[label]!r} and {h!r} share the output label '{label}'"
+            )
+        labels[label] = h
 
     if errors:
         return None, errors

@@ -43,6 +43,7 @@ from .hilbert import LindbladModel
 from .noise import NoiseStream, check_step, wiener_steps
 
 __all__ = [
+    "SCHEMES",
     "SdeConfig",
     "QsdEngine",
     "complex_standard_error",
@@ -108,25 +109,11 @@ class QsdEngine:
         ``inv_norm2`` holds each trajectory's 1 / <psi|psi>, or is None for
         unit states; ``dxi`` holds the (n_channels, batch) increments.
         """
-        dt = self.dt
-        y = (self._stack @ x.reshape(self.dim, -1)).reshape(-1, *x.shape)
-        out, lx = y[0], y[1:]
-        ell = (x.conj() * lx).sum(axis=(1, 2))  # <psi|L_j psi>, shape (c, batch)
+        y = _stacked(self._stack, x)
+        ell = (x.conj() * y[1:]).sum(axis=(1, 2))  # <psi|L_j psi>, shape (c, batch)
         if inv_norm2 is not None:
             ell *= inv_norm2
-        ell_c = ell.conj()
-        # complex products stay out of place: numpy's in-place complex
-        # multiply rounds differently for different lengths, and a
-        # trajectory must not depend on the size of its batch
-        coeff = ell_c * dt + dxi
-        for l_psi, c_j in zip(lx, coeff):
-            out += l_psi * c_j
-        if self.scheme == "normalized":
-            # sum_j <L_j> dxi_j + (dt/2) |<L_j>|^2, as <L_j> (coeff_j - (dt/2) <L_j>^*);
-            # the increments are a strided view, read once above
-            shrink = ((coeff - ell_c * (0.5 * dt)) * ell).sum(axis=0)
-            out -= x * shrink
-        return out
+        return _euler_update(x, y, ell, ell.conj(), dxi, self.dt, self.scheme == "normalized")
 
     def run(
         self,
@@ -205,6 +192,36 @@ def _euler_stack(model: LindbladModel, dt: float) -> np.ndarray:
     one product with it gives a batch's Euler drift and every L_j psi."""
     drift = np.eye(model.dim) + dt * model.generator()
     return np.concatenate([drift] + [op.matrix for op in model.lindblads])
+
+
+def _stacked(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The (m, dim, k, batch) products of each (dim, dim) block of the stacked
+    (m dim, dim) ``stack`` with every block of column-major ``x``."""
+    return (stack @ x.reshape(x.shape[0], -1)).reshape(-1, *x.shape)
+
+
+def _euler_update(x, y, e, m, dxi, dt: float, compensate: bool) -> np.ndarray:
+    """The Euler-Maruyama step y[0] + sum_j y[j+1] (dxi_j + m_j dt) of
+    column-major ``x``, where ``y = _stacked(euler stack, x)``; with
+    ``compensate`` it also subtracts x sum_j e_j (dxi_j + (dt/2) m_j).
+
+    ``e`` and ``m`` broadcast against the (n_channels, k, batch) or
+    (n_channels, batch) coefficients: the state's <L_j> and <L_j>^* for
+    :class:`QsdEngine`, the cross coefficients and their block-swapped
+    conjugates for the coupled pair.  Writes into ``y[0]``.
+    """
+    out = y[0]
+    # complex products stay out of place: numpy's in-place complex
+    # multiply rounds differently for different lengths, and a
+    # trajectory must not depend on the size of its batch
+    coeff = m * dt + dxi
+    for l_x, c_j in zip(y[1:], coeff):
+        out += l_x * c_j
+    if compensate:
+        # sum_j e_j dxi_j + (dt/2) e_j m_j, as e_j (coeff_j - (dt/2) m_j);
+        # the increments are a strided view, read once above
+        out -= x * ((coeff - m * (0.5 * dt)) * e).sum(axis=0)
+    return out
 
 
 def _columns(states, dim: int) -> np.ndarray:

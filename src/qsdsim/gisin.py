@@ -43,10 +43,12 @@ surviving ensemble sizes, and the worst scalar-product drift appear in the
 instability report.
 
 The kernel shares its drift (``LindbladModel.generator``), its step check,
-its dt grid rule, its noise blocks and its layout with the doubled-space
-engines: the batch is one column-major (dim, 2, batch) array, ket-side
-states in block 0 and bra-side states in block 1, and a step is a single
-product with the stacked matrix (I + dt G; L_1; ...; L_c).  Every row is
+its dt grid rule, its noise blocks, its layout and its update with the
+doubled-space engines: the batch is one column-major (dim, 2, batch) array,
+ket-side states in block 0 and bra-side states in block 1, and a step is a
+single product with the stacked matrix (I + dt G; L_1; ...; L_c) followed by
+``diffusion._euler_update``, the Euler-Maruyama update of ``QsdEngine``
+given the cross coefficients l_j in place of <L_j>.  Every row is
 stepped every step; aborted and overflowed rows are frozen by a mask, so
 rows are never gathered or scattered.  The rows run in the ensemble
 runner's chunks of ``_CHUNK`` (2048), each with its own streams, batch and
@@ -54,17 +56,18 @@ noise buffer, so memory does not grow with the ensemble size; as for every
 ensemble, the chunk size fixes the last bits of a run.
 """
 
-import time
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .diffusion import _euler_stack, _record_slots, complex_standard_error
+from .diffusion import _euler_stack, _euler_update, _record_slots, _stacked, complex_standard_error
 from .hilbert import Ket, LindbladModel, Operator, _check_dims
 from .noise import _CHUNK, check_step, grid_steps, spawn, wiener_steps
 
 __all__ = [
+    "DEFAULT_FLOOR",
+    "VARIANTS",
     "GisinResult",
     "run_coupled_ensemble",
     "instability_report",
@@ -87,7 +90,6 @@ class GisinResult:
     aborted: int
     overflowed: int
     max_scalar_drift: float
-    wall_time_seconds: float
     draws_total: int
 
 
@@ -99,7 +101,8 @@ class _PairKernel:
     operation and every sum over the dimension runs on contiguous rows of
     length batch.  A step is one product with the stacked
     (dim (1 + n_channels), dim) matrix of the Euler drift I + dt G and every
-    L_j, shared with :class:`qsdsim.diffusion.QsdEngine`.  :meth:`advance`
+    L_j and the Euler-Maruyama update, both shared with
+    :class:`qsdsim.diffusion.QsdEngine`.  :meth:`advance`
     steps every row and never raises: rows it aborts or flags as overflowed
     are frozen by a mask, and the ensemble tallies them.
     """
@@ -109,27 +112,20 @@ class _PairKernel:
             raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
         self.dt = check_step(dt)
         self.variant = variant
-        self.dim = model.dim
         self._stack = _euler_stack(model, self.dt)
 
     def step(self, x: np.ndarray, sp: np.ndarray, dxi: np.ndarray) -> np.ndarray:
         """One step of column-major pairs ``x`` whose scalar products
         <bra|ket> are ``sp``; ``dxi`` holds the (n_channels, batch)
         increments, shared by both blocks."""
-        dt = self.dt
-        y = (self._stack @ x.reshape(self.dim, -1)).reshape(-1, *x.shape)
-        out, lx = y[0], y[1:]
+        y = _stacked(self._stack, x)
         # cross[j, blk] = <other|L_j self> / <other|self>: l_j(bra, ket) for
-        # the ket block, l_j(ket, bra) for the bra block
-        cross = (x[:, ::-1].conj() * lx).sum(axis=1) / np.stack([sp, sp.conj()])
-        swapped_c = cross[:, ::-1].conj()
-        coeff = dxi[:, None] + swapped_c * dt
-        for l_x, c_j in zip(lx, coeff):
-            out += l_x * c_j
-        if self.variant == "unity":
-            # sum_j l_j(other, self) (dxi_j + (dt/2) l_j(self, other)^*)
-            out -= x * ((coeff - swapped_c * (0.5 * dt)) * cross).sum(axis=0)
-        return out
+        # the ket block, l_j(ket, bra) for the bra block; the drift takes
+        # l_j(self, other)^*, the other block's coefficient conjugated
+        cross = (x[:, ::-1].conj() * y[1:]).sum(axis=1) / np.stack([sp, sp.conj()])
+        return _euler_update(
+            x, y, cross, cross[:, ::-1].conj(), dxi[:, None], self.dt, self.variant == "unity"
+        )
 
     def advance(self, x: np.ndarray, increments, floor: float, on_step):
         """Step pairs ``x`` once per (n_channels, batch) entry of
@@ -199,7 +195,6 @@ def run_coupled_ensemble(
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 
-    start = time.perf_counter()
     kernel = _PairKernel(model, dt, variant)
     bra0 = bra_state.normalized().amplitudes
     ket0 = ket_state.normalized().amplitudes
@@ -266,7 +261,6 @@ def run_coupled_ensemble(
         aborted=aborted,
         overflowed=overflowed,
         max_scalar_drift=max_drift,
-        wall_time_seconds=time.perf_counter() - start,
         draws_total=draws,
     )
 

@@ -46,7 +46,7 @@ import math
 
 import numpy as np
 
-from .diffusion import _columns, _real_inner, _record_slots, _rows, _unstable_row
+from .diffusion import _columns, _real_inner, _record_slots, _rows, _stacked, _unstable_row
 from .hilbert import LindbladModel
 from .noise import check_step
 
@@ -107,7 +107,7 @@ class JumpEngine:
         """U^(2^power) applied to every block of column-major ``x``."""
         while len(self._powers) <= power:
             self._powers.append(self._powers[-1] @ self._powers[-1])
-        return (self._powers[power] @ x.reshape(self.dim, -1)).reshape(x.shape)
+        return _stacked(self._powers[power], x)[0]
 
     def run(
         self,
@@ -236,5 +236,5 @@ class JumpEngine:
     def _channels(self, x):
         """(n_channels, n) weights ||L_j x||^2 and (n_channels, dim, k, n)
         states L_j x of column-major ``x``."""
-        lx = (self._ls @ x.reshape(self.dim, -1)).reshape(-1, *x.shape)
+        lx = _stacked(self._ls, x)
         return (lx.real**2 + lx.imag**2).sum(axis=(1, 2)), lx

@@ -37,10 +37,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hilbert import (
+    _HERMITICITY_TOL,
     Ket,
     LindbladModel,
     Operator,
+    _as_complex_matrix,
     _check_dims,
+    _hermitian_deviation,
     extend_model,
     make_doubled_state,
 )
@@ -74,26 +77,24 @@ class DegenerateSteadyStateError(RuntimeError):
 class DensityMatrix:
     """Dense complex matrix, optionally validated as a physical state.
 
-    With ``hermitian=True`` the entries must be Hermitian within 1e-12 and
-    positive semidefinite within -1e-10; seeds such as |ket><bra| set
-    ``hermitian=False`` and skip validation.  Unit trace is not required
-    (sub-normalized blocks are legitimate inputs); trace preservation is
-    asserted by :func:`evolve` instead.
+    The entries are checked, copied and frozen like an ``Operator``'s: the
+    matrix must be square with finite entries.  With ``hermitian=True`` it
+    must also be Hermitian within 1e-12 and positive semidefinite within
+    -1e-10; seeds such as |ket><bra| set ``hermitian=False`` and skip those
+    two checks.  Unit trace is not required (sub-normalized blocks are
+    legitimate inputs); trace preservation is asserted by :func:`evolve`
+    instead.
     """
 
     entries: np.ndarray
     hermitian: bool = True
 
     def __post_init__(self):
-        mat = np.asarray(self.entries, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
-        mat = mat.copy()
-        mat.setflags(write=False)
+        mat = _as_complex_matrix(self.entries)
         object.__setattr__(self, "entries", mat)
         if self.hermitian:
-            dev = float(np.max(np.abs(mat - mat.conj().T)))
-            if dev > 1e-12:
+            dev = _hermitian_deviation(mat)
+            if not dev <= _HERMITICITY_TOL:
                 raise ValueError(f"matrix flagged hermitian deviates by {dev:.3e}")
             lowest = float(np.linalg.eigvalsh(mat).min())
             if lowest < -1e-10:
@@ -200,8 +201,7 @@ def evolve(
     length in the call, and only for a gap of at least d^2 substeps); other
     steps act on the d x d matrix.
     """
-    if rho0.dim != model.dim:
-        raise ValueError(f"dimension mismatch: state {rho0.dim}, model {model.dim}")
+    _check_dims(model, state=rho0)
     check_step(h_ode, "h_ode")
     grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1:
@@ -218,26 +218,30 @@ def evolve(
     mat = rho0.entries
     tr0 = complex(np.trace(mat))
     out = []
-    for gap in np.diff(grid, prepend=0.0):
+    for node_index, (t, gap) in enumerate(zip(grid, np.diff(grid, prepend=0.0))):
         if gap > 0:
             n_sub = max(1, int(np.ceil(gap / h_ode - 1e-12)))
             h = gap / n_sub
             step = maps.get(h)
-            # a map costs d^2 steps to build: not worth it for a shorter gap
-            if step is None and d <= STEP_MAP_MAX_DIM and n_sub >= d * d:
-                step = maps[h] = _step_map(left, right, h)
-            if step is None:
-                mat = _rk4_steps(mat, left, right, h, n_sub)
-            else:
-                vec = _vec(mat)
-                # ndarray.dot, not @: with threaded OpenBLAS, matmul's 64 x 64
-                # matrix-vector product stalls for 0.2-3 ms whenever another
-                # core is busy, where dot takes a few microseconds
-                for _ in range(n_sub):
-                    vec = step.dot(vec)
-                mat = _unvec(vec, d)
+            # overflow shows up as a non-finite trace, which raises below
+            with np.errstate(over="ignore", invalid="ignore"):
+                # a map costs d^2 steps to build: not worth it for a shorter gap
+                if step is None and d <= STEP_MAP_MAX_DIM and n_sub >= d * d:
+                    step = maps[h] = _step_map(left, right, h)
+                if step is None:
+                    mat = _rk4_steps(mat, left, right, h, n_sub)
+                else:
+                    vec = _vec(mat)
+                    # ndarray.dot, not @: with threaded OpenBLAS, matmul's 64 x 64
+                    # matrix-vector product stalls for 0.2-3 ms whenever another
+                    # core is busy, where dot takes a few microseconds
+                    for _ in range(n_sub):
+                        vec = step.dot(vec)
+                    mat = _unvec(vec, d)
         drift = abs(complex(np.trace(mat)) - tr0)
-        if drift > 1e-10 * (1.0 + abs(tr0)):
+        if not drift <= 1e-10 * (1.0 + abs(tr0)):  # NaN fails too
+            if not np.isfinite(drift):
+                raise RuntimeError(f"state became non-finite by node {node_index} (t = {t:g})")
             raise RuntimeError(f"trace drift {drift:.3e} exceeds tolerance")
         # integration preserves hermiticity only up to roundoff
         node = 0.5 * (mat + mat.conj().T) if rho0.hermitian else mat

@@ -231,6 +231,10 @@ _CUSTOM_SHAPE_CASES = [
         ('{"scenario": "decay-element", "unraveling": "euler"}', "unraveling"),
         ('{"scenario": "decay-element", "t_start": 0.1005}', "integer multiple"),
         ('{"scenario": "gisin-compare", "h_list": [0.3]}', "h=0.3"),
+        ('{"scenario": "gisin-compare", "h_list": [0.01, 0.01]}',
+         "h_list: step sizes 0.01 and 0.01 share the output label '0.01'"),
+        ('{"scenario": "gisin-compare", "h_list": [0.01, 0.0100000000001]}',
+         "h_list: step sizes 0.01 and 0.0100000000001 share the output label '0.01'"),
         ('{"scenario": "custom"}', "model: required"),
         (
             '{"scenario": "custom", "mode": "element", '

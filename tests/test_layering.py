@@ -2,12 +2,14 @@
 
 The estimators (``correlations``, ``ensemble``) choose and drive engines,
 and ``cli`` drives the estimators; nothing below them may import them back.
-Every library module's ``__all__`` is re-exported by ``qsdsim``, so a name
-deleted from a module cannot linger in the package's exports.
+Every library module's ``__all__`` is the one list of its public names, and
+``qsdsim`` re-exports each of them; a module the package forgets to import
+fails here.
 """
 
 import ast
 import importlib
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +84,6 @@ def test_import_loads_neither_numpy_random_nor_logging():
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
-        env={"PYTHONPATH": str(PACKAGE.parent)},
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)},
     )
     assert out.stdout.strip() == "[]"

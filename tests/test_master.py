@@ -248,6 +248,29 @@ def test_density_matrix_validation():
     DensityMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]), hermitian=False)
 
 
+@pytest.mark.parametrize(
+    "entries,hermitian,needle",
+    [
+        *[([[bad, 0.0], [0.0, 1.0]], hermitian, "finite entries")
+          for bad in (np.nan, np.inf) for hermitian in (True, False)],
+        # A - A^dag overflows: a named error, not a numpy warning
+        ([[1.0, 1e308], [-1e308, 1.0]], True, "deviates by inf"),
+    ],
+)
+def test_density_matrix_names_bad_entries(entries, hermitian, needle):
+    with pytest.raises(ValueError, match=needle):
+        DensityMatrix(np.array(entries), hermitian=hermitian)
+
+
+def test_evolve_names_the_node_where_the_state_becomes_non_finite():
+    # the generator -(1/2) 1e200 |1><1| is finite; the RK4 steps overflow
+    model = LindbladModel(Operator(np.zeros((2, 2))), (Operator(1e100 * sigma_minus().matrix),))
+    with pytest.raises(RuntimeError, match=r"non-finite by node 1 \(t = 0.5\)"):
+        regression_matrix_element(
+            sigma_plus(), basis_ket(2, 1), Ket(np.array([1.0, 1.0])), model, [0.0, 0.5]
+        )
+
+
 _WIDE_KET = Ket(np.ones(3) / np.sqrt(3.0))
 _WIDE_OP = Operator(np.eye(3))
 _TWO = dict(observable=sigma_plus(), bra_state=basis_ket(2, 1), ket_state=basis_ket(2, 0))

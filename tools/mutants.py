@@ -50,8 +50,8 @@ MUTANTS = [
            "for k in (4, 3, 2, 1)]", "for k in (3, 4, 2, 1)]",
            "tests/test_master.py"),
     Mutant("rk4-extra-step-map-substep", "src/qsdsim/master.py",
-           "for _ in range(n_sub):\n                    vec = step.dot(vec)",
-           "for _ in range(n_sub + 1):\n                    vec = step.dot(vec)",
+           "for _ in range(n_sub):\n                        vec = step.dot(vec)",
+           "for _ in range(n_sub + 1):\n                        vec = step.dot(vec)",
            "tests/test_master.py"),
     Mutant("step-map-transposed", "src/qsdsim/master.py",
            "for e in basis], axis=1", "for e in basis], axis=0",
@@ -60,12 +60,16 @@ MUTANTS = [
            "STEP_MAP_MAX_DIM = 8", "STEP_MAP_MAX_DIM = 0",
            "tests/test_master.py"),
     Mutant("qsd-expectation-first-block-only", "src/qsdsim/diffusion.py",
-           "ell = (x.conj() * lx).sum(axis=(1, 2))",
-           "ell = (x.conj() * lx)[:, :, :1].sum(axis=(1, 2))",
+           "ell = (x.conj() * y[1:]).sum(axis=(1, 2))",
+           "ell = (x.conj() * y[1:])[:, :, :1].sum(axis=(1, 2))",
            "tests/test_step_kernel.py"),
-    Mutant("qsd-half-dt-as-0.49-dt", "src/qsdsim/diffusion.py",
-           "ell_c * (0.5 * dt)", "ell_c * (0.49 * dt)",
+    # the shared update: hits the QSD engine and the coupled pair alike
+    Mutant("euler-update-half-dt-as-0.49-dt", "src/qsdsim/diffusion.py",
+           "m * (0.5 * dt)", "m * (0.49 * dt)",
            "tests/test_step_kernel.py"),
+    Mutant("pair-coefficients-without-block-swap", "src/qsdsim/gisin.py",
+           "cross, cross[:, ::-1].conj(), dxi", "cross, cross.conj(), dxi",
+           "tests/test_gisin.py"),
     Mutant("jump-bookkeeping-one-substep-off", "src/qsdsim/jumps.py",
            "left[rows] = (reach - moved - 1)[~arrived]",
            "left[rows] = (reach - moved)[~arrived]",
@@ -119,6 +123,15 @@ MUTANTS = [
     Mutant("output-cleanup-skipped", "src/qsdsim/cli.py",
            "        _clear_outputs(config.out_dir)\n", "        pass\n",
            "tests/test_cli.py"),
+    Mutant("h-list-label-check-skipped", "src/qsdsim/cli.py",
+           "        if label in labels:\n", "        if False:\n",
+           "tests/test_cli.py"),
+    Mutant("density-matrix-accepts-non-finite", "src/qsdsim/master.py",
+           "mat = _as_complex_matrix(self.entries)", "mat = np.array(self.entries, dtype=complex)",
+           "tests/test_master.py"),
+    Mutant("evolve-trace-guard-passes-nan", "src/qsdsim/master.py",
+           "if not drift <= 1e-10 * (1.0 + abs(tr0)):", "if drift > 1e-10 * (1.0 + abs(tr0)):",
+           "tests/test_master.py"),
 ]
 
 
