@@ -14,7 +14,11 @@ left there, and nothing else.
 Each scenario's keys, defaults and parsers are one table in ``SCHEMAS``.
 Each estimate shape (matrix element, two-time correlation) has one run path.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical instability.
+Exit codes: 0 success, 1 any other failure of a run (an error that is not
+a numerical instability, such as a failed allocation or a noise producer
+that died; no instability report is written), 2 configuration error,
+3 numerical instability (an ``InstabilityError``, raised directly or by a
+trajectory chunk; ``instability-report.json`` is written).
 """
 
 import argparse
@@ -750,7 +754,12 @@ def run(config: RunConfig) -> int:
     start = time.perf_counter()
     try:
         extra = _RUNNERS[config.scenario](config)
-    except (InstabilityError, EnsembleError) as err:
+    except (RuntimeError, OSError, MemoryError) as err:
+        # EnsembleError and InstabilityError are RuntimeErrors
+        cause = err.error if isinstance(err, EnsembleError) else err
+        if not isinstance(cause, InstabilityError):
+            print(f"run failed: {err}", file=sys.stderr)
+            return 1
         report_path = config.out_dir / "instability-report.json"
         report_path.write_text(
             json.dumps(

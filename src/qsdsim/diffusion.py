@@ -30,7 +30,10 @@ Heisenberg-picture matrix elements between the two stacked states
 trajectory is a batch of one row.
 
 The drift is ``LindbladModel.generator``; the step-size check, the dt grid
-rule and the blocked noise come from :mod:`qsdsim.noise`.
+rule and the per-step noise come from :mod:`qsdsim.noise`.  A large run's
+noise is drawn by a forked producer process while the engine steps (see
+``noise.wiener_steps``), with the same bits as in process; ``run`` closes
+the noise iterator however it ends, so no producer outlives it.
 """
 
 from collections.abc import Sequence
@@ -137,7 +140,12 @@ class QsdEngine:
             )
         slots = _record_slots(record_steps, n_steps)
         increments = wiener_steps(streams, n_steps, self.n_channels, self.dt)
-        return _rows(self._advance(x, increments, n_steps, slots, on_record, streams))
+        try:
+            return _rows(self._advance(x, increments, n_steps, slots, on_record, streams))
+        finally:
+            # ends a noise producer now, even when an error's traceback
+            # keeps this frame alive
+            increments.close()
 
     def _advance(self, x, increments, n_steps, slots, on_record=None, streams=None):
         """Step column-major ``x`` once per (n_channels, batch) entry of

@@ -43,7 +43,7 @@ surviving ensemble sizes, and the worst scalar-product drift appear in the
 instability report.
 
 The kernel shares its drift (``LindbladModel.generator``), its step check,
-its dt grid rule, its noise blocks, its layout and its update with the
+its dt grid rule, its per-step noise, its layout and its update with the
 doubled-space engines: the batch is one column-major (dim, 2, batch) array,
 ket-side states in block 0 and bra-side states in block 1, and a step is a
 single product with the stacked matrix (I + dt G; L_1; ...; L_c) followed by
@@ -52,8 +52,11 @@ given the cross coefficients l_j in place of <L_j>.  Every row is
 stepped every step; aborted and overflowed rows are frozen by a mask, so
 rows are never gathered or scattered.  The rows run in the ensemble
 runner's chunks of ``_CHUNK`` (2048), each with its own streams, batch and
-noise buffer, so memory does not grow with the ensemble size; as for every
-ensemble, the chunk size fixes the last bits of a run.
+noise, so memory does not grow with the ensemble size; as for every
+ensemble, the chunk size fixes the last bits of a run.  A chunk whose noise
+is large enough draws it in a forked producer process, with the same bits
+(``noise.wiener_steps``); the chunk loop closes the noise iterator however
+the chunk ends, so no producer outlives it.
 """
 
 from dataclasses import dataclass
@@ -231,7 +234,10 @@ def run_coupled_ensemble(
         # every row keeps drawing, aborted ones included, so that a
         # trajectory's draw sequence does not depend on when it stops
         increments = wiener_steps(streams, steps[-1], model.n_channels, dt)
-        _, _, low, bad = kernel.advance(x, increments, floor, partial(on_step, vals[:, lo:hi]))
+        try:
+            _, _, low, bad = kernel.advance(x, increments, floor, partial(on_step, vals[:, lo:hi]))
+        finally:
+            increments.close()  # ends a noise producer now, whatever raised
         aborted += int(low.sum())
         overflowed += int(bad.sum())
         draws += sum(s.draws for s in streams)

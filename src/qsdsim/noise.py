@@ -18,11 +18,25 @@ The rules every integrator shares also live here, so that the engines, the
 master-equation oracle and the command line can all import them without a
 cycle: :func:`check_step` (a step size is finite and positive),
 :func:`grid_steps` (times on the dt grid as integer step counts) and
-:func:`wiener_steps` (each step's increments for a batch of streams, drawn
-in blocks of ``NOISE_BLOCK`` steps).
+:func:`wiener_steps` (each step's increments for a batch of streams).
+
+:func:`wiener_steps` has two schedulers, and one fill routine (:func:`_fill`)
+draws for both.  A small request is drawn in process, in blocks of
+``NOISE_BLOCK`` steps.  A request of at least ``_PRODUCER_GATE`` complex
+increments, on a host where ``os.fork`` exists, the process may run on two
+CPUs and no other thread runs, is drawn by a forked producer process into
+two slots of an anonymous shared mapping while the caller steps its kernel;
+if ``fork`` fails it is drawn in process.  Each stream's generator makes the
+same calls in the same order either way, and the caller restores the
+producer's final generator states and counts its draws, so the increments,
+the draw counts and every later draw from the same streams are the same
+bits on both paths.
 """
 
+import contextlib
 import math
+import os
+import threading
 from functools import cache
 
 import numpy as np
@@ -32,6 +46,19 @@ __all__ = ["NoiseStream"]
 # steps of noise generated per block in batched runs; bounds memory while
 # keeping per-trajectory draw order identical to stepwise generation
 NOISE_BLOCK = 256
+
+# steps per slot of the forked noise producer; its two slots together hold
+# half of an in-process buffer
+_SLOT = 64
+
+# a request of at least this many complex increments (streams x steps x
+# channels) is drawn by a forked producer: forking and restoring the
+# streams' states cost about what drawing this many in process costs
+_PRODUCER_GATE = 2**20
+
+# uint64 words of one PCG64 state in the producer's mapping
+_STATE_WORDS = 6
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 
 # trajectories stepped together by every ensemble; BLAS rounds differently
 # at different batch widths, so this fixes the last bits of every estimate
@@ -131,10 +158,7 @@ class NoiseStream:
                 f"out must be a complex array of shape {(n_steps, n_channels)}, "
                 f"got {out.dtype} {out.shape}"
             )
-        parts = out.view(float)
-        self._gen.standard_normal(out=parts)
-        self.draws += 2 * n_channels * n_steps
-        parts *= np.sqrt(0.5 * dt)
+        _fill((self,), out[None], dt)
         return out
 
     def uniform(self, size: int | None = None):
@@ -247,20 +271,188 @@ def spawn(seed: int, lo: int, hi: int) -> list[NoiseStream]:
     return streams
 
 
+def _fill(streams, block: np.ndarray, dt: float):
+    """Write the next ``span`` steps of each stream's increments into the
+    (len(streams), span, n_channels) complex ``block``, row i from
+    streams[i], and count them.
+
+    Each row is filled by one ``standard_normal`` call on its float view,
+    which consumes the generator exactly as ``span`` successive
+    :meth:`NoiseStream.wiener` calls do, and the whole block is then scaled
+    once by sqrt(dt/2), the product each of those calls takes.
+    """
+    parts = block.view(float)
+    span, n_channels = block.shape[1:]
+    for stream, row in zip(streams, parts):
+        stream._gen.standard_normal(out=row)
+        stream.draws += 2 * n_channels * span
+    parts *= np.sqrt(0.5 * dt)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forks(n_increments: int) -> bool:
+    """Whether :func:`wiener_steps` draws ``n_increments`` complex
+    increments in a forked producer: only for a request of at least
+    ``_PRODUCER_GATE``, where fork is available, a second CPU can run the
+    producer, and no other thread could hold a lock across the fork."""
+    return (
+        n_increments >= _PRODUCER_GATE
+        and hasattr(os, "fork")
+        and _cpu_count() >= 2
+        and threading.active_count() == 1
+    )
+
+
 def wiener_steps(streams, n_steps: int, n_channels: int, dt: float):
     """Yield the increments of each of ``n_steps`` steps, shape
     (n_channels, len(streams)): column i holds streams[i]'s draw.
 
-    The noise is drawn in blocks of at most ``NOISE_BLOCK`` steps, row i of
-    a block by one ``wiener_block`` call on streams[i], so each stream is
-    consumed exactly as by stepwise generation.  Every step is a strided
-    view of one buffer that the next block overwrites.
+    Each stream is consumed exactly as by stepwise generation, whichever of
+    two schedulers draws the noise, so the increments, each stream's
+    ``draws`` and its generator's state after the last step are the same
+    bits either way.  A request of fewer than ``_PRODUCER_GATE`` increments
+    (or one where :func:`_forks` says no) is drawn in process, in blocks of
+    ``NOISE_BLOCK`` steps; a larger one is drawn by a forked producer
+    process while the caller steps its kernel.  Every step is a view of a
+    buffer that a later block overwrites, so a caller that keeps a step
+    beyond the next one must copy it.  A caller that stops early must
+    ``close()`` the iterator, which ends the producer at once.
     """
+    if n_steps > 0 and _forks(len(streams) * n_steps * n_channels):
+        return _produced_steps(streams, n_steps, n_channels, dt)
+    return _local_steps(streams, n_steps, n_channels, dt)
+
+
+def _local_steps(streams, n_steps: int, n_channels: int, dt: float):
+    """The in-process scheduler: blocks of ``NOISE_BLOCK`` steps in one
+    (batch, steps, n_channels) buffer, each step a strided view of it."""
     buffer = np.empty((len(streams), min(NOISE_BLOCK, n_steps), n_channels), dtype=complex)
     for done in range(0, n_steps, NOISE_BLOCK):
         span = min(NOISE_BLOCK, n_steps - done)
         block = buffer[:, :span]
-        for i, stream in enumerate(streams):
-            stream.wiener_block(span, n_channels, dt, out=block[i])
+        _fill(streams, block, dt)
         for k in range(span):
             yield block[:, k].T
+
+
+def _produced_steps(streams, n_steps: int, n_channels: int, dt: float):
+    """The forked scheduler: a child process fills blocks of ``_SLOT``
+    steps and the caller reads them, through two slots of an anonymous
+    shared mapping.
+
+    The child fills a block into private (batch, steps, n_channels) scratch
+    with :func:`_fill`, copies it step-major into the (steps, n_channels,
+    batch) slot, so that each step the caller reads is one contiguous
+    (n_channels, batch) array, and writes a byte to the ``ready`` pipe.
+    Block j goes into slot j % 2; before block j + 2 the child waits for
+    the caller's byte on the ``free`` pipe, which the caller sends once it
+    has yielded the last step of block j.  With the last block the child
+    also writes every generator's final PCG64 state into the mapping as
+    uint64 words; the caller restores the states into its own streams and
+    counts the draws, so the streams continue exactly as if the noise had
+    been drawn in process.  If ``fork`` fails the noise is drawn in process.
+    """
+    import mmap
+    import signal
+
+    batch = len(streams)
+    steps = min(_SLOT, n_steps)
+    n_blocks = -(-n_steps // steps)
+    slot_size = steps * n_channels * batch
+    mapping = mmap.mmap(-1, 16 * 2 * slot_size + 8 * _STATE_WORDS * batch)
+    slots = np.frombuffer(mapping, complex, 2 * slot_size).reshape(2, steps, n_channels, batch)
+    words = np.frombuffer(mapping, np.uint64, offset=16 * 2 * slot_size)
+    words = words.reshape(batch, _STATE_WORDS)
+    ready_r, ready_w = os.pipe()
+    free_r, free_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (ready_r, ready_w, free_r, free_w):
+            os.close(fd)
+        yield from _local_steps(streams, n_steps, n_channels, dt)
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(ready_r)
+            os.close(free_w)
+            _produce(streams, n_steps, dt, slots, words, ready_w, free_r)
+            status = 0
+        finally:
+            # the child never returns into the caller's code
+            os._exit(status)
+    os.close(ready_w)
+    os.close(free_r)
+    try:
+        for j in range(n_blocks):
+            if not os.read(ready_r, 1):
+                _, status = os.waitpid(pid, 0)
+                pid = 0
+                raise RuntimeError(
+                    f"noise producer exited (exit code {os.waitstatus_to_exitcode(status)}) "
+                    f"before block {j + 1} of {n_blocks}"
+                )
+            slot = slots[j % 2]
+            for k in range(min(steps, n_steps - j * steps)):
+                yield slot[k]
+            # the child fills no block after the last, so it waits for no
+            # byte; one that has exited is named by the next read
+            if j + 2 < n_blocks:
+                with contextlib.suppress(BrokenPipeError):
+                    os.write(free_w, b"\0")
+        _restore(streams, words)
+        for stream in streams:
+            stream.draws += 2 * n_channels * n_steps
+    finally:
+        os.close(ready_r)
+        os.close(free_w)
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _produce(streams, n_steps: int, dt: float, slots, words, ready: int, free: int):
+    """The producer's loop (see :func:`_produced_steps`); returns early
+    when the caller has gone."""
+    steps = slots.shape[1]
+    scratch = np.empty((len(streams), steps, slots.shape[2]), dtype=complex)
+    for j, done in enumerate(range(0, n_steps, steps)):
+        if j >= 2 and not os.read(free, 1):
+            return
+        span = min(steps, n_steps - done)
+        block = scratch[:, :span]
+        _fill(streams, block, dt)
+        slots[j % 2, :span] = block.transpose(1, 2, 0)
+        if done + span == n_steps:
+            _save(streams, words)
+        os.write(ready, b"\0")
+
+
+def _save(streams, words: np.ndarray):
+    """Write each stream's PCG64 state into its row of ``words``: the
+    128-bit state and increment as (low, high) words, then ``has_uint32``
+    and ``uinteger``."""
+    for stream, row in zip(streams, words):
+        state = stream._gen.bit_generator.state
+        pcg = state["state"]
+        row[:] = [pcg["state"] & _MASK64, pcg["state"] >> 64, pcg["inc"] & _MASK64,
+                  pcg["inc"] >> 64, state["has_uint32"], state["uinteger"]]
+
+
+def _restore(streams, words: np.ndarray):
+    """Set each stream's PCG64 state from its row of ``words`` (see
+    :func:`_save`)."""
+    for stream, (lo, hi, inc_lo, inc_hi, has_uint32, uinteger) in zip(streams, words.tolist()):
+        stream._gen.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": has_uint32,
+            "uinteger": uinteger,
+        }

@@ -1,8 +1,12 @@
 """Shared fixtures and model builders for the test suite."""
 
+import math
+import os
+
 import numpy as np
 import pytest
 
+from qsdsim import noise
 from qsdsim import Ket, LindbladModel, Operator, QsdEngine, basis_ket, decay_model, sigma_plus
 from qsdsim.diffusion import _columns, _rows
 
@@ -55,3 +59,28 @@ def qsd_step(model, dt, scheme, rows, dxi):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """Draw every diffusive run's noise in a forked producer, whatever its
+    size and the host's CPU count; the list collects each producer's pid."""
+    pids = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(noise, "_PRODUCER_GATE", 0)
+    monkeypatch.setattr(noise, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+@pytest.fixture
+def in_process(monkeypatch):
+    """Draw every diffusive run's noise in process, whatever its size."""
+    monkeypatch.setattr(noise, "_PRODUCER_GATE", math.inf)

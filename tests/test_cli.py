@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -21,7 +22,9 @@ from qsdsim import (
     Operator,
     SdeConfig,
     cli,
+    ensemble,
     heisenberg_element,
+    noise,
 )
 
 
@@ -856,6 +859,60 @@ def test_a_run_keeps_every_other_file_in_out(tmp_path):
     for name in mine[:-1]:
         assert (out / name).read_text() == "mine\n"
     assert (out / "sub" / "results.csv").read_text() == "mine\n"
+
+
+def test_an_instability_reaps_the_noise_producer(tmp_path, forks):
+    out = tmp_path / "out"
+    assert run_into(tmp_path, out, **_UNSTABLE) == (3, ["instability-report.json"])
+    assert forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_failure_that_is_no_instability_exits_1(tmp_path, monkeypatch, capsys):
+    def spawn(seed, lo, hi):
+        raise MemoryError("no room for the streams")
+
+    monkeypatch.setattr(ensemble, "spawn", spawn)
+    out = tmp_path / "out"
+    element = dict(scenario="decay-element", **_SMALL_RUNS["decay-element"])
+    assert run_into(tmp_path, out, **element) == (1, [])
+    err = capsys.readouterr().err
+    assert "run failed: ensemble execution failed for trajectories [0, 4): MemoryError" in err
+    assert "instability" not in err
+
+
+def test_a_failed_noise_producer_exits_1(tmp_path, forks, monkeypatch, capsys):
+    def fill(streams, block, dt):
+        raise MemoryError("no room for a block")
+
+    monkeypatch.setattr(noise, "_fill", fill)
+    out = tmp_path / "out"
+    gisin = dict(scenario="gisin-compare", **_SMALL_RUNS["gisin-compare"])
+    assert run_into(tmp_path, out, **gisin) == (1, [])
+    assert "run failed: noise producer exited (exit code 1)" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("scenario", ["fluorescence-g1", "gisin-compare"])
+def test_a_forked_noise_producer_writes_the_same_bytes(tmp_path, monkeypatch, forks, scenario):
+    out = tmp_path / "out"
+    path = make_config(tmp_path, scenario=scenario, out=str(out), **_SMALL_RUNS[scenario])
+
+    def outputs():
+        assert run_main(["--config", str(path)]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "metadata.json"}
+        meta = json.loads((out / "metadata.json").read_text())
+        del meta["wall_time_seconds"]  # the draw counts stay
+        return files, meta
+
+    produced = outputs()
+    forked = len(forks)
+    assert forked
+    monkeypatch.setattr(noise, "_PRODUCER_GATE", math.inf)
+    assert outputs() == produced
+    assert len(forks) == forked
 
 
 def test_an_uncleared_output_exits_2(tmp_path, capsys):

@@ -1,5 +1,12 @@
 """Statistical and reproducibility contracts of the noise streams."""
 
+import math
+import mmap
+import os
+import signal
+import time
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +14,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from qsdsim import EnsembleError, NoiseStream, run_ensemble
+from qsdsim import noise
 from qsdsim.noise import NOISE_BLOCK, spawn, wiener_steps
 
 # seeds of one to nine 32-bit words; the last is a fixed draw above 2^200
@@ -231,3 +239,130 @@ def test_spawned_seed_words_serve_only_the_pcg64_request():
     for n_words, dtype in ((8, np.uint32), (2, np.uint64), (4, np.uint32)):
         with pytest.raises(ValueError, match="generate_state\\(4, np.uint64\\)"):
             seq.generate_state(n_words, dtype)
+
+
+def drawn(streams, n_steps, n_channels, dt=0.01, pause=0.0):
+    """Every step's increments (copied), each stream's draws, and each
+    stream's next wiener and uniform draws after the run, as bytes.
+
+    With ``pause``, the reader sleeps after the first step of each producer
+    slot, long enough for a producer to overwrite a slot it was handed back
+    too early."""
+    steps = []
+    for k, dxi in enumerate(wiener_steps(streams, n_steps, n_channels, dt)):
+        steps.append(dxi.tobytes())
+        if pause and k % noise._SLOT == 0:
+            time.sleep(pause)
+    draws = [s.draws for s in streams]
+    after = [s.wiener(n_channels, dt).tobytes() + np.float64(s.uniform()).tobytes()
+             for s in streams]
+    return steps, draws, after
+
+
+# a partial last slot, exactly one slot, and one step
+PRODUCER_STEPS = [2 * noise._SLOT + noise._SLOT // 2 + 1, noise._SLOT, 1]
+
+
+@pytest.mark.parametrize("n_channels", [1, 3])
+@pytest.mark.parametrize("batch", [1, 7])
+@pytest.mark.parametrize("n_steps", PRODUCER_STEPS)
+def test_producer_draws_the_in_process_bits(forks, monkeypatch, n_channels, batch, n_steps):
+    produced = drawn(spawn(8, 3, 3 + batch), n_steps, n_channels, pause=0.02)
+    assert len(forks) == 1
+    monkeypatch.setattr(noise, "_PRODUCER_GATE", math.inf)
+    local = drawn(spawn(8, 3, 3 + batch), n_steps, n_channels)
+    assert len(forks) == 1
+    assert len(produced[0]) == n_steps
+    assert produced == local
+    assert produced[1] == [2 * n_channels * n_steps] * batch
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+def test_the_gate_counts_streams_steps_and_channels(forks, monkeypatch):
+    monkeypatch.setattr(noise, "_PRODUCER_GATE", 2 * 5 * 3)
+    for batch, n_steps, n_channels in ((2, 5, 3), (5, 2, 3), (3, 5, 2)):
+        drawn(spawn(1, 0, batch), n_steps, n_channels)
+    assert len(forks) == 3
+    for batch, n_steps, n_channels in ((1, 5, 3), (2, 4, 3), (2, 5, 2), (30, 0, 1)):
+        drawn(spawn(1, 0, batch), n_steps, n_channels)
+    assert len(forks) == 3
+
+
+def test_a_failed_fork_draws_in_process(forks, monkeypatch):
+    def fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "fork", fork)
+    fallback = drawn(spawn(2, 0, 5), 150, 2)
+    monkeypatch.setattr(noise, "_PRODUCER_GATE", math.inf)
+    assert fallback == drawn(spawn(2, 0, 5), 150, 2)
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the test if its body runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_a_killed_producer_is_a_named_error(forks):
+    steps = wiener_steps(spawn(4, 0, 3), 20 * noise._SLOT, 1, 0.01)
+    with deadline(30):
+        next(steps)
+        os.kill(forks[0], signal.SIGKILL)
+        with pytest.raises(RuntimeError, match="noise producer exited"):
+            for _ in steps:
+                pass
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+def test_a_producer_that_raises_is_a_named_error(forks, monkeypatch):
+    fill, calls = noise._fill, []
+
+    def failing(streams, block, dt):
+        calls.append(1)  # counted in the producer's copy of this list
+        if len(calls) == 3:
+            raise MemoryError("no room for block 3")
+        fill(streams, block, dt)
+
+    monkeypatch.setattr(noise, "_fill", failing)
+    with deadline(30):
+        with pytest.raises(RuntimeError, match=r"exit code 1\) before block 3 of 10"):
+            drawn(spawn(4, 0, 3), 10 * noise._SLOT, 1)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+def test_a_caller_that_stops_early_ends_the_producer(forks):
+    steps = wiener_steps(spawn(4, 0, 3), 10 * noise._SLOT, 1, 0.01)
+    next(steps)
+    steps.close()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+@pytest.mark.parametrize("batch,n_steps,n_channels", [(1, 1, 1), (7, 1000, 3), (2048, 300, 1)])
+def test_the_shared_mapping_holds_no_more_than_an_in_process_buffer(
+    forks, monkeypatch, batch, n_steps, n_channels
+):
+    # tracemalloc does not see an mmap, so its size is taken where it is made
+    sizes, real_mmap = [], mmap.mmap
+
+    def recorded(fileno, length, *args, **kwargs):
+        sizes.append(length)
+        return real_mmap(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", recorded)
+    drawn(spawn(0, 0, batch), n_steps, n_channels)
+    assert len(forks) == 1
+    assert sizes and max(sizes) <= batch * NOISE_BLOCK * n_channels * 16

@@ -45,6 +45,20 @@ class Mutant(NamedTuple):
     tests: str  # the test file that must fail
 
 
+_YIELD_SLOT = """\
+            for k in range(min(steps, n_steps - j * steps)):
+                yield slot[k]
+"""
+_FREE_SLOT = """\
+            # the child fills no block after the last, so it waits for no
+            # byte; one that has exited is named by the next read
+            if j + 2 < n_blocks:
+                with contextlib.suppress(BrokenPipeError):
+                    os.write(free_w, b"\\0")
+"""
+_READ_THEN_FREE = _YIELD_SLOT + _FREE_SLOT
+_FREE_THEN_READ = _FREE_SLOT + _YIELD_SLOT
+
 MUTANTS = [
     Mutant("rk4-horner-coefficients-swapped", "src/qsdsim/master.py",
            "for k in (4, 3, 2, 1)]", "for k in (3, 4, 2, 1)]",
@@ -132,6 +146,23 @@ MUTANTS = [
     Mutant("evolve-trace-guard-passes-nan", "src/qsdsim/master.py",
            "if not drift <= 1e-10 * (1.0 + abs(tr0)):", "if drift > 1e-10 * (1.0 + abs(tr0)):",
            "tests/test_master.py"),
+    # the forked noise producer: its bits, draws and final states must be
+    # those of the in-process scheduler
+    Mutant("producer-restore-skips-the-last-stream", "src/qsdsim/noise.py",
+           "zip(streams, words.tolist())", "zip(streams[:-1], words.tolist())",
+           "tests/test_noise.py"),
+    Mutant("producer-slot-index-off-by-one", "src/qsdsim/noise.py",
+           "slot = slots[j % 2]", "slot = slots[(j + 1) % 2]",
+           "tests/test_noise.py"),
+    Mutant("producer-slot-freed-before-its-last-step-is-read", "src/qsdsim/noise.py",
+           _READ_THEN_FREE, _FREE_THEN_READ,
+           "tests/test_noise.py"),
+    Mutant("fill-block-scaling-skipped", "src/qsdsim/noise.py",
+           "    parts *= np.sqrt(0.5 * dt)\n", "    pass\n",
+           "tests/test_noise.py"),
+    Mutant("producer-draws-uncounted", "src/qsdsim/noise.py",
+           "            stream.draws += 2 * n_channels * n_steps\n", "            pass\n",
+           "tests/test_noise.py"),
 ]
 
 
