@@ -33,9 +33,15 @@ The drift is ``LindbladModel.generator``; the step-size check, the dt grid
 rule and the per-step noise come from :mod:`qsdsim.noise`.  A large run's
 noise is drawn by a forked producer process while the engine steps (see
 ``noise.wiener_steps``), with the same bits as in process; ``run`` closes
-the noise iterator however it ends, so no producer outlives it.
+the noise iterator however it ends, so no producer outlives it.  A run
+whose steps are heavy (``_SPLIT_GATE``: a 2048-row chunk of doubled rows
+from d = 8 on, never a two-level run) is instead split: a forked column
+worker steps the upper part of the batch while the caller steps the lower,
+each drawing its own rows' noise, again with the same bits
+(``QsdEngine._split``).
 """
 
+import os
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -43,7 +49,18 @@ import numpy as np
 
 from .errors import InstabilityError
 from .hilbert import LindbladModel
-from .noise import NoiseStream, check_step, wiener_steps
+from .noise import (
+    _STATE_WORDS,
+    NoiseStream,
+    _can_fork,
+    _forked,
+    _local_steps,
+    _restore,
+    _save,
+    _shared,
+    check_step,
+    wiener_steps,
+)
 
 __all__ = [
     "SCHEMES",
@@ -54,6 +71,22 @@ __all__ = [
 
 SCHEMES = ("normalized", "quasi_linear", "jump")
 _DIFFUSIVE = SCHEMES[:2]
+
+# a run whose stacked product takes at least this many complex multiply-adds
+# per step (rows of the stack x dim x k x batch), on a batch of at least
+# _SPLIT_MIN_BATCH rows, is split with a forked column worker.  In the d-scan
+# of tools/dscan.py the worker won from here on and lost or tied below 2^17;
+# every two-level run (at most 2^16 with three channels) stays below it
+_SPLIT_GATE = 2**18
+_SPLIT_MIN_BATCH = 128
+# the split point is a multiple of this many rows: BLAS rounds a column
+# differently only in its kernel's column remainder, which a split at such a
+# multiple leaves where it was
+_SPLIT_ALIGN = 64
+
+# what the column worker's header says it has written into the mapping
+_RECORD, _DONE, _FAILED = 0, 1, 2
+_MESSAGE_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -132,6 +165,10 @@ class QsdEngine:
         ``on_record(slot, states, norms)`` fires; for the normalized scheme
         ``states`` is post-renormalization and ``norms`` holds the
         pre-renormalization norms of the step landing there.
+
+        A batch whose steps are heavy enough (see :meth:`_splits`) is
+        stepped in two parts on two CPUs, with the same bits (see
+        :meth:`_split`).
         """
         x = _columns(states, self.dim)
         if len(streams) != x.shape[2]:
@@ -139,6 +176,10 @@ class QsdEngine:
                 f"need one stream per row: {len(streams)} streams, batch {x.shape[2]}"
             )
         slots = _record_slots(record_steps, n_steps)
+        if n_steps > 0 and self._splits(x):
+            split = self._split(x, streams, n_steps, slots, on_record)
+            if split is not None:
+                return _rows(split)
         increments = wiener_steps(streams, n_steps, self.n_channels, self.dt)
         try:
             return _rows(self._advance(x, increments, n_steps, slots, on_record, streams))
@@ -146,6 +187,137 @@ class QsdEngine:
             # ends a noise producer now, even when an error's traceback
             # keeps this frame alive
             increments.close()
+
+    def _splits(self, x: np.ndarray) -> bool:
+        """Whether a run of column-major ``x`` is split with a column worker:
+        one step's stacked product must take at least ``_SPLIT_GATE``
+        multiply-adds, the batch must hold at least ``_SPLIT_MIN_BATCH``
+        rows, and the host must allow a fork (``noise._can_fork``)."""
+        dim, k, batch = x.shape
+        return (
+            self._stack.shape[0] * dim * k * batch >= _SPLIT_GATE
+            and batch >= _SPLIT_MIN_BATCH
+            and _can_fork()
+        )
+
+    def _split(self, x, streams, n_steps, slots, on_record):
+        """Step trajectories [h, batch) of column-major ``x`` in a forked
+        column worker while this process steps [0, h); return the stepped
+        (dim, k, batch) states, or None where ``fork`` fails.
+
+        h is the multiple of ``_SPLIT_ALIGN`` nearest half the batch, so
+        every row gets the bits of the unsplit run.  Each side draws its own
+        rows' noise in process.  At every record slot the worker writes its
+        rows and norms into one shared buffer and this process hands all
+        rows to ``on_record``, then frees the buffer.  At the end the worker
+        writes its final rows and its streams' PCG64 states, which are
+        restored here, and its streams' draws are counted.  An instability
+        in either part raises the error of the unsplit run: the earliest
+        step, then the check made first, then the lowest row.
+        """
+        dim, k, batch = x.shape
+        h = _SPLIT_ALIGN * round(batch / (2 * _SPLIT_ALIGN))
+        tail = batch - h
+        c, dt = self.n_channels, self.dt
+        # the worker's rows (a record's, then its final ones), their norms
+        # and its streams' states; its post's kind, then a record's slot or
+        # a failure's message length and (step, check, row); that message
+        rows, norms, words, header, message = _shared(
+            ((dim * k * tail,), complex),
+            ((tail,), float),
+            ((tail, _STATE_WORDS), np.uint64),
+            ((5,), np.int64),
+            ((_MESSAGE_BYTES,), np.uint8),
+        )
+        own, theirs = streams[:h], streams[h:]
+
+        def work(ready, free):
+            posted = False
+
+            def claim():
+                # the caller frees the mapping once it has read a post
+                nonlocal posted
+                if posted and not os.read(free, 1):
+                    raise EOFError("the caller has gone")
+                posted = True
+
+            def post(kind, *fields):
+                header[: 1 + len(fields)] = (kind, *fields)
+                os.write(ready, b"\0")
+
+            def record(slot, states, state_norms):
+                claim()
+                rows[:] = states.ravel()
+                norms[:] = state_norms
+                post(_RECORD, slot)
+
+            increments = _local_steps(theirs, n_steps, c, dt)
+            try:
+                out = self._advance(x[:, :, h:].copy(), increments, n_steps, slots,
+                                    record if on_record is not None else None, theirs)
+            except InstabilityError as err:
+                claim()
+                text = str(err).encode()[:_MESSAGE_BYTES]
+                message[: len(text)] = np.frombuffer(text, np.uint8)
+                step, check, row = err.order
+                post(_FAILED, len(text), step, check, h + row)
+                return
+            claim()
+            rows[:] = out.ravel()
+            _save(theirs, words)
+            post(_DONE)
+
+        def failure():
+            """None when the worker's post says it finished, else its
+            failure's order and error."""
+            if header[0] == _DONE:
+                return None
+            text = message[: header[1]].tobytes().decode()
+            return tuple(int(v) for v in header[2:]), InstabilityError(text)
+
+        def outcome(child):
+            """:func:`failure` of the worker's last post, freeing every
+            record it posts before it."""
+            while True:
+                child.wait("the end of its run")
+                if header[0] != _RECORD:
+                    return failure()
+                child.release()
+
+        with _forked("column worker", work) as child:
+            if child is None:
+                return None
+
+            def merged(slot, states, state_norms):
+                child.wait(f"record {slot + 1} of {len(slots)}")
+                if header[0] == _FAILED:
+                    raise failure()[1]
+                on_record(
+                    slot,
+                    np.concatenate([states, rows.reshape(tail, -1)]),
+                    np.concatenate([state_norms, norms]),
+                )
+                child.release()
+
+            increments = _local_steps(own, n_steps, c, dt)
+            try:
+                head = self._advance(x[:, :, :h].copy(), increments, n_steps, slots,
+                                     merged if on_record is not None else None, own)
+            except InstabilityError as err:
+                # the worker's error, or one from on_record, stands as it is
+                if not hasattr(err, "order"):
+                    raise
+                failed = outcome(child)
+                if failed is not None and failed[0] < err.order:
+                    raise failed[1] from None
+                raise
+            failed = outcome(child)
+            if failed is not None:
+                raise failed[1]
+            _restore(theirs, words)
+            for stream in theirs:
+                stream.draws += 2 * c * n_steps
+            return np.concatenate([head, rows.reshape(dim, k, tail)], axis=2)
 
     def _advance(self, x, increments, n_steps, slots, on_record=None, streams=None):
         """Step column-major ``x`` once per (n_channels, batch) entry of
@@ -162,7 +334,8 @@ class QsdEngine:
             )
         if np.any(norm2 == 0.0):
             raise _unstable_row(
-                "state norm underflowed to zero during propagation", norm2 == 0.0, streams
+                "state norm underflowed to zero during propagation", norm2 == 0.0, streams,
+                check=1,
             )
         inv_norm2 = 1.0 / norm2
         for done, dxi in enumerate(increments, start=1):
@@ -173,16 +346,18 @@ class QsdEngine:
             if not (norm2.min() > 0.0 and norm2.max() < np.inf):
                 if not np.all(np.isfinite(norm2)):
                     raise _unstable_row(
-                        f"non-finite state norm after step {done}", ~np.isfinite(norm2), streams
+                        f"non-finite state norm after step {done}", ~np.isfinite(norm2), streams,
+                        step=done,
                     )
                 if renorm:
                     raise _unstable_row(
-                        f"zero state norm after step {done}", norm2 == 0.0, streams
+                        f"zero state norm after step {done}", norm2 == 0.0, streams,
+                        step=done, check=1,
                     )
                 if done < n_steps:
                     raise _unstable_row(
                         "state norm underflowed to zero during propagation",
-                        norm2 == 0.0, streams,
+                        norm2 == 0.0, streams, step=done, check=1,
                     )
             norms = np.sqrt(norm2)
             if renorm:
@@ -267,12 +442,23 @@ def _record_slots(record_steps, n_steps: int) -> dict:
     return {k: i for i, k in enumerate(record)}
 
 
-def _unstable_row(what: str, bad: np.ndarray, streams=None) -> InstabilityError:
+def _unstable_row(
+    what: str, bad: np.ndarray, streams=None, step: int = 0, check: int = 0
+) -> InstabilityError:
     """InstabilityError ``what``, naming the trajectory of the first row
-    flagged in ``bad`` when the rows' noise ``streams`` are known."""
+    flagged in ``bad`` when the rows' noise ``streams`` are known.
+
+    Its ``order`` is (step, check, row): the step it was found after (0
+    before stepping), the check's rank among those run on that step (the
+    finiteness check first) and the row.  Of two parts of a batch, the
+    error with the smaller order is the one the whole batch raises.
+    """
+    row = int(np.argmax(bad))
     if streams is not None:
-        what += f" (first at trajectory {streams[int(np.argmax(bad))].trajectory_index})"
-    return InstabilityError(what)
+        what += f" (first at trajectory {streams[row].trajectory_index})"
+    error = InstabilityError(what)
+    error.order = (step, check, row)
+    return error
 
 
 def complex_standard_error(samples: np.ndarray) -> float:

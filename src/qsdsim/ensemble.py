@@ -6,8 +6,10 @@ streams are bit-identical to ``NoiseStream(seed, i)``) and returns its
 values, the draws of its streams and its task's counts, and results are
 reduced in chunk order.  Trajectory i draws only from its own stream, and
 the chunk size alone fixes the batch widths the engines see, so a run is
-bitwise reproducible across reruns.  The first chunk that fails stops the
-run.
+bitwise reproducible across reruns.  The width matters because BLAS rounds
+the columns of its kernel's column remainder differently; a chunk that
+``QsdEngine`` splits between two processes at a multiple of 64 rows keeps
+every bit.  The first chunk that fails stops the run.
 """
 
 import time

@@ -10,6 +10,10 @@ operator block-diagonally, so both blocks see identical dynamics.
 G = -iH - (1/2) sum_j L_j^dag L_j once for every integrator and the
 master-equation oracle.
 
+Models are built for two systems: the two-level atom (``decay_model``,
+``driven_decay_model``) and the damped, driven cavity truncated to any
+number of Fock states (``driven_cavity_model``).
+
 Conventions: for the two-level atom, basis index 0 is the ground state and
 index 1 the excited state; ``sigma_minus`` maps excited to ground.  The decay
 rate gamma is fixed to 1, i.e. all times are in units of the inverse decay
@@ -32,6 +36,8 @@ __all__ = [
     "drive_hamiltonian",
     "decay_model",
     "driven_decay_model",
+    "annihilation",
+    "driven_cavity_model",
 ]
 
 _HERMITICITY_TOL = 1e-12
@@ -269,3 +275,18 @@ def decay_model() -> LindbladModel:
 def driven_decay_model(omega: float) -> LindbladModel:
     """Two-level atom with unit-rate decay and resonant drive of strength omega."""
     return LindbladModel(hamiltonian=drive_hamiltonian(omega), lindblads=(sigma_minus(),))
+
+
+def annihilation(dim: int) -> Operator:
+    """Lowering operator a of a cavity truncated to ``dim`` Fock states,
+    a|k> = sqrt(k) |k - 1>."""
+    if dim < 1:
+        raise ValueError(f"dimension must be >= 1, got {dim}")
+    return Operator(np.diag(np.sqrt(np.arange(1.0, dim)), k=1))
+
+
+def driven_cavity_model(dim: int, drive: float = 1.0) -> LindbladModel:
+    """Cavity truncated to ``dim`` Fock states, damped at unit rate (L = a)
+    and driven on resonance, H = drive (a + a^dag)."""
+    a = annihilation(dim).matrix
+    return LindbladModel(hamiltonian=Operator(drive * (a + a.T)), lindblads=(Operator(a),))

@@ -31,6 +31,11 @@ same calls in the same order either way, and the caller restores the
 producer's final generator states and counts its draws, so the increments,
 the draw counts and every later draw from the same streams are the same
 bits on both paths.
+
+One fork lifecycle, :func:`_forked`, serves the producer and the column
+worker of ``diffusion.QsdEngine``: the fork, the child's exit, the two
+pipes that pace it, the named error of a child that exits early, and the
+kill and reap however the caller ends.
 """
 
 import contextlib
@@ -60,8 +65,10 @@ _PRODUCER_GATE = 2**20
 _STATE_WORDS = 6
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# trajectories stepped together by every ensemble; BLAS rounds differently
-# at different batch widths, so this fixes the last bits of every estimate
+# trajectories stepped together by every ensemble.  BLAS rounds a column
+# of a product differently when it falls in the kernel's column remainder,
+# which the batch width decides, so this fixes the last bits of every
+# estimate; a batch split at a multiple of 64 rows keeps them
 _CHUNK = 2048
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx): the entropy pool
@@ -296,17 +303,106 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+def _can_fork() -> bool:
+    """Whether a forked child may take over part of this process's work:
+    fork is available, a second CPU can run the child, and no other thread
+    could hold a lock across the fork."""
+    return hasattr(os, "fork") and _cpu_count() >= 2 and threading.active_count() == 1
+
+
 def _forks(n_increments: int) -> bool:
     """Whether :func:`wiener_steps` draws ``n_increments`` complex
     increments in a forked producer: only for a request of at least
-    ``_PRODUCER_GATE``, where fork is available, a second CPU can run the
-    producer, and no other thread could hold a lock across the fork."""
-    return (
-        n_increments >= _PRODUCER_GATE
-        and hasattr(os, "fork")
-        and _cpu_count() >= 2
-        and threading.active_count() == 1
-    )
+    ``_PRODUCER_GATE``, where :func:`_can_fork` says yes."""
+    return n_increments >= _PRODUCER_GATE and _can_fork()
+
+
+def _shared(*specs) -> list:
+    """One array per (shape, dtype) of ``specs``, all in one anonymous
+    shared mapping, which a process and the children it forks later both
+    see; give the specs in order of falling item size, so that each array
+    is aligned."""
+    import mmap
+
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    mapping = mmap.mmap(-1, sum(sizes))
+    arrays, offset = [], 0
+    for (shape, dtype), size in zip(specs, sizes):
+        arrays.append(np.frombuffer(mapping, dtype, math.prod(shape), offset).reshape(shape))
+        offset += size
+    return arrays
+
+
+class _Child:
+    """The parent's end of a process forked by :func:`_forked`.
+
+    The child writes a byte to ``ready`` each time it has put something in
+    memory the two share; the parent reads it with :meth:`wait`, and gives
+    that memory back with :meth:`release`, a byte on ``free``.
+    """
+
+    def __init__(self, name: str, pid: int, ready: int, free: int):
+        self.name, self.pid, self.ready, self.free = name, pid, ready, free
+
+    def wait(self, what: str):
+        """Block until the child's next byte on ``ready``; a child that has
+        exited instead is reaped and named in a RuntimeError."""
+        if not os.read(self.ready, 1):
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = 0
+            raise RuntimeError(
+                f"{self.name} exited (exit code {os.waitstatus_to_exitcode(status)}) "
+                f"before {what}"
+            )
+
+    def release(self):
+        """Send the child a byte on ``free``; a child that has exited is
+        named by the next :meth:`wait`."""
+        with contextlib.suppress(BrokenPipeError):
+            os.write(self.free, b"\0")
+
+
+@contextlib.contextmanager
+def _forked(name: str, body):
+    """Run ``body(ready, free)`` in a forked child process, and yield a
+    :class:`_Child` for it, or None where ``os.fork`` fails.
+
+    The child writes to the ``ready`` pipe and reads the ``free`` pipe; it
+    exits with status 0 when ``body`` returns and 1 when it raises, and
+    never returns into the caller's code.  However the block ends, the
+    parent closes its pipe ends and kills and reaps the child.
+    """
+    import signal
+
+    ready_r, ready_w = os.pipe()
+    free_r, free_w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (ready_r, ready_w, free_r, free_w):
+            os.close(fd)
+        yield None
+        return
+    if pid == 0:
+        status = 1
+        try:
+            os.close(ready_r)
+            os.close(free_w)
+            body(ready_w, free_r)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(ready_w)
+    os.close(free_r)
+    child = _Child(name, pid, ready_r, free_w)
+    try:
+        yield child
+    finally:
+        os.close(ready_r)
+        os.close(free_w)
+        if child.pid:
+            os.kill(child.pid, signal.SIGKILL)
+            os.waitpid(child.pid, 0)
 
 
 def wiener_steps(streams, n_steps: int, n_channels: int, dt: float):
@@ -358,64 +454,32 @@ def _produced_steps(streams, n_steps: int, n_channels: int, dt: float):
     counts the draws, so the streams continue exactly as if the noise had
     been drawn in process.  If ``fork`` fails the noise is drawn in process.
     """
-    import mmap
-    import signal
-
     batch = len(streams)
     steps = min(_SLOT, n_steps)
     n_blocks = -(-n_steps // steps)
-    slot_size = steps * n_channels * batch
-    mapping = mmap.mmap(-1, 16 * 2 * slot_size + 8 * _STATE_WORDS * batch)
-    slots = np.frombuffer(mapping, complex, 2 * slot_size).reshape(2, steps, n_channels, batch)
-    words = np.frombuffer(mapping, np.uint64, offset=16 * 2 * slot_size)
-    words = words.reshape(batch, _STATE_WORDS)
-    ready_r, ready_w = os.pipe()
-    free_r, free_w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        for fd in (ready_r, ready_w, free_r, free_w):
-            os.close(fd)
-        yield from _local_steps(streams, n_steps, n_channels, dt)
-        return
-    if pid == 0:
-        status = 1
-        try:
-            os.close(ready_r)
-            os.close(free_w)
-            _produce(streams, n_steps, dt, slots, words, ready_w, free_r)
-            status = 0
-        finally:
-            # the child never returns into the caller's code
-            os._exit(status)
-    os.close(ready_w)
-    os.close(free_r)
-    try:
+    slots, words = _shared(
+        ((2, steps, n_channels, batch), complex), ((batch, _STATE_WORDS), np.uint64)
+    )
+
+    def produce(ready, free):
+        _produce(streams, n_steps, dt, slots, words, ready, free)
+
+    with _forked("noise producer", produce) as child:
+        if child is None:
+            yield from _local_steps(streams, n_steps, n_channels, dt)
+            return
         for j in range(n_blocks):
-            if not os.read(ready_r, 1):
-                _, status = os.waitpid(pid, 0)
-                pid = 0
-                raise RuntimeError(
-                    f"noise producer exited (exit code {os.waitstatus_to_exitcode(status)}) "
-                    f"before block {j + 1} of {n_blocks}"
-                )
+            child.wait(f"block {j + 1} of {n_blocks}")
             slot = slots[j % 2]
             for k in range(min(steps, n_steps - j * steps)):
                 yield slot[k]
             # the child fills no block after the last, so it waits for no
-            # byte; one that has exited is named by the next read
+            # byte
             if j + 2 < n_blocks:
-                with contextlib.suppress(BrokenPipeError):
-                    os.write(free_w, b"\0")
+                child.release()
         _restore(streams, words)
         for stream in streams:
             stream.draws += 2 * n_channels * n_steps
-    finally:
-        os.close(ready_r)
-        os.close(free_w)
-        if pid:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
 
 
 def _produce(streams, n_steps: int, dt: float, slots, words, ready: int, free: int):

@@ -2,11 +2,13 @@
 
 import math
 import os
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
-from qsdsim import noise
+from qsdsim import diffusion, noise
 from qsdsim import Ket, LindbladModel, Operator, QsdEngine, basis_ket, decay_model, sigma_plus
 from qsdsim.diffusion import _columns, _rows
 
@@ -61,10 +63,9 @@ def rng():
     return np.random.default_rng(1234)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """Draw every diffusive run's noise in a forked producer, whatever its
-    size and the host's CPU count; the list collects each producer's pid."""
+def recorded_forks(monkeypatch) -> list:
+    """Let every fork gate see two CPUs, and collect the pid of each child
+    that ``os.fork`` makes."""
     pids = []
     real_fork = os.fork
 
@@ -74,13 +75,48 @@ def forks(monkeypatch):
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(noise, "_PRODUCER_GATE", 0)
     monkeypatch.setattr(noise, "_cpu_count", lambda: 2)
     monkeypatch.setattr(os, "fork", fork)
     return pids
 
 
 @pytest.fixture
+def forks(monkeypatch):
+    """Draw every diffusive run's noise in a forked producer, whatever its
+    size and the host's CPU count, and split no batch; the list collects
+    each producer's pid."""
+    monkeypatch.setattr(noise, "_PRODUCER_GATE", 0)
+    monkeypatch.setattr(diffusion, "_SPLIT_GATE", math.inf)
+    return recorded_forks(monkeypatch)
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """Split every QsdEngine batch of at least 128 rows with a forked
+    column worker, whatever its width and the host's CPU count; the list
+    collects each worker's pid."""
+    monkeypatch.setattr(diffusion, "_SPLIT_GATE", 0)
+    return recorded_forks(monkeypatch)
+
+
+@pytest.fixture
 def in_process(monkeypatch):
-    """Draw every diffusive run's noise in process, whatever its size."""
+    """Step every diffusive run in this process and draw its noise here,
+    whatever its size."""
     monkeypatch.setattr(noise, "_PRODUCER_GATE", math.inf)
+    monkeypatch.setattr(diffusion, "_SPLIT_GATE", math.inf)
+
+
+@contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the test if its body runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,7 @@ from qsdsim import (
     Operator,
     SdeConfig,
     cli,
+    diffusion,
     ensemble,
     heisenberg_element,
     noise,
@@ -891,6 +893,33 @@ def test_a_failed_noise_producer_exits_1(tmp_path, forks, monkeypatch, capsys):
     gisin = dict(scenario="gisin-compare", **_SMALL_RUNS["gisin-compare"])
     assert run_into(tmp_path, out, **gisin) == (1, [])
     assert "run failed: noise producer exited (exit code 1)" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_instability_in_a_split_run_reaps_the_column_worker(tmp_path, splits):
+    out = tmp_path / "out"
+    unstable = {**_UNSTABLE, "n": 200}
+    assert run_into(tmp_path, out, **unstable) == (3, ["instability-report.json"])
+    assert splits
+    report = json.loads((out / "instability-report.json").read_text())
+    assert report["error"].endswith("non-finite state norm after step 1 (first at trajectory 0)")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_killed_column_worker_exits_1(tmp_path, splits, monkeypatch, capsys):
+    def save(streams, words):  # runs in the worker only
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(diffusion, "_save", save)
+    out = tmp_path / "out"
+    element = dict(scenario="decay-element", **{**_SMALL_RUNS["decay-element"], "n": 200})
+    assert run_into(tmp_path, out, **element) == (1, [])
+    assert splits
+    err = capsys.readouterr().err
+    assert ("run failed: ensemble execution failed for trajectories [0, 200): RuntimeError: "
+            "column worker exited (exit code -9) before the end of its run") in err, err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -1,5 +1,9 @@
 """Diffusive unraveling: the QsdEngine step, its checks and its statistics."""
 
+import math
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -8,6 +12,7 @@ from qsdsim import (
     InstabilityError,
     JumpEngine,
     Ket,
+    LindbladModel,
     NoiseStream,
     Operator,
     QsdEngine,
@@ -15,11 +20,14 @@ from qsdsim import (
     basis_ket,
     complex_standard_error,
     decay_model,
+    driven_cavity_model,
     evolve,
 )
+from qsdsim import diffusion, noise
 from qsdsim.diffusion import _columns
+from qsdsim.noise import spawn
 
-from conftest import decay_element_setup, qsd_step, random_ket, random_model
+from conftest import deadline, decay_element_setup, qsd_step, random_ket, random_model
 
 
 def test_sde_config_validation():
@@ -185,3 +193,190 @@ def test_complex_standard_error_conventions():
     assert complex_standard_error(np.array([1.0 + 0j])) == 0.0
     assert complex_standard_error(np.array([0.0, 2.0])) == pytest.approx(1.0)
     assert complex_standard_error(np.array([1 + 1j, 1 - 1j])) == pytest.approx(1.0)
+
+
+# Column worker: QsdEngine.run splits a batch of at least 128 rows above a
+# per-step work gate, which the ``splits`` fixture sets to 0.
+
+
+def observed_run(engine, states, n_steps, record_steps=(), lo=0):
+    """Final rows, records, draws and the next draws of one run whose row i
+    draws from ``NoiseStream(3, lo + i)``, or the InstabilityError message
+    and the records made before it."""
+    streams = spawn(3, lo, lo + len(states))
+    records = []
+
+    def on_record(slot, rows, norms):
+        records.append((slot, rows.tobytes(), norms.tobytes()))
+
+    try:
+        out = engine.run(states, streams, n_steps, record_steps, on_record)
+    except InstabilityError as err:
+        return str(err), records
+    after = [s.wiener(engine.n_channels, 0.5).tobytes() + s.uniform(3).tobytes()
+             for s in streams]
+    return out.tobytes(), records, [s.draws for s in streams], after
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def unsplit(monkeypatch, run):
+    with monkeypatch.context() as patch:
+        patch.setattr(diffusion, "_SPLIT_GATE", math.inf)
+        return run()
+
+
+@pytest.mark.parametrize(
+    "dim,channels,doubled,scheme,batch,record_steps",
+    [
+        (2, 1, False, "normalized", 130, (0, 1, 299, 300)),
+        (3, 2, True, "quasi_linear", 300, (0, 256, 300)),
+        (8, 1, True, "normalized", 200, ()),
+        (4, 3, False, "quasi_linear", 129, (300,)),
+        # a handover at every step
+        (2, 2, True, "normalized", 192, tuple(range(301))),
+    ],
+)
+def test_a_split_run_gives_the_bits_of_the_unsplit_one(
+    splits, monkeypatch, dim, channels, doubled, scheme, batch, record_steps
+):
+    rng = np.random.default_rng(dim * batch)
+    model = random_model(rng, dim, channels, scale=0.5)
+    width = 2 * dim if doubled else dim
+    states = np.array([random_ket(rng, width).amplitudes for _ in range(batch)])
+    engine = QsdEngine(model, 1e-3, scheme)
+
+    def run():
+        return observed_run(engine, states, 300, record_steps, lo=5)
+
+    with deadline(60):
+        split = run()
+    assert len(splits) == 1
+    whole = unsplit(monkeypatch, run)
+    assert len(splits) == 1
+    assert split == whole
+    assert [slot for slot, *_ in split[1]] == list(range(len(record_steps)))
+    no_child_left()
+
+
+def growing_rows(scales, batch=200):
+    """Unit kets in rows, scaled by ``scales`` {row: factor}."""
+    states = np.tile(np.array([1.0, 1.0]) / np.sqrt(2.0), (batch, 1))
+    for row, scale in scales.items():
+        states[row] *= scale
+    return states.astype(complex)
+
+
+# Under the quasi-linear scheme with H = 0 and L = 1000 I, a step multiplies
+# the norm by about 5000 at dt = 0.01: a row scaled by 1e150 overflows its
+# norm at step 2, one scaled by 1e140 at step 4.  Rows [0, 128) of 200 stay
+# in this process and rows [128, 200) go to the worker.
+_GROWTH = LindbladModel(Operator(np.zeros((2, 2))), (Operator(1e3 * np.eye(2)),))
+
+
+@pytest.mark.parametrize(
+    "scales,record_steps,expected",
+    [
+        # the earliest step wins, in either part
+        ({10: 1e140, 150: 1e150}, (0, 1), "after step 2 (first at trajectory 150)"),
+        ({10: 1e150, 150: 1e140}, (0, 1, 3, 5), "after step 2 (first at trajectory 10)"),
+        # at one step, the lowest row
+        ({100: 1e150, 130: 1e150}, (), "after step 2 (first at trajectory 100)"),
+        # the worker's failure found at a record, and after the last one
+        ({199: 1e150}, (0, 1, 3, 5), "after step 2 (first at trajectory 199)"),
+        ({199: 1e140}, (0, 1), "after step 4 (first at trajectory 199)"),
+        # before stepping, the finiteness check comes first
+        ({5: 0.0, 140: np.nan}, (0, 3), "became non-finite during propagation "
+                                         "(first at trajectory 140)"),
+        ({5: np.inf, 140: 0.0}, (), "became non-finite during propagation "
+                                    "(first at trajectory 5)"),
+    ],
+)
+def test_a_split_run_raises_the_instability_of_the_unsplit_one(
+    splits, monkeypatch, scales, record_steps, expected
+):
+    engine = QsdEngine(_GROWTH, 0.01, "quasi_linear")
+    states = growing_rows(scales)
+
+    def run():
+        return observed_run(engine, states, 6, record_steps)
+
+    with deadline(60):
+        split = run()
+    assert len(splits) == 1
+    whole = unsplit(monkeypatch, run)
+    assert whole[0].endswith(expected), whole[0]
+    assert split == whole
+    no_child_left()
+
+
+def test_a_killed_column_worker_is_a_named_error(splits):
+    engine = QsdEngine(_GROWTH, 0.01, "quasi_linear")
+
+    def on_record(slot, rows, norms):
+        if slot == 0:
+            os.kill(splits[0], signal.SIGKILL)
+
+    with deadline(60):
+        with pytest.raises(
+            RuntimeError, match=r"column worker exited \(exit code -9\) before record 2 of 3"
+        ):
+            engine.run(growing_rows({}), spawn(0, 0, 200), 3, (0, 1, 3), on_record)
+    no_child_left()
+
+
+def test_an_on_record_that_raises_reaps_the_column_worker(splits):
+    engine = QsdEngine(_GROWTH, 0.01, "quasi_linear")
+
+    def on_record(slot, rows, norms):
+        if slot == 1:
+            raise ValueError("no room for this record")
+
+    with deadline(60):
+        with pytest.raises(ValueError, match="no room"):
+            engine.run(growing_rows({}), spawn(0, 0, 200), 3, (0, 1, 3), on_record)
+    assert len(splits) == 1
+    no_child_left()
+
+
+def test_a_failed_fork_steps_in_process(splits, monkeypatch):
+    engine = QsdEngine(random_model(np.random.default_rng(8), 3, 2), 1e-3)
+    states = np.array([random_ket(np.random.default_rng(i), 6).amplitudes for i in range(150)])
+
+    def run():
+        return observed_run(engine, states, 20, (0, 20))
+
+    def fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "fork", fork)
+    stepped_here = run()
+    assert stepped_here == unsplit(monkeypatch, run)
+
+
+def test_small_or_light_batches_are_not_split(monkeypatch, splits):
+    engine = QsdEngine(random_model(np.random.default_rng(8), 4, 1), 1e-3)
+    rows = np.array([random_ket(np.random.default_rng(i), 8).amplitudes for i in range(128)])
+    engine.run(rows[:127], spawn(0, 0, 127), 2)
+    engine.run(rows, spawn(0, 0, 128), 0)
+    assert splits == []
+    # a doubled d = 4 row with one channel: 8 x 4 x 2 multiply-adds a row
+    monkeypatch.setattr(diffusion, "_SPLIT_GATE", 8 * 4 * 2 * 128 + 1)
+    engine.run(rows, spawn(0, 0, 128), 2)
+    assert splits == []
+    monkeypatch.setattr(diffusion, "_SPLIT_GATE", 8 * 4 * 2 * 128)
+    engine.run(rows, spawn(0, 0, 128), 2)
+    assert len(splits) == 1
+
+
+def test_no_two_level_run_is_split_and_the_cavity_run_is(monkeypatch):
+    monkeypatch.setattr(noise, "_cpu_count", lambda: 2)
+    # a doubled two-level chunk with three channels: 8 x 2 x 2 x 2048 = 2^16
+    engine = QsdEngine(random_model(np.random.default_rng(1), 2, 3), 1e-3)
+    assert not engine._splits(_columns(np.zeros((2048, 4)), 2))
+    # the benchmark's d = 32 cavity element, one chunk of 512 doubled rows
+    cavity = QsdEngine(driven_cavity_model(32), 1e-3)
+    assert cavity._splits(_columns(np.zeros((512, 64)), 32))

@@ -7,9 +7,11 @@ from qsdsim import (
     Ket,
     LindbladModel,
     Operator,
+    annihilation,
     basis_ket,
     decay_model,
     drive_hamiltonian,
+    driven_cavity_model,
     driven_decay_model,
     extend_model,
     make_doubled_state,
@@ -204,3 +206,17 @@ def test_extend_model_blocks_and_spectrum(rng):
         ref = np.sort_complex(np.concatenate([np.linalg.eigvals(orig.matrix)] * 2))
         got = np.sort_complex(np.linalg.eigvals(mat))
         assert np.max(np.abs(got - ref)) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_driven_cavity_model(dim):
+    a = annihilation(dim).matrix
+    fock = np.arange(dim)
+    # a|k> = sqrt(k)|k-1>, so a^dag a counts the photons
+    assert np.allclose(a.conj().T @ a, np.diag(fock))
+    model = driven_cavity_model(dim, drive=0.5)
+    assert model.dim == dim and model.n_channels == 1
+    assert np.array_equal(model.lindblads[0].matrix, a)
+    assert np.array_equal(model.hamiltonian.matrix, 0.5 * (a + a.conj().T))
+    with pytest.raises(ValueError, match="dimension"):
+        annihilation(0)

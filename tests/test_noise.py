@@ -5,7 +5,6 @@ import mmap
 import os
 import signal
 import time
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -13,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import deadline
 from qsdsim import EnsembleError, NoiseStream, run_ensemble
 from qsdsim import noise
 from qsdsim.noise import NOISE_BLOCK, spawn, wiener_steps
@@ -297,21 +297,6 @@ def test_a_failed_fork_draws_in_process(forks, monkeypatch):
     fallback = drawn(spawn(2, 0, 5), 150, 2)
     monkeypatch.setattr(noise, "_PRODUCER_GATE", math.inf)
     assert fallback == drawn(spawn(2, 0, 5), 150, 2)
-
-
-@contextmanager
-def deadline(seconds):
-    """Raise TimeoutError in the test if its body runs longer than ``seconds``."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_a_killed_producer_is_a_named_error(forks):

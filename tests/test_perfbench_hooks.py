@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qsdsim import cli, diffusion, jumps, noise
+from qsdsim import cli, diffusion, driven_cavity_model, jumps, noise
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -97,3 +97,38 @@ def test_tracer_patches_existing_names_and_restores_them(tmp_path):
     assert metrics["ensemble.chunks"] == 1
     assert metrics["gisin.traj_steps"] == 4 * 20
     assert metrics["diffusion.traj_steps"] == 4 * 20
+
+
+def test_tracer_counts_a_split_cavity_run(tmp_path, splits):
+    # the column worker steps half of each chunk's rows in a child process,
+    # where no span is recorded; the traced parent must still see every
+    # draw of the chunk's streams and one task per chunk
+    workload = workloads.WORKLOADS["cavity-element"]
+    n, steps = 300, 40
+    config, errors = cli.validate(json.dumps({
+        **workload.config(7, str(tmp_path / "out")),
+        "n": n, "t_grid": {"start": 0.0, "stop": steps * workloads.DT, "num": 3},
+    }))
+    assert errors == []
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert cli.run(config) == 0
+    finally:
+        tracer.uninstall()
+    assert len(splits) == 1
+    meta = json.loads((tmp_path / "out" / "metadata.json").read_text())
+    metrics = tracing.layer_metrics(tracer, n, 1)
+    assert metrics["noise.draws"] == meta["draws_total"] == n * 2 * steps
+    assert metrics["ensemble.chunks"] == 1
+    assert metrics["diffusion.traj_steps"] == n * steps
+    assert metrics["correlations.record_calls"] == 3
+
+
+def test_the_inline_cavity_is_the_package_cavity():
+    model, a = workloads._cavity_model()
+    cavity = driven_cavity_model(workloads.CAVITY_DIM)
+    assert np.array_equal(np.array(model["hamiltonian"]), cavity.hamiltonian.matrix)
+    assert [np.array(op).tolist() for op in model["lindblads"]] == [
+        op.matrix.real.tolist() for op in cavity.lindblads]
+    assert np.array_equal(np.array(a), cavity.lindblads[0].matrix)

@@ -35,6 +35,7 @@ from qsdsim import (
     sigma_plus,
 )
 from qsdsim.gisin import VARIANTS, _PairKernel
+from qsdsim.noise import spawn
 
 DIMS = (2, 3, 8)
 CHANNELS = (1, 2, 3)
@@ -171,6 +172,43 @@ def test_qsd_engine_matches_row_major_reference(dim, channels, doubled, n_steps,
         states, ref_model, dt, scheme, [NoiseStream(3, i) for i in range(BATCH)], n_steps
     )
     assert_rows_close(got, want)
+
+
+def recorded_run(engine, states, seed, lo, n_steps, record_steps):
+    """Rows [lo, lo + len(states)) of a run: final rows and the records."""
+    records = []
+    out = engine.run(states, spawn(seed, lo, lo + len(states)), n_steps, record_steps,
+                     lambda slot, rows, norms: records.append((slot, rows, norms)))
+    return out, records
+
+
+@pytest.mark.parametrize("batch", [130, 512, 1950, 2048])
+@pytest.mark.parametrize("dim", [2, 3, 8, 32])
+def test_a_batch_split_at_a_multiple_of_64_keeps_its_bits(in_process, dim, batch):
+    # the column worker's premise: BLAS rounds a column differently only in
+    # its kernel's column remainder, so two parts split at a multiple of 64
+    # rows step every row, and record it, with the bits of the whole batch
+    rng = np.random.default_rng(100 * dim + batch)
+    model = random_model(rng, dim, 2, scale=0.5)
+    split = 64 * round(batch / 128)
+    n_steps, record_steps = 5, (0, 2, 5)
+    for width in (dim, 2 * dim):
+        states = rng.standard_normal((batch, width)) + 1j * rng.standard_normal((batch, width))
+        states /= np.linalg.norm(states, axis=1)[:, None]
+        for scheme in ("normalized", "quasi_linear"):
+            engine = QsdEngine(model, 1e-3, scheme)
+            whole, records = recorded_run(engine, states, 4, 0, n_steps, record_steps)
+            head, head_records = recorded_run(engine, states[:split], 4, 0, n_steps, record_steps)
+            tail, tail_records = recorded_run(
+                engine, states[split:], 4, split, n_steps, record_steps)
+            assert np.array_equal(whole, np.concatenate([head, tail])), (width, scheme)
+            assert len(records) == len(head_records) == len(tail_records) == 3
+            for (slot, rows, norms), (slot_h, rows_h, norms_h), (slot_t, rows_t, norms_t) in zip(
+                records, head_records, tail_records
+            ):
+                assert slot == slot_h == slot_t
+                assert np.array_equal(rows, np.concatenate([rows_h, rows_t]))
+                assert np.array_equal(norms, np.concatenate([norms_h, norms_t]))
 
 
 @pytest.mark.parametrize("dim,channels,doubled", cases())

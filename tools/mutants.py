@@ -51,10 +51,9 @@ _YIELD_SLOT = """\
 """
 _FREE_SLOT = """\
             # the child fills no block after the last, so it waits for no
-            # byte; one that has exited is named by the next read
+            # byte
             if j + 2 < n_blocks:
-                with contextlib.suppress(BrokenPipeError):
-                    os.write(free_w, b"\\0")
+                child.release()
 """
 _READ_THEN_FREE = _YIELD_SLOT + _FREE_SLOT
 _FREE_THEN_READ = _FREE_SLOT + _YIELD_SLOT
@@ -163,6 +162,21 @@ MUTANTS = [
     Mutant("producer-draws-uncounted", "src/qsdsim/noise.py",
            "            stream.draws += 2 * n_channels * n_steps\n", "            pass\n",
            "tests/test_noise.py"),
+    # the column worker: its rows, draws and streams must be those of the
+    # unsplit run, and so must its instability errors
+    Mutant("worker-half-concatenated-first", "src/qsdsim/diffusion.py",
+           "np.concatenate([head, rows.reshape(dim, k, tail)], axis=2)",
+           "np.concatenate([rows.reshape(dim, k, tail), head], axis=2)",
+           "tests/test_diffusion.py"),
+    Mutant("worker-draws-uncounted", "src/qsdsim/diffusion.py",
+           "                stream.draws += 2 * c * n_steps\n", "                pass\n",
+           "tests/test_diffusion.py"),
+    Mutant("worker-streams-not-restored", "src/qsdsim/diffusion.py",
+           "            _restore(theirs, words)\n", "            pass\n",
+           "tests/test_diffusion.py"),
+    Mutant("split-errors-compared-by-row-only", "src/qsdsim/diffusion.py",
+           "failed[0] < err.order", "failed[0][2:] < err.order[2:]",
+           "tests/test_diffusion.py"),
 ]
 
 
