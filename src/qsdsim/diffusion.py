@@ -38,12 +38,16 @@ whose steps are heavy (``_SPLIT_GATE``: a 2048-row chunk of doubled rows
 from d = 8 on, never a two-level run) is instead split: a forked column
 worker steps the upper part of the batch while the caller steps the lower,
 each drawing its own rows' noise, again with the same bits
-(``QsdEngine._split``).
+(``QsdEngine._split``).  One helper, :func:`_column_worker`, forks that
+worker, shares its arrays and continues its streams, for this engine and
+for the coupled pair of :mod:`qsdsim.gisin`.
 """
 
+import contextlib
 import os
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -139,17 +143,32 @@ class QsdEngine:
         self.n_channels = model.n_channels
         self._stack = _euler_stack(model, dt)
 
-    def _step(self, x: np.ndarray, inv_norm2, dxi: np.ndarray) -> np.ndarray:
+    def _step(self, x: np.ndarray, inv_norm2, dxi: np.ndarray, products, conj, scratch):
         """One step of column-major states ``x`` (dim, k, batch).
 
         ``inv_norm2`` holds each trajectory's 1 / <psi|psi>, or is None for
-        unit states; ``dxi`` holds the (n_channels, batch) increments.
+        unit states; ``dxi`` holds the (n_channels, batch) increments.  The
+        buffers come from :meth:`_work`: the step's stacked product goes
+        into ``products``, whose block 0 is the new state, so it must not
+        hold ``x``.
         """
-        y = _stacked(self._stack, x)
-        ell = (x.conj() * y[1:]).sum(axis=(1, 2))  # <psi|L_j psi>, shape (c, batch)
+        y = _stacked(self._stack, x, products)
+        # <psi|L_j psi>, shape (c, batch)
+        ell = np.multiply(np.conjugate(x, out=conj), y[1:], out=scratch).sum(axis=(1, 2))
         if inv_norm2 is not None:
             ell *= inv_norm2
-        return _euler_update(x, y, ell, ell.conj(), dxi, self.dt, self.scheme == "normalized")
+        return _euler_update(x, y, ell, ell.conj(), dxi, self.dt, self.scheme == "normalized", conj)
+
+    def _work(self, x: np.ndarray):
+        """Two product buffers for the stacked products of column-major
+        ``x``, and a conjugate and a scratch buffer, allocated once for a
+        whole run: the state lives in block 0 of one product buffer while
+        the next step writes into the other."""
+        dim, k, batch = x.shape
+        products = np.empty((2, len(self._stack) // dim, dim, k, batch), dtype=complex)
+        conj = np.empty_like(x)
+        scratch = np.empty((self.n_channels, dim, k, batch), dtype=complex)
+        return products, conj, scratch
 
     def run(
         self,
@@ -189,49 +208,38 @@ class QsdEngine:
             increments.close()
 
     def _splits(self, x: np.ndarray) -> bool:
-        """Whether a run of column-major ``x`` is split with a column worker:
-        one step's stacked product must take at least ``_SPLIT_GATE``
-        multiply-adds, the batch must hold at least ``_SPLIT_MIN_BATCH``
-        rows, and the host must allow a fork (``noise._can_fork``)."""
-        dim, k, batch = x.shape
-        return (
-            self._stack.shape[0] * dim * k * batch >= _SPLIT_GATE
-            and batch >= _SPLIT_MIN_BATCH
-            and _can_fork()
-        )
+        """Whether a run of column-major ``x`` is split with a column worker
+        (see :func:`_heavy`, at ``_SPLIT_GATE``)."""
+        return _heavy(self._stack, x, _SPLIT_GATE)
 
     def _split(self, x, streams, n_steps, slots, on_record):
         """Step trajectories [h, batch) of column-major ``x`` in a forked
-        column worker while this process steps [0, h); return the stepped
-        (dim, k, batch) states, or None where ``fork`` fails.
+        column worker while this process steps [0, h) (see
+        :func:`_column_worker`); return the stepped (dim, k, batch) states,
+        or None where ``fork`` fails.
 
-        h is the multiple of ``_SPLIT_ALIGN`` nearest half the batch, so
-        every row gets the bits of the unsplit run.  Each side draws its own
-        rows' noise in process.  At every record slot the worker writes its
-        rows and norms into one shared buffer and this process hands all
-        rows to ``on_record``, then frees the buffer.  At the end the worker
-        writes its final rows and its streams' PCG64 states, which are
-        restored here, and its streams' draws are counted.  An instability
-        in either part raises the error of the unsplit run: the earliest
-        step, then the check made first, then the lowest row.
+        At every record slot the worker writes its rows and norms into one
+        shared buffer and this process hands all rows to ``on_record``,
+        then frees the buffer.  At the end the worker writes its final
+        rows.  An instability in either part raises the error of the
+        unsplit run: the earliest step, then the check made first, then the
+        lowest row.
         """
         dim, k, batch = x.shape
-        h = _SPLIT_ALIGN * round(batch / (2 * _SPLIT_ALIGN))
+        h = _split_point(batch)
         tail = batch - h
-        c, dt = self.n_channels, self.dt
-        # the worker's rows (a record's, then its final ones), their norms
-        # and its streams' states; its post's kind, then a record's slot or
-        # a failure's message length and (step, check, row); that message
-        rows, norms, words, header, message = _shared(
+        # the worker's rows (a record's, then its final ones) and their
+        # norms; its post's kind, then a record's slot or a failure's
+        # message length and (step, check, row); that message
+        specs = (
             ((dim * k * tail,), complex),
             ((tail,), float),
-            ((tail, _STATE_WORDS), np.uint64),
             ((5,), np.int64),
             ((_MESSAGE_BYTES,), np.uint8),
         )
-        own, theirs = streams[:h], streams[h:]
 
-        def work(ready, free):
+        def work(increments, arrays, ready, free):
+            rows, norms, header, message = arrays
             posted = False
 
             def claim():
@@ -241,52 +249,49 @@ class QsdEngine:
                     raise EOFError("the caller has gone")
                 posted = True
 
-            def post(kind, *fields):
-                header[: 1 + len(fields)] = (kind, *fields)
-                os.write(ready, b"\0")
-
             def record(slot, states, state_norms):
                 claim()
                 rows[:] = states.ravel()
                 norms[:] = state_norms
-                post(_RECORD, slot)
+                header[:2] = (_RECORD, slot)
+                os.write(ready, b"\0")
 
-            increments = _local_steps(theirs, n_steps, c, dt)
             try:
                 out = self._advance(x[:, :, h:].copy(), increments, n_steps, slots,
-                                    record if on_record is not None else None, theirs)
+                                    record if on_record is not None else None, streams[h:])
             except InstabilityError as err:
                 claim()
                 text = str(err).encode()[:_MESSAGE_BYTES]
                 message[: len(text)] = np.frombuffer(text, np.uint8)
                 step, check, row = err.order
-                post(_FAILED, len(text), step, check, h + row)
+                header[:] = (_FAILED, len(text), step, check, h + row)
                 return
             claim()
             rows[:] = out.ravel()
-            _save(theirs, words)
-            post(_DONE)
+            header[0] = _DONE
 
-        def failure():
-            """None when the worker's post says it finished, else its
-            failure's order and error."""
-            if header[0] == _DONE:
+        with _column_worker(streams, h, n_steps, self.n_channels, self.dt, specs, work) as split:
+            if split is None:
                 return None
-            text = message[: header[1]].tobytes().decode()
-            return tuple(int(v) for v in header[2:]), InstabilityError(text)
+            rows, norms, header, message = split.arrays
+            child = split.child
 
-        def outcome(child):
-            """:func:`failure` of the worker's last post, freeing every
-            record it posts before it."""
-            while True:
-                child.wait("the end of its run")
-                if header[0] != _RECORD:
-                    return failure()
-                child.release()
+            def failure():
+                """None when the worker's post says it finished, else its
+                failure's order and error."""
+                if header[0] == _DONE:
+                    return None
+                text = message[: header[1]].tobytes().decode()
+                return tuple(int(v) for v in header[2:]), InstabilityError(text)
 
-        with _forked("column worker", work) as child:
-            if child is None:
-                return None
+            def outcome():
+                """:func:`failure` of the worker's last post, freeing every
+                record it posts before it."""
+                while True:
+                    child.wait("the end of its run")
+                    if header[0] != _RECORD:
+                        return failure()
+                    child.release()
 
             def merged(slot, states, state_norms):
                 child.wait(f"record {slot + 1} of {len(slots)}")
@@ -299,24 +304,21 @@ class QsdEngine:
                 )
                 child.release()
 
-            increments = _local_steps(own, n_steps, c, dt)
             try:
-                head = self._advance(x[:, :, :h].copy(), increments, n_steps, slots,
-                                     merged if on_record is not None else None, own)
+                head = self._advance(x[:, :, :h].copy(), split.increments, n_steps, slots,
+                                     merged if on_record is not None else None, streams[:h])
             except InstabilityError as err:
                 # the worker's error, or one from on_record, stands as it is
                 if not hasattr(err, "order"):
                     raise
-                failed = outcome(child)
+                failed = outcome()
                 if failed is not None and failed[0] < err.order:
                     raise failed[1] from None
                 raise
-            failed = outcome(child)
+            failed = outcome()
             if failed is not None:
                 raise failed[1]
-            _restore(theirs, words)
-            for stream in theirs:
-                stream.draws += 2 * c * n_steps
+            split.restore()
             return np.concatenate([head, rows.reshape(dim, k, tail)], axis=2)
 
     def _advance(self, x, increments, n_steps, slots, on_record=None, streams=None):
@@ -338,35 +340,41 @@ class QsdEngine:
                 check=1,
             )
         inv_norm2 = 1.0 / norm2
-        for done, dxi in enumerate(increments, start=1):
-            # overflow shows up as a non-finite norm, which raises below
-            with np.errstate(over="ignore", invalid="ignore"):
-                x = self._step(x, inv_norm2, dxi)
+        products, conj, scratch = self._work(x)
+        free = 0  # the product buffer that does not hold the state
+        # a record runs under the caller's error state, not the loop's
+        record_state = np.geterr()
+        # overflow shows up as a non-finite norm, which raises below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for done, dxi in enumerate(increments, start=1):
+                x = self._step(x, inv_norm2, dxi, products[free], conj, scratch)
+                free ^= 1
                 norm2 = _real_inner(x, x)
-            if not (norm2.min() > 0.0 and norm2.max() < np.inf):
-                if not np.all(np.isfinite(norm2)):
-                    raise _unstable_row(
-                        f"non-finite state norm after step {done}", ~np.isfinite(norm2), streams,
-                        step=done,
-                    )
+                if not (norm2.min() > 0.0 and norm2.max() < np.inf):
+                    if not np.all(np.isfinite(norm2)):
+                        raise _unstable_row(
+                            f"non-finite state norm after step {done}", ~np.isfinite(norm2),
+                            streams, step=done,
+                        )
+                    if renorm:
+                        raise _unstable_row(
+                            f"zero state norm after step {done}", norm2 == 0.0, streams,
+                            step=done, check=1,
+                        )
+                    if done < n_steps:
+                        raise _unstable_row(
+                            "state norm underflowed to zero during propagation",
+                            norm2 == 0.0, streams, step=done, check=1,
+                        )
+                norms = np.sqrt(norm2)
                 if renorm:
-                    raise _unstable_row(
-                        f"zero state norm after step {done}", norm2 == 0.0, streams,
-                        step=done, check=1,
-                    )
-                if done < n_steps:
-                    raise _unstable_row(
-                        "state norm underflowed to zero during propagation",
-                        norm2 == 0.0, streams, step=done, check=1,
-                    )
-            norms = np.sqrt(norm2)
-            if renorm:
-                x *= 1.0 / norms
-                inv_norm2 = None
-            elif done < n_steps:  # a zero norm is allowed after the last step
-                inv_norm2 = 1.0 / norm2
-            if done in slots and on_record is not None:
-                on_record(slots[done], _rows(x), norms)
+                    x *= 1.0 / norms
+                    inv_norm2 = None
+                elif done < n_steps:  # a zero norm is allowed after the last step
+                    inv_norm2 = 1.0 / norm2
+                if done in slots and on_record is not None:
+                    with np.errstate(**record_state):
+                        on_record(slots[done], _rows(x), norms)
         return x
 
 
@@ -377,13 +385,82 @@ def _euler_stack(model: LindbladModel, dt: float) -> np.ndarray:
     return np.concatenate([drift] + [op.matrix for op in model.lindblads])
 
 
-def _stacked(stack: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _stacked(stack: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The (m, dim, k, batch) products of each (dim, dim) block of the stacked
-    (m dim, dim) ``stack`` with every block of column-major ``x``."""
-    return (stack @ x.reshape(x.shape[0], -1)).reshape(-1, *x.shape)
+    (m dim, dim) ``stack`` with every block of column-major ``x``, written
+    into ``out``, a C-contiguous array of that shape, when given."""
+    if out is None:
+        return (stack @ x.reshape(x.shape[0], -1)).reshape(-1, *x.shape)
+    np.matmul(stack, x.reshape(x.shape[0], -1), out=out.reshape(len(stack), -1))
+    return out
 
 
-def _euler_update(x, y, e, m, dxi, dt: float, compensate: bool) -> np.ndarray:
+def _heavy(stack: np.ndarray, x: np.ndarray, gate: float) -> bool:
+    """Whether a run of column-major ``x`` stepped with the stacked
+    ``stack`` is split with a column worker: one step's stacked product
+    must take at least ``gate`` multiply-adds, the batch must hold at least
+    ``_SPLIT_MIN_BATCH`` rows, and the host must allow a fork
+    (``noise._can_fork``)."""
+    dim, k, batch = x.shape
+    return stack.shape[0] * dim * k * batch >= gate and batch >= _SPLIT_MIN_BATCH and _can_fork()
+
+
+def _split_point(batch: int) -> int:
+    """Where a column worker's rows begin: the multiple of ``_SPLIT_ALIGN``
+    nearest half the batch, so that every row gets the bits of the unsplit
+    run."""
+    return _SPLIT_ALIGN * round(batch / (2 * _SPLIT_ALIGN))
+
+
+class _Split(NamedTuple):
+    """The caller's side of :func:`_column_worker`."""
+
+    increments: object  # the noise of rows [0, h), drawn in process
+    arrays: list  # the arrays of ``specs``, shared with the worker
+    child: object  # the worker's ``noise._Child``
+    restore: object  # continues the worker's streams here
+
+
+@contextlib.contextmanager
+def _column_worker(streams, h: int, n_steps: int, n_channels: int, dt: float, specs, work):
+    """Split a batch whose row i draws from ``streams[i]``: a forked column
+    worker steps rows [h, B) while the caller steps rows [0, h), each side
+    drawing its own rows' noise in process (``noise._local_steps``), so no
+    producer is forked.  Yields a :class:`_Split`, or None where ``fork``
+    fails.
+
+    ``specs`` lists the (shape, dtype) of arrays the two processes share,
+    in order of falling item size.  The worker runs ``work(increments,
+    arrays, ready, free)`` with its rows' noise, those arrays and its ends
+    of the pipes of ``noise._forked``; once it returns, the worker writes
+    its streams' PCG64 states and one byte to ``ready``.  After the caller
+    has read that byte, ``restore()`` sets the worker's streams to those
+    states and counts their draws, so that they continue as if they had
+    been drawn here.  The worker is killed and reaped however the block
+    ends.
+    """
+    theirs = streams[h:]
+    words, *arrays = _shared(((len(theirs), _STATE_WORDS), np.uint64), *specs)
+
+    def body(ready, free):
+        work(_local_steps(theirs, n_steps, n_channels, dt), arrays, ready, free)
+        _save(theirs, words)
+        os.write(ready, b"\0")
+
+    def restore():
+        _restore(theirs, words)
+        for stream in theirs:
+            stream.draws += 2 * n_channels * n_steps
+
+    with _forked("column worker", body) as child:
+        if child is None:
+            yield None
+        else:
+            increments = _local_steps(streams[:h], n_steps, n_channels, dt)
+            yield _Split(increments, arrays, child, restore)
+
+
+def _euler_update(x, y, e, m, dxi, dt: float, compensate: bool, scratch=None) -> np.ndarray:
     """The Euler-Maruyama step y[0] + sum_j y[j+1] (dxi_j + m_j dt) of
     column-major ``x``, where ``y = _stacked(euler stack, x)``; with
     ``compensate`` it also subtracts x sum_j e_j (dxi_j + (dt/2) m_j).
@@ -391,7 +468,8 @@ def _euler_update(x, y, e, m, dxi, dt: float, compensate: bool) -> np.ndarray:
     ``e`` and ``m`` broadcast against the (n_channels, k, batch) or
     (n_channels, batch) coefficients: the state's <L_j> and <L_j>^* for
     :class:`QsdEngine`, the cross coefficients and their block-swapped
-    conjugates for the coupled pair.  Writes into ``y[0]``.
+    conjugates for the coupled pair.  Writes into ``y[0]``, and each term
+    into ``scratch``, an array shaped like ``x``, when given.
     """
     out = y[0]
     # complex products stay out of place: numpy's in-place complex
@@ -399,11 +477,12 @@ def _euler_update(x, y, e, m, dxi, dt: float, compensate: bool) -> np.ndarray:
     # trajectory must not depend on the size of its batch
     coeff = m * dt + dxi
     for l_x, c_j in zip(y[1:], coeff):
-        out += l_x * c_j
+        out += np.multiply(l_x, c_j, out=scratch)
     if compensate:
         # sum_j e_j dxi_j + (dt/2) e_j m_j, as e_j (coeff_j - (dt/2) m_j);
         # the increments are a strided view, read once above
-        out -= x * ((coeff - m * (0.5 * dt)) * e).sum(axis=0)
+        terms = (coeff - m * (0.5 * dt)) * e
+        out -= np.multiply(x, terms[0] if len(terms) == 1 else terms.sum(axis=0), out=scratch)
     return out
 
 

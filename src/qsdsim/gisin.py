@@ -49,14 +49,19 @@ ket-side states in block 0 and bra-side states in block 1, and a step is a
 single product with the stacked matrix (I + dt G; L_1; ...; L_c) followed by
 ``diffusion._euler_update``, the Euler-Maruyama update of ``QsdEngine``
 given the cross coefficients l_j in place of <L_j>.  Every row is
-stepped every step; aborted and overflowed rows are frozen by a mask, so
-rows are never gathered or scattered.  The rows run in the ensemble
-runner's chunks of ``_CHUNK`` (2048), each with its own streams, batch and
-noise, so memory does not grow with the ensemble size; as for every
-ensemble, the chunk size fixes the last bits of a run.  A chunk whose noise
-is large enough draws it in a forked producer process, with the same bits
-(``noise.wiener_steps``); the chunk loop closes the noise iterator however
-the chunk ends, so no producer outlives it.
+stepped every step.  While every row of a batch lives, a step's output is
+the next state and no mask is built; from the first step on which a row
+aborts or overflows, aborted and overflowed rows are frozen by a mask.  The
+rows run in the ensemble runner's chunks of ``_CHUNK`` (2048), each with
+its own streams, batch and noise, so memory does not grow with the ensemble
+size; as for every ensemble, the chunk size fixes the last bits of a run.
+A chunk whose steps are heavy enough (``_PAIR_SPLIT_GATE``) is split: a
+forked column worker steps its upper rows while the caller steps the
+lower, each drawing its own rows' noise, with the same bits
+(``diffusion._column_worker``, which ``QsdEngine`` uses too).  Any other
+chunk whose noise is large enough draws it in a forked producer process,
+with the same bits (``noise.wiener_steps``).  The chunk loop kills and
+reaps either child however the chunk ends, so none outlives it.
 """
 
 from dataclasses import dataclass
@@ -64,7 +69,16 @@ from functools import partial
 
 import numpy as np
 
-from .diffusion import _euler_stack, _euler_update, _record_slots, _stacked, complex_standard_error
+from .diffusion import (
+    _column_worker,
+    _euler_stack,
+    _euler_update,
+    _heavy,
+    _record_slots,
+    _split_point,
+    _stacked,
+    complex_standard_error,
+)
 from .hilbert import Ket, LindbladModel, Operator, _check_dims
 from .noise import _CHUNK, check_step, grid_steps, spawn, wiener_steps
 
@@ -78,6 +92,14 @@ __all__ = [
 
 DEFAULT_FLOOR = 1e-12
 VARIANTS = ("unity", "quasi_linear")
+
+# a chunk whose stacked product takes at least this many complex
+# multiply-adds per step (rows of the stack x dim x 2 x batch), on a batch
+# of at least 128 rows, is split with a forked column worker.  In three
+# d-scans of tools/dscan.py (d = 2, 4, 8) the worker won or tied on every
+# chunk of 1024 rows or more and was mixed on 512-row chunks below 2^17;
+# at d = 2 this splits every chunk of 1024 rows or more
+_PAIR_SPLIT_GATE = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,15 +139,20 @@ class _PairKernel:
         self.variant = variant
         self._stack = _euler_stack(model, self.dt)
 
-    def step(self, x: np.ndarray, sp: np.ndarray, dxi: np.ndarray) -> np.ndarray:
+    def step(self, x: np.ndarray, sp: np.ndarray, dxi: np.ndarray, products) -> np.ndarray:
         """One step of column-major pairs ``x`` whose scalar products
         <bra|ket> are ``sp``; ``dxi`` holds the (n_channels, batch)
-        increments, shared by both blocks."""
-        y = _stacked(self._stack, x)
+        increments, shared by both blocks.  The step's stacked product goes
+        into ``products``, a (1 + n_channels, dim, 2, batch) array that
+        does not hold ``x``; the new pairs are its block 0."""
+        y = _stacked(self._stack, x, products)
         # cross[j, blk] = <other|L_j self> / <other|self>: l_j(bra, ket) for
         # the ket block, l_j(ket, bra) for the bra block; the drift takes
         # l_j(self, other)^*, the other block's coefficient conjugated
-        cross = (x[:, ::-1].conj() * y[1:]).sum(axis=1) / np.stack([sp, sp.conj()])
+        den = np.empty((2, len(sp)), dtype=complex)
+        den[0] = sp
+        np.conjugate(sp, out=den[1])
+        cross = (x[:, ::-1].conj() * y[1:]).sum(axis=1) / den
         return _euler_update(
             x, y, cross, cross[:, ::-1].conj(), dxi[:, None], self.dt, self.variant == "unity"
         )
@@ -135,11 +162,17 @@ class _PairKernel:
         ``increments``; returns (x, sp, aborted, overflowed).
 
         Before a step, rows with |<bra|ket>| below ``floor`` are aborted;
-        after it, rows whose amplitudes or scalar product (its magnitude
-        included) are non-finite are flagged as overflowed.  Either way the
-        row keeps its last state and scalar product from then on.
-        ``on_step(done, x, sp, alive)`` fires before the first step
-        (done = 0) and after every step.
+        after it, rows whose scalar product (its magnitude included) is
+        non-finite are flagged as overflowed: under IEEE arithmetic a
+        non-finite amplitude makes <bra|ket> non-finite too, even opposite
+        a zero amplitude.  Either way the row keeps its last state and
+        scalar product from then on.  ``on_step(done, x, sp, alive)`` fires
+        before the first step (done = 0) and after every step.
+
+        While every row lives, a step's output is the next state, and one
+        test of the smallest magnitude and one of the summed magnitudes
+        stand in for the masks; from the first step on which a row may
+        abort or overflow, every step is masked.
         """
         sp = _scalar_products(x)
         mag = np.abs(sp)
@@ -147,23 +180,35 @@ class _PairKernel:
         aborted = np.zeros_like(alive)
         overflowed = np.zeros_like(alive)
         on_step(0, x, sp, alive)
-        for done, dxi in enumerate(increments, start=1):
-            low = alive & (mag < floor)
-            aborted |= low
-            alive &= ~low
-            # dead and degenerate rows may divide by zero or overflow; the
-            # mask below discards what they produce
-            with np.errstate(all="ignore"):
-                new = self.step(x, sp, dxi)
+        # the state lives in block 0 of one product buffer while the next
+        # step writes into the other, until the masked steps copy into it
+        products = np.empty((2, len(self._stack) // x.shape[0], *x.shape), dtype=complex)
+        free = 0
+        lean = True
+        # dead and degenerate rows may divide by zero or overflow; the
+        # masks discard what they produce
+        with np.errstate(all="ignore"):
+            for done, dxi in enumerate(increments, start=1):
+                lean = lean and mag.min() >= floor
+                if not lean:
+                    low = alive & (mag < floor)
+                    aborted |= low
+                    alive &= ~low
+                new = self.step(x, sp, dxi, products[free])
                 new_sp = _scalar_products(new)
                 new_mag = np.abs(new_sp)  # inf where only the magnitude overflows
-            finite = np.isfinite(new).all(axis=(0, 1)) & np.isfinite(new_mag)
-            overflowed |= alive & ~finite
-            alive &= finite
-            np.copyto(x, new, where=alive)
-            sp = np.where(alive, new_sp, sp)
-            mag = np.where(alive, new_mag, mag)
-            on_step(done, x, sp, alive)
+                lean = lean and np.isfinite(new_mag.sum())
+                if lean:
+                    x, sp, mag = new, new_sp, new_mag
+                    free ^= 1
+                else:
+                    finite = np.isfinite(new_mag)
+                    overflowed |= alive & ~finite
+                    alive &= finite
+                    np.copyto(x, new, where=alive)
+                    sp = np.where(alive, new_sp, sp)
+                    mag = np.where(alive, new_mag, mag)
+                on_step(done, x, sp, alive)
         return x, sp, aborted, overflowed
 
 
@@ -210,14 +255,13 @@ def run_coupled_ensemble(
 
     vals = np.full((len(steps), n), np.nan + 0j, dtype=complex)
     slots = _record_slots(steps, steps[-1])
-    max_drift = 0.0
+    drift = np.zeros(1)  # the largest scalar-product drift so far
     aborted = overflowed = draws = 0
 
-    def on_step(cols, done, x, sp, alive):
-        nonlocal max_drift
+    def on_step(cols, drift, done, x, sp, alive):
         if done:  # frozen rows keep the finite scalar product they had
-            drift = np.max(np.abs(sp - sp0), where=alive, initial=0.0)
-            max_drift = max(max_drift, float(drift))
+            step_drift = np.maximum.reduce(np.abs(sp - sp0), where=alive, initial=0.0)
+            drift[0] = max(drift[0], float(step_drift))
         if done in slots:
             with np.errstate(all="ignore"):  # dead rows may divide by zero
                 inner = (x[:, 1].conj() * (observable.matrix @ x[:, 0])).sum(axis=0)
@@ -231,15 +275,10 @@ def run_coupled_ensemble(
         x[:, 0] = ket0[:, None]
         x[:, 1] = bra0[:, None]
         streams = spawn(seed, lo, hi)
-        # every row keeps drawing, aborted ones included, so that a
-        # trajectory's draw sequence does not depend on when it stops
-        increments = wiener_steps(streams, steps[-1], model.n_channels, dt)
-        try:
-            _, _, low, bad = kernel.advance(x, increments, floor, partial(on_step, vals[:, lo:hi]))
-        finally:
-            increments.close()  # ends a noise producer now, whatever raised
-        aborted += int(low.sum())
-        overflowed += int(bad.sum())
+        low, bad = _run_chunk(kernel, x, streams, steps[-1], model.n_channels, floor,
+                              on_step, vals[:, lo:hi], drift)
+        aborted += low
+        overflowed += bad
         draws += sum(s.draws for s in streams)
         del streams  # free this chunk's generators before the next are built
 
@@ -266,9 +305,66 @@ def run_coupled_ensemble(
         variant=variant,
         aborted=aborted,
         overflowed=overflowed,
-        max_scalar_drift=max_drift,
+        max_scalar_drift=float(drift[0]),
         draws_total=draws,
     )
+
+
+def _run_chunk(kernel, x, streams, n_steps, n_channels, floor, on_step, cols, drift):
+    """Step one chunk of pairs ``x``, row i drawing from ``streams[i]``,
+    and return its aborted and overflowed counts.  ``on_step(cols, drift,
+    done, x, sp, alive)`` records the chunk's (nodes, batch) values into
+    ``cols`` and raises the one-element drift bound ``drift``.
+
+    A chunk whose steps are heavy enough (``_PAIR_SPLIT_GATE``) is split
+    (:func:`_split_chunk`); otherwise its noise comes from
+    ``noise.wiener_steps``, whose iterator is closed however the chunk
+    ends, so that no producer outlives it.
+    """
+    if n_steps > 0 and _heavy(kernel._stack, x, _PAIR_SPLIT_GATE):
+        counts = _split_chunk(kernel, x, streams, n_steps, n_channels, floor, on_step, cols, drift)
+        if counts is not None:
+            return counts
+    # every row keeps drawing, aborted ones included, so that a
+    # trajectory's draw sequence does not depend on when it stops
+    increments = wiener_steps(streams, n_steps, n_channels, kernel.dt)
+    try:
+        _, _, low, bad = kernel.advance(x, increments, floor, partial(on_step, cols, drift))
+    finally:
+        increments.close()  # ends a noise producer now, whatever raised
+    return int(low.sum()), int(bad.sum())
+
+
+def _split_chunk(kernel, x, streams, n_steps, n_channels, floor, on_step, cols, drift):
+    """:func:`_run_chunk` with rows [h, batch) stepped by a forked column
+    worker (``diffusion._column_worker``), or None where ``fork`` fails.
+
+    The worker records its rows' values into a shared (nodes, batch - h)
+    array and its own drift bound, and at the end writes its aborted and
+    overflowed counts; the caller copies them in once the worker is done.
+    No bit of the values, counts, drift or draws differs from the unsplit
+    chunk's.
+    """
+    h = _split_point(x.shape[2])
+    specs = (((cols.shape[0], x.shape[2] - h), complex), ((1,), float), ((2,), np.int64))
+
+    def work(increments, arrays, ready, free):
+        their_cols, their_drift, counts = arrays
+        _, _, low, bad = kernel.advance(x[:, :, h:].copy(), increments, floor,
+                                        partial(on_step, their_cols, their_drift))
+        counts[:] = low.sum(), bad.sum()
+
+    with _column_worker(streams, h, n_steps, n_channels, kernel.dt, specs, work) as split:
+        if split is None:
+            return None
+        _, _, low, bad = kernel.advance(x[:, :, :h].copy(), split.increments, floor,
+                                        partial(on_step, cols[:, :h], drift))
+        split.child.wait("the end of its run")
+        split.restore()
+        their_cols, their_drift, counts = split.arrays
+        cols[:, h:] = their_cols
+        drift[0] = max(drift[0], their_drift[0])
+        return int(low.sum()) + int(counts[0]), int(bad.sum()) + int(counts[1])
 
 
 def instability_report(result: GisinResult) -> dict:

@@ -33,9 +33,10 @@ the draw counts and every later draw from the same streams are the same
 bits on both paths.
 
 One fork lifecycle, :func:`_forked`, serves the producer and the column
-worker of ``diffusion.QsdEngine``: the fork, the child's exit, the two
-pipes that pace it, the named error of a child that exits early, and the
-kill and reap however the caller ends.
+worker (``diffusion._column_worker``) of ``QsdEngine`` and the coupled
+pair: the fork, the child's exit, the two pipes that pace it, the named
+error of a child that exits early, and the kill and reap however the
+caller ends.
 """
 
 import contextlib

@@ -924,6 +924,21 @@ def test_a_killed_column_worker_exits_1(tmp_path, splits, monkeypatch, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_a_killed_pair_worker_exits_1(tmp_path, splits, monkeypatch, capsys):
+    def save(streams, words):  # runs in the worker only
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(diffusion, "_save", save)
+    out = tmp_path / "out"
+    gisin = dict(scenario="gisin-compare", **{**_SMALL_RUNS["gisin-compare"], "n": 200})
+    assert run_into(tmp_path, out, **gisin) == (1, [])
+    assert splits
+    err = capsys.readouterr().err
+    assert "run failed: column worker exited (exit code -9) before the end of its run" in err, err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("scenario", ["fluorescence-g1", "gisin-compare"])
 def test_a_forked_noise_producer_writes_the_same_bytes(tmp_path, monkeypatch, forks, scenario):
     out = tmp_path / "out"

@@ -1,5 +1,8 @@
 """Coupled-pair scheme: mean correctness, conservation, and instability."""
 
+import math
+import os
+import signal
 import tracemalloc
 from functools import partial
 
@@ -17,11 +20,11 @@ from qsdsim import (
     regression_matrix_element,
     run_coupled_ensemble,
 )
-from qsdsim import gisin
-from qsdsim.gisin import VARIANTS, _PairKernel
-from qsdsim.noise import _CHUNK
+from qsdsim import diffusion, gisin
+from qsdsim.gisin import DEFAULT_FLOOR, VARIANTS, _PairKernel
+from qsdsim.noise import _CHUNK, spawn, wiener_steps
 
-from conftest import decay_element_setup
+from conftest import deadline, decay_element_setup, random_ket, random_model
 
 
 def pair_rows(bras, kets):
@@ -113,6 +116,28 @@ def test_rows_below_the_floor_are_aborted_and_frozen(floor, variant):
     assert np.all(np.isfinite(res.mean))
 
 
+def test_aborted_rows_keep_the_state_they_aborted_in():
+    # every row steps without masks until the first abort; from then on an
+    # aborted row must keep the state and scalar product it aborted with
+    observable, bra, ket, model = decay_element_setup()
+    n, floor = 200, 0.5
+    frozen = {}
+
+    def on_step(done, x, sp, alive):
+        for row in np.flatnonzero(~alive):
+            frozen.setdefault(row, (x[:, :, row].copy(), sp[row]))
+
+    x, sp, aborted, overflowed = _PairKernel(model, 0.01, "quasi_linear").advance(
+        pair_rows([bra.amplitudes] * n, [ket.amplitudes] * n),
+        wiener_steps(spawn(3, 0, n), 100, 1, 0.01), floor, on_step,
+    )
+    assert 0 < aborted.sum() < n and not overflowed.any()
+    assert sorted(frozen) == np.flatnonzero(aborted).tolist()
+    for row, (state, value) in frozen.items():
+        assert np.array_equal(x[:, :, row], state) and sp[row] == value
+        assert abs(value) < floor
+
+
 def test_peak_memory_does_not_grow_with_n():
     # the rows are stepped one chunk at a time, so three chunks peak only
     # by the (nodes, n) values above one: 0.66 MB here, where stepping
@@ -176,6 +201,37 @@ def test_overflowing_rows_are_flagged_without_warnings(strength, variant):
     )
     assert overflowed[0] and not aborted[0]
     assert np.all(np.isfinite(x)) and np.isfinite(sp[0])
+
+
+@pytest.mark.parametrize("zero_opposite", [True, False])
+def test_a_non_finite_amplitude_is_flagged_as_overflowed(zero_opposite):
+    # H = 0 and L = |0><0| at dt = 1: an increment of 1e10 takes a ket
+    # amplitude of 1e300 to inf.  Opposite a zero bra amplitude, which stays
+    # zero, only the scalar product's 0 * inf = nan shows it
+    model = LindbladModel(Operator(np.zeros((2, 2))), (Operator(np.diag([1.0, 0.0])),))
+    bra = [0.0, 1.0] if zero_opposite else [0.6, 0.8]
+    start = pair_rows([bra, [0.6, 0.8]], [[1e300, 1.0], [0.6, 0.8]])
+    increments = [np.full((1, 2), 1e10 + 0j), np.full((1, 2), 1e-3 + 0j)]
+    x, sp, aborted, overflowed = _PairKernel(model, 1.0, "quasi_linear").advance(
+        start.copy(), increments, DEFAULT_FLOOR, skip
+    )
+    assert overflowed.tolist() == [True, False] and not aborted.any()
+    # the flagged row keeps its last state; the other one steps on
+    assert np.array_equal(x[:, :, 0], start[:, :, 0])
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(sp))
+
+
+def test_summed_magnitudes_that_overflow_flag_no_row():
+    # two rows whose |<bra|ket>| are finite but sum to inf: the step leaves
+    # the one-test path, and the per-row test finds no overflow
+    model = LindbladModel(Operator(np.zeros((2, 2))), ())
+    start = pair_rows([[1e154, 0.0]] * 2, [[1.7e154, 0.0]] * 2)
+    x, sp, aborted, overflowed = _PairKernel(model, 1e-2, "quasi_linear").advance(
+        start.copy(), [np.zeros((0, 2), dtype=complex)] * 2, DEFAULT_FLOOR, skip
+    )
+    assert np.all(np.abs(sp) > np.finfo(float).max / 2)
+    assert not aborted.any() and not overflowed.any()
+    assert np.array_equal(x, start)
 
 
 def accumulated_drift(model, bra, ket, dt, horizon=0.2, n=60, seed=17):
@@ -280,3 +336,152 @@ def test_zero_model_report_is_silent():
     assert np.allclose(report["sample_variance"], 0.0)
     expected = complex(np.vdot(bra.amplitudes, observable.matrix @ ket.amplitudes))
     assert np.allclose(res.mean, expected)
+
+
+# Column worker: a coupled-pair chunk of at least 128 rows is split above a
+# per-step work gate, which the ``splits`` fixture sets to 0.
+
+_OVERFLOWING = LindbladModel(
+    hamiltonian=Operator(np.zeros((2, 2))),
+    lindblads=(Operator(np.array([[0, 1e3], [0, 0]])),),
+)
+
+
+def observed_pairs(monkeypatch, run):
+    """Every number of ``run()``'s GisinResult, each stream's draws and the
+    next draws of every stream the run spawned."""
+    streams = []
+
+    def recorded(seed, lo, hi):
+        chunk = spawn(seed, lo, hi)
+        streams.extend(chunk)
+        return chunk
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gisin, "spawn", recorded)
+        res = run()
+    numbers = [getattr(res, name) for name in ("aborted", "overflowed", "max_scalar_drift",
+                                                "draws_total")]
+    arrays = [getattr(res, name).tobytes() for name in ("mean", "std_error", "n_alive")]
+    after = [s.wiener(1, 0.5).tobytes() + s.uniform(3).tobytes() for s in streams]
+    return numbers, arrays, [s.draws for s in streams], after
+
+
+def first_chunk_rows(model, floor, n, steps=100, seed=3):
+    """Each row's aborted and overflowed flags and its largest drift in the
+    first chunk of the unsplit run below."""
+    observable, bra, ket, _ = decay_element_setup()
+    sp0 = complex(np.vdot(bra.amplitudes, ket.amplitudes))
+    drift = np.zeros(n)
+
+    def on_step(done, x, sp, alive):
+        drift[alive] = np.maximum(drift[alive], np.abs(sp - sp0)[alive])
+
+    _, _, aborted, overflowed = _PairKernel(model, 0.01, "quasi_linear").advance(
+        pair_rows([bra.amplitudes] * n, [ket.amplitudes] * n),
+        wiener_steps(spawn(seed, 0, n), steps, 1, 0.01), floor, on_step,
+    )
+    return aborted, overflowed, drift
+
+
+def pair_problem(case):
+    """(observable, bra, ket, model, floor) of a split test case."""
+    observable, bra, ket, decay = decay_element_setup()
+    if case == "overflowing":
+        return observable, bra, ket, _OVERFLOWING, DEFAULT_FLOOR
+    if case == "random":
+        # products that are not exact, so that BLAS rounding shows
+        rng = np.random.default_rng(31)
+        model = random_model(rng, 3, 2, scale=0.5)
+        return Operator(np.diag([1.0, 2.0, 3.0])), random_ket(rng, 3), random_ket(rng, 3), \
+            model, DEFAULT_FLOOR
+    return observable, bra, ket, decay, 0.5
+
+
+@pytest.mark.parametrize(
+    "case,n",
+    [
+        # floor 0.5: rows abort in both halves; the worker's holds the
+        # largest drift
+        ("aborting", 300),
+        # two split chunks
+        ("aborting", _CHUNK + 200),
+        # every row overflows, the worker's too
+        ("overflowing", 300),
+        # d = 3 with two channels
+        ("random", 300),
+    ],
+)
+def test_a_split_pair_run_gives_the_bits_of_the_unsplit_one(splits, monkeypatch, case, n):
+    observable, bra, ket, model, floor = pair_problem(case)
+    run = partial(run_coupled_ensemble, observable, bra, ket, model,
+                  np.linspace(0.1, 1.0, 10), 0.01, n, seed=3, floor=floor)
+    chunks = -(-n // _CHUNK)
+    with deadline(60):
+        split = observed_pairs(monkeypatch, run)
+    assert len(splits) == chunks
+    with monkeypatch.context() as patch:
+        patch.setattr(gisin, "_PAIR_SPLIT_GATE", math.inf)
+        whole = observed_pairs(monkeypatch, run)
+    assert len(splits) == chunks
+    assert split == whole
+    no_child_left()
+
+    if n == 300 and case != "random":
+        h = 128
+        aborted, overflowed, drift = first_chunk_rows(model, floor, n)
+        if case == "overflowing":
+            assert overflowed[h:].any()
+        else:
+            assert aborted[:h].any() and aborted[h:].any()
+        assert drift[h:].max() > drift[:h].max()
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_killed_pair_worker_is_a_named_error(splits, monkeypatch):
+    def save(streams, words):  # runs in the worker only
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(diffusion, "_save", save)
+    observable, bra, ket, model = decay_element_setup()
+    with deadline(60):
+        with pytest.raises(
+            RuntimeError, match=r"column worker exited \(exit code -9\) before the end of its run"
+        ):
+            run_coupled_ensemble(observable, bra, ket, model, [0.1, 0.2], 0.01, 200, seed=0)
+    assert len(splits) == 1
+    no_child_left()
+
+
+def test_a_failed_fork_steps_the_pairs_in_process(splits, monkeypatch):
+    observable, bra, ket, model = decay_element_setup()
+    run = partial(run_coupled_ensemble, observable, bra, ket, model,
+                  np.linspace(0.1, 1.0, 10), 0.01, 200, seed=3, floor=0.5)
+
+    def fork():
+        raise OSError("no more processes")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", fork)
+        stepped_here = observed_pairs(monkeypatch, run)
+    assert splits == []
+    assert stepped_here == observed_pairs(monkeypatch, run)
+    assert len(splits) == 1
+
+
+def test_small_pair_chunks_are_not_split(monkeypatch, splits):
+    observable, bra, ket, model = decay_element_setup()
+    run_coupled_ensemble(observable, bra, ket, model, [0.1], 0.01, 127, seed=0)
+    run_coupled_ensemble(observable, bra, ket, model, [0.0], 0.01, 128, seed=0)
+    assert splits == []
+    # a d = 2 pair with one channel: 4 x 2 x 2 multiply-adds a row
+    monkeypatch.setattr(gisin, "_PAIR_SPLIT_GATE", 4 * 2 * 2 * 128 + 1)
+    run_coupled_ensemble(observable, bra, ket, model, [0.1], 0.01, 128, seed=0)
+    assert splits == []
+    monkeypatch.setattr(gisin, "_PAIR_SPLIT_GATE", 4 * 2 * 2 * 128)
+    run_coupled_ensemble(observable, bra, ket, model, [0.1], 0.01, 128, seed=0)
+    assert len(splits) == 1

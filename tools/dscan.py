@@ -1,4 +1,4 @@
-"""d-scan: the cost of a QSD step against the dimension, on each path.
+"""d-scan: the cost of a diffusive step against the dimension, on each path.
 
 For the damped, driven cavity (``hilbert.driven_cavity_model``) truncated to
 d = 2, 4, 8, 16 and 32 Fock states, times ``QsdEngine.run`` on a batch of
@@ -9,13 +9,18 @@ the three paths a run can take:
 * producer: a forked producer process draws the noise
   (``noise.wiener_steps``) while this process steps;
 * column worker: a forked worker steps half of the rows, each side drawing
-  its own noise (``QsdEngine._split``).
+  its own noise (``diffusion._column_worker``).
 
-It prints ns per trajectory-step (best of ``--repeats``) and, for each row,
-the stacked product's multiply-adds per step, which is what the column
-worker's gate (``diffusion._SPLIT_GATE``) is compared with.  BLAS runs on one
-thread, as in the benchmark.  A host with one CPU takes no fork, so there all
-three paths step in process.
+A second table times one chunk of the coupled pair
+(``gisin.run_coupled_ensemble`` with n = batch, ten nodes over the run) for
+d = 2, 4 and 8 along the same three paths.
+
+Each table gives ns per trajectory-step (best of ``--repeats``) and, for
+each row, the stacked product's multiply-adds per step, which is what the
+column worker's gates (``diffusion._SPLIT_GATE``,
+``gisin._PAIR_SPLIT_GATE``) are compared with.  BLAS runs on one thread, as
+in the benchmark.  A host with one CPU takes no fork, so there all three
+paths step in process.
 
 Usage, from the repository root::
 
@@ -40,16 +45,21 @@ import numpy as np  # noqa: E402
 from qsdsim import (  # noqa: E402
     Ket,
     QsdEngine,
+    annihilation,
     basis_ket,
     diffusion,
     driven_cavity_model,
+    gisin,
     make_doubled_state,
     noise,
+    run_coupled_ensemble,
 )
 
 DIMS = (2, 4, 8, 16, 32)
+PAIR_DIMS = (2, 4, 8)
 DT = 1e-3
 RECORD_EVERY = 50
+PAIR_NODES = 10
 
 # (producer gate, split gate) of each path
 PATHS = {
@@ -59,28 +69,73 @@ PATHS = {
 }
 
 
-def ns_per_traj_step(dim: int, batch: int, n_steps: int, repeats: int) -> dict:
-    """Best ns per trajectory-step of each path, and the multiply-adds of
-    one step's stacked product."""
-    model = driven_cavity_model(dim)
-    engine = QsdEngine(model, DT)
+def _start(dim: int):
+    """The vacuum and (|0> + |1>) / sqrt(2): the bra and ket of each row."""
     ket = np.zeros(dim)
     ket[:2] = 1.0
-    row = make_doubled_state(basis_ket(dim, 0), Ket(ket).normalized())
-    states = np.tile(row, (batch, 1))
+    return basis_ket(dim, 0), Ket(ket).normalized()
+
+
+def _best(run, repeats: int) -> float:
+    """Best wall seconds of ``repeats`` calls of ``run``."""
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
+def ns_per_traj_step(dim: int, batch: int, n_steps: int, repeats: int) -> dict:
+    """Best ns per trajectory-step of each path of ``QsdEngine.run``, and
+    the multiply-adds of one step's stacked product."""
+    model = driven_cavity_model(dim)
+    engine = QsdEngine(model, DT)
+    states = np.tile(make_doubled_state(*_start(dim)), (batch, 1))
     record_steps = range(0, n_steps + 1, RECORD_EVERY)
     best = {}
     for path, (producer_gate, split_gate) in PATHS.items():
         noise._PRODUCER_GATE, diffusion._SPLIT_GATE = producer_gate, split_gate
-        times = []
-        for _ in range(repeats):
+
+        def run():
             streams = noise.spawn(0, 0, batch)
-            start = time.perf_counter()
             engine.run(states, streams, n_steps, record_steps, lambda *record: None)
-            times.append(time.perf_counter() - start)
-        best[path] = min(times) / (batch * n_steps) * 1e9
+
+        best[path] = _best(run, repeats) / (batch * n_steps) * 1e9
     work = engine._stack.shape[0] * dim * 2 * batch
     return best, work
+
+
+def pair_ns_per_traj_step(dim: int, batch: int, n_steps: int, repeats: int) -> dict:
+    """Best ns per trajectory-step of each path of one coupled-pair chunk,
+    and the multiply-adds of one step's stacked product."""
+    model = driven_cavity_model(dim)
+    bra, ket = _start(dim)
+    grid = np.linspace(n_steps * DT / PAIR_NODES, n_steps * DT, PAIR_NODES)
+    best = {}
+    for path, (producer_gate, split_gate) in PATHS.items():
+        noise._PRODUCER_GATE, gisin._PAIR_SPLIT_GATE = producer_gate, split_gate
+
+        def run():
+            run_coupled_ensemble(annihilation(dim), bra, ket, model, grid, DT, batch, seed=0)
+
+        best[path] = _best(run, repeats) / (batch * n_steps) * 1e9
+    work = (1 + model.n_channels) * dim * dim * 2 * batch
+    return best, work
+
+
+def _table(title: str, scan, dims, batches, n_steps: int, repeats: int):
+    print(f"\n{title}\n")
+    print(f"| batch | d | multiply-adds per step | "
+          f"{' | '.join(PATHS)} | worker / in process |")
+    print("|" + " --- |" * (len(PATHS) + 4))
+    for batch in batches:
+        for dim in dims:
+            best, work = scan(dim, batch, n_steps, repeats)
+            cells = " | ".join(f"{best[path]:,.0f}" for path in PATHS)
+            ratio = best["column worker"] / best["in process"]
+            print(f"| {batch} | {dim} | 2^{math.log2(work):.1f} | {cells} | {ratio:.2f} |",
+                  flush=True)
 
 
 def main() -> int:
@@ -89,22 +144,17 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=1000)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
-    gates = (noise._PRODUCER_GATE, diffusion._SPLIT_GATE)
-    print(f"# {noise._cpu_count()} CPUs, split gate 2^{math.log2(gates[1]):g} "
-          f"multiply-adds per step, {args.steps} steps, best of {args.repeats}")
-    print(f"| batch | d | multiply-adds per step | "
-          f"{' | '.join(PATHS)} | worker / in process |")
-    print("|" + " --- |" * (len(PATHS) + 4))
+    gates = (noise._PRODUCER_GATE, diffusion._SPLIT_GATE, gisin._PAIR_SPLIT_GATE)
+    print(f"# {noise._cpu_count()} CPUs, split gates 2^{math.log2(gates[1]):g} (QsdEngine) "
+          f"and 2^{math.log2(gates[2]):g} (coupled pair) multiply-adds per step, "
+          f"{args.steps} steps, best of {args.repeats}")
     try:
-        for batch in args.batch:
-            for dim in DIMS:
-                best, work = ns_per_traj_step(dim, batch, args.steps, args.repeats)
-                cells = " | ".join(f"{best[path]:,.0f}" for path in PATHS)
-                ratio = best["column worker"] / best["in process"]
-                print(f"| {batch} | {dim} | 2^{math.log2(work):.1f} | {cells} | {ratio:.2f} |",
-                      flush=True)
+        _table("QsdEngine.run, ns per trajectory-step", ns_per_traj_step, DIMS,
+               args.batch, args.steps, args.repeats)
+        _table("coupled pair, ns per trajectory-step", pair_ns_per_traj_step, PAIR_DIMS,
+               args.batch, args.steps, args.repeats)
     finally:
-        noise._PRODUCER_GATE, diffusion._SPLIT_GATE = gates
+        noise._PRODUCER_GATE, diffusion._SPLIT_GATE, gisin._PAIR_SPLIT_GATE = gates
     return 0
 
 

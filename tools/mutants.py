@@ -73,8 +73,8 @@ MUTANTS = [
            "STEP_MAP_MAX_DIM = 8", "STEP_MAP_MAX_DIM = 0",
            "tests/test_master.py"),
     Mutant("qsd-expectation-first-block-only", "src/qsdsim/diffusion.py",
-           "ell = (x.conj() * y[1:]).sum(axis=(1, 2))",
-           "ell = (x.conj() * y[1:])[:, :, :1].sum(axis=(1, 2))",
+           "y[1:], out=scratch).sum(axis=(1, 2))",
+           "y[1:], out=scratch)[:, :, :1].sum(axis=(1, 2))",
            "tests/test_step_kernel.py"),
     # the shared update: hits the QSD engine and the coupled pair alike
     Mutant("euler-update-half-dt-as-0.49-dt", "src/qsdsim/diffusion.py",
@@ -103,8 +103,7 @@ MUTANTS = [
            "streams[0].wiener_block(1, dim, 1.0, out=rows[i])",
            "tests/test_correlations.py"),
     Mutant("pair-kernel-magnitude-check-removed", "src/qsdsim/gisin.py",
-           "finite = np.isfinite(new).all(axis=(0, 1)) & np.isfinite(new_mag)",
-           "finite = np.isfinite(new).all(axis=(0, 1))",
+           "finite = np.isfinite(new_mag)", "finite = np.isfinite(new_sp)",
            "tests/test_gisin.py"),
     Mutant("eager-numpy-random-import", "src/qsdsim/noise.py",
            "\nimport numpy as np\n", "\nimport numpy as np\nimport numpy.random\n",
@@ -127,11 +126,11 @@ MUTANTS = [
            "draws += sum(", "draws = sum(",
            "tests/test_gisin.py"),
     Mutant("coupled-tallies-of-last-chunk-only", "src/qsdsim/gisin.py",
-           "aborted += int(low.sum())\n        overflowed += int(bad.sum())",
-           "aborted = int(low.sum())\n        overflowed = int(bad.sum())",
+           "aborted += low\n        overflowed += bad\n",
+           "aborted = low\n        overflowed = bad\n",
            "tests/test_gisin.py"),
     Mutant("coupled-drift-of-last-chunk-only", "src/qsdsim/gisin.py",
-           "hi = min(lo + _CHUNK, n)\n", "hi = min(lo + _CHUNK, n)\n        max_drift = 0.0\n",
+           "hi = min(lo + _CHUNK, n)\n", "hi = min(lo + _CHUNK, n)\n        drift[0] = 0.0\n",
            "tests/test_gisin.py"),
     Mutant("output-cleanup-skipped", "src/qsdsim/cli.py",
            "        _clear_outputs(config.out_dir)\n", "        pass\n",
@@ -169,14 +168,26 @@ MUTANTS = [
            "np.concatenate([rows.reshape(dim, k, tail), head], axis=2)",
            "tests/test_diffusion.py"),
     Mutant("worker-draws-uncounted", "src/qsdsim/diffusion.py",
-           "                stream.draws += 2 * c * n_steps\n", "                pass\n",
+           "            stream.draws += 2 * n_channels * n_steps\n", "            pass\n",
            "tests/test_diffusion.py"),
     Mutant("worker-streams-not-restored", "src/qsdsim/diffusion.py",
-           "            _restore(theirs, words)\n", "            pass\n",
+           "        _restore(theirs, words)\n", "        pass\n",
            "tests/test_diffusion.py"),
     Mutant("split-errors-compared-by-row-only", "src/qsdsim/diffusion.py",
            "failed[0] < err.order", "failed[0][2:] < err.order[2:]",
            "tests/test_diffusion.py"),
+    # the coupled pair's column worker and its unmasked steps
+    Mutant("pair-worker-drift-dropped", "src/qsdsim/gisin.py",
+           "        drift[0] = max(drift[0], their_drift[0])\n", "        pass\n",
+           "tests/test_gisin.py"),
+    Mutant("pair-split-point-one-row-off-the-multiple-of-64", "src/qsdsim/diffusion.py",
+           "return _SPLIT_ALIGN * round(batch / (2 * _SPLIT_ALIGN))",
+           "return _SPLIT_ALIGN * round(batch / (2 * _SPLIT_ALIGN)) + 1",
+           "tests/test_gisin.py"),
+    Mutant("pair-unmasked-steps-kept-after-an-abort", "src/qsdsim/gisin.py",
+           "lean = lean and mag.min() >= floor\n                if not lean:\n",
+           "if not mag.min() >= floor:\n",
+           "tests/test_gisin.py"),
 ]
 
 
