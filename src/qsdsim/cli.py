@@ -15,7 +15,7 @@ Each scenario's keys, defaults and parsers are one table in ``SCHEMAS``.
 Each estimate shape (matrix element, two-time correlation) has one run path.
 
 Exit codes: 0 success, 1 any other failure of a run (an error that is not
-a numerical instability, such as a failed allocation or a noise producer
+a numerical instability, such as a failed allocation or a column worker
 that died; no instability report is written), 2 configuration error,
 3 numerical instability (an ``InstabilityError``, raised directly or by a
 trajectory chunk; ``instability-report.json`` is written).

@@ -30,17 +30,15 @@ Heisenberg-picture matrix elements between the two stacked states
 trajectory is a batch of one row.
 
 The drift is ``LindbladModel.generator``; the step-size check, the dt grid
-rule and the per-step noise come from :mod:`qsdsim.noise`.  A large run's
-noise is drawn by a forked producer process while the engine steps (see
-``noise.wiener_steps``), with the same bits as in process; ``run`` closes
-the noise iterator however it ends, so no producer outlives it.  A run
-whose steps are heavy (``_SPLIT_GATE``: a 2048-row chunk of doubled rows
-from d = 8 on, never a two-level run) is instead split: a forked column
-worker steps the upper part of the batch while the caller steps the lower,
-each drawing its own rows' noise, again with the same bits
-(``QsdEngine._split``).  One helper, :func:`_column_worker`, forks that
-worker, shares its arrays and continues its streams, for this engine and
-for the coupled pair of :mod:`qsdsim.gisin`.
+rule and the per-step noise come from :mod:`qsdsim.noise`.  A run is
+stepped in this process, or, when its steps are heavy (``_SPLIT_GATE``:
+every two-level batch of 1024 kets or 512 doubled rows with one channel,
+and up), split: a forked column worker steps the upper part of the batch
+while the caller steps the lower, each drawing its own rows' noise, with
+the bits of the unsplit run (``QsdEngine._split``).  One helper,
+:func:`_column_worker`, forks that worker, shares its arrays and continues
+its streams, for this engine and for the coupled pair of
+:mod:`qsdsim.gisin`, with one gate for both (:func:`_heavy`).
 """
 
 import contextlib
@@ -58,7 +56,6 @@ from .noise import (
     NoiseStream,
     _can_fork,
     _forked,
-    _local_steps,
     _restore,
     _save,
     _shared,
@@ -76,12 +73,13 @@ __all__ = [
 SCHEMES = ("normalized", "quasi_linear", "jump")
 _DIFFUSIVE = SCHEMES[:2]
 
-# a run whose stacked product takes at least this many complex multiply-adds
-# per step (rows of the stack x dim x k x batch), on a batch of at least
-# _SPLIT_MIN_BATCH rows, is split with a forked column worker.  In the d-scan
-# of tools/dscan.py the worker won from here on and lost or tied below 2^17;
-# every two-level run (at most 2^16 with three channels) stays below it
-_SPLIT_GATE = 2**18
+# a QsdEngine run or coupled-pair chunk whose stacked product takes at
+# least this many complex multiply-adds per step (rows of the stack x dim x
+# k x batch), on a batch of at least _SPLIT_MIN_BATCH rows, is split with a
+# forked column worker.  At d = 2 with one channel that is every batch of
+# 1024 kets or 512 doubled rows and up: each batch of the g1 workloads and
+# every coupled-pair chunk of gisin-compare (see tools/dscan.py)
+_SPLIT_GATE = 2**13
 _SPLIT_MIN_BATCH = 128
 # the split point is a multiple of this many rows: BLAS rounds a column
 # differently only in its kernel's column remainder, which a split at such a
@@ -185,7 +183,7 @@ class QsdEngine:
         ``states`` is post-renormalization and ``norms`` holds the
         pre-renormalization norms of the step landing there.
 
-        A batch whose steps are heavy enough (see :meth:`_splits`) is
+        A batch whose steps are heavy enough (see :func:`_heavy`) is
         stepped in two parts on two CPUs, with the same bits (see
         :meth:`_split`).
         """
@@ -195,22 +193,12 @@ class QsdEngine:
                 f"need one stream per row: {len(streams)} streams, batch {x.shape[2]}"
             )
         slots = _record_slots(record_steps, n_steps)
-        if n_steps > 0 and self._splits(x):
+        if n_steps > 0 and _heavy(self._stack, x):
             split = self._split(x, streams, n_steps, slots, on_record)
             if split is not None:
                 return _rows(split)
         increments = wiener_steps(streams, n_steps, self.n_channels, self.dt)
-        try:
-            return _rows(self._advance(x, increments, n_steps, slots, on_record, streams))
-        finally:
-            # ends a noise producer now, even when an error's traceback
-            # keeps this frame alive
-            increments.close()
-
-    def _splits(self, x: np.ndarray) -> bool:
-        """Whether a run of column-major ``x`` is split with a column worker
-        (see :func:`_heavy`, at ``_SPLIT_GATE``)."""
-        return _heavy(self._stack, x, _SPLIT_GATE)
+        return _rows(self._advance(x, increments, n_steps, slots, on_record, streams))
 
     def _split(self, x, streams, n_steps, slots, on_record):
         """Step trajectories [h, batch) of column-major ``x`` in a forked
@@ -395,14 +383,15 @@ def _stacked(stack: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) ->
     return out
 
 
-def _heavy(stack: np.ndarray, x: np.ndarray, gate: float) -> bool:
+def _heavy(stack: np.ndarray, x: np.ndarray) -> bool:
     """Whether a run of column-major ``x`` stepped with the stacked
     ``stack`` is split with a column worker: one step's stacked product
-    must take at least ``gate`` multiply-adds, the batch must hold at least
-    ``_SPLIT_MIN_BATCH`` rows, and the host must allow a fork
+    must take at least ``_SPLIT_GATE`` multiply-adds, the batch must hold
+    at least ``_SPLIT_MIN_BATCH`` rows, and the host must allow a fork
     (``noise._can_fork``)."""
     dim, k, batch = x.shape
-    return stack.shape[0] * dim * k * batch >= gate and batch >= _SPLIT_MIN_BATCH and _can_fork()
+    return (stack.shape[0] * dim * k * batch >= _SPLIT_GATE and batch >= _SPLIT_MIN_BATCH
+            and _can_fork())
 
 
 def _split_point(batch: int) -> int:
@@ -425,9 +414,8 @@ class _Split(NamedTuple):
 def _column_worker(streams, h: int, n_steps: int, n_channels: int, dt: float, specs, work):
     """Split a batch whose row i draws from ``streams[i]``: a forked column
     worker steps rows [h, B) while the caller steps rows [0, h), each side
-    drawing its own rows' noise in process (``noise._local_steps``), so no
-    producer is forked.  Yields a :class:`_Split`, or None where ``fork``
-    fails.
+    drawing its own rows' noise (``noise.wiener_steps``).  Yields a
+    :class:`_Split`, or None where ``fork`` fails.
 
     ``specs`` lists the (shape, dtype) of arrays the two processes share,
     in order of falling item size.  The worker runs ``work(increments,
@@ -443,7 +431,7 @@ def _column_worker(streams, h: int, n_steps: int, n_channels: int, dt: float, sp
     words, *arrays = _shared(((len(theirs), _STATE_WORDS), np.uint64), *specs)
 
     def body(ready, free):
-        work(_local_steps(theirs, n_steps, n_channels, dt), arrays, ready, free)
+        work(wiener_steps(theirs, n_steps, n_channels, dt), arrays, ready, free)
         _save(theirs, words)
         os.write(ready, b"\0")
 
@@ -456,7 +444,7 @@ def _column_worker(streams, h: int, n_steps: int, n_channels: int, dt: float, sp
         if child is None:
             yield None
         else:
-            increments = _local_steps(streams[:h], n_steps, n_channels, dt)
+            increments = wiener_steps(streams[:h], n_steps, n_channels, dt)
             yield _Split(increments, arrays, child, restore)
 
 

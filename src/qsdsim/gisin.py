@@ -55,13 +55,11 @@ aborts or overflows, aborted and overflowed rows are frozen by a mask.  The
 rows run in the ensemble runner's chunks of ``_CHUNK`` (2048), each with
 its own streams, batch and noise, so memory does not grow with the ensemble
 size; as for every ensemble, the chunk size fixes the last bits of a run.
-A chunk whose steps are heavy enough (``_PAIR_SPLIT_GATE``) is split: a
-forked column worker steps its upper rows while the caller steps the
-lower, each drawing its own rows' noise, with the same bits
-(``diffusion._column_worker``, which ``QsdEngine`` uses too).  Any other
-chunk whose noise is large enough draws it in a forked producer process,
-with the same bits (``noise.wiener_steps``).  The chunk loop kills and
-reaps either child however the chunk ends, so none outlives it.
+A chunk whose steps are heavy enough (``diffusion._heavy``, the gate of
+``QsdEngine`` too) is split: a forked column worker steps its upper rows
+while the caller steps the lower, each drawing its own rows' noise, with
+the same bits (``diffusion._column_worker``).  The worker is killed and
+reaped however the chunk ends, so none outlives it.
 """
 
 from dataclasses import dataclass
@@ -92,14 +90,6 @@ __all__ = [
 
 DEFAULT_FLOOR = 1e-12
 VARIANTS = ("unity", "quasi_linear")
-
-# a chunk whose stacked product takes at least this many complex
-# multiply-adds per step (rows of the stack x dim x 2 x batch), on a batch
-# of at least 128 rows, is split with a forked column worker.  In three
-# d-scans of tools/dscan.py (d = 2, 4, 8) the worker won or tied on every
-# chunk of 1024 rows or more and was mixed on 512-row chunks below 2^17;
-# at d = 2 this splits every chunk of 1024 rows or more
-_PAIR_SPLIT_GATE = 2**14
 
 
 @dataclass(frozen=True, eq=False)
@@ -316,22 +306,17 @@ def _run_chunk(kernel, x, streams, n_steps, n_channels, floor, on_step, cols, dr
     done, x, sp, alive)`` records the chunk's (nodes, batch) values into
     ``cols`` and raises the one-element drift bound ``drift``.
 
-    A chunk whose steps are heavy enough (``_PAIR_SPLIT_GATE``) is split
-    (:func:`_split_chunk`); otherwise its noise comes from
-    ``noise.wiener_steps``, whose iterator is closed however the chunk
-    ends, so that no producer outlives it.
+    A chunk whose steps are heavy enough (``diffusion._heavy``) is split
+    (:func:`_split_chunk`); otherwise it is stepped here.
     """
-    if n_steps > 0 and _heavy(kernel._stack, x, _PAIR_SPLIT_GATE):
+    if n_steps > 0 and _heavy(kernel._stack, x):
         counts = _split_chunk(kernel, x, streams, n_steps, n_channels, floor, on_step, cols, drift)
         if counts is not None:
             return counts
     # every row keeps drawing, aborted ones included, so that a
     # trajectory's draw sequence does not depend on when it stops
     increments = wiener_steps(streams, n_steps, n_channels, kernel.dt)
-    try:
-        _, _, low, bad = kernel.advance(x, increments, floor, partial(on_step, cols, drift))
-    finally:
-        increments.close()  # ends a noise producer now, whatever raised
+    _, _, low, bad = kernel.advance(x, increments, floor, partial(on_step, cols, drift))
     return int(low.sum()), int(bad.sum())
 
 

@@ -20,22 +20,15 @@ cycle: :func:`check_step` (a step size is finite and positive),
 :func:`grid_steps` (times on the dt grid as integer step counts) and
 :func:`wiener_steps` (each step's increments for a batch of streams).
 
-:func:`wiener_steps` has two schedulers, and one fill routine (:func:`_fill`)
-draws for both.  A small request is drawn in process, in blocks of
-``NOISE_BLOCK`` steps.  A request of at least ``_PRODUCER_GATE`` complex
-increments, on a host where ``os.fork`` exists, the process may run on two
-CPUs and no other thread runs, is drawn by a forked producer process into
-two slots of an anonymous shared mapping while the caller steps its kernel;
-if ``fork`` fails it is drawn in process.  Each stream's generator makes the
-same calls in the same order either way, and the caller restores the
-producer's final generator states and counts its draws, so the increments,
-the draw counts and every later draw from the same streams are the same
-bits on both paths.
-
-One fork lifecycle, :func:`_forked`, serves the producer and the column
-worker (``diffusion._column_worker``) of ``QsdEngine`` and the coupled
-pair: the fork, the child's exit, the two pipes that pace it, the named
-error of a child that exits early, and the kill and reap however the
+:func:`wiener_steps` draws in process, in blocks of ``NOISE_BLOCK`` steps
+into one reused buffer, with one fill routine (:func:`_fill`).  A batch
+that ``diffusion._column_worker`` splits draws the same way on both sides
+of the split: each process draws its own rows' noise, and the caller then
+restores the worker's final generator states and counts its draws, so the
+increments, the draw counts and every later draw from the same streams
+are the bits of the unsplit run.  :func:`_forked` is the fork lifecycle of
+that worker: the fork, the child's exit, the two pipes that pace it, the
+named error of a child that exits early, and the kill and reap however the
 caller ends.
 """
 
@@ -53,16 +46,7 @@ __all__ = ["NoiseStream"]
 # keeping per-trajectory draw order identical to stepwise generation
 NOISE_BLOCK = 256
 
-# steps per slot of the forked noise producer; its two slots together hold
-# half of an in-process buffer
-_SLOT = 64
-
-# a request of at least this many complex increments (streams x steps x
-# channels) is drawn by a forked producer: forking and restoring the
-# streams' states cost about what drawing this many in process costs
-_PRODUCER_GATE = 2**20
-
-# uint64 words of one PCG64 state in the producer's mapping
+# uint64 words of one PCG64 state in a column worker's mapping
 _STATE_WORDS = 6
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -311,13 +295,6 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and _cpu_count() >= 2 and threading.active_count() == 1
 
 
-def _forks(n_increments: int) -> bool:
-    """Whether :func:`wiener_steps` draws ``n_increments`` complex
-    increments in a forked producer: only for a request of at least
-    ``_PRODUCER_GATE``, where :func:`_can_fork` says yes."""
-    return n_increments >= _PRODUCER_GATE and _can_fork()
-
-
 def _shared(*specs) -> list:
     """One array per (shape, dtype) of ``specs``, all in one anonymous
     shared mapping, which a process and the children it forks later both
@@ -410,25 +387,12 @@ def wiener_steps(streams, n_steps: int, n_channels: int, dt: float):
     """Yield the increments of each of ``n_steps`` steps, shape
     (n_channels, len(streams)): column i holds streams[i]'s draw.
 
-    Each stream is consumed exactly as by stepwise generation, whichever of
-    two schedulers draws the noise, so the increments, each stream's
-    ``draws`` and its generator's state after the last step are the same
-    bits either way.  A request of fewer than ``_PRODUCER_GATE`` increments
-    (or one where :func:`_forks` says no) is drawn in process, in blocks of
-    ``NOISE_BLOCK`` steps; a larger one is drawn by a forked producer
-    process while the caller steps its kernel.  Every step is a view of a
-    buffer that a later block overwrites, so a caller that keeps a step
-    beyond the next one must copy it.  A caller that stops early must
-    ``close()`` the iterator, which ends the producer at once.
+    The noise is drawn in blocks of ``NOISE_BLOCK`` steps into one
+    (batch, steps, n_channels) buffer, each step a strided view of it, and
+    each stream is consumed exactly as by stepwise generation.  A block
+    overwrites the buffer, so a caller that keeps a step beyond the next
+    one must copy it.
     """
-    if n_steps > 0 and _forks(len(streams) * n_steps * n_channels):
-        return _produced_steps(streams, n_steps, n_channels, dt)
-    return _local_steps(streams, n_steps, n_channels, dt)
-
-
-def _local_steps(streams, n_steps: int, n_channels: int, dt: float):
-    """The in-process scheduler: blocks of ``NOISE_BLOCK`` steps in one
-    (batch, steps, n_channels) buffer, each step a strided view of it."""
     buffer = np.empty((len(streams), min(NOISE_BLOCK, n_steps), n_channels), dtype=complex)
     for done in range(0, n_steps, NOISE_BLOCK):
         span = min(NOISE_BLOCK, n_steps - done)
@@ -436,68 +400,6 @@ def _local_steps(streams, n_steps: int, n_channels: int, dt: float):
         _fill(streams, block, dt)
         for k in range(span):
             yield block[:, k].T
-
-
-def _produced_steps(streams, n_steps: int, n_channels: int, dt: float):
-    """The forked scheduler: a child process fills blocks of ``_SLOT``
-    steps and the caller reads them, through two slots of an anonymous
-    shared mapping.
-
-    The child fills a block into private (batch, steps, n_channels) scratch
-    with :func:`_fill`, copies it step-major into the (steps, n_channels,
-    batch) slot, so that each step the caller reads is one contiguous
-    (n_channels, batch) array, and writes a byte to the ``ready`` pipe.
-    Block j goes into slot j % 2; before block j + 2 the child waits for
-    the caller's byte on the ``free`` pipe, which the caller sends once it
-    has yielded the last step of block j.  With the last block the child
-    also writes every generator's final PCG64 state into the mapping as
-    uint64 words; the caller restores the states into its own streams and
-    counts the draws, so the streams continue exactly as if the noise had
-    been drawn in process.  If ``fork`` fails the noise is drawn in process.
-    """
-    batch = len(streams)
-    steps = min(_SLOT, n_steps)
-    n_blocks = -(-n_steps // steps)
-    slots, words = _shared(
-        ((2, steps, n_channels, batch), complex), ((batch, _STATE_WORDS), np.uint64)
-    )
-
-    def produce(ready, free):
-        _produce(streams, n_steps, dt, slots, words, ready, free)
-
-    with _forked("noise producer", produce) as child:
-        if child is None:
-            yield from _local_steps(streams, n_steps, n_channels, dt)
-            return
-        for j in range(n_blocks):
-            child.wait(f"block {j + 1} of {n_blocks}")
-            slot = slots[j % 2]
-            for k in range(min(steps, n_steps - j * steps)):
-                yield slot[k]
-            # the child fills no block after the last, so it waits for no
-            # byte
-            if j + 2 < n_blocks:
-                child.release()
-        _restore(streams, words)
-        for stream in streams:
-            stream.draws += 2 * n_channels * n_steps
-
-
-def _produce(streams, n_steps: int, dt: float, slots, words, ready: int, free: int):
-    """The producer's loop (see :func:`_produced_steps`); returns early
-    when the caller has gone."""
-    steps = slots.shape[1]
-    scratch = np.empty((len(streams), steps, slots.shape[2]), dtype=complex)
-    for j, done in enumerate(range(0, n_steps, steps)):
-        if j >= 2 and not os.read(free, 1):
-            return
-        span = min(steps, n_steps - done)
-        block = scratch[:, :span]
-        _fill(streams, block, dt)
-        slots[j % 2, :span] = block.transpose(1, 2, 0)
-        if done + span == n_steps:
-            _save(streams, words)
-        os.write(ready, b"\0")
 
 
 def _save(streams, words: np.ndarray):

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qsdsim import diffusion, gisin, noise
+from qsdsim import diffusion, noise
 from qsdsim import Ket, LindbladModel, Operator, QsdEngine, basis_ket, decay_model, sigma_plus
 from qsdsim.diffusion import _columns, _rows
 
@@ -81,33 +81,19 @@ def recorded_forks(monkeypatch) -> list:
 
 
 @pytest.fixture
-def forks(monkeypatch):
-    """Draw every diffusive run's noise in a forked producer, whatever its
-    size and the host's CPU count, and split no batch or coupled-pair
-    chunk; the list collects each producer's pid."""
-    monkeypatch.setattr(noise, "_PRODUCER_GATE", 0)
-    monkeypatch.setattr(diffusion, "_SPLIT_GATE", math.inf)
-    monkeypatch.setattr(gisin, "_PAIR_SPLIT_GATE", math.inf)
-    return recorded_forks(monkeypatch)
-
-
-@pytest.fixture
 def splits(monkeypatch):
     """Split every QsdEngine batch and every coupled-pair chunk of at
     least 128 rows with a forked column worker, whatever its width and the
     host's CPU count; the list collects each worker's pid."""
     monkeypatch.setattr(diffusion, "_SPLIT_GATE", 0)
-    monkeypatch.setattr(gisin, "_PAIR_SPLIT_GATE", 0)
     return recorded_forks(monkeypatch)
 
 
 @pytest.fixture
 def in_process(monkeypatch):
-    """Step every diffusive run in this process and draw its noise here,
+    """Step every diffusive run and coupled-pair chunk in this process,
     whatever its size."""
-    monkeypatch.setattr(noise, "_PRODUCER_GATE", math.inf)
     monkeypatch.setattr(diffusion, "_SPLIT_GATE", math.inf)
-    monkeypatch.setattr(gisin, "_PAIR_SPLIT_GATE", math.inf)
 
 
 @contextmanager

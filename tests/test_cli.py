@@ -863,14 +863,6 @@ def test_a_run_keeps_every_other_file_in_out(tmp_path):
     assert (out / "sub" / "results.csv").read_text() == "mine\n"
 
 
-def test_an_instability_reaps_the_noise_producer(tmp_path, forks):
-    out = tmp_path / "out"
-    assert run_into(tmp_path, out, **_UNSTABLE) == (3, ["instability-report.json"])
-    assert forks
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def test_a_failure_that_is_no_instability_exits_1(tmp_path, monkeypatch, capsys):
     def spawn(seed, lo, hi):
         raise MemoryError("no room for the streams")
@@ -882,19 +874,6 @@ def test_a_failure_that_is_no_instability_exits_1(tmp_path, monkeypatch, capsys)
     err = capsys.readouterr().err
     assert "run failed: ensemble execution failed for trajectories [0, 4): MemoryError" in err
     assert "instability" not in err
-
-
-def test_a_failed_noise_producer_exits_1(tmp_path, forks, monkeypatch, capsys):
-    def fill(streams, block, dt):
-        raise MemoryError("no room for a block")
-
-    monkeypatch.setattr(noise, "_fill", fill)
-    out = tmp_path / "out"
-    gisin = dict(scenario="gisin-compare", **_SMALL_RUNS["gisin-compare"])
-    assert run_into(tmp_path, out, **gisin) == (1, [])
-    assert "run failed: noise producer exited (exit code 1)" in capsys.readouterr().err
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def test_an_instability_in_a_split_run_reaps_the_column_worker(tmp_path, splits):
@@ -939,24 +918,46 @@ def test_a_killed_pair_worker_exits_1(tmp_path, splits, monkeypatch, capsys):
         os.waitpid(-1, os.WNOHANG)
 
 
-@pytest.mark.parametrize("scenario", ["fluorescence-g1", "gisin-compare"])
-def test_a_forked_noise_producer_writes_the_same_bytes(tmp_path, monkeypatch, forks, scenario):
+def test_a_worker_that_raises_exits_1(tmp_path, splits, monkeypatch, capsys):
+    parent, fill = os.getpid(), noise._fill
+
+    def failing(streams, block, dt):
+        if os.getpid() != parent:
+            raise MemoryError("no room for a block")
+        fill(streams, block, dt)
+
+    monkeypatch.setattr(noise, "_fill", failing)
     out = tmp_path / "out"
-    path = make_config(tmp_path, scenario=scenario, out=str(out), **_SMALL_RUNS[scenario])
+    gisin = dict(scenario="gisin-compare", **{**_SMALL_RUNS["gisin-compare"], "n": 200})
+    assert run_into(tmp_path, out, **gisin) == (1, [])
+    assert splits
+    assert "column worker exited (exit code 1)" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("scenario", ["fluorescence-g1", "gisin-compare", "decay-element"])
+def test_a_split_run_writes_the_same_bytes(tmp_path, monkeypatch, splits, scenario):
+    out = tmp_path / "out"
+    path = make_config(tmp_path, scenario=scenario, out=str(out),
+                       **{**_SMALL_RUNS[scenario], "n": 200})
 
     def outputs():
+        """Every output file's bytes, metadata.json's without its wall-time
+        line; the draw counts stay."""
         assert run_main(["--config", str(path)]) == 0
-        files = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "metadata.json"}
-        meta = json.loads((out / "metadata.json").read_text())
-        del meta["wall_time_seconds"]  # the draw counts stay
-        return files, meta
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        lines = files["metadata.json"].splitlines()
+        files["metadata.json"] = [line for line in lines if b'"wall_time_seconds"' not in line]
+        assert len(files["metadata.json"]) == len(lines) - 1
+        return files
 
-    produced = outputs()
-    forked = len(forks)
+    split = outputs()
+    forked = len(splits)
     assert forked
-    monkeypatch.setattr(noise, "_PRODUCER_GATE", math.inf)
-    assert outputs() == produced
-    assert len(forks) == forked
+    monkeypatch.setattr(diffusion, "_SPLIT_GATE", math.inf)
+    assert outputs() == split
+    assert len(splits) == forked
 
 
 def test_an_uncleared_output_exits_2(tmp_path, capsys):

@@ -21,10 +21,11 @@ from qsdsim import (
     complex_standard_error,
     decay_model,
     driven_cavity_model,
+    driven_decay_model,
     evolve,
 )
 from qsdsim import diffusion, noise
-from qsdsim.diffusion import _columns
+from qsdsim.diffusion import _columns, _heavy
 from qsdsim.noise import spawn
 
 from conftest import deadline, decay_element_setup, qsd_step, random_ket, random_model
@@ -372,11 +373,21 @@ def test_small_or_light_batches_are_not_split(monkeypatch, splits):
     assert len(splits) == 1
 
 
-def test_no_two_level_run_is_split_and_the_cavity_run_is(monkeypatch):
+def test_every_g1_batch_and_the_cavity_run_are_split(monkeypatch):
     monkeypatch.setattr(noise, "_cpu_count", lambda: 2)
-    # a doubled two-level chunk with three channels: 8 x 2 x 2 x 2048 = 2^16
-    engine = QsdEngine(random_model(np.random.default_rng(1), 2, 3), 1e-3)
-    assert not engine._splits(_columns(np.zeros((2048, 4)), 2))
-    # the benchmark's d = 32 cavity element, one chunk of 512 doubled rows
+
+    def splits(engine, batch, width):
+        return _heavy(engine._stack, _columns(np.zeros((batch, width)), engine.dim))
+
+    # the driven atom of fluorescence-g1, d = 2 with one channel: 4 x 2
+    # multiply-adds a ket row, twice that a doubled row
+    g1 = QsdEngine(driven_decay_model(10.0), 1e-3)
+    for batch in (1024, 2048):
+        assert splits(g1, batch, 2) and splits(g1, batch, 4)
+    assert not splits(g1, 1023, 2)
+    assert splits(g1, 512, 4) and not splits(g1, 511, 4)
+    # the benchmark's d = 32 cavity element, one chunk of 512 doubled rows;
+    # a 127-row batch never splits, however heavy its steps
     cavity = QsdEngine(driven_cavity_model(32), 1e-3)
-    assert cavity._splits(_columns(np.zeros((512, 64)), 32))
+    assert splits(cavity, 512, 64)
+    assert not splits(cavity, 127, 64)

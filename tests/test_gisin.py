@@ -15,12 +15,14 @@ from qsdsim import (
     Operator,
     SdeConfig,
     basis_ket,
+    decay_model,
     heisenberg_element,
     instability_report,
     regression_matrix_element,
     run_coupled_ensemble,
 )
-from qsdsim import diffusion, gisin
+from qsdsim import diffusion, gisin, noise
+from qsdsim.diffusion import _heavy
 from qsdsim.gisin import DEFAULT_FLOOR, VARIANTS, _PairKernel
 from qsdsim.noise import _CHUNK, spawn, wiener_steps
 
@@ -421,7 +423,7 @@ def test_a_split_pair_run_gives_the_bits_of_the_unsplit_one(splits, monkeypatch,
         split = observed_pairs(monkeypatch, run)
     assert len(splits) == chunks
     with monkeypatch.context() as patch:
-        patch.setattr(gisin, "_PAIR_SPLIT_GATE", math.inf)
+        patch.setattr(diffusion, "_SPLIT_GATE", math.inf)
         whole = observed_pairs(monkeypatch, run)
     assert len(splits) == chunks
     assert split == whole
@@ -479,9 +481,22 @@ def test_small_pair_chunks_are_not_split(monkeypatch, splits):
     run_coupled_ensemble(observable, bra, ket, model, [0.0], 0.01, 128, seed=0)
     assert splits == []
     # a d = 2 pair with one channel: 4 x 2 x 2 multiply-adds a row
-    monkeypatch.setattr(gisin, "_PAIR_SPLIT_GATE", 4 * 2 * 2 * 128 + 1)
+    monkeypatch.setattr(diffusion, "_SPLIT_GATE", 4 * 2 * 2 * 128 + 1)
     run_coupled_ensemble(observable, bra, ket, model, [0.1], 0.01, 128, seed=0)
     assert splits == []
-    monkeypatch.setattr(gisin, "_PAIR_SPLIT_GATE", 4 * 2 * 2 * 128)
+    monkeypatch.setattr(diffusion, "_SPLIT_GATE", 4 * 2 * 2 * 128)
     run_coupled_ensemble(observable, bra, ket, model, [0.1], 0.01, 128, seed=0)
     assert len(splits) == 1
+
+
+def test_every_gisin_compare_chunk_is_split(monkeypatch):
+    monkeypatch.setattr(noise, "_cpu_count", lambda: 2)
+    kernel = _PairKernel(decay_model(), 0.01, "quasi_linear")
+
+    def splits(batch):
+        return _heavy(kernel._stack, np.zeros((2, 2, batch), dtype=complex))
+
+    # the two chunks of the benchmark's gisin-compare (n = 4000), and the
+    # gate at d = 2 with one channel: every chunk of 512 rows and up
+    assert splits(_CHUNK) and splits(4000 - _CHUNK)
+    assert splits(512) and not splits(511)

@@ -3,24 +3,22 @@
 For the damped, driven cavity (``hilbert.driven_cavity_model``) truncated to
 d = 2, 4, 8, 16 and 32 Fock states, times ``QsdEngine.run`` on a batch of
 doubled rows (the rows of a matrix element, recorded every 50 steps) along
-the three paths a run can take:
+the two paths a run can take:
 
 * in process: this process steps the batch and draws its noise;
-* producer: a forked producer process draws the noise
-  (``noise.wiener_steps``) while this process steps;
 * column worker: a forked worker steps half of the rows, each side drawing
   its own noise (``diffusion._column_worker``).
 
 A second table times one chunk of the coupled pair
 (``gisin.run_coupled_ensemble`` with n = batch, ten nodes over the run) for
-d = 2, 4 and 8 along the same three paths.
+d = 2, 4 and 8 along the same two paths.
 
 Each table gives ns per trajectory-step (best of ``--repeats``) and, for
 each row, the stacked product's multiply-adds per step, which is what the
-column worker's gates (``diffusion._SPLIT_GATE``,
-``gisin._PAIR_SPLIT_GATE``) are compared with.  BLAS runs on one thread, as
-in the benchmark.  A host with one CPU takes no fork, so there all three
-paths step in process.
+one split gate of both (``diffusion._SPLIT_GATE``) is compared with; the
+last column says whether the gate splits that row.  BLAS runs on one
+thread, as in the benchmark.  A host with one CPU takes no fork, so there
+both paths step in process.
 
 Usage, from the repository root::
 
@@ -49,7 +47,6 @@ from qsdsim import (  # noqa: E402
     basis_ket,
     diffusion,
     driven_cavity_model,
-    gisin,
     make_doubled_state,
     noise,
     run_coupled_ensemble,
@@ -61,12 +58,8 @@ DT = 1e-3
 RECORD_EVERY = 50
 PAIR_NODES = 10
 
-# (producer gate, split gate) of each path
-PATHS = {
-    "in process": (math.inf, math.inf),
-    "producer": (0, math.inf),
-    "column worker": (math.inf, 0),
-}
+# the split gate of each path
+PATHS = {"in process": math.inf, "column worker": 0}
 
 
 def _start(dim: int):
@@ -94,8 +87,8 @@ def ns_per_traj_step(dim: int, batch: int, n_steps: int, repeats: int) -> dict:
     states = np.tile(make_doubled_state(*_start(dim)), (batch, 1))
     record_steps = range(0, n_steps + 1, RECORD_EVERY)
     best = {}
-    for path, (producer_gate, split_gate) in PATHS.items():
-        noise._PRODUCER_GATE, diffusion._SPLIT_GATE = producer_gate, split_gate
+    for path, gate in PATHS.items():
+        diffusion._SPLIT_GATE = gate
 
         def run():
             streams = noise.spawn(0, 0, batch)
@@ -113,8 +106,8 @@ def pair_ns_per_traj_step(dim: int, batch: int, n_steps: int, repeats: int) -> d
     bra, ket = _start(dim)
     grid = np.linspace(n_steps * DT / PAIR_NODES, n_steps * DT, PAIR_NODES)
     best = {}
-    for path, (producer_gate, split_gate) in PATHS.items():
-        noise._PRODUCER_GATE, gisin._PAIR_SPLIT_GATE = producer_gate, split_gate
+    for path, gate in PATHS.items():
+        diffusion._SPLIT_GATE = gate
 
         def run():
             run_coupled_ensemble(annihilation(dim), bra, ket, model, grid, DT, batch, seed=0)
@@ -124,18 +117,19 @@ def pair_ns_per_traj_step(dim: int, batch: int, n_steps: int, repeats: int) -> d
     return best, work
 
 
-def _table(title: str, scan, dims, batches, n_steps: int, repeats: int):
+def _table(title: str, scan, dims, batches, n_steps: int, repeats: int, gate: float):
     print(f"\n{title}\n")
     print(f"| batch | d | multiply-adds per step | "
-          f"{' | '.join(PATHS)} | worker / in process |")
-    print("|" + " --- |" * (len(PATHS) + 4))
+          f"{' | '.join(PATHS)} | worker / in process | split |")
+    print("|" + " --- |" * (len(PATHS) + 5))
     for batch in batches:
         for dim in dims:
             best, work = scan(dim, batch, n_steps, repeats)
             cells = " | ".join(f"{best[path]:,.0f}" for path in PATHS)
             ratio = best["column worker"] / best["in process"]
-            print(f"| {batch} | {dim} | 2^{math.log2(work):.1f} | {cells} | {ratio:.2f} |",
-                  flush=True)
+            split = "yes" if work >= gate else "no"
+            print(f"| {batch} | {dim} | 2^{math.log2(work):.1f} | {cells} | {ratio:.2f} "
+                  f"| {split} |", flush=True)
 
 
 def main() -> int:
@@ -144,17 +138,17 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=1000)
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
-    gates = (noise._PRODUCER_GATE, diffusion._SPLIT_GATE, gisin._PAIR_SPLIT_GATE)
-    print(f"# {noise._cpu_count()} CPUs, split gates 2^{math.log2(gates[1]):g} (QsdEngine) "
-          f"and 2^{math.log2(gates[2]):g} (coupled pair) multiply-adds per step, "
-          f"{args.steps} steps, best of {args.repeats}")
+    gate = diffusion._SPLIT_GATE
+    print(f"# {noise._cpu_count()} CPUs, split gate 2^{math.log2(gate):g} multiply-adds "
+          f"per step (QsdEngine and coupled pair), {args.steps} steps, "
+          f"best of {args.repeats}")
     try:
         _table("QsdEngine.run, ns per trajectory-step", ns_per_traj_step, DIMS,
-               args.batch, args.steps, args.repeats)
+               args.batch, args.steps, args.repeats, gate)
         _table("coupled pair, ns per trajectory-step", pair_ns_per_traj_step, PAIR_DIMS,
-               args.batch, args.steps, args.repeats)
+               args.batch, args.steps, args.repeats, gate)
     finally:
-        noise._PRODUCER_GATE, diffusion._SPLIT_GATE, gisin._PAIR_SPLIT_GATE = gates
+        diffusion._SPLIT_GATE = gate
     return 0
 
 

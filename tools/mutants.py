@@ -45,19 +45,6 @@ class Mutant(NamedTuple):
     tests: str  # the test file that must fail
 
 
-_YIELD_SLOT = """\
-            for k in range(min(steps, n_steps - j * steps)):
-                yield slot[k]
-"""
-_FREE_SLOT = """\
-            # the child fills no block after the last, so it waits for no
-            # byte
-            if j + 2 < n_blocks:
-                child.release()
-"""
-_READ_THEN_FREE = _YIELD_SLOT + _FREE_SLOT
-_FREE_THEN_READ = _FREE_SLOT + _YIELD_SLOT
-
 MUTANTS = [
     Mutant("rk4-horner-coefficients-swapped", "src/qsdsim/master.py",
            "for k in (4, 3, 2, 1)]", "for k in (3, 4, 2, 1)]",
@@ -144,22 +131,8 @@ MUTANTS = [
     Mutant("evolve-trace-guard-passes-nan", "src/qsdsim/master.py",
            "if not drift <= 1e-10 * (1.0 + abs(tr0)):", "if drift > 1e-10 * (1.0 + abs(tr0)):",
            "tests/test_master.py"),
-    # the forked noise producer: its bits, draws and final states must be
-    # those of the in-process scheduler
-    Mutant("producer-restore-skips-the-last-stream", "src/qsdsim/noise.py",
-           "zip(streams, words.tolist())", "zip(streams[:-1], words.tolist())",
-           "tests/test_noise.py"),
-    Mutant("producer-slot-index-off-by-one", "src/qsdsim/noise.py",
-           "slot = slots[j % 2]", "slot = slots[(j + 1) % 2]",
-           "tests/test_noise.py"),
-    Mutant("producer-slot-freed-before-its-last-step-is-read", "src/qsdsim/noise.py",
-           _READ_THEN_FREE, _FREE_THEN_READ,
-           "tests/test_noise.py"),
     Mutant("fill-block-scaling-skipped", "src/qsdsim/noise.py",
            "    parts *= np.sqrt(0.5 * dt)\n", "    pass\n",
-           "tests/test_noise.py"),
-    Mutant("producer-draws-uncounted", "src/qsdsim/noise.py",
-           "            stream.draws += 2 * n_channels * n_steps\n", "            pass\n",
            "tests/test_noise.py"),
     # the column worker: its rows, draws and streams must be those of the
     # unsplit run, and so must its instability errors
@@ -176,6 +149,9 @@ MUTANTS = [
     Mutant("split-errors-compared-by-row-only", "src/qsdsim/diffusion.py",
            "failed[0] < err.order", "failed[0][2:] < err.order[2:]",
            "tests/test_diffusion.py"),
+    Mutant("restore-skips-the-last-stream", "src/qsdsim/noise.py",
+           "zip(streams, words.tolist())", "zip(streams[:-1], words.tolist())",
+           "tests/test_diffusion.py"),
     # the coupled pair's column worker and its unmasked steps
     Mutant("pair-worker-drift-dropped", "src/qsdsim/gisin.py",
            "        drift[0] = max(drift[0], their_drift[0])\n", "        pass\n",
@@ -187,6 +163,10 @@ MUTANTS = [
     Mutant("pair-unmasked-steps-kept-after-an-abort", "src/qsdsim/gisin.py",
            "lean = lean and mag.min() >= floor\n                if not lean:\n",
            "if not mag.min() >= floor:\n",
+           "tests/test_gisin.py"),
+    Mutant("pair-chunk-ignores-the-split-gate", "src/qsdsim/gisin.py",
+           "if n_steps > 0 and _heavy(kernel._stack, x):",
+           "if n_steps > 0 and x.shape[2] >= 128:",
            "tests/test_gisin.py"),
 ]
 
