@@ -1,6 +1,7 @@
 """Diffusive unraveling: the QsdEngine step, its checks and its statistics."""
 
 import math
+import mmap
 import os
 import signal
 
@@ -25,7 +26,7 @@ from qsdsim import (
     evolve,
 )
 from qsdsim import diffusion, noise
-from qsdsim.diffusion import _columns, _heavy
+from qsdsim.diffusion import _columns, _heavy, _split_point
 from qsdsim.noise import spawn
 
 from conftest import deadline, decay_element_setup, qsd_step, random_ket, random_model
@@ -356,6 +357,76 @@ def test_a_failed_fork_steps_in_process(splits, monkeypatch):
     monkeypatch.setattr(os, "fork", fork)
     stepped_here = run()
     assert stepped_here == unsplit(monkeypatch, run)
+
+
+def test_a_column_worker_that_raises_is_a_named_error(splits, monkeypatch):
+    parent, fill = os.getpid(), noise._fill
+
+    def failing(streams, block, dt):
+        if os.getpid() != parent:
+            raise MemoryError("no room for a block")
+        fill(streams, block, dt)
+
+    monkeypatch.setattr(noise, "_fill", failing)
+    engine = QsdEngine(_GROWTH, 0.01, "quasi_linear")
+    with deadline(60):
+        with pytest.raises(
+            RuntimeError, match=r"column worker exited \(exit code 1\) before the end of its run"
+        ):
+            engine.run(growing_rows({}), spawn(0, 0, 200), 3)
+    assert len(splits) == 1
+    no_child_left()
+
+
+@pytest.mark.parametrize(
+    "dim,doubled,batch,n_steps", [(2, False, 128, 1), (2, True, 200, 300), (4, True, 1024, 500)]
+)
+def test_a_column_workers_mapping_holds_its_rows_and_no_noise(
+    splits, monkeypatch, dim, doubled, batch, n_steps
+):
+    # tracemalloc does not see an mmap, so its size is taken where it is made
+    sizes, real_mmap = [], mmap.mmap
+
+    def recorded(fileno, length, *args, **kwargs):
+        sizes.append(length)
+        return real_mmap(fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", recorded)
+    rng = np.random.default_rng(dim * batch)
+    width = 2 * dim if doubled else dim
+    states = np.array([random_ket(rng, width).amplitudes for _ in range(batch)])
+    engine = QsdEngine(random_model(rng, dim, 1, scale=0.5), 1e-3)
+    with deadline(60):
+        engine.run(states, spawn(0, 0, batch), n_steps, (0, n_steps), lambda *record: None)
+    assert len(splits) == 1
+    # per worker row: its PCG64 state, its amplitudes and its norm; then
+    # the header and the room for a failure's message
+    tail = batch - _split_point(batch)
+    assert sizes == [tail * (6 * 8 + width * 16 + 8) + 5 * 8 + 1024]
+
+
+def test_the_gate_counts_stack_rows_dimension_blocks_and_batch(monkeypatch):
+    monkeypatch.setattr(noise, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(diffusion, "_SPLIT_GATE", 6 * 3 * 2 * 200)
+
+    def heavy(stack_rows, dim, k, batch):
+        return _heavy(np.zeros((stack_rows, dim)), np.zeros((dim, k, batch)))
+
+    # (stack rows, dim, blocks, batch) at the gate, then one factor short
+    for shape in ((6, 3, 2, 200), (12, 3, 1, 200), (6, 3, 1, 400), (8, 2, 2, 225)):
+        assert heavy(*shape), shape
+    for shape in ((6, 3, 2, 199), (6, 3, 1, 200), (3, 3, 2, 200), (6, 2, 2, 200)):
+        assert not heavy(*shape), shape
+
+
+def test_no_batch_under_128_rows_or_without_a_fork_is_split(monkeypatch):
+    monkeypatch.setattr(diffusion, "_SPLIT_GATE", 0)
+    monkeypatch.setattr(noise, "_cpu_count", lambda: 2)
+    x = np.zeros((2, 1, 128))
+    assert _heavy(np.zeros((4, 2)), x)
+    assert not _heavy(np.zeros((4, 2)), x[:, :, :127])
+    monkeypatch.setattr(noise, "_cpu_count", lambda: 1)
+    assert not _heavy(np.zeros((4, 2)), x)
 
 
 def test_small_or_light_batches_are_not_split(monkeypatch, splits):

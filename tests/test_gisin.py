@@ -459,6 +459,25 @@ def test_a_killed_pair_worker_is_a_named_error(splits, monkeypatch):
     no_child_left()
 
 
+def test_a_pair_worker_that_raises_is_a_named_error(splits, monkeypatch):
+    parent, fill = os.getpid(), noise._fill
+
+    def failing(streams, block, dt):
+        if os.getpid() != parent:
+            raise MemoryError("no room for a block")
+        fill(streams, block, dt)
+
+    monkeypatch.setattr(noise, "_fill", failing)
+    observable, bra, ket, model = decay_element_setup()
+    with deadline(60):
+        with pytest.raises(
+            RuntimeError, match=r"column worker exited \(exit code 1\) before the end of its run"
+        ):
+            run_coupled_ensemble(observable, bra, ket, model, [0.1, 0.2], 0.01, 200, seed=0)
+    assert len(splits) == 1
+    no_child_left()
+
+
 def test_a_failed_fork_steps_the_pairs_in_process(splits, monkeypatch):
     observable, bra, ket, model = decay_element_setup()
     run = partial(run_coupled_ensemble, observable, bra, ket, model,

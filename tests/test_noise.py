@@ -1,13 +1,22 @@
 """Statistical and reproducibility contracts of the noise streams."""
 
+import os
+import signal
+import threading
+import time
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import deadline
 from qsdsim import EnsembleError, NoiseStream, run_ensemble
-from qsdsim.noise import NOISE_BLOCK, spawn, wiener_steps
+from qsdsim import noise
+from qsdsim.diffusion import _column_worker
+from qsdsim.noise import NOISE_BLOCK, _forked, spawn, wiener_steps
 
 # seeds of one to nine 32-bit words; the last is a fixed draw above 2^200
 SPAWN_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 5,
@@ -231,3 +240,152 @@ def test_spawned_seed_words_serve_only_the_pcg64_request():
     for n_words, dtype in ((8, np.uint32), (2, np.uint64), (4, np.uint32)):
         with pytest.raises(ValueError, match="generate_state\\(4, np.uint64\\)"):
             seq.generate_state(n_words, dtype)
+
+
+def drawn(streams, n_steps, n_channels, dt=0.01):
+    """Every step's increments, each stream's draws, and each stream's next
+    wiener and uniform draws after the run, as bytes."""
+    steps = [dxi.tobytes() for dxi in wiener_steps(streams, n_steps, n_channels, dt)]
+    return steps, *continued(streams, n_channels)
+
+
+def continued(streams, n_channels):
+    """Each stream's draws, and its next wiener and uniform draws as bytes."""
+    draws = [s.draws for s in streams]
+    after = [s.wiener(n_channels, 0.5).tobytes() + np.float64(s.uniform()).tobytes()
+             for s in streams]
+    return draws, after
+
+
+def split_drawn(h, streams, n_steps, n_channels, dt=0.01):
+    """:func:`drawn` of ``streams`` split at row ``h``: a forked column
+    worker draws rows [h, batch) and copies them into its shared mapping,
+    and this process draws rows [0, h) and continues the worker's
+    streams."""
+    tail = len(streams) - h
+
+    def work(increments, arrays, ready, free):
+        for k, dxi in enumerate(increments):
+            arrays[0][k] = dxi
+
+    specs = (((n_steps, n_channels, tail), complex),)
+    with _column_worker(streams, h, n_steps, n_channels, dt, specs, work) as split:
+        head = [dxi.copy() for dxi in split.increments]
+        split.child.wait("the end of its run")
+        split.restore()
+        theirs = split.arrays[0].copy()
+    assert len(head) == len(theirs) == n_steps
+    steps = [np.concatenate([mine, their], axis=1).tobytes() for mine, their in zip(head, theirs)]
+    return steps, *continued(streams, n_channels)
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# a partial last block, exactly one block, and one step
+WORKER_STEPS = [2 * NOISE_BLOCK + NOISE_BLOCK // 2 + 1, NOISE_BLOCK, 1]
+
+
+@pytest.mark.parametrize("n_channels", [1, 3])
+@pytest.mark.parametrize("h,batch", [(0, 1), (3, 7)])
+@pytest.mark.parametrize("n_steps", WORKER_STEPS)
+def test_a_column_worker_draws_the_in_process_bits(splits, n_channels, h, batch, n_steps):
+    with deadline(30):
+        split = split_drawn(h, spawn(8, 3, 3 + batch), n_steps, n_channels)
+    assert len(splits) == 1
+    local = drawn(spawn(8, 3, 3 + batch), n_steps, n_channels)
+    assert len(split[0]) == n_steps
+    assert split == local
+    assert split[1] == [2 * n_channels * n_steps] * batch
+    no_child_left()
+
+
+def test_a_fork_needs_two_cpus_and_no_other_thread(monkeypatch):
+    monkeypatch.setattr(noise, "_cpu_count", lambda: 2)
+    assert noise._can_fork()
+    monkeypatch.setattr(noise, "_cpu_count", lambda: 1)
+    assert not noise._can_fork()
+    monkeypatch.setattr(noise, "_cpu_count", lambda: 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not noise._can_fork()
+    finally:
+        stop.set()
+        thread.join()
+    assert noise._can_fork()
+
+
+def test_a_failed_fork_yields_none_and_closes_its_pipes(monkeypatch):
+    pipes, real_pipe = [], os.pipe
+
+    def pipe():
+        ends = real_pipe()
+        pipes.extend(ends)
+        return ends
+
+    def fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    with _forked("test child", lambda ready, free: None) as child:
+        assert child is None
+    assert len(pipes) == 4
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+
+
+def test_a_child_that_raises_exits_1_and_is_named(splits):
+    def body(ready, free):
+        raise MemoryError("no room for a block")
+
+    with deadline(30):
+        with _forked("test child", body) as child:
+            with pytest.raises(RuntimeError,
+                               match=r"^test child exited \(exit code 1\) before its first post$"):
+                child.wait("its first post")
+            assert child.pid == 0
+    no_child_left()
+
+
+def test_a_killed_child_is_named_and_reaped(splits):
+    def body(ready, free):
+        os.write(ready, b"\0")
+        os.read(free, 1)  # the caller never frees it
+
+    with deadline(30):
+        with _forked("test child", body) as child:
+            child.wait("its first post")
+            os.kill(child.pid, signal.SIGKILL)
+            with pytest.raises(RuntimeError, match=r"exit code -9\) before its second post"):
+                child.wait("its second post")
+    assert len(splits) == 1
+    no_child_left()
+
+
+def test_freeing_a_child_that_has_exited_does_not_raise(splits):
+    with deadline(30):
+        with _forked("test child", lambda ready, free: None) as child:
+            with pytest.raises(RuntimeError, match=r"exit code 0\) before its first post"):
+                child.wait("its first post")
+            child.release()
+    no_child_left()
+
+
+@pytest.mark.parametrize("failing", [False, True])
+def test_a_caller_that_leaves_early_kills_and_reaps_the_child(splits, failing):
+    def body(ready, free):
+        time.sleep(60)  # until it is killed; no pipe closing ends it
+
+    with deadline(30):
+        with pytest.raises(ValueError) if failing else nullcontext():
+            with _forked("test child", body) as child:
+                assert child.pid == splits[0]
+                if failing:
+                    raise ValueError("the caller failed")
+    no_child_left()
