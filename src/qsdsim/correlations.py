@@ -21,12 +21,15 @@ Both unravelings share these estimators; ``SdeConfig.scheme`` alone picks
 the engine that steps the states, ``JumpEngine`` for "jump" and
 ``QsdEngine`` otherwise.  A chunk task returns its values together with
 its counts: the jumps its engines made, as ``jumps_total``, for the jump
-unraveling, and nothing for the diffusive ones.
+unraveling, and nothing for the diffusive ones.  A diffusive task gives the
+ensemble runner its doubled row's cost, so that a heavy chunk may split
+between two processes; a jump task gives none, because its bits depend on
+the batch it runs in.
 """
 
 import numpy as np
 
-from .diffusion import QsdEngine, SdeConfig
+from .diffusion import QsdEngine, SdeConfig, _row_cost
 from .ensemble import EnsembleResult, run_ensemble
 from .hilbert import Ket, LindbladModel, Operator, _check_dims, make_doubled_state
 from .jumps import JumpEngine
@@ -84,6 +87,12 @@ def _run(engine, counts: dict, states, streams, n_steps, record_steps=(), on_rec
 
 def _method(sde: SdeConfig) -> str:
     return "jump" if sde.scheme == "jump" else f"qsd-{sde.scheme}"
+
+
+def _split_cost(model: LindbladModel, sde: SdeConfig) -> int:
+    """The ``row_cost`` of a chunk task: a doubled row's for the diffusive
+    schemes, 0 for the jump unraveling, so that no jump chunk splits."""
+    return 0 if sde.scheme == "jump" else _row_cost(model)
 
 
 def _normalize_rows(states: np.ndarray) -> np.ndarray:
@@ -148,7 +157,8 @@ def heisenberg_element(
             _engine(model, sde), {}, streams, theta, weights, observable, sde, node_steps
         )
 
-    return run_ensemble(task, n_trajectories, seed, grid=grid, method=_method(sde))
+    return run_ensemble(task, n_trajectories, seed, grid=grid, method=_method(sde),
+                        row_cost=_split_cost(model, sde))
 
 
 def correlate(
@@ -198,4 +208,5 @@ def correlate(
             engine, counts, streams, theta, weights, observable, sde, node_steps
         )
 
-    return run_ensemble(task, n_trajectories, seed, grid=grid, method=_method(sde))
+    return run_ensemble(task, n_trajectories, seed, grid=grid, method=_method(sde),
+                        row_cost=_split_cost(model, sde))

@@ -31,37 +31,19 @@ trajectory is a batch of one row.
 
 The drift is ``LindbladModel.generator``; the step-size check, the dt grid
 rule and the per-step noise come from :mod:`qsdsim.noise`.  A run is
-stepped in this process, or, when its steps are heavy (``_SPLIT_GATE``:
-every two-level batch of 1024 kets or 512 doubled rows with one channel,
-and up), split: a forked column worker steps the upper part of the batch
-while the caller steps the lower, each drawing its own rows' noise, with
-the bits of the unsplit run (``QsdEngine._split``).  One helper,
-:func:`_column_worker`, forks that worker, shares its arrays and continues
-its streams, for this engine and for the coupled pair of
-:mod:`qsdsim.gisin`, with one gate for both (:func:`_heavy`).
+stepped in this process.  The second CPU is reached one level up: the
+chunk runner of :mod:`qsdsim.noise` splits a heavy chunk's whole task,
+weighing it by :func:`_row_cost`, one doubled row's multiply-adds per step.
 """
 
-import contextlib
-import os
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import InstabilityError
 from .hilbert import LindbladModel
-from .noise import (
-    _STATE_WORDS,
-    NoiseStream,
-    _can_fork,
-    _forked,
-    _restore,
-    _save,
-    _shared,
-    check_step,
-    wiener_steps,
-)
+from .noise import NoiseStream, check_step, wiener_steps
 
 __all__ = [
     "SCHEMES",
@@ -72,24 +54,6 @@ __all__ = [
 
 SCHEMES = ("normalized", "quasi_linear", "jump")
 _DIFFUSIVE = SCHEMES[:2]
-
-# a QsdEngine run or coupled-pair chunk whose stacked product takes at
-# least this many complex multiply-adds per step (rows of the stack x dim x
-# k x batch), on a batch of at least _SPLIT_MIN_BATCH rows, is split with a
-# forked column worker.  At d = 2 with one channel that is every batch of
-# 1024 kets or 512 doubled rows and up: each batch of the g1 workloads and
-# every coupled-pair chunk of gisin-compare (see tools/dscan.py)
-_SPLIT_GATE = 2**13
-_SPLIT_MIN_BATCH = 128
-# the split point is a multiple of this many rows: BLAS rounds a column
-# differently only in its kernel's column remainder, which a split at such a
-# multiple leaves where it was
-_SPLIT_ALIGN = 64
-
-# what the column worker's header says it has written into the mapping
-_RECORD, _DONE, _FAILED = 0, 1, 2
-_MESSAGE_BYTES = 1024
-
 
 @dataclass(frozen=True)
 class SdeConfig:
@@ -182,10 +146,6 @@ class QsdEngine:
         ``on_record(slot, states, norms)`` fires; for the normalized scheme
         ``states`` is post-renormalization and ``norms`` holds the
         pre-renormalization norms of the step landing there.
-
-        A batch whose steps are heavy enough (see :func:`_heavy`) is
-        stepped in two parts on two CPUs, with the same bits (see
-        :meth:`_split`).
         """
         x = _columns(states, self.dim)
         if len(streams) != x.shape[2]:
@@ -193,121 +153,8 @@ class QsdEngine:
                 f"need one stream per row: {len(streams)} streams, batch {x.shape[2]}"
             )
         slots = _record_slots(record_steps, n_steps)
-        if n_steps > 0 and _heavy(self._stack, x):
-            split = self._split(x, streams, n_steps, slots, on_record)
-            if split is not None:
-                return _rows(split)
         increments = wiener_steps(streams, n_steps, self.n_channels, self.dt)
         return _rows(self._advance(x, increments, n_steps, slots, on_record, streams))
-
-    def _split(self, x, streams, n_steps, slots, on_record):
-        """Step trajectories [h, batch) of column-major ``x`` in a forked
-        column worker while this process steps [0, h) (see
-        :func:`_column_worker`); return the stepped (dim, k, batch) states,
-        or None where ``fork`` fails.
-
-        At every record slot the worker writes its rows and norms into one
-        shared buffer and this process hands all rows to ``on_record``,
-        then frees the buffer.  At the end the worker writes its final
-        rows.  An instability in either part raises the error of the
-        unsplit run: the earliest step, then the check made first, then the
-        lowest row.
-        """
-        dim, k, batch = x.shape
-        h = _split_point(batch)
-        tail = batch - h
-        # the worker's rows (a record's, then its final ones) and their
-        # norms; its post's kind, then a record's slot or a failure's
-        # message length and (step, check, row); that message
-        specs = (
-            ((dim * k * tail,), complex),
-            ((tail,), float),
-            ((5,), np.int64),
-            ((_MESSAGE_BYTES,), np.uint8),
-        )
-
-        def work(increments, arrays, ready, free):
-            rows, norms, header, message = arrays
-            posted = False
-
-            def claim():
-                # the caller frees the mapping once it has read a post
-                nonlocal posted
-                if posted and not os.read(free, 1):
-                    raise EOFError("the caller has gone")
-                posted = True
-
-            def record(slot, states, state_norms):
-                claim()
-                rows[:] = states.ravel()
-                norms[:] = state_norms
-                header[:2] = (_RECORD, slot)
-                os.write(ready, b"\0")
-
-            try:
-                out = self._advance(x[:, :, h:].copy(), increments, n_steps, slots,
-                                    record if on_record is not None else None, streams[h:])
-            except InstabilityError as err:
-                claim()
-                text = str(err).encode()[:_MESSAGE_BYTES]
-                message[: len(text)] = np.frombuffer(text, np.uint8)
-                step, check, row = err.order
-                header[:] = (_FAILED, len(text), step, check, h + row)
-                return
-            claim()
-            rows[:] = out.ravel()
-            header[0] = _DONE
-
-        with _column_worker(streams, h, n_steps, self.n_channels, self.dt, specs, work) as split:
-            if split is None:
-                return None
-            rows, norms, header, message = split.arrays
-            child = split.child
-
-            def failure():
-                """None when the worker's post says it finished, else its
-                failure's order and error."""
-                if header[0] == _DONE:
-                    return None
-                text = message[: header[1]].tobytes().decode()
-                return tuple(int(v) for v in header[2:]), InstabilityError(text)
-
-            def outcome():
-                """:func:`failure` of the worker's last post, freeing every
-                record it posts before it."""
-                while True:
-                    child.wait("the end of its run")
-                    if header[0] != _RECORD:
-                        return failure()
-                    child.release()
-
-            def merged(slot, states, state_norms):
-                child.wait(f"record {slot + 1} of {len(slots)}")
-                if header[0] == _FAILED:
-                    raise failure()[1]
-                on_record(
-                    slot,
-                    np.concatenate([states, rows.reshape(tail, -1)]),
-                    np.concatenate([state_norms, norms]),
-                )
-                child.release()
-
-            try:
-                head = self._advance(x[:, :, :h].copy(), split.increments, n_steps, slots,
-                                     merged if on_record is not None else None, streams[:h])
-            except InstabilityError as err:
-                # the worker's error, or one from on_record, stands as it is
-                if not hasattr(err, "order"):
-                    raise
-                failed = outcome()
-                if failed is not None and failed[0] < err.order:
-                    raise failed[1] from None
-                raise
-            failed = outcome()
-            if failed is not None:
-                raise failed[1]
-            split.restore()
-            return np.concatenate([head, rows.reshape(dim, k, tail)], axis=2)
 
     def _advance(self, x, increments, n_steps, slots, on_record=None, streams=None):
         """Step column-major ``x`` once per (n_channels, batch) entry of
@@ -324,8 +171,7 @@ class QsdEngine:
             )
         if np.any(norm2 == 0.0):
             raise _unstable_row(
-                "state norm underflowed to zero during propagation", norm2 == 0.0, streams,
-                check=1,
+                "state norm underflowed to zero during propagation", norm2 == 0.0, streams
             )
         inv_norm2 = 1.0 / norm2
         products, conj, scratch = self._work(x)
@@ -342,17 +188,16 @@ class QsdEngine:
                     if not np.all(np.isfinite(norm2)):
                         raise _unstable_row(
                             f"non-finite state norm after step {done}", ~np.isfinite(norm2),
-                            streams, step=done,
+                            streams,
                         )
                     if renorm:
                         raise _unstable_row(
-                            f"zero state norm after step {done}", norm2 == 0.0, streams,
-                            step=done, check=1,
+                            f"zero state norm after step {done}", norm2 == 0.0, streams
                         )
                     if done < n_steps:
                         raise _unstable_row(
                             "state norm underflowed to zero during propagation",
-                            norm2 == 0.0, streams, step=done, check=1,
+                            norm2 == 0.0, streams,
                         )
                 norms = np.sqrt(norm2)
                 if renorm:
@@ -383,69 +228,11 @@ def _stacked(stack: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) ->
     return out
 
 
-def _heavy(stack: np.ndarray, x: np.ndarray) -> bool:
-    """Whether a run of column-major ``x`` stepped with the stacked
-    ``stack`` is split with a column worker: one step's stacked product
-    must take at least ``_SPLIT_GATE`` multiply-adds, the batch must hold
-    at least ``_SPLIT_MIN_BATCH`` rows, and the host must allow a fork
-    (``noise._can_fork``)."""
-    dim, k, batch = x.shape
-    return (stack.shape[0] * dim * k * batch >= _SPLIT_GATE and batch >= _SPLIT_MIN_BATCH
-            and _can_fork())
-
-
-def _split_point(batch: int) -> int:
-    """Where a column worker's rows begin: the multiple of ``_SPLIT_ALIGN``
-    nearest half the batch, so that every row gets the bits of the unsplit
-    run."""
-    return _SPLIT_ALIGN * round(batch / (2 * _SPLIT_ALIGN))
-
-
-class _Split(NamedTuple):
-    """The caller's side of :func:`_column_worker`."""
-
-    increments: object  # the noise of rows [0, h), drawn in process
-    arrays: list  # the arrays of ``specs``, shared with the worker
-    child: object  # the worker's ``noise._Child``
-    restore: object  # continues the worker's streams here
-
-
-@contextlib.contextmanager
-def _column_worker(streams, h: int, n_steps: int, n_channels: int, dt: float, specs, work):
-    """Split a batch whose row i draws from ``streams[i]``: a forked column
-    worker steps rows [h, B) while the caller steps rows [0, h), each side
-    drawing its own rows' noise (``noise.wiener_steps``).  Yields a
-    :class:`_Split`, or None where ``fork`` fails.
-
-    ``specs`` lists the (shape, dtype) of arrays the two processes share,
-    in order of falling item size.  The worker runs ``work(increments,
-    arrays, ready, free)`` with its rows' noise, those arrays and its ends
-    of the pipes of ``noise._forked``; once it returns, the worker writes
-    its streams' PCG64 states and one byte to ``ready``.  After the caller
-    has read that byte, ``restore()`` sets the worker's streams to those
-    states and counts their draws, so that they continue as if they had
-    been drawn here.  The worker is killed and reaped however the block
-    ends.
-    """
-    theirs = streams[h:]
-    words, *arrays = _shared(((len(theirs), _STATE_WORDS), np.uint64), *specs)
-
-    def body(ready, free):
-        work(wiener_steps(theirs, n_steps, n_channels, dt), arrays, ready, free)
-        _save(theirs, words)
-        os.write(ready, b"\0")
-
-    def restore():
-        _restore(theirs, words)
-        for stream in theirs:
-            stream.draws += 2 * n_channels * n_steps
-
-    with _forked("column worker", body) as child:
-        if child is None:
-            yield None
-        else:
-            increments = wiener_steps(streams[:h], n_steps, n_channels, dt)
-            yield _Split(increments, arrays, child, restore)
+def _row_cost(model: LindbladModel) -> int:
+    """One doubled row's complex multiply-adds per step: the stacked
+    ((1 + n_channels) dim, dim) product with its two blocks, the weight the
+    chunk runner's split gate (``noise._SPLIT_GATE``) puts on a row."""
+    return (1 + model.n_channels) * model.dim**2 * 2
 
 
 def _euler_update(x, y, e, m, dxi, dt: float, compensate: bool, scratch=None) -> np.ndarray:
@@ -509,23 +296,12 @@ def _record_slots(record_steps, n_steps: int) -> dict:
     return {k: i for i, k in enumerate(record)}
 
 
-def _unstable_row(
-    what: str, bad: np.ndarray, streams=None, step: int = 0, check: int = 0
-) -> InstabilityError:
+def _unstable_row(what: str, bad: np.ndarray, streams=None) -> InstabilityError:
     """InstabilityError ``what``, naming the trajectory of the first row
-    flagged in ``bad`` when the rows' noise ``streams`` are known.
-
-    Its ``order`` is (step, check, row): the step it was found after (0
-    before stepping), the check's rank among those run on that step (the
-    finiteness check first) and the row.  Of two parts of a batch, the
-    error with the smaller order is the one the whole batch raises.
-    """
-    row = int(np.argmax(bad))
+    flagged in ``bad`` when the rows' noise ``streams`` are known."""
     if streams is not None:
-        what += f" (first at trajectory {streams[row].trajectory_index})"
-    error = InstabilityError(what)
-    error.order = (step, check, row)
-    return error
+        what += f" (first at trajectory {streams[int(np.argmax(bad))].trajectory_index})"
+    return InstabilityError(what)
 
 
 def complex_standard_error(samples: np.ndarray) -> float:

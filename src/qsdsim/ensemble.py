@@ -1,15 +1,16 @@
 """Deterministic execution of trajectory ensembles.
 
-The work is split into fixed-size index chunks, run one after another: each
-chunk spawns the streams of its indices together (``noise.spawn``, whose
-streams are bit-identical to ``NoiseStream(seed, i)``) and returns its
-values, the draws of its streams and its task's counts, and results are
-reduced in chunk order.  Trajectory i draws only from its own stream, and
-the chunk size alone fixes the batch widths the engines see, so a run is
-bitwise reproducible across reruns.  The width matters because BLAS rounds
-the columns of its kernel's column remainder differently; a chunk that
-``QsdEngine`` splits between two processes at a multiple of 64 rows keeps
-every bit.  The first chunk that fails stops the run.
+The work is split into fixed-size index chunks, run one after another by
+the chunk runner of :mod:`qsdsim.noise` (``noise.run_chunks``): each chunk
+spawns the streams of its indices together (``noise.spawn``, whose streams
+are bit-identical to ``NoiseStream(seed, i)``) and returns its values, the
+draws of its streams and its task's counts, and results are reduced in
+chunk order.  Trajectory i draws only from its own stream, so a run is
+bitwise reproducible across reruns.  The chunk size fixes the bits of a jump
+run, whose batches gather the rows still active, and no bit of a diffusive
+one.  A heavy chunk of a task that gives its row cost runs half in a forked
+child, with the bits of the unsplit chunk.  The first chunk that fails
+stops the run.
 """
 
 import time
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diffusion import complex_standard_error
-from .noise import _CHUNK, spawn
+from .noise import _CHUNK, run_chunks
 
 __all__ = [
     "EnsembleResult",
@@ -90,6 +91,7 @@ def run_ensemble(
     grid=None,
     method: str = "",
     chunk_size: int = _CHUNK,
+    row_cost: int = 0,
 ) -> EnsembleResult:
     """Run ``task`` over ``n`` trajectories and reduce to mean and error.
 
@@ -97,36 +99,17 @@ def run_ensemble(
     and must return ``(values, counts)``: a complex array of shape
     (len(streams), n_nodes), drawing all its randomness from the given
     streams, and a dict of integer counts, which are summed key by key in
-    chunk order into ``extras``.  Chunks run serially in index order; their
-    boundaries are fixed by ``chunk_size`` alone, which therefore fixes the
-    last bits of the result.  The first chunk that raises stops the run with
-    an :class:`EnsembleError` naming its index range.
+    chunk order into ``extras``.  Chunks run serially in index order.
+    ``row_cost``, one row's complex multiply-adds per step, lets a heavy
+    chunk split between two processes; a task whose values depend on its
+    batch (a jump task) passes 0 and never splits.  The first chunk that
+    raises stops the run with an :class:`EnsembleError` naming its index
+    range.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2 for a standard error, got {n}")
     start = time.perf_counter()
-    values, draws, extras = [], 0, {}
-    for lo in range(0, n, chunk_size):
-        hi = min(lo + chunk_size, n)
-        try:
-            streams = spawn(seed, lo, hi)
-            out = task(streams)
-            if not (isinstance(out, tuple) and len(out) == 2):
-                raise TypeError(f"task returned {type(out).__name__}, expected (values, counts)")
-            chunk = np.asarray(out[0])
-            if chunk.ndim != 2 or chunk.shape[0] != hi - lo:
-                raise ValueError(
-                    f"task returned shape {chunk.shape}, expected ({hi - lo}, n_nodes)"
-                )
-        except Exception as err:  # noqa: BLE001 - re-raised with the chunk's range
-            raise EnsembleError(lo, hi, err) from err
-        values.append(chunk)
-        draws += sum(s.draws for s in streams)
-        del streams  # free this chunk's generators before the next are built
-        for key, count in out[1].items():
-            extras[key] = extras.get(key, 0) + count
-
-    samples = np.concatenate(values, axis=0)
+    samples, extras, draws = run_chunks(task, n, seed, row_cost, chunk_size, EnsembleError)
     mean = samples.mean(axis=0)
     std_error = np.array(
         [complex_standard_error(samples[:, k]) for k in range(samples.shape[1])]

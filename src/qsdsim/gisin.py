@@ -52,33 +52,30 @@ given the cross coefficients l_j in place of <L_j>.  Every row is
 stepped every step.  While every row of a batch lives, a step's output is
 the next state and no mask is built; from the first step on which a row
 aborts or overflows, aborted and overflowed rows are frozen by a mask.  The
-rows run in the ensemble runner's chunks of ``_CHUNK`` (2048), each with
-its own streams, batch and noise, so memory does not grow with the ensemble
-size; as for every ensemble, the chunk size fixes the last bits of a run.
-A chunk whose steps are heavy enough (``diffusion._heavy``, the gate of
-``QsdEngine`` too) is split: a forked column worker steps its upper rows
-while the caller steps the lower, each drawing its own rows' noise, with
-the same bits (``diffusion._column_worker``).  The worker is killed and
-reaped however the chunk ends, so none outlives it.
+rows run through the chunk runner of every ensemble (``noise.run_chunks``),
+in chunks of ``_CHUNK`` (2048), each with its own streams, batch and noise,
+so memory does not grow with the ensemble size.  A chunk's task returns
+each row's values at the nodes and, as one more column, the row's largest
+scalar-product drift, with its aborted and overflowed counts; so a heavy
+chunk, which the runner splits between two processes weighed by
+``diffusion._row_cost`` as a doubled row, merges by row concatenation and
+plain sums, with the bits of the unsplit chunk.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .diffusion import (
-    _column_worker,
     _euler_stack,
     _euler_update,
-    _heavy,
     _record_slots,
-    _split_point,
+    _row_cost,
     _stacked,
     complex_standard_error,
 )
 from .hilbert import Ket, LindbladModel, Operator, _check_dims
-from .noise import _CHUNK, check_step, grid_steps, spawn, wiener_steps
+from .noise import _CHUNK, check_step, grid_steps, run_chunks, wiener_steps
 
 __all__ = [
     "DEFAULT_FLOOR",
@@ -243,35 +240,35 @@ def run_coupled_ensemble(
             f"{floor:g}; the scheme is undefined"
         )
 
-    vals = np.full((len(steps), n), np.nan + 0j, dtype=complex)
     slots = _record_slots(steps, steps[-1])
-    drift = np.zeros(1)  # the largest scalar-product drift so far
-    aborted = overflowed = draws = 0
 
-    def on_step(cols, drift, done, x, sp, alive):
-        if done:  # frozen rows keep the finite scalar product they had
-            step_drift = np.maximum.reduce(np.abs(sp - sp0), where=alive, initial=0.0)
-            drift[0] = max(drift[0], float(step_drift))
-        if done in slots:
-            with np.errstate(all="ignore"):  # dead rows may divide by zero
-                inner = (x[:, 1].conj() * (observable.matrix @ x[:, 0])).sum(axis=0)
-                if variant == "quasi_linear":
-                    inner = inner * (sp0 / sp)
-            cols[slots[done]] = np.where(alive, inner, np.nan)
-
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        x = np.empty((model.dim, 2, hi - lo), dtype=complex)
+    def task(streams):
+        x = np.empty((model.dim, 2, len(streams)), dtype=complex)
         x[:, 0] = ket0[:, None]
         x[:, 1] = bra0[:, None]
-        streams = spawn(seed, lo, hi)
-        low, bad = _run_chunk(kernel, x, streams, steps[-1], model.n_channels, floor,
-                              on_step, vals[:, lo:hi], drift)
-        aborted += low
-        overflowed += bad
-        draws += sum(s.draws for s in streams)
-        del streams  # free this chunk's generators before the next are built
+        # the nodes' values, then each row's largest scalar-product drift
+        out = np.full((len(steps) + 1, len(streams)), np.nan + 0j)
+        drift = np.zeros(len(streams))
 
+        def on_step(done, x, sp, alive):
+            if done:  # frozen rows keep the finite scalar product they had
+                np.maximum(drift, np.abs(sp - sp0), out=drift, where=alive)
+            if done in slots:
+                with np.errstate(all="ignore"):  # dead rows may divide by zero
+                    inner = (x[:, 1].conj() * (observable.matrix @ x[:, 0])).sum(axis=0)
+                    if variant == "quasi_linear":
+                        inner = inner * (sp0 / sp)
+                out[slots[done]] = np.where(alive, inner, np.nan)
+
+        # every row keeps drawing, aborted ones included, so that a
+        # trajectory's draw sequence does not depend on when it stops
+        increments = wiener_steps(streams, steps[-1], model.n_channels, kernel.dt)
+        _, _, aborted, overflowed = kernel.advance(x, increments, floor, on_step)
+        out[-1] = drift
+        return out.T, {"aborted": int(aborted.sum()), "overflowed": int(overflowed.sum())}
+
+    samples, counts, draws = run_chunks(task, n, seed, _row_cost(model), _CHUNK)
+    vals = samples[:, :-1].T
     n_alive = np.sum(~np.isnan(vals.real), axis=1)
     mean = np.empty(len(steps), dtype=complex)
     std_error = np.empty(len(steps))
@@ -293,63 +290,11 @@ def run_coupled_ensemble(
         n=n,
         n_alive=n_alive.astype(int),
         variant=variant,
-        aborted=aborted,
-        overflowed=overflowed,
-        max_scalar_drift=float(drift[0]),
+        aborted=counts["aborted"],
+        overflowed=counts["overflowed"],
+        max_scalar_drift=float(samples[:, -1].real.max()),
         draws_total=draws,
     )
-
-
-def _run_chunk(kernel, x, streams, n_steps, n_channels, floor, on_step, cols, drift):
-    """Step one chunk of pairs ``x``, row i drawing from ``streams[i]``,
-    and return its aborted and overflowed counts.  ``on_step(cols, drift,
-    done, x, sp, alive)`` records the chunk's (nodes, batch) values into
-    ``cols`` and raises the one-element drift bound ``drift``.
-
-    A chunk whose steps are heavy enough (``diffusion._heavy``) is split
-    (:func:`_split_chunk`); otherwise it is stepped here.
-    """
-    if n_steps > 0 and _heavy(kernel._stack, x):
-        counts = _split_chunk(kernel, x, streams, n_steps, n_channels, floor, on_step, cols, drift)
-        if counts is not None:
-            return counts
-    # every row keeps drawing, aborted ones included, so that a
-    # trajectory's draw sequence does not depend on when it stops
-    increments = wiener_steps(streams, n_steps, n_channels, kernel.dt)
-    _, _, low, bad = kernel.advance(x, increments, floor, partial(on_step, cols, drift))
-    return int(low.sum()), int(bad.sum())
-
-
-def _split_chunk(kernel, x, streams, n_steps, n_channels, floor, on_step, cols, drift):
-    """:func:`_run_chunk` with rows [h, batch) stepped by a forked column
-    worker (``diffusion._column_worker``), or None where ``fork`` fails.
-
-    The worker records its rows' values into a shared (nodes, batch - h)
-    array and its own drift bound, and at the end writes its aborted and
-    overflowed counts; the caller copies them in once the worker is done.
-    No bit of the values, counts, drift or draws differs from the unsplit
-    chunk's.
-    """
-    h = _split_point(x.shape[2])
-    specs = (((cols.shape[0], x.shape[2] - h), complex), ((1,), float), ((2,), np.int64))
-
-    def work(increments, arrays, ready, free):
-        their_cols, their_drift, counts = arrays
-        _, _, low, bad = kernel.advance(x[:, :, h:].copy(), increments, floor,
-                                        partial(on_step, their_cols, their_drift))
-        counts[:] = low.sum(), bad.sum()
-
-    with _column_worker(streams, h, n_steps, n_channels, kernel.dt, specs, work) as split:
-        if split is None:
-            return None
-        _, _, low, bad = kernel.advance(x[:, :, :h].copy(), split.increments, floor,
-                                        partial(on_step, cols[:, :h], drift))
-        split.child.wait("the end of its run")
-        split.restore()
-        their_cols, their_drift, counts = split.arrays
-        cols[:, h:] = their_cols
-        drift[0] = max(drift[0], their_drift[0])
-        return int(low.sum()) + int(counts[0]), int(bad.sum()) + int(counts[1])
 
 
 def instability_report(result: GisinResult) -> dict:

@@ -21,24 +21,28 @@ cycle: :func:`check_step` (a step size is finite and positive),
 :func:`wiener_steps` (each step's increments for a batch of streams).
 
 :func:`wiener_steps` draws in process, in blocks of ``NOISE_BLOCK`` steps
-into one reused buffer, with one fill routine (:func:`_fill`).  A batch
-that ``diffusion._column_worker`` splits draws the same way on both sides
-of the split: each process draws its own rows' noise, and the caller then
-restores the worker's final generator states and counts its draws, so the
-increments, the draw counts and every later draw from the same streams
-are the bits of the unsplit run.  :func:`_forked` is the fork lifecycle of
-that worker: the fork, the child's exit, the two pipes that pace it, the
-named error of a child that exits early, and the kill and reap however the
-caller ends.
+into one reused buffer, with one fill routine (:func:`_fill`).
+
+:func:`run_chunks` is the one chunk loop of every ensemble, the
+doubled-space estimators' and the coupled pair's: it spawns each chunk's
+streams, runs the chunk's task on them and sums the draws and counts.  A
+heavy chunk is split: a forked child runs the whole task on the chunk's
+upper streams while this process runs it on the lower ones, and the child
+sends back its values, counts and draws in one pickled message
+(:func:`_forked`).  A split that meets an instability is run again,
+unsplit, so a chunk raises what its unsplit run raises.
 """
 
 import contextlib
 import math
 import os
+import pickle
 import threading
 from functools import cache
 
 import numpy as np
+
+from .errors import InstabilityError
 
 __all__ = ["NoiseStream"]
 
@@ -46,15 +50,21 @@ __all__ = ["NoiseStream"]
 # keeping per-trajectory draw order identical to stepwise generation
 NOISE_BLOCK = 256
 
-# uint64 words of one PCG64 state in a column worker's mapping
-_STATE_WORDS = 6
-_MASK64 = 0xFFFFFFFFFFFFFFFF
-
-# trajectories stepped together by every ensemble.  BLAS rounds a column
-# of a product differently when it falls in the kernel's column remainder,
-# which the batch width decides, so this fixes the last bits of every
-# estimate; a batch split at a multiple of 64 rows keeps them
+# trajectories stepped together by every ensemble.  It fixes the bits of a
+# jump run, whose products gather the rows still active in a round; the
+# diffusive engines' bits do not depend on it (tests/test_correlations.py)
 _CHUNK = 2048
+
+# a chunk whose rows take at least this many complex multiply-adds per step
+# in all (the task's row cost x rows), on at least _SPLIT_MIN_BATCH rows, is
+# split with a forked child.  At d = 2 with one channel that is every
+# doubled chunk of 512 rows and up (see tools/dscan.py)
+_SPLIT_GATE = 2**13
+_SPLIT_MIN_BATCH = 128
+# the split point is a multiple of this many rows: BLAS rounds a column
+# differently only in its kernel's column remainder, which a split at such a
+# multiple leaves where it was
+_SPLIT_ALIGN = 64
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx): the entropy pool
 # of four uint32 words is filled by hashmix with (INIT_A, MULT_A) and mixed by
@@ -295,92 +305,174 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and _cpu_count() >= 2 and threading.active_count() == 1
 
 
-def _shared(*specs) -> list:
-    """One array per (shape, dtype) of ``specs``, all in one anonymous
-    shared mapping, which a process and the children it forks later both
-    see; give the specs in order of falling item size, so that each array
-    is aligned."""
-    import mmap
-
-    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
-    mapping = mmap.mmap(-1, sum(sizes))
-    arrays, offset = [], 0
-    for (shape, dtype), size in zip(specs, sizes):
-        arrays.append(np.frombuffer(mapping, dtype, math.prod(shape), offset).reshape(shape))
-        offset += size
-    return arrays
-
-
 class _Child:
-    """The parent's end of a process forked by :func:`_forked`.
+    """The parent's end of a process forked by :func:`_forked`."""
 
-    The child writes a byte to ``ready`` each time it has put something in
-    memory the two share; the parent reads it with :meth:`wait`, and gives
-    that memory back with :meth:`release`, a byte on ``free``.
-    """
+    def __init__(self, name: str, pid: int, reader: int):
+        self.name, self.pid, self.reader = name, pid, reader
 
-    def __init__(self, name: str, pid: int, ready: int, free: int):
-        self.name, self.pid, self.ready, self.free = name, pid, ready, free
-
-    def wait(self, what: str):
-        """Block until the child's next byte on ``ready``; a child that has
-        exited instead is reaped and named in a RuntimeError."""
-        if not os.read(self.ready, 1):
-            _, status = os.waitpid(self.pid, 0)
-            self.pid = 0
-            raise RuntimeError(
-                f"{self.name} exited (exit code {os.waitstatus_to_exitcode(status)}) "
-                f"before {what}"
-            )
-
-    def release(self):
-        """Send the child a byte on ``free``; a child that has exited is
-        named by the next :meth:`wait`."""
-        with contextlib.suppress(BrokenPipeError):
-            os.write(self.free, b"\0")
+    def result(self):
+        """The object the child sent, once it has exited; a child that
+        exits without sending one is reaped and named in a RuntimeError."""
+        chunks = []
+        while chunk := os.read(self.reader, 1 << 20):
+            chunks.append(chunk)
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        code = os.waitstatus_to_exitcode(status)
+        if code or not chunks:
+            raise RuntimeError(f"{self.name} exited (exit code {code}) without its result")
+        return pickle.loads(b"".join(chunks))
 
 
 @contextlib.contextmanager
 def _forked(name: str, body):
-    """Run ``body(ready, free)`` in a forked child process, and yield a
-    :class:`_Child` for it, or None where ``os.fork`` fails.
+    """Run ``body()`` in a forked child process, which sends what it returns
+    to the parent pickled, and yield a :class:`_Child` for it, or None
+    where ``os.fork`` fails.
 
-    The child writes to the ``ready`` pipe and reads the ``free`` pipe; it
-    exits with status 0 when ``body`` returns and 1 when it raises, and
-    never returns into the caller's code.  However the block ends, the
-    parent closes its pipe ends and kills and reaps the child.
+    The child exits with status 0 once it has sent the result and 1 when
+    ``body`` or the sending raises; it never returns into the caller's
+    code.  However the block ends, the parent closes its end of the pipe
+    and kills and reaps a child it has not reaped.
     """
     import signal
 
-    ready_r, ready_w = os.pipe()
-    free_r, free_w = os.pipe()
+    reader, writer = os.pipe()
     try:
         pid = os.fork()
     except OSError:
-        for fd in (ready_r, ready_w, free_r, free_w):
-            os.close(fd)
+        os.close(reader)
+        os.close(writer)
         yield None
         return
     if pid == 0:
         status = 1
         try:
-            os.close(ready_r)
-            os.close(free_w)
-            body(ready_w, free_r)
+            os.close(reader)
+            with os.fdopen(writer, "wb") as out:
+                pickle.dump(body(), out, pickle.HIGHEST_PROTOCOL)
             status = 0
         finally:
             os._exit(status)
-    os.close(ready_w)
-    os.close(free_r)
-    child = _Child(name, pid, ready_r, free_w)
+    os.close(writer)
+    child = _Child(name, pid, reader)
     try:
         yield child
     finally:
-        os.close(ready_r)
-        os.close(free_w)
+        os.close(reader)
         if child.pid:
             os.kill(child.pid, signal.SIGKILL)
             os.waitpid(child.pid, 0)
+
+
+def run_chunks(task, n: int, seed: int, row_cost: int = 0, chunk_size: int = _CHUNK,
+               wrap=None):
+    """Run ``task`` over trajectories [0, n) in chunks of ``chunk_size``,
+    one after another, and return (values, counts, draws).
+
+    ``task(streams)`` receives the streams ``spawn(seed, lo, hi)`` of one
+    chunk and returns ``(values, counts)``: an array with one row per
+    stream, and a dict of integer counts.  The values of every chunk are
+    concatenated in row order, the counts summed key by key and the streams'
+    draws summed.  ``row_cost`` is one row's complex multiply-adds per step,
+    which decides whether a chunk is split (:func:`_chunk`); 0 keeps
+    every chunk in process.  The first chunk that raises stops the run, with
+    ``wrap(lo, hi, error)`` raised in place of its error when ``wrap`` is
+    given.
+    """
+    values, counts, draws = [], {}, 0
+    for lo in range(0, n, chunk_size):
+        hi = min(lo + chunk_size, n)
+        try:
+            chunk, chunk_counts, chunk_draws = _chunk(task, seed, lo, hi, row_cost)
+        except Exception as err:
+            if wrap is None:
+                raise
+            raise wrap(lo, hi, err) from err
+        values.append(chunk)
+        _add(counts, chunk_counts)
+        draws += chunk_draws
+    return np.concatenate(values), counts, draws
+
+
+def _chunk(task, seed: int, lo: int, hi: int, row_cost: int):
+    """(values, counts, draws) of ``task`` on the streams of [lo, hi).
+
+    A chunk of at least ``_SPLIT_MIN_BATCH`` rows whose rows take at least
+    ``_SPLIT_GATE`` multiply-adds per step in all is split where the host
+    allows a fork (:func:`_halves`).  If either half raises an
+    InstabilityError, the chunk runs again in process on fresh streams, and
+    whatever that run does stands.
+    """
+    streams = spawn(seed, lo, hi)
+    if (row_cost and row_cost * len(streams) >= _SPLIT_GATE
+            and len(streams) >= _SPLIT_MIN_BATCH and _can_fork()):
+        try:
+            split = _halves(task, streams)
+        except InstabilityError:
+            streams = spawn(seed, lo, hi)
+        else:
+            if split is not None:
+                return split
+    values, counts = _checked(task(streams), len(streams))
+    return values, counts, sum(s.draws for s in streams)
+
+
+def _halves(task, streams):
+    """:func:`_chunk`'s result with ``task(streams[h:])`` run in a forked
+    child while this process runs ``task(streams[:h])``, or None where
+    ``fork`` fails.
+
+    h is the multiple of ``_SPLIT_ALIGN`` nearest half the chunk, so each
+    row has the bits of the unsplit run.  The child sends its values, its
+    counts and each of its streams' draws, or the exception its task
+    raised, which is raised here as it is.
+    """
+    h = _SPLIT_ALIGN * round(len(streams) / (2 * _SPLIT_ALIGN))
+    theirs = streams[h:]
+
+    def body():
+        try:
+            values, counts = _checked(task(theirs), len(theirs))
+        except Exception as err:  # noqa: BLE001 - raised in the parent
+            import traceback
+
+            # a traceback does not pickle; a note does, and prints with it
+            err.add_note("raised in the chunk worker:\n" + "".join(traceback.format_exception(err)))
+            return err
+        return values, counts, [s.draws for s in theirs]
+
+    with _forked("chunk worker", body) as child:
+        if child is None:
+            return None
+        mine, counts = _checked(task(streams[:h]), h)
+        sent = child.result()
+    if isinstance(sent, Exception):
+        raise sent
+    values, their_counts, draws = sent
+    for stream, count in zip(theirs, draws):
+        stream.draws = count
+    counts = _add(dict(counts), their_counts)
+    return np.concatenate([mine, values]), counts, sum(s.draws for s in streams)
+
+
+def _checked(out, rows: int):
+    """A task's ``(values, counts)``, after checking that it is such a pair
+    with one row of values per stream."""
+    if not (isinstance(out, tuple) and len(out) == 2):
+        raise TypeError(f"task returned {type(out).__name__}, expected (values, counts)")
+    values = np.asarray(out[0])
+    if values.ndim != 2 or values.shape[0] != rows:
+        raise ValueError(f"task returned shape {values.shape}, expected ({rows}, n_nodes)")
+    return values, out[1]
+
+
+def _add(counts: dict, more: dict) -> dict:
+    """``counts`` with ``more`` added key by key."""
+    for key, count in more.items():
+        counts[key] = counts.get(key, 0) + count
+    return counts
 
 
 def wiener_steps(streams, n_steps: int, n_channels: int, dt: float):
@@ -400,26 +492,3 @@ def wiener_steps(streams, n_steps: int, n_channels: int, dt: float):
         _fill(streams, block, dt)
         for k in range(span):
             yield block[:, k].T
-
-
-def _save(streams, words: np.ndarray):
-    """Write each stream's PCG64 state into its row of ``words``: the
-    128-bit state and increment as (low, high) words, then ``has_uint32``
-    and ``uinteger``."""
-    for stream, row in zip(streams, words):
-        state = stream._gen.bit_generator.state
-        pcg = state["state"]
-        row[:] = [pcg["state"] & _MASK64, pcg["state"] >> 64, pcg["inc"] & _MASK64,
-                  pcg["inc"] >> 64, state["has_uint32"], state["uinteger"]]
-
-
-def _restore(streams, words: np.ndarray):
-    """Set each stream's PCG64 state from its row of ``words`` (see
-    :func:`_save`)."""
-    for stream, (lo, hi, inc_lo, inc_hi, has_uint32, uinteger) in zip(streams, words.tolist()):
-        stream._gen.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": hi << 64 | lo, "inc": inc_hi << 64 | inc_lo},
-            "has_uint32": has_uint32,
-            "uinteger": uinteger,
-        }

@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qsdsim import diffusion, noise
+from qsdsim import noise
 from qsdsim import Ket, LindbladModel, Operator, QsdEngine, basis_ket, decay_model, sigma_plus
 from qsdsim.diffusion import _columns, _rows
 
@@ -82,18 +82,36 @@ def recorded_forks(monkeypatch) -> list:
 
 @pytest.fixture
 def splits(monkeypatch):
-    """Split every QsdEngine batch and every coupled-pair chunk of at
-    least 128 rows with a forked column worker, whatever its width and the
-    host's CPU count; the list collects each worker's pid."""
-    monkeypatch.setattr(diffusion, "_SPLIT_GATE", 0)
+    """Split every ensemble chunk of at least 128 rows whose task gives a
+    row cost (a diffusive or coupled-pair task) with a forked chunk worker,
+    whatever its width and the host's CPU count; the list collects each
+    worker's pid."""
+    monkeypatch.setattr(noise, "_SPLIT_GATE", 0)
     return recorded_forks(monkeypatch)
 
 
 @pytest.fixture
 def in_process(monkeypatch):
-    """Step every diffusive run and coupled-pair chunk in this process,
-    whatever its size."""
-    monkeypatch.setattr(diffusion, "_SPLIT_GATE", math.inf)
+    """Run every ensemble chunk in this process, whatever its size."""
+    monkeypatch.setattr(noise, "_SPLIT_GATE", math.inf)
+
+
+def in_chunk_worker(monkeypatch, action):
+    """Run ``action()`` wherever a forked chunk worker draws its noise."""
+    parent, fill = os.getpid(), noise._fill
+
+    def fill_or_act(streams, block, dt):
+        if os.getpid() != parent:
+            action()
+        fill(streams, block, dt)
+
+    monkeypatch.setattr(noise, "_fill", fill_or_act)
+
+
+def no_child_left():
+    """Fail if this process has a child that has not been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @contextmanager

@@ -23,11 +23,11 @@ from qsdsim import (
     Operator,
     SdeConfig,
     cli,
-    diffusion,
-    ensemble,
     heisenberg_element,
     noise,
 )
+
+from conftest import in_chunk_worker
 
 
 def make_config(tmp_path, name="config.json", **cfg):
@@ -867,7 +867,7 @@ def test_a_failure_that_is_no_instability_exits_1(tmp_path, monkeypatch, capsys)
     def spawn(seed, lo, hi):
         raise MemoryError("no room for the streams")
 
-    monkeypatch.setattr(ensemble, "spawn", spawn)
+    monkeypatch.setattr(noise, "spawn", spawn)
     out = tmp_path / "out"
     element = dict(scenario="decay-element", **_SMALL_RUNS["decay-element"])
     assert run_into(tmp_path, out, **element) == (1, [])
@@ -876,7 +876,7 @@ def test_a_failure_that_is_no_instability_exits_1(tmp_path, monkeypatch, capsys)
     assert "instability" not in err
 
 
-def test_an_instability_in_a_split_run_reaps_the_column_worker(tmp_path, splits):
+def test_an_instability_in_a_split_run_reaps_the_chunk_worker(tmp_path, splits):
     out = tmp_path / "out"
     unstable = {**_UNSTABLE, "n": 200}
     assert run_into(tmp_path, out, **unstable) == (3, ["instability-report.json"])
@@ -887,51 +887,46 @@ def test_an_instability_in_a_split_run_reaps_the_column_worker(tmp_path, splits)
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_killed_column_worker_exits_1(tmp_path, splits, monkeypatch, capsys):
-    def save(streams, words):  # runs in the worker only
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    monkeypatch.setattr(diffusion, "_save", save)
+def test_a_killed_chunk_worker_exits_1(tmp_path, splits, monkeypatch, capsys):
+    in_chunk_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     out = tmp_path / "out"
     element = dict(scenario="decay-element", **{**_SMALL_RUNS["decay-element"], "n": 200})
     assert run_into(tmp_path, out, **element) == (1, [])
     assert splits
     err = capsys.readouterr().err
     assert ("run failed: ensemble execution failed for trajectories [0, 200): RuntimeError: "
-            "column worker exited (exit code -9) before the end of its run") in err, err
+            "chunk worker exited (exit code -9) without its result") in err, err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 def test_a_killed_pair_worker_exits_1(tmp_path, splits, monkeypatch, capsys):
-    def save(streams, words):  # runs in the worker only
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    monkeypatch.setattr(diffusion, "_save", save)
+    in_chunk_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     out = tmp_path / "out"
     gisin = dict(scenario="gisin-compare", **{**_SMALL_RUNS["gisin-compare"], "n": 200})
     assert run_into(tmp_path, out, **gisin) == (1, [])
     assert splits
     err = capsys.readouterr().err
-    assert "run failed: column worker exited (exit code -9) before the end of its run" in err, err
+    assert "run failed: chunk worker exited (exit code -9) without its result" in err, err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_worker_that_raises_exits_1(tmp_path, splits, monkeypatch, capsys):
-    parent, fill = os.getpid(), noise._fill
+@pytest.mark.parametrize("scenario,message", [
+    ("gisin-compare", "run failed: no room for a block\n"),
+    ("decay-element", "run failed: ensemble execution failed for trajectories [0, 200): "
+                      "MemoryError: no room for a block\n"),
+])
+def test_a_worker_that_raises_exits_1(tmp_path, splits, monkeypatch, capsys, scenario, message):
+    def fail():
+        raise MemoryError("no room for a block")
 
-    def failing(streams, block, dt):
-        if os.getpid() != parent:
-            raise MemoryError("no room for a block")
-        fill(streams, block, dt)
-
-    monkeypatch.setattr(noise, "_fill", failing)
+    in_chunk_worker(monkeypatch, fail)
     out = tmp_path / "out"
-    gisin = dict(scenario="gisin-compare", **{**_SMALL_RUNS["gisin-compare"], "n": 200})
-    assert run_into(tmp_path, out, **gisin) == (1, [])
+    config = dict(scenario=scenario, **{**_SMALL_RUNS[scenario], "n": 200})
+    assert run_into(tmp_path, out, **config) == (1, [])
     assert splits
-    assert "column worker exited (exit code 1)" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(message)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -955,7 +950,7 @@ def test_a_split_run_writes_the_same_bytes(tmp_path, monkeypatch, splits, scenar
     split = outputs()
     forked = len(splits)
     assert forked
-    monkeypatch.setattr(diffusion, "_SPLIT_GATE", math.inf)
+    monkeypatch.setattr(noise, "_SPLIT_GATE", math.inf)
     assert outputs() == split
     assert len(splits) == forked
 

@@ -1,10 +1,16 @@
 """Matrix-element and two-time-correlation estimators on the doubled space."""
 
+import os
+import signal
+from functools import partial
+
 import numpy as np
 import pytest
 
 from qsdsim import (
+    EnsembleError,
     Ket,
+    LindbladModel,
     NoiseStream,
     Operator,
     QsdEngine,
@@ -13,6 +19,7 @@ from qsdsim import (
     correlate,
     decay_model,
     doubled_matrix_element,
+    driven_cavity_model,
     driven_decay_model,
     heisenberg_element,
     sigma_minus,
@@ -21,10 +28,20 @@ from qsdsim import (
     two_time_correlation,
 )
 
+from qsdsim import correlations, noise
 from qsdsim.correlations import _haar_rows
+from qsdsim.ensemble import run_ensemble
 from qsdsim.noise import spawn
 
-from conftest import decay_element_setup, random_ket, random_model
+from conftest import (
+    deadline,
+    decay_element_setup,
+    in_chunk_worker,
+    no_child_left,
+    random_ket,
+    random_model,
+    recorded_forks,
+)
 
 
 def haar_rows(streams, dim):
@@ -45,7 +62,7 @@ def test_correlate_validation(monkeypatch):
         raise AssertionError("a stream was built before the arguments were checked")
 
     # every bad argument is named before run_ensemble builds a stream
-    monkeypatch.setattr("qsdsim.ensemble.spawn", no_streams)
+    monkeypatch.setattr("qsdsim.noise.spawn", no_streams)
     for bad in (
         {"tau_grid": [0.5, 0.5]},
         {"tau_grid": [-0.5, 0.0]},
@@ -269,3 +286,186 @@ def test_fluorescence_correlation_matches_oracle():
     assert np.all(dev < 3.0 * res.std_error)
     assert res.method == "qsd-normalized"
     assert res.extras == {}
+
+
+# Whole-task splits: the ensemble runner splits a heavy diffusive chunk
+# between this process and a forked chunk worker, each running the whole
+# task on its rows; the ``splits`` fixture sets the gate to 0.
+
+
+def observed(run):
+    """The samples' bytes, the counts and the draws of ``run()``, or its
+    error's type and message."""
+    try:
+        res = run()
+    except EnsembleError as err:
+        return type(err.error).__name__, str(err)
+    return res.samples.tobytes(), res.extras, res.draws_total
+
+
+def unsplit(monkeypatch, run):
+    with monkeypatch.context() as patch:
+        patch.setattr(noise, "_SPLIT_GATE", float("inf"))
+        return observed(run)
+
+
+def element_run(dim, channels, scheme, n):
+    """A heisenberg_element run on a random model, recorded at four nodes."""
+    rng = np.random.default_rng(dim * n)
+    model = random_model(rng, dim, channels, scale=0.5)
+    observable = Operator(np.diag(np.arange(1.0, dim + 1)))
+    return partial(heisenberg_element, observable, random_ket(rng, dim), random_ket(rng, dim),
+                   model, [0.0, 0.01, 0.15, 0.2], n, SdeConfig(1e-3, scheme), seed=5)
+
+
+def correlate_run(dim, scheme, n, initial=None):
+    """A correlate run on a random model: preparation, then a tau segment."""
+    rng = np.random.default_rng(dim + n)
+    model = random_model(rng, dim, 2, scale=0.5)
+    a_op = Operator(np.diag(np.arange(1.0, dim + 1)))
+    return partial(correlate, a_op, model.lindblads[0], model, 0.05, [0.0, 0.02, 0.05], n,
+                   SdeConfig(1e-3, scheme), 6, initial)
+
+
+@pytest.mark.parametrize(
+    "run,forks",
+    [
+        (element_run(2, 1, "normalized", 300), 1),
+        (element_run(3, 2, "quasi_linear", 130), 1),
+        (element_run(8, 1, "normalized", 200), 1),
+        # two chunks, both split
+        (element_run(2, 2, "quasi_linear", 2048 + 300), 2),
+        # Haar starts, a preparation and a tau segment
+        (correlate_run(3, "normalized", 300), 1),
+        (correlate_run(2, "quasi_linear", 2048 + 130), 2),
+        (correlate_run(4, "quasi_linear", 192, Ket(np.ones(4))), 1),
+    ],
+)
+def test_a_chunk_split_in_two_gives_the_bits_of_the_unsplit_one(splits, monkeypatch, run, forks):
+    with deadline(60):
+        split = observed(run)
+    assert len(splits) == forks
+    assert split == unsplit(monkeypatch, run)
+    assert len(split) == 3 and split[2] > 0
+    no_child_left()
+
+
+# Under the quasi-linear scheme with H = 0 and L = 1000 I, a step multiplies
+# the norm by about 5000 at dt = 0.01: a row scaled by 1e150 overflows its
+# norm at step 2, one scaled by 1e140 at step 4.  Rows [0, 128) of 200 stay
+# in this process and rows [128, 200) go to the chunk worker.
+_GROWTH = LindbladModel(Operator(np.zeros((2, 2))), (Operator(1e3 * np.eye(2)),))
+
+
+def growing_run(monkeypatch, scales, grid):
+    """heisenberg_element on ``_GROWTH`` over 200 trajectories, each
+    starting row scaled by ``scales`` {trajectory: factor}."""
+    chunk = correlations._doubled_series_chunk
+
+    def scaled(engine, counts, streams, theta, *args):
+        with np.errstate(invalid="ignore"):  # inf times a zero amplitude
+            for row, stream in zip(theta, streams):
+                row *= scales.get(stream.trajectory_index, 1.0)
+        return chunk(engine, counts, streams, theta, *args)
+
+    monkeypatch.setattr(correlations, "_doubled_series_chunk", scaled)
+    observable, bra, ket, _ = decay_element_setup()
+    return partial(heisenberg_element, Operator(np.eye(2)), bra, ket, _GROWTH, grid, 200,
+                   SdeConfig(0.01, "quasi_linear"), seed=0)
+
+
+@pytest.mark.parametrize(
+    "scales,grid,expected",
+    [
+        # the earliest step wins, in either half
+        ({10: 1e140, 150: 1e150}, (0, 0.01, 0.06), "after step 2 (first at trajectory 150)"),
+        ({10: 1e150, 150: 1e140}, (0, 0.01, 0.03, 0.06), "after step 2 (first at trajectory 10)"),
+        # at one step, the lowest row
+        ({100: 1e150, 130: 1e150}, (0.06,), "after step 2 (first at trajectory 100)"),
+        # only the worker's half fails, at a record and after the last one
+        ({199: 1e150}, (0, 0.01, 0.03, 0.06), "after step 2 (first at trajectory 199)"),
+        ({199: 1e140}, (0, 0.01, 0.06), "after step 4 (first at trajectory 199)"),
+        # before stepping, the finiteness check comes first
+        ({5: 0.0, 140: np.nan}, (0.03,), "became non-finite during propagation "
+                                           "(first at trajectory 140)"),
+        ({5: np.inf, 140: 0.0}, (0.06,), "became non-finite during propagation "
+                                         "(first at trajectory 5)"),
+    ],
+)
+def test_a_chunk_split_in_two_raises_the_instability_of_the_unsplit_one(
+    splits, monkeypatch, scales, grid, expected
+):
+    run = growing_run(monkeypatch, scales, grid)
+    with deadline(60):
+        split = observed(run)
+    assert len(splits) == 1
+    whole = unsplit(monkeypatch, run)
+    assert whole[0] == "InstabilityError"
+    assert whole[1].endswith(expected), whole[1]
+    assert split == whole
+    no_child_left()
+
+
+def test_a_chunk_worker_that_raises_passes_its_error_on(splits, monkeypatch):
+    def fail():
+        raise MemoryError("no room for a block")
+
+    in_chunk_worker(monkeypatch, fail)
+    with deadline(60):
+        failed = observed(element_run(2, 1, "normalized", 200))
+    assert len(splits) == 1
+    assert failed == ("MemoryError", "ensemble execution failed for trajectories [0, 200): "
+                                     "MemoryError: no room for a block")
+    no_child_left()
+
+
+def test_a_killed_chunk_worker_is_named_and_reaped(splits, monkeypatch):
+    in_chunk_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with deadline(60):
+        failed = observed(correlate_run(2, "normalized", 200))
+    assert failed == ("RuntimeError", "ensemble execution failed for trajectories [0, 200): "
+                      "RuntimeError: chunk worker exited (exit code -9) without its result")
+    no_child_left()
+
+
+def test_no_jump_task_splits(splits):
+    observable, bra, ket, model = decay_element_setup()
+    sde = SdeConfig(0.01, "jump")
+    heisenberg_element(observable, bra, ket, model, [0.0, 0.1], 300, sde, seed=0)
+    correlate(sigma_plus(), sigma_minus(), model, 0.1, [0.0, 0.1], 300, sde, seed=0)
+    assert splits == []
+
+
+def test_the_gate_takes_every_diffusive_chunk_of_the_benchmark(monkeypatch):
+    # a doubled d = 2 row with one channel takes 4 x 2 x 2 multiply-adds a
+    # step: every g1 chunk (2048 and 1024 rows) splits, and so does each
+    # doubled chunk of 512 rows and up; the d = 32 cavity splits at 128
+    forks = recorded_forks(monkeypatch)
+    assert noise._SPLIT_GATE == 2**13
+    sde = SdeConfig(1e-3)
+    g1 = partial(correlate, sigma_plus(), sigma_minus(), driven_decay_model(10.0), 0.0,
+                 [0.0, 1e-3], sde=sde, seed=0)
+    g1(n_trajectories=511)
+    assert forks == []
+    g1(n_trajectories=512)
+    assert len(forks) == 1
+    cavity = driven_cavity_model(32)
+    heisenberg_element(Operator(cavity.lindblads[0].matrix), basis_ket(32, 0), basis_ket(32, 1),
+                       cavity, [1e-3], 128, sde, seed=0)
+    assert len(forks) == 2
+    no_child_left()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+@pytest.mark.parametrize("scheme", ["normalized", "quasi_linear"])
+def test_the_chunk_size_fixes_no_bit_of_a_diffusive_run(in_process, monkeypatch, dim, scheme):
+    # BLAS rounds a product column by its place in the kernel's unroll,
+    # which a chunk boundary at any multiple of 4 columns leaves in place;
+    # the jump engine gathers each round's active rows and has no such rule
+    runs = (element_run(dim, 2, scheme, 2100), correlate_run(dim, scheme, 2100))
+    seen = []
+    for chunk_size in (512, 1000, 2048, 4096):
+        monkeypatch.setattr(correlations, "run_ensemble",
+                            partial(run_ensemble, chunk_size=chunk_size))
+        seen.append([observed(run) for run in runs])
+    assert all(runs == seen[0] for runs in seen[1:])

@@ -1,5 +1,8 @@
 """Ensemble reduction, statistics, and benchmark plumbing."""
 
+import math
+import os
+import signal
 import time
 
 import numpy as np
@@ -9,11 +12,15 @@ from qsdsim import (
     BenchmarkPoint,
     EnsembleError,
     EnsembleResult,
+    InstabilityError,
     benchmark_sweep,
     relative_rms_error,
     run_ensemble,
 )
-from qsdsim.noise import spawn
+from qsdsim import noise
+from qsdsim.noise import _CHUNK, spawn
+
+from conftest import deadline, no_child_left, recorded_forks
 
 
 def noisy_task(streams, nodes=3, draws=10):
@@ -190,3 +197,160 @@ def test_wall_time_scales_linearly_with_n():
         assert small.wall_time_seconds > 0 and large.wall_time_seconds > 0
         ratios.append(large_s / small_s)
     assert 1.6 <= float(np.median(ratios)) <= 2.6
+
+
+# The chunk runner (noise.run_chunks): a chunk of at least 128 rows whose
+# task gives a row cost at or above the split gate runs half in a forked
+# chunk worker; the ``splits`` fixture sets the gate to 0.
+
+
+def counted_task(streams):
+    """Each row's values from its own stream, a different number of draws
+    per row, and counts that depend on the rows."""
+    values, _ = noisy_task(streams)
+    for stream in streams:
+        stream.uniform(stream.trajectory_index % 3)
+    even = sum(s.trajectory_index % 2 == 0 for s in streams)
+    return values, {"rows": len(streams), "even": even}
+
+
+def observed(task=counted_task, n=300, row_cost=1, chunk_size=_CHUNK):
+    """The samples' bytes, the counts and the draws of one run at seed 5."""
+    res = run_ensemble(task, n, seed=5, chunk_size=chunk_size, row_cost=row_cost)
+    return res.samples.tobytes(), res.extras, res.draws_total
+
+
+def unsplit(monkeypatch, run):
+    with monkeypatch.context() as patch:
+        patch.setattr(noise, "_SPLIT_GATE", math.inf)
+        return run()
+
+
+@pytest.mark.parametrize("n,forks", [(128, 1), (300, 1), (_CHUNK + 130, 2), (_CHUNK + 127, 1)])
+def test_a_chunk_split_in_two_gives_the_unsplit_values_counts_and_draws(
+    splits, monkeypatch, n, forks
+):
+    with deadline(60):
+        split = observed(n=n)
+    assert len(splits) == forks
+    assert split == unsplit(monkeypatch, lambda: observed(n=n))
+    assert split[1] == {"rows": n, "even": (n + 1) // 2}
+    no_child_left()
+
+
+def test_only_a_costed_chunk_of_128_rows_at_the_gate_splits(monkeypatch):
+    forks = recorded_forks(monkeypatch)
+    monkeypatch.setattr(noise, "_SPLIT_GATE", 64 * 128)
+    observed(n=128, row_cost=63)
+    observed(n=127, row_cost=100)
+    assert forks == []
+    observed(n=128, row_cost=64)
+    assert len(forks) == 1
+    # a task of no row cost, a jump task's, never splits
+    monkeypatch.setattr(noise, "_SPLIT_GATE", 0)
+    observed(n=_CHUNK, row_cost=0)
+    assert len(forks) == 1
+    # nor does any chunk where the host allows no fork
+    monkeypatch.setattr(noise, "_cpu_count", lambda: 1)
+    observed(n=_CHUNK, row_cost=64)
+    assert len(forks) == 1
+    no_child_left()
+
+
+def test_a_failed_fork_runs_the_chunk_in_process(splits, monkeypatch):
+    def fork():
+        raise OSError("no more processes")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "fork", fork)
+        in_process = observed()
+    assert splits == []
+    assert in_process == observed()
+    assert len(splits) == 1
+    no_child_left()
+
+
+def in_worker(action):
+    """A task that runs ``action()`` in a chunk worker and ``counted_task``
+    in this process."""
+    parent = os.getpid()
+
+    def task(streams):
+        if os.getpid() != parent:
+            action()
+        return counted_task(streams)
+
+    return task
+
+
+def test_a_killed_chunk_worker_is_named_and_reaped(splits):
+    task = in_worker(lambda: os.kill(os.getpid(), signal.SIGKILL))
+    with deadline(60):
+        with pytest.raises(EnsembleError) as excinfo:
+            observed(task)
+    assert len(splits) == 1
+    assert str(excinfo.value) == (
+        "ensemble execution failed for trajectories [0, 300): RuntimeError: "
+        "chunk worker exited (exit code -9) without its result"
+    )
+    no_child_left()
+
+
+def test_a_worker_exception_arrives_with_its_type_and_message(splits):
+    def fail():
+        raise MemoryError("no room for a block")
+
+    with deadline(60):
+        with pytest.raises(EnsembleError) as excinfo:
+            observed(in_worker(fail))
+    assert len(splits) == 1
+    error = excinfo.value.error
+    assert type(error) is MemoryError
+    assert str(error) == "no room for a block"
+    # the worker's traceback comes along as a note
+    assert error.__notes__[0].startswith("raised in the chunk worker:\nTraceback")
+    assert "in fail\n" in error.__notes__[0]
+    no_child_left()
+
+
+def test_an_exception_in_the_parents_half_kills_and_reaps_the_worker(splits):
+    parent = os.getpid()
+
+    def task(streams):
+        if os.getpid() != parent:
+            time.sleep(60)  # until it is killed
+        raise ValueError("no room for this half")
+
+    with deadline(30):
+        with pytest.raises(EnsembleError, match="ValueError: no room for this half"):
+            observed(task)
+    assert len(splits) == 1
+    no_child_left()
+
+
+@pytest.mark.parametrize("half", ["parent", "worker"])
+def test_an_instability_in_a_half_runs_the_chunk_again_unsplit(splits, monkeypatch, half):
+    # only a half raises, so the unsplit rerun returns, on fresh streams
+    def task(streams):
+        in_worker = streams[0].trajectory_index > 0
+        if len(streams) < 300 and in_worker == (half == "worker"):
+            counted_task(streams)  # its draws are spent
+            raise InstabilityError(f"unstable in {len(streams)} rows")
+        return counted_task(streams)
+
+    with deadline(60):
+        rerun = observed(task)
+    assert len(splits) == 1
+    assert rerun == unsplit(monkeypatch, observed)
+    no_child_left()
+
+
+def test_an_instability_raises_the_unsplit_runs_error(splits):
+    def task(streams):
+        raise InstabilityError(f"unstable in {len(streams)} rows")
+
+    with deadline(60):
+        with pytest.raises(EnsembleError, match=r"InstabilityError: unstable in 300 rows$"):
+            observed(task)
+    assert len(splits) == 1
+    no_child_left()

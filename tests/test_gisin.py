@@ -15,18 +15,23 @@ from qsdsim import (
     Operator,
     SdeConfig,
     basis_ket,
-    decay_model,
     heisenberg_element,
     instability_report,
     regression_matrix_element,
     run_coupled_ensemble,
 )
-from qsdsim import diffusion, gisin, noise
-from qsdsim.diffusion import _heavy
+from qsdsim import gisin, noise
 from qsdsim.gisin import DEFAULT_FLOOR, VARIANTS, _PairKernel
 from qsdsim.noise import _CHUNK, spawn, wiener_steps
 
-from conftest import deadline, decay_element_setup, random_ket, random_model
+from conftest import (
+    deadline,
+    decay_element_setup,
+    in_chunk_worker,
+    no_child_left,
+    random_ket,
+    random_model,
+)
 
 
 def pair_rows(bras, kets):
@@ -340,8 +345,8 @@ def test_zero_model_report_is_silent():
     assert np.allclose(res.mean, expected)
 
 
-# Column worker: a coupled-pair chunk of at least 128 rows is split above a
-# per-step work gate, which the ``splits`` fixture sets to 0.
+# Chunk worker: a coupled-pair chunk of at least 128 rows is split above the
+# chunk runner's gate, which the ``splits`` fixture sets to 0.
 
 _OVERFLOWING = LindbladModel(
     hamiltonian=Operator(np.zeros((2, 2))),
@@ -350,8 +355,9 @@ _OVERFLOWING = LindbladModel(
 
 
 def observed_pairs(monkeypatch, run):
-    """Every number of ``run()``'s GisinResult, each stream's draws and the
-    next draws of every stream the run spawned."""
+    """Every number of ``run()``'s GisinResult and the draws of each stream
+    the run spawned; a chunk's streams are discarded after its task, so
+    their later draws are no part of the result."""
     streams = []
 
     def recorded(seed, lo, hi):
@@ -360,13 +366,12 @@ def observed_pairs(monkeypatch, run):
         return chunk
 
     with monkeypatch.context() as patch:
-        patch.setattr(gisin, "spawn", recorded)
+        patch.setattr(noise, "spawn", recorded)
         res = run()
     numbers = [getattr(res, name) for name in ("aborted", "overflowed", "max_scalar_drift",
                                                 "draws_total")]
     arrays = [getattr(res, name).tobytes() for name in ("mean", "std_error", "n_alive")]
-    after = [s.wiener(1, 0.5).tobytes() + s.uniform(3).tobytes() for s in streams]
-    return numbers, arrays, [s.draws for s in streams], after
+    return numbers, arrays, [s.draws for s in streams]
 
 
 def first_chunk_rows(model, floor, n, steps=100, seed=3):
@@ -403,7 +408,7 @@ def pair_problem(case):
 @pytest.mark.parametrize(
     "case,n",
     [
-        # floor 0.5: rows abort in both halves; the worker's holds the
+        # floor 0.5: rows abort in both halves; the worker's row holds the
         # largest drift
         ("aborting", 300),
         # two split chunks
@@ -423,7 +428,7 @@ def test_a_split_pair_run_gives_the_bits_of_the_unsplit_one(splits, monkeypatch,
         split = observed_pairs(monkeypatch, run)
     assert len(splits) == chunks
     with monkeypatch.context() as patch:
-        patch.setattr(diffusion, "_SPLIT_GATE", math.inf)
+        patch.setattr(noise, "_SPLIT_GATE", math.inf)
         whole = observed_pairs(monkeypatch, run)
     assert len(splits) == chunks
     assert split == whole
@@ -437,42 +442,29 @@ def test_a_split_pair_run_gives_the_bits_of_the_unsplit_one(splits, monkeypatch,
         else:
             assert aborted[:h].any() and aborted[h:].any()
         assert drift[h:].max() > drift[:h].max()
-
-
-def no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+        assert split[0][2] == pytest.approx(drift.max(), rel=1e-12)
 
 
 def test_a_killed_pair_worker_is_a_named_error(splits, monkeypatch):
-    def save(streams, words):  # runs in the worker only
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    monkeypatch.setattr(diffusion, "_save", save)
+    in_chunk_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     observable, bra, ket, model = decay_element_setup()
     with deadline(60):
         with pytest.raises(
-            RuntimeError, match=r"column worker exited \(exit code -9\) before the end of its run"
+            RuntimeError, match=r"^chunk worker exited \(exit code -9\) without its result$"
         ):
             run_coupled_ensemble(observable, bra, ket, model, [0.1, 0.2], 0.01, 200, seed=0)
     assert len(splits) == 1
     no_child_left()
 
 
-def test_a_pair_worker_that_raises_is_a_named_error(splits, monkeypatch):
-    parent, fill = os.getpid(), noise._fill
+def test_a_pair_worker_that_raises_passes_its_error_on(splits, monkeypatch):
+    def fail():
+        raise MemoryError("no room for a block")
 
-    def failing(streams, block, dt):
-        if os.getpid() != parent:
-            raise MemoryError("no room for a block")
-        fill(streams, block, dt)
-
-    monkeypatch.setattr(noise, "_fill", failing)
+    in_chunk_worker(monkeypatch, fail)
     observable, bra, ket, model = decay_element_setup()
     with deadline(60):
-        with pytest.raises(
-            RuntimeError, match=r"column worker exited \(exit code 1\) before the end of its run"
-        ):
+        with pytest.raises(MemoryError, match="^no room for a block"):
             run_coupled_ensemble(observable, bra, ket, model, [0.1, 0.2], 0.01, 200, seed=0)
     assert len(splits) == 1
     no_child_left()
@@ -494,28 +486,14 @@ def test_a_failed_fork_steps_the_pairs_in_process(splits, monkeypatch):
     assert len(splits) == 1
 
 
-def test_small_pair_chunks_are_not_split(monkeypatch, splits):
+def test_the_pair_gives_the_runner_a_doubled_rows_cost(splits, monkeypatch):
+    # a d = 2 pair with one channel: 4 x 2 x 2 multiply-adds a row, so the
+    # gate splits every gisin-compare chunk (2048 and 1952 rows) and each
+    # chunk of 512 rows and up
+    monkeypatch.setattr(noise, "_SPLIT_GATE", 2**13)
     observable, bra, ket, model = decay_element_setup()
-    run_coupled_ensemble(observable, bra, ket, model, [0.1], 0.01, 127, seed=0)
-    run_coupled_ensemble(observable, bra, ket, model, [0.0], 0.01, 128, seed=0)
+    run_coupled_ensemble(observable, bra, ket, model, [0.01], 0.01, 511, seed=0)
     assert splits == []
-    # a d = 2 pair with one channel: 4 x 2 x 2 multiply-adds a row
-    monkeypatch.setattr(diffusion, "_SPLIT_GATE", 4 * 2 * 2 * 128 + 1)
-    run_coupled_ensemble(observable, bra, ket, model, [0.1], 0.01, 128, seed=0)
-    assert splits == []
-    monkeypatch.setattr(diffusion, "_SPLIT_GATE", 4 * 2 * 2 * 128)
-    run_coupled_ensemble(observable, bra, ket, model, [0.1], 0.01, 128, seed=0)
+    run_coupled_ensemble(observable, bra, ket, model, [0.01], 0.01, 512, seed=0)
     assert len(splits) == 1
-
-
-def test_every_gisin_compare_chunk_is_split(monkeypatch):
-    monkeypatch.setattr(noise, "_cpu_count", lambda: 2)
-    kernel = _PairKernel(decay_model(), 0.01, "quasi_linear")
-
-    def splits(batch):
-        return _heavy(kernel._stack, np.zeros((2, 2, batch), dtype=complex))
-
-    # the two chunks of the benchmark's gisin-compare (n = 4000), and the
-    # gate at d = 2 with one channel: every chunk of 512 rows and up
-    assert splits(_CHUNK) and splits(4000 - _CHUNK)
-    assert splits(512) and not splits(511)
+    no_child_left()

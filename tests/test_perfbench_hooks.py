@@ -67,7 +67,7 @@ def qsdsim_bindings() -> dict:
     return bound
 
 
-def test_tracer_patches_existing_names_and_restores_them(tmp_path):
+def test_tracer_patches_existing_names_and_puts_them_back(tmp_path):
     before = qsdsim_bindings()
     tracer = tracing.Tracer()
     try:
@@ -100,9 +100,10 @@ def test_tracer_patches_existing_names_and_restores_them(tmp_path):
 
 
 def test_tracer_counts_a_split_cavity_run(tmp_path, splits):
-    # the column worker steps half of each chunk's rows in a child process,
-    # where no span is recorded; the traced parent must still see every
-    # draw of the chunk's streams and one task per chunk
+    # the chunk worker runs the task on the chunk's upper rows in a child
+    # process, where no span is recorded: the traced parent steps only its
+    # h = 128 of the 300 rows, but still sees every draw of the chunk's
+    # streams and one task per chunk
     workload = workloads.WORKLOADS["cavity-element"]
     n, steps = 300, 40
     config, errors = cli.validate(json.dumps({
@@ -121,7 +122,7 @@ def test_tracer_counts_a_split_cavity_run(tmp_path, splits):
     metrics = tracing.layer_metrics(tracer, n, 1)
     assert metrics["noise.draws"] == meta["draws_total"] == n * 2 * steps
     assert metrics["ensemble.chunks"] == 1
-    assert metrics["diffusion.traj_steps"] == n * steps
+    assert metrics["diffusion.traj_steps"] == 128 * steps
     assert metrics["correlations.record_calls"] == 3
 
 

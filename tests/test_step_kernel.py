@@ -185,7 +185,7 @@ def recorded_run(engine, states, seed, lo, n_steps, record_steps):
 @pytest.mark.parametrize("batch", [130, 512, 1950, 2048])
 @pytest.mark.parametrize("dim", [2, 3, 8, 32])
 def test_a_batch_split_at_a_multiple_of_64_keeps_its_bits(in_process, dim, batch):
-    # the column worker's premise: BLAS rounds a column differently only in
+    # the chunk runner's premise: BLAS rounds a column differently only in
     # its kernel's column remainder, so two parts split at a multiple of 64
     # rows step every row, and record it, with the bits of the whole batch
     rng = np.random.default_rng(100 * dim + batch)

@@ -100,7 +100,7 @@ MUTANTS = [
            "states = _run(engine, counts, states, streams, pre_steps - 1)",
            "tests/test_correlations.py"),
     Mutant("run-ensemble-keeps-first-chunk-samples", "src/qsdsim/ensemble.py",
-           "samples=samples,", "samples=values[0],",
+           "samples=samples,", "samples=samples[:chunk_size],",
            "tests/test_ensemble.py"),
     Mutant("jump-channel-taken-at-the-jump-substep", "src/qsdsim/jumps.py",
            "weights, candidates = self._channels(pre)",
@@ -109,15 +109,17 @@ MUTANTS = [
     Mutant("step-map-boundary-at-16", "src/qsdsim/master.py",
            "STEP_MAP_MAX_DIM = 8", "STEP_MAP_MAX_DIM = 16",
            "tests/test_master.py"),
-    Mutant("coupled-draws-of-last-chunk-only", "src/qsdsim/gisin.py",
-           "draws += sum(", "draws = sum(",
+    # the pair's chunks go through the one chunk runner, whose loop keeps
+    # every chunk's draws, counts and rows
+    Mutant("coupled-draws-of-last-chunk-only", "src/qsdsim/noise.py",
+           "draws += chunk_draws", "draws = chunk_draws",
            "tests/test_gisin.py"),
-    Mutant("coupled-tallies-of-last-chunk-only", "src/qsdsim/gisin.py",
-           "aborted += low\n        overflowed += bad\n",
-           "aborted = low\n        overflowed = bad\n",
+    Mutant("coupled-tallies-of-last-chunk-only", "src/qsdsim/noise.py",
+           "        _add(counts, chunk_counts)\n", "        counts = dict(chunk_counts)\n",
            "tests/test_gisin.py"),
     Mutant("coupled-drift-of-last-chunk-only", "src/qsdsim/gisin.py",
-           "hi = min(lo + _CHUNK, n)\n", "hi = min(lo + _CHUNK, n)\n        drift[0] = 0.0\n",
+           "max_scalar_drift=float(samples[:, -1].real.max())",
+           "max_scalar_drift=float(samples[-(n % _CHUNK or _CHUNK):, -1].real.max())",
            "tests/test_gisin.py"),
     Mutant("output-cleanup-skipped", "src/qsdsim/cli.py",
            "        _clear_outputs(config.out_dir)\n", "        pass\n",
@@ -134,39 +136,31 @@ MUTANTS = [
     Mutant("fill-block-scaling-skipped", "src/qsdsim/noise.py",
            "    parts *= np.sqrt(0.5 * dt)\n", "    pass\n",
            "tests/test_noise.py"),
-    # the column worker: its rows, draws and streams must be those of the
-    # unsplit run, and so must its instability errors
-    Mutant("worker-half-concatenated-first", "src/qsdsim/diffusion.py",
-           "np.concatenate([head, rows.reshape(dim, k, tail)], axis=2)",
-           "np.concatenate([rows.reshape(dim, k, tail), head], axis=2)",
-           "tests/test_diffusion.py"),
-    Mutant("worker-draws-uncounted", "src/qsdsim/diffusion.py",
-           "            stream.draws += 2 * n_channels * n_steps\n", "            pass\n",
-           "tests/test_diffusion.py"),
-    Mutant("worker-streams-not-restored", "src/qsdsim/diffusion.py",
-           "        _restore(theirs, words)\n", "        pass\n",
-           "tests/test_diffusion.py"),
-    Mutant("split-errors-compared-by-row-only", "src/qsdsim/diffusion.py",
-           "failed[0] < err.order", "failed[0][2:] < err.order[2:]",
-           "tests/test_diffusion.py"),
-    Mutant("restore-skips-the-last-stream", "src/qsdsim/noise.py",
-           "zip(streams, words.tolist())", "zip(streams[:-1], words.tolist())",
-           "tests/test_diffusion.py"),
-    # the coupled pair's column worker and its unmasked steps
-    Mutant("pair-worker-drift-dropped", "src/qsdsim/gisin.py",
-           "        drift[0] = max(drift[0], their_drift[0])\n", "        pass\n",
+    # the chunk runner's split: the worker's rows, draws and counts must be
+    # those of the unsplit chunk, and so must its errors
+    Mutant("child-half-concatenated-first", "src/qsdsim/noise.py",
+           "np.concatenate([mine, values])", "np.concatenate([values, mine])",
+           "tests/test_ensemble.py"),
+    Mutant("child-draws-uncounted", "src/qsdsim/noise.py",
+           "        stream.draws = count\n", "        pass\n",
+           "tests/test_ensemble.py"),
+    Mutant("split-point-one-row-off-the-multiple-of-64", "src/qsdsim/noise.py",
+           "h = _SPLIT_ALIGN * round(len(streams) / (2 * _SPLIT_ALIGN))",
+           "h = _SPLIT_ALIGN * round(len(streams) / (2 * _SPLIT_ALIGN)) + 1",
+           "tests/test_correlations.py"),
+    Mutant("jump-task-allowed-to-split", "src/qsdsim/correlations.py",
+           'return 0 if sde.scheme == "jump" else _row_cost(model)', "return _row_cost(model)",
+           "tests/test_correlations.py"),
+    Mutant("instability-of-a-half-raised-without-the-unsplit-rerun", "src/qsdsim/noise.py",
+           "        except InstabilityError:\n", "        except ZeroDivisionError:\n",
+           "tests/test_ensemble.py"),
+    Mutant("pair-drift-column-dropped", "src/qsdsim/gisin.py",
+           "        out[-1] = drift\n", "        out[-1] = 0.0\n",
            "tests/test_gisin.py"),
-    Mutant("pair-split-point-one-row-off-the-multiple-of-64", "src/qsdsim/diffusion.py",
-           "return _SPLIT_ALIGN * round(batch / (2 * _SPLIT_ALIGN))",
-           "return _SPLIT_ALIGN * round(batch / (2 * _SPLIT_ALIGN)) + 1",
-           "tests/test_gisin.py"),
+    # the coupled pair's unmasked steps
     Mutant("pair-unmasked-steps-kept-after-an-abort", "src/qsdsim/gisin.py",
            "lean = lean and mag.min() >= floor\n                if not lean:\n",
            "if not mag.min() >= floor:\n",
-           "tests/test_gisin.py"),
-    Mutant("pair-chunk-ignores-the-split-gate", "src/qsdsim/gisin.py",
-           "if n_steps > 0 and _heavy(kernel._stack, x):",
-           "if n_steps > 0 and x.shape[2] >= 128:",
            "tests/test_gisin.py"),
 ]
 
