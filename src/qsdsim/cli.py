@@ -11,7 +11,9 @@ files that record wall-clock timings (metadata.json, benchmark.csv).  A run
 first deletes from its output directory the files an earlier run may have
 left there, and nothing else.
 
-Each scenario's keys, defaults and parsers are one table in ``SCHEMAS``.
+Each scenario's keys, defaults and parsers are one table in ``SCHEMAS``, whose
+rows ``validate`` reads once, in table order: a row's parser sees the keys read
+before it (a grid sees dt, an operator the model).
 Each estimate shape (matrix element, two-time correlation) has one run path.
 
 Exit codes: 0 success, 1 any other failure of a run (an error that is not
@@ -27,6 +29,7 @@ import math
 import subprocess
 import sys
 import time
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
@@ -76,58 +79,49 @@ class RunConfig:
     params: dict
 
 
-# A parser is parse(value, key, errors): the parsed value, or None after
-# appending an error that names ``key``.
+# A parser is parse(value, key, errors, seen=None): the parsed value, or None
+# if it does not parse; each error names ``key``.  A row's parser checks its
+# key against the rows read before it, whose values ``seen`` holds.
 
-def _as_positive_int(value, key: str, errors: list, minimum: int = 1):
-    if isinstance(value, bool) or not isinstance(value, int):
-        errors.append(f"{key}: expected a positive integer, got {value!r}")
+def _number(kind: str = "number", least=None):
+    """Parser for a finite number of ``kind`` at least ``least``, an int if
+    the kind names an integer, else a float; a "positive number" exceeds 0."""
+    integer = kind.endswith("integer")
+
+    def parse(value, key: str, errors: list, seen=None):
+        if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+            errors.append(f"{key}: expected a {kind}, got {value!r}")
+            return None
+        try:
+            number = value if integer else float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not (integer or math.isfinite(number)):
+            errors.append(f"{key}: must be a finite number, got {value}")
+        elif kind == "positive number" and number <= 0:
+            errors.append(f"{key}: must be positive, got {value}")
+        elif least is not None and number < least:
+            errors.append(f"{key}: must be >= {least}, got {value}")
+        else:
+            return number
         return None
-    if value < minimum:
-        errors.append(f"{key}: must be >= {minimum}, got {value}")
-        return None
-    return value
+    return parse
 
 
-def _as_seed(value, key: str, errors: list):
+_as_finite = _number()
+_as_positive = _number("positive number")
+_as_nonnegative = _number("non-negative number", least=0)
+_ensemble_size = _number("positive integer", least=2)
+
+
+def _as_seed(value, key: str, errors: list, seen=None):
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         errors.append(f"{key}: expected a non-negative integer, got {value!r}")
         return None
     return value
 
 
-def _as_finite_float(value, key: str, errors: list, kind: str = "number"):
-    """``value`` as a finite float, or None after appending an error."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        errors.append(f"{key}: expected a {kind}, got {value!r}")
-        return None
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        errors.append(f"{key}: must be a finite number, got {value}")
-        return None
-    return number
-
-
-def _as_positive_float(value, key: str, errors: list):
-    number = _as_finite_float(value, key, errors, "positive number")
-    if number is not None and number <= 0:
-        errors.append(f"{key}: must be positive, got {value}")
-        number = None
-    return number
-
-
-def _as_nonnegative_float(value, key: str, errors: list):
-    number = _as_finite_float(value, key, errors, "non-negative number")
-    if number is not None and number < 0:
-        errors.append(f"{key}: must be >= 0, got {value}")
-        number = None
-    return number
-
-
-def _as_out_dir(value, key: str, errors: list):
+def _as_out_dir(value, key: str, errors: list, seen=None):
     if not isinstance(value, str):
         errors.append(f"{key}: expected a directory path string, got {value!r}")
         return None
@@ -138,7 +132,7 @@ def _choice(options: tuple, listing: str = ""):
     """Parser for one of ``options``, which errors list as ``listing``."""
     listing = listing or " or ".join(map(repr, options))
 
-    def parse(value, key: str, errors: list):
+    def parse(value, key: str, errors: list, seen=None):
         if value in options:
             return value
         errors.append(f"{key}: expected {listing}, got {value!r}")
@@ -148,7 +142,7 @@ def _choice(options: tuple, listing: str = ""):
 
 def _list_of(parse, what: str):
     """Parser for a non-empty list of items that ``parse`` reads."""
-    def parse_list(value, key: str, errors: list):
+    def parse_list(value, key: str, errors: list, seen=None):
         if not isinstance(value, list) or not value:
             errors.append(f"{key}: expected a non-empty list of {what}")
             return None
@@ -157,11 +151,60 @@ def _list_of(parse, what: str):
     return parse_list
 
 
-def _span(values, keys, errors: list):
-    """(start, stop, num, num key) of a linspace grid from config values."""
-    parsers = (_as_finite_float, _as_finite_float, _as_positive_int)
-    parts = [parse(v, k, errors) for parse, v, k in zip(parsers, values, keys)]
-    return None if None in parts else (*parts, keys[2])
+def _step_sizes(value, key: str, errors: list, seen=None):
+    """The coupled pair's step sizes, whose labels name its output files."""
+    steps = _list_of(_as_positive, "step sizes")(value, key, errors)
+    labels = {}
+    for h in steps or ():
+        label = f"{h:g}"
+        if label in labels:
+            errors.append(
+                f"{key}: step sizes {labels[label]!r} and {h!r} share the output label '{label}'"
+            )
+        labels[label] = h
+    return steps
+
+
+def _on_grid(times, dt, key: str, errors: list, label: str = "node"):
+    """Append an error naming ``key`` unless ``times`` lie on the dt grid (if any)."""
+    if dt is None:
+        return
+    try:
+        grid_steps(times, dt, label)
+    except ValueError as err:
+        errors.append(f"{key}: {err}")
+
+
+def _span(values, keys, key: str, errors: list, seen: dict):
+    """The grid of (start, stop, num) config ``values`` under ``keys``, laid
+    out on the dt grid and checked on the grid of each step size in h_list."""
+    parsers = (_as_finite, _as_finite, _number("positive integer", least=1))
+    start, stop, num = parts = [parse(v, k, errors) for parse, v, k in zip(parsers, values, keys)]
+    if None in parts:
+        return None
+
+    def lay_out(dt, label):
+        if num - 1 > abs(stop - start) / dt + 0.5:
+            errors.append(
+                f"{keys[2]}: {num} nodes do not fit on the dt={dt:g} grid "
+                f"between {start:g} and {stop:g}"
+            )
+            return None
+        # bounds near the float maximum overflow inside linspace; the grid's
+        # non-finite multiples of dt are then the error that names them
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = np.linspace(start, stop, num)
+        _on_grid(grid, dt, label, errors)
+        return grid
+
+    dt = seen.get("dt")
+    grid = None if dt is None else lay_out(dt, key)
+    for h in seen.get("h_list") or ():
+        if grid is not None:
+            _on_grid(grid, h, f"{key} (h={h:g})", errors)
+        elif dt is None:  # without a valid dt each step size lays the grid out
+            lay_out(h, f"{key} (h={h:g})")
+    return grid
 
 
 class _Linspace(NamedTuple):
@@ -176,9 +219,10 @@ class _Linspace(NamedTuple):
         parts = ("stop", "nodes") if self.fixed_start else ("start", "stop", "nodes")
         return tuple(f"{self.prefix}_{part}" for part in parts)
 
-    def read(self, cfg: dict, default: tuple, errors: list):
+    def read(self, cfg: dict, default: tuple, errors: list, seen: dict):
         keys = [f"{self.prefix}_{part}" for part in ("start", "stop", "nodes")]
-        return _span([cfg.get(k, d) for k, d in zip(keys, default)], keys, errors)
+        values = [cfg.get(k, d) for k, d in zip(keys, default)]
+        return _span(values, keys, f"{self.prefix} grid", errors, seen)
 
 
 def _parse_complex(value, key: str, errors: list):
@@ -188,12 +232,12 @@ def _parse_complex(value, key: str, errors: list):
     ):
         errors.append(f"{key}: expected a number or [re, im] pair, got {value!r}")
         return None
-    re, im = _as_finite_float(re, key, errors), _as_finite_float(im, key, errors)
+    re, im = _as_finite(re, key, errors), _as_finite(im, key, errors)
     return None if re is None or im is None else complex(re, im)
 
 
-def _parse_vector(value, key: str, errors: list):
-    """A nonzero vector, as the unit ket along it."""
+def _parse_vector(value, key: str, errors: list, seen: dict):
+    """A nonzero vector of the model's dimension, as the unit ket along it."""
     if not isinstance(value, list) or not value:
         errors.append(f"{key}: expected a non-empty list")
         return None
@@ -202,6 +246,10 @@ def _parse_vector(value, key: str, errors: list):
         return None
     if not any(amplitudes):
         errors.append(f"{key}: must be a nonzero vector")
+        return None
+    model = seen.get("model")
+    if model is not None and len(amplitudes) != model.dim:
+        errors.append(f"{key}: length {len(amplitudes)} does not match model dim {model.dim}")
         return None
     return Ket(amplitudes).normalized()
 
@@ -219,22 +267,25 @@ def _parse_matrix(value, key: str, errors: list):
     return None if any(None in row for row in rows) else np.array(rows, dtype=complex)
 
 
-def _parse_grid(value, key: str, errors: list):
-    """A list of times, or a {start, stop, num} linspace object."""
+def _parse_grid(value, key: str, errors: list, seen: dict):
+    """A list of times, or a {start, stop, num} linspace object, on the dt grid."""
     parts = ("start", "stop", "num")
     if isinstance(value, dict):
         if set(value) != set(parts):
             errors.append(f"{key}: grid object needs exactly start, stop, num")
             return None
-        return _span([value[p] for p in parts], [f"{key}.{p}" for p in parts], errors)
+        return _span([value[p] for p in parts], [f"{key}.{p}" for p in parts], key, errors, seen)
     if isinstance(value, list) and value:
-        times = [_as_finite_float(v, f"{key}[{i}]", errors) for i, v in enumerate(value)]
-        return None if None in times else np.array(times)
+        times = [_as_finite(v, f"{key}[{i}]", errors) for i, v in enumerate(value)]
+        if None in times:
+            return None
+        _on_grid(times, seen.get("dt"), key, errors)
+        return np.array(times)
     errors.append(f"{key}: expected a list of times or {{start, stop, num}}")
     return None
 
 
-def _parse_model(value, key: str, errors: list):
+def _parse_model(value, key: str, errors: list, seen=None):
     if not isinstance(value, dict):
         errors.append("model: expected an object")
         return None
@@ -250,7 +301,7 @@ def _parse_model(value, key: str, errors: list):
                 return None
             return decay_model()
         if name == "driven_decay":
-            omega = _as_positive_float(value.get("omega", 10.0), "model.omega", errors)
+            omega = _as_positive(value.get("omega", 10.0), "model.omega", errors)
             return None if omega is None else driven_decay_model(omega)
         errors.append(f"model.builder: unknown builder {name!r}")
         return None
@@ -288,13 +339,13 @@ def _parse_model(value, key: str, errors: list):
     return model
 
 
-def _parse_operator(value, key: str, errors: list):
-    """A matrix, or an operator name that is resolved once the model is known."""
-    return value if isinstance(value, str) else _parse_matrix(value, key, errors)
-
-
-def _sized_operator(op, key: str, dim: int, errors: list):
-    """A parsed operator as an Operator on the model's dimension ``dim``."""
+def _parse_operator(value, key: str, errors: list, seen: dict):
+    """A matrix or an operator name, as an Operator on the model's space."""
+    op = value if isinstance(value, str) else _parse_matrix(value, key, errors)
+    model = seen.get("model")
+    if op is None or model is None:
+        return None
+    dim = model.dim
     if isinstance(op, np.ndarray):
         if op.shape == (dim, dim):
             return Operator(op)
@@ -313,54 +364,58 @@ def _sized_operator(op, key: str, dim: int, errors: list):
     return None
 
 
-_REQUIRED = object()  # the default of a key that has none
-_ensemble_size = partial(_as_positive_int, minimum=2)
-_UNRAVELING = (_choice(UNRAVELINGS, f"one of {UNRAVELINGS}"), "qsd")
-# the custom keys that only runs of one mode read
-_MODE_KEYS = {
-    "element": ("bra", "ket", "t_grid"),
-    "correlation": ("perturbation", "warmup", "tau_grid"),
-}
+def _warmup(value, key: str, errors: list, seen: dict):
+    """A relaxation time on the dt grid."""
+    warmup = _as_nonnegative(value, key, errors)
+    if warmup is not None:
+        _on_grid([warmup], seen.get("dt"), key, errors, "value")
+    return warmup
 
-# each scenario's keys mapped to (parser, default), after those _schema
-# adds; a parsed row becomes one RunConfig.params entry, and a config key
-# that no row names is rejected, not ignored
+
+_REQUIRED = object()  # the default of a key that has none
+# a config key's parser, its default, and the custom mode whose runs alone read it
+_Row = namedtuple("_Row", "parse default mode", defaults=(_REQUIRED, ""))
+_UNRAVELING = _Row(_choice(UNRAVELINGS, f"one of {UNRAVELINGS}"), "qsd")
+
+# each scenario's rows, after those _schema adds, read once in this order;
+# a parsed row becomes one RunConfig.params entry, and a config key that no
+# row names is rejected, not ignored
 SCHEMAS = {
     "decay-element": {
-        "n": (_ensemble_size, 1000),
+        "n": _Row(_ensemble_size, 1000),
         "unraveling": _UNRAVELING,
-        "t_grid": (_Linspace("t"), (0.1, 4.0, 40)),
+        "t_grid": _Row(_Linspace("t"), (0.1, 4.0, 40)),
     },
     "fluorescence-g1": {
-        "n": (_ensemble_size, 10_000),
+        "n": _Row(_ensemble_size, 10_000),
         "unraveling": _UNRAVELING,
-        "omega": (_as_positive_float, 10.0),
-        "warmup": (_as_nonnegative_float, 30.0),
-        "tau_grid": (_Linspace("tau"), (0.0, 3.0, 61)),
+        "omega": _Row(_as_positive, 10.0),
+        "warmup": _Row(_warmup, 30.0),
+        "tau_grid": _Row(_Linspace("tau"), (0.0, 3.0, 61)),
     },
     "gisin-compare": {
-        "n": (_ensemble_size, 10_000),
-        "h_list": (_list_of(_as_positive_float, "step sizes"), [0.01, 0.001, 0.0001]),
-        "t_grid": (_Linspace("t"), (0.1, 1.0, 10)),
+        "n": _Row(_ensemble_size, 10_000),
+        "h_list": _Row(_step_sizes, [0.01, 0.001, 0.0001]),
+        "t_grid": _Row(_Linspace("t"), (0.1, 1.0, 10)),
     },
     "benchmark": {  # sized by n_list alone
-        "omega": (_as_positive_float, 10.0),
-        "warmup": (_as_nonnegative_float, 10.0),
-        "n_list": (_list_of(_ensemble_size, "ensemble sizes"), [125, 250, 500, 1000, 2000]),
-        "tau_grid": (_Linspace("tau", fixed_start=True), (0.0, 3.0, 16)),
+        "omega": _Row(_as_positive, 10.0),
+        "warmup": _Row(_warmup, 10.0),
+        "n_list": _Row(_list_of(_ensemble_size, "ensemble sizes"), [125, 250, 500, 1000, 2000]),
+        "tau_grid": _Row(_Linspace("tau", fixed_start=True), (0.0, 3.0, 16)),
     },
     "custom": {
-        "n": (_ensemble_size, 1000),
+        "n": _Row(_ensemble_size, 1000),
         "unraveling": _UNRAVELING,
-        "mode": (_choice(tuple(_MODE_KEYS)), "element"),
-        "model": (_parse_model, _REQUIRED),
-        "observable": (_parse_operator, _REQUIRED),
-        "bra": (_parse_vector, _REQUIRED),
-        "ket": (_parse_vector, _REQUIRED),
-        "t_grid": (_parse_grid, _REQUIRED),
-        "perturbation": (_parse_operator, _REQUIRED),
-        "warmup": (_as_nonnegative_float, 30.0),
-        "tau_grid": (_parse_grid, _REQUIRED),
+        "mode": _Row(_choice(("element", "correlation")), "element"),
+        "model": _Row(_parse_model),
+        "observable": _Row(_parse_operator),
+        "bra": _Row(_parse_vector, mode="element"),
+        "ket": _Row(_parse_vector, mode="element"),
+        "t_grid": _Row(_parse_grid, mode="element"),
+        "perturbation": _Row(_parse_operator, mode="correlation"),
+        "warmup": _Row(_warmup, 30.0, "correlation"),
+        "tau_grid": _Row(_parse_grid, mode="correlation"),
     },
 }
 SCENARIOS = tuple(SCHEMAS)
@@ -369,62 +424,18 @@ SCENARIOS = tuple(SCHEMAS)
 def _schema(scenario: str) -> dict:
     """The scenario's table after the shared keys, which are RunConfig fields."""
     return {
-        "dt": (_as_positive_float, 1e-3),
-        "seed": (_as_seed, 0),
-        "out": (_as_out_dir, f"out-{scenario}"),
+        "dt": _Row(_as_positive, 1e-3),
+        "seed": _Row(_as_seed, 0),
+        "out": _Row(_as_out_dir, f"out-{scenario}"),
         **SCHEMAS[scenario],
     }
 
 
 def _config_keys(scenario: str) -> set:
     keys = {"scenario"}
-    for name, (parse, _) in _schema(scenario).items():
-        keys.update(parse.keys if isinstance(parse, _Linspace) else (name,))
+    for name, row in _schema(scenario).items():
+        keys.update(row.parse.keys if isinstance(row.parse, _Linspace) else (name,))
     return keys
-
-
-def _on_dt_grid(grid, dt, key: str, errors: list, label: str = "node"):
-    """``grid``, a span laid out, checked on the dt grid unless None."""
-    if grid is None or dt is None:
-        return grid
-    if isinstance(grid, tuple):
-        start, stop, num, num_key = grid
-        if num - 1 > abs(stop - start) / dt + 0.5:
-            errors.append(
-                f"{num_key}: {num} nodes do not fit on the dt={dt:g} grid "
-                f"between {start:g} and {stop:g}"
-            )
-            return None
-        grid = np.linspace(start, stop, num)
-    try:
-        grid_steps(grid, dt, label)
-    except ValueError as err:
-        errors.append(f"{key}: {err}")
-    return grid
-
-
-def _check_custom(cfg: dict, values: dict, errors: list):
-    """The keys custom runs require or forbid; the operators and vectors."""
-    for key in ("model", "observable"):
-        if key not in cfg:
-            errors.append(f"{key}: required for scenario 'custom'")
-    mode = values["mode"]
-    if mode is not None:
-        other = "correlation" if mode == "element" else "element"
-        for key in _MODE_KEYS[other]:
-            values.pop(key, None)
-            if key in cfg:
-                errors.append(f"{key}: only applicable to {other} runs")
-        for key in _MODE_KEYS[mode]:
-            if key not in values:
-                errors.append(f"{key}: required for custom {mode} runs")
-    dim = None if values.get("model") is None else values["model"].dim
-    for key in ("observable", "perturbation"):
-        if dim is not None and values.get(key) is not None:
-            values[key] = _sized_operator(values[key], key, dim, errors)
-    for key in ("bra", "ket"):
-        if dim is not None and values.get(key) is not None and values[key].dim != dim:
-            errors.append(f"{key}: length {values[key].dim} does not match model dim {dim}")
 
 
 def validate(text: str, overrides: "dict | None" = None):
@@ -454,34 +465,21 @@ def validate(text: str, overrides: "dict | None" = None):
     if errors:
         return None, errors
 
-    schema = _schema(scenario)
     values: dict = {}
-    for name, (parse, default) in schema.items():
-        if isinstance(parse, _Linspace):
-            values[name] = parse.read(cfg, default, errors)
+    for name, (parse, default, mode) in _schema(scenario).items():
+        if mode and values["mode"] not in (None, mode):
+            # a key of the other mode's runs: its own errors, then this one
+            if name in cfg:
+                parse(cfg[name], name, errors, {})
+                errors.append(f"{name}: only applicable to {mode} runs")
+        elif isinstance(parse, _Linspace):
+            values[name] = parse.read(cfg, default, errors, values)
         elif name in cfg or default is not _REQUIRED:
-            values[name] = parse(cfg.get(name, default), name, errors)
-
-    # the checks that need dt or the model
-    dt = values["dt"]
-    if scenario == "custom":
-        _check_custom(cfg, values, errors)
-    for name, (parse, _) in schema.items():
-        if name.endswith("_grid") and name in values:
-            label = f"{parse.prefix} grid" if isinstance(parse, _Linspace) else name
-            values[name] = _on_dt_grid(values[name], dt, label, errors)
-    if values.get("warmup") is not None:
-        _on_dt_grid([values["warmup"]], dt, "warmup", errors, "value")
-    labels = {}
-    for h in values.get("h_list") or ():
-        _on_dt_grid(values["t_grid"], h, f"t grid (h={h:g})", errors)
-        # each step size names its output files by this label
-        label = f"{h:g}"
-        if label in labels:
-            errors.append(
-                f"h_list: step sizes {labels[label]!r} and {h!r} share the output label '{label}'"
-            )
-        labels[label] = h
+            values[name] = parse(cfg.get(name, default), name, errors, values)
+        elif not mode:
+            errors.append(f"{name}: required for scenario '{scenario}'")
+        elif values["mode"] is not None:
+            errors.append(f"{name}: required for custom {mode} runs")
 
     if errors:
         return None, errors

@@ -108,8 +108,8 @@ def _readme_keys(scenario: str) -> list:
 @pytest.mark.parametrize("scenario", sorted(cli.SCHEMAS))
 def test_readme_key_tables_match_the_schemas(scenario):
     expected = []
-    for name, (parse, _) in cli.SCHEMAS[scenario].items():
-        expected.extend(parse.keys if isinstance(parse, cli._Linspace) else (name,))
+    for name, row in cli.SCHEMAS[scenario].items():
+        expected.extend(row.parse.keys if isinstance(row.parse, cli._Linspace) else (name,))
     assert sorted(_readme_keys(scenario)) == sorted(expected)
 
 
@@ -207,6 +207,13 @@ _CUSTOM_SHAPE_CASES = [
         (_CUSTOM_ELEMENT + '[0.5, NaN]}', "t_grid[1]: must be a finite number"),
         (_CUSTOM_ELEMENT + '[0.5, "0.7"]}', "t_grid[1]: expected a number"),
         (_CUSTOM_ELEMENT + '[0.7, 0.5]}', "strictly increasing"),
+        # bounds near the float maximum overflow inside linspace
+        ('{"scenario": "decay-element", "t_start": 0, "t_stop": 1.7976931348623157e308, '
+         '"t_nodes": 19}', "t grid: time grid must hold finite multiples"),
+        ('{"scenario": "decay-element", "t_start": -1.7e308, "t_stop": 1.7e308, "t_nodes": 3}',
+         "t grid: time grid must hold finite multiples"),
+        (_CUSTOM_ELEMENT + '{"start": 0, "stop": 1.7976931348623157e308, "num": 19}}',
+         "t_grid: time grid must hold finite multiples"),
         *_CUSTOM_NON_FINITE_CASES,
         ('{"scenario": "decay-element", "out": null}', "out: expected a directory path string"),
         ('{"scenario": "decay-element", "out": []}', "out: expected a directory path string"),
@@ -309,6 +316,8 @@ _FINITE = (
 _NUMBERS = _FINITE | st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
 _ENTRIES = _FINITE | st.lists(_FINITE, min_size=2, max_size=2) | _NUMBERS
 _TIMES = st.sampled_from([0, 0.1, 0.25, 0.5, 1.0])
+# grid bounds near the float maximum, whose spans overflow
+_EXTREMES = st.sampled_from([1.7976931348623157e308, -1.7976931348623157e308, 1.7e308, -1.7e308])
 
 
 def _matrices(dim):
@@ -336,6 +345,9 @@ def _custom_values(dim):
         st.lists(_TIMES, min_size=1, max_size=4, unique=True).map(sorted)
         | st.fixed_dictionaries({"start": _TIMES, "stop": _TIMES, "num": st.integers(-2, 50)})
         | st.fixed_dictionaries({"start": _NUMBERS, "stop": _NUMBERS, "num": st.integers(-2, 50)})
+        | st.fixed_dictionaries(
+            {"start": _TIMES | _EXTREMES, "stop": _EXTREMES, "num": st.integers(-2, 50)}
+        )
         | st.lists(_NUMBERS, min_size=1, max_size=4)
     )
     # a vector of the model's dimension with a nonzero first entry, or any list
@@ -379,7 +391,8 @@ def test_validate_returns_errors_and_never_raises(case, data):
         # value drawn from any JSON value instead
         values = _custom_values(data.draw(st.sampled_from([2, 1, 3])))
         cfg = {"mode": mode}
-        for key in ["model", "observable", *cli._MODE_KEYS[mode]]:
+        mode_keys = [key for key, row in cli.SCHEMAS["custom"].items() if row.mode == mode]
+        for key in ["model", "observable", *mode_keys]:
             cfg[key] = data.draw(values[key])
         change = data.draw(st.sampled_from([None, "drop", "add", "odd"]))
         if change is not None:
@@ -388,7 +401,12 @@ def test_validate_returns_errors_and_never_raises(case, data):
             if change != "drop":
                 cfg[key] = data.draw(_JSON_VALUES)
     else:
-        cfg = data.draw(st.dictionaries(st.sampled_from(keys), _JSON_VALUES))
+        # any JSON values, and grid bounds near the float maximum
+        values = {
+            key: _JSON_VALUES | _EXTREMES if key.endswith(("_start", "_stop")) else _JSON_VALUES
+            for key in keys
+        }
+        cfg = data.draw(st.fixed_dictionaries({}, optional=values))
     config, errors = cli.validate(json.dumps({"scenario": scenario, **cfg}))
     assert (config is None) == bool(errors)
     assert all(isinstance(line, str) for line in errors)

@@ -31,6 +31,7 @@ from conftest import (
     no_child_left,
     random_ket,
     random_model,
+    recorded_forks,
 )
 
 
@@ -496,4 +497,30 @@ def test_the_pair_gives_the_runner_a_doubled_rows_cost(splits, monkeypatch):
     assert splits == []
     run_coupled_ensemble(observable, bra, ket, model, [0.01], 0.01, 512, seed=0)
     assert len(splits) == 1
+    no_child_left()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 8])
+def test_the_chunk_size_fixes_no_bit_of_a_pair_run(monkeypatch, dim):
+    # as for the diffusive engines, neither the chunk size nor a split moves
+    # a bit of the result on random two-channel models
+    forks = recorded_forks(monkeypatch)
+    rng = np.random.default_rng(dim)
+    model = random_model(rng, dim, 2, scale=0.5)
+    observable = Operator(np.diag(np.arange(1.0, dim + 1)))
+    run = partial(run_coupled_ensemble, observable, random_ket(rng, dim), random_ket(rng, dim),
+                  model, [0.02, 0.05, 0.1], 0.01, 2100, seed=3)
+    seen = []
+    for chunk_size in (512, 1000, 2048, 4096):
+        monkeypatch.setattr(gisin, "_CHUNK", chunk_size)
+        for gate in (0, math.inf):
+            with monkeypatch.context() as patch:
+                patch.setattr(noise, "_SPLIT_GATE", gate)
+                res = run()
+            seen.append((res.max_scalar_drift, res.aborted, res.overflowed, res.draws_total,
+                         *(getattr(res, name).tobytes() for name in ("mean", "std_error",
+                                                                      "n_alive"))))
+    # every chunk of 128 rows and up split: 4 of 512, 2 of 1000, 1 and 1
+    assert len(forks) == 4 + 2 + 1 + 1
+    assert all(observed == seen[0] for observed in seen[1:])
     no_child_left()

@@ -127,6 +127,19 @@ MUTANTS = [
     Mutant("h-list-label-check-skipped", "src/qsdsim/cli.py",
            "        if label in labels:\n", "        if False:\n",
            "tests/test_cli.py"),
+    # config rows check their keys against the rows read before them
+    Mutant("grid-row-skips-its-dt-grid-check", "src/qsdsim/cli.py",
+           "        _on_grid(grid, dt, label, errors)\n", "        pass\n",
+           "tests/test_cli.py"),
+    Mutant("operator-row-skips-the-model-dimension-check", "src/qsdsim/cli.py",
+           "if op.shape == (dim, dim):", "if True:",
+           "tests/test_cli.py"),
+    Mutant("custom-row-read-in-the-other-mode", "src/qsdsim/cli.py",
+           'if mode and values["mode"] not in (None, mode):', "if False:",
+           "tests/test_cli.py"),
+    Mutant("grid-overflow-guard-removed", "src/qsdsim/cli.py",
+           'with np.errstate(over="ignore", invalid="ignore"):', "with np.errstate():",
+           "tests/test_cli.py"),
     Mutant("density-matrix-accepts-non-finite", "src/qsdsim/master.py",
            "mat = _as_complex_matrix(self.entries)", "mat = np.array(self.entries, dtype=complex)",
            "tests/test_master.py"),
