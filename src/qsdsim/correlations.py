@@ -33,7 +33,7 @@ from .diffusion import QsdEngine, SdeConfig, _row_cost
 from .ensemble import EnsembleResult, run_ensemble
 from .hilbert import Ket, LindbladModel, Operator, _check_dims, make_doubled_state
 from .jumps import JumpEngine
-from .noise import grid_steps
+from .noise import _fill, grid_steps
 
 __all__ = [
     "heisenberg_element",
@@ -44,17 +44,17 @@ __all__ = [
 def _haar_rows(streams, dim: int) -> np.ndarray:
     """One Haar-random unit ket per stream, shape (len(streams), dim).
 
-    Each stream draws one block of standard complex normals (wiener at
-    dt = 1, N(0, 1/2) parts) into its row, and all rows are normalized at
-    once.  The rare zero row is redrawn from its own stream until it is not.
+    Each stream draws one step of ``dim`` standard complex normals (wiener
+    at dt = 1, N(0, 1/2) parts) into its row, all in one fill, and all rows
+    are normalized at once.  The rare zero row is redrawn from its own
+    stream until it is not.
     """
     rows = np.empty((len(streams), 1, dim), dtype=complex)
-    for stream, row in zip(streams, rows):
-        stream.wiener_block(1, dim, 1.0, out=row)
+    _fill(streams, rows, 1.0)
     norms = _row_norms(rows)
     for i in np.flatnonzero(norms == 0.0):  # probability zero, but stay total
         while norms[i] == 0.0:
-            streams[i].wiener_block(1, dim, 1.0, out=rows[i])
+            _fill(streams[i : i + 1], rows[i : i + 1], 1.0)
             norms[i] = _row_norms(rows[i : i + 1])[0]
     return rows[:, 0] / norms[:, None]
 

@@ -32,7 +32,7 @@ trajectory is a batch of one row.
 The drift is ``LindbladModel.generator``; the step-size check, the dt grid
 rule and the per-step noise come from :mod:`qsdsim.noise`.  A run is
 stepped in this process.  The second CPU is reached one level up: the
-chunk runner of :mod:`qsdsim.noise` splits a heavy chunk's whole task,
+chunk runner of :mod:`qsdsim.ensemble` splits a heavy chunk's whole task,
 weighing it by :func:`_row_cost`, one doubled row's multiply-adds per step.
 """
 
@@ -49,7 +49,6 @@ __all__ = [
     "SCHEMES",
     "SdeConfig",
     "QsdEngine",
-    "complex_standard_error",
 ]
 
 SCHEMES = ("normalized", "quasi_linear", "jump")
@@ -231,7 +230,7 @@ def _stacked(stack: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) ->
 def _row_cost(model: LindbladModel) -> int:
     """One doubled row's complex multiply-adds per step: the stacked
     ((1 + n_channels) dim, dim) product with its two blocks, the weight the
-    chunk runner's split gate (``noise._SPLIT_GATE``) puts on a row."""
+    chunk runner's split gate (``ensemble._SPLIT_GATE``) puts on a row."""
     return (1 + model.n_channels) * model.dim**2 * 2
 
 
@@ -302,19 +301,3 @@ def _unstable_row(what: str, bad: np.ndarray, streams=None) -> InstabilityError:
     if streams is not None:
         what += f" (first at trajectory {streams[int(np.argmax(bad))].trajectory_index})"
     return InstabilityError(what)
-
-
-def complex_standard_error(samples: np.ndarray) -> float:
-    """Standard error of a complex sample mean.
-
-    Treats each value as the 2-vector (Re, Im) and returns
-    sqrt((var(Re) + var(Im)) / n) with unbiased componentwise variances;
-    zero for a single sample.
-    """
-    samples = np.asarray(samples)
-    n = samples.shape[0]
-    if n < 2:
-        return 0.0
-    return float(
-        np.sqrt((np.var(samples.real, ddof=1) + np.var(samples.imag, ddof=1)) / n)
-    )

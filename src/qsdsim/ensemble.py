@@ -1,34 +1,61 @@
 """Deterministic execution of trajectory ensembles.
 
-The work is split into fixed-size index chunks, run one after another by
-the chunk runner of :mod:`qsdsim.noise` (``noise.run_chunks``): each chunk
-spawns the streams of its indices together (``noise.spawn``, whose streams
-are bit-identical to ``NoiseStream(seed, i)``) and returns its values, the
-draws of its streams and its task's counts, and results are reduced in
-chunk order.  Trajectory i draws only from its own stream, so a run is
-bitwise reproducible across reruns.  The chunk size fixes the bits of a jump
-run, whose batches gather the rows still active, and no bit of a diffusive
-one.  A heavy chunk of a task that gives its row cost runs half in a forked
-child, with the bits of the unsplit chunk.  The first chunk that fails
+:func:`run_chunks` is the one chunk loop of every ensemble, the
+doubled-space estimators' (through :func:`run_ensemble`) and the coupled
+pair's (:mod:`qsdsim.gisin`).  The work is split into fixed-size index
+chunks, run one after another: each chunk spawns the streams of its indices
+together (``noise.spawn``, whose streams are bit-identical to
+``NoiseStream(seed, i)``) and returns its values, the draws of its streams
+and its task's counts, and results are reduced in chunk order.  Trajectory
+i draws only from its own stream, so a run is bitwise reproducible across
+reruns.  The chunk size fixes the bits of a jump run, whose batches gather
+the rows still active, and no bit of a diffusive one.
+
+A heavy chunk of a task that gives its row cost is split: a forked chunk
+worker runs the whole task on the chunk's upper streams while this process
+runs it on the lower ones, and the worker sends back its values, counts and
+draws in one pickled message (:func:`_halves`), with the bits of the
+unsplit chunk.  A split that meets an instability is run again, unsplit, so
+a chunk raises what its unsplit run raises.  The first chunk that fails
 stops the run.
 """
 
+import os
+import pickle
+import threading
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusion import complex_standard_error
-from .noise import _CHUNK, run_chunks
+from .errors import InstabilityError
+from .noise import spawn
 
 __all__ = [
     "EnsembleResult",
     "BenchmarkPoint",
     "EnsembleError",
     "run_ensemble",
+    "complex_standard_error",
     "relative_rms_error",
     "benchmark_sweep",
 ]
+
+# trajectories stepped together by every ensemble.  It fixes the bits of a
+# jump run, whose products gather the rows still active in a round; the
+# diffusive engines' bits do not depend on it (tests/test_correlations.py)
+_CHUNK = 2048
+
+# a chunk whose rows take at least this many complex multiply-adds per step
+# in all (the task's row cost x rows), on at least _SPLIT_MIN_BATCH rows, is
+# split with a forked child.  At d = 2 with one channel that is every
+# doubled chunk of 512 rows and up (see tools/dscan.py)
+_SPLIT_GATE = 2**13
+_SPLIT_MIN_BATCH = 128
+# the split point is a multiple of this many rows: BLAS rounds a column
+# differently only in its kernel's column remainder, which a split at such a
+# multiple leaves where it was
+_SPLIT_ALIGN = 64
 
 
 class EnsembleError(RuntimeError):
@@ -133,6 +160,22 @@ def run_ensemble(
     )
 
 
+def complex_standard_error(samples: np.ndarray) -> float:
+    """Standard error of a complex sample mean.
+
+    Treats each value as the 2-vector (Re, Im) and returns
+    sqrt((var(Re) + var(Im)) / n) with unbiased componentwise variances;
+    zero for a single sample.
+    """
+    samples = np.asarray(samples)
+    n = samples.shape[0]
+    if n < 2:
+        return 0.0
+    return float(
+        np.sqrt((np.var(samples.real, ddof=1) + np.var(samples.imag, ddof=1)) / n)
+    )
+
+
 def relative_rms_error(estimate: np.ndarray, reference: np.ndarray) -> float:
     """sqrt(sum |est - ref|^2 / sum |ref|^2) over a common grid."""
     est = np.asarray(estimate)
@@ -181,3 +224,157 @@ def benchmark_sweep(
                 )
             )
     return points
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _can_fork() -> bool:
+    """Whether a forked child may take over part of this process's work:
+    fork is available, a second CPU can run the child, and no other thread
+    could hold a lock across the fork."""
+    return hasattr(os, "fork") and _cpu_count() >= 2 and threading.active_count() == 1
+
+
+def run_chunks(task, n: int, seed: int, row_cost: int = 0, chunk_size: int = _CHUNK,
+               wrap=None):
+    """Run ``task`` over trajectories [0, n) in chunks of ``chunk_size``,
+    one after another, and return (values, counts, draws).
+
+    ``task(streams)`` receives the streams ``spawn(seed, lo, hi)`` of one
+    chunk and returns ``(values, counts)``: an array with one row per
+    stream, and a dict of integer counts.  The values of every chunk are
+    concatenated in row order, the counts summed key by key and the streams'
+    draws summed.  ``row_cost`` is one row's complex multiply-adds per step,
+    which decides whether a chunk is split (:func:`_chunk`); 0 keeps
+    every chunk in process.  The first chunk that raises stops the run, with
+    ``wrap(lo, hi, error)`` raised in place of its error when ``wrap`` is
+    given.
+    """
+    values, counts, draws = [], {}, 0
+    for lo in range(0, n, chunk_size):
+        hi = min(lo + chunk_size, n)
+        try:
+            chunk, chunk_counts, chunk_draws = _chunk(task, seed, lo, hi, row_cost)
+        except Exception as err:
+            if wrap is None:
+                raise
+            raise wrap(lo, hi, err) from err
+        values.append(chunk)
+        _add(counts, chunk_counts)
+        draws += chunk_draws
+    return np.concatenate(values), counts, draws
+
+
+def _chunk(task, seed: int, lo: int, hi: int, row_cost: int):
+    """(values, counts, draws) of ``task`` on the streams of [lo, hi).
+
+    A chunk of at least ``_SPLIT_MIN_BATCH`` rows whose rows take at least
+    ``_SPLIT_GATE`` multiply-adds per step in all is split where the host
+    allows a fork (:func:`_halves`).  If either half raises an
+    InstabilityError, the chunk runs again in process on fresh streams, and
+    whatever that run does stands.
+    """
+    streams = spawn(seed, lo, hi)
+    if (row_cost and row_cost * len(streams) >= _SPLIT_GATE
+            and len(streams) >= _SPLIT_MIN_BATCH and _can_fork()):
+        try:
+            split = _halves(task, streams)
+        except InstabilityError:
+            streams = spawn(seed, lo, hi)
+        else:
+            if split is not None:
+                return split
+    values, counts = _checked(task(streams), len(streams))
+    return values, counts, sum(s.draws for s in streams)
+
+
+def _halves(task, streams):
+    """:func:`_chunk`'s result with ``task(streams[h:])`` run in a forked
+    chunk worker while this process runs ``task(streams[:h])``, or None
+    where ``fork`` fails.
+
+    h is the multiple of ``_SPLIT_ALIGN`` nearest half the chunk, so each
+    row has the bits of the unsplit run.  The worker pickles its values, its
+    counts and each of its streams' draws, or the exception its task raised,
+    into one pipe and exits with status 0, or 1 where the sending raises; it
+    never returns into the caller's code.  That exception is raised here as
+    it is, and a worker that exits without its result is a RuntimeError.
+    However this process's half ends, it closes its end of the pipe and
+    kills and reaps a worker it has not reaped.
+    """
+    import signal
+
+    h = _SPLIT_ALIGN * round(len(streams) / (2 * _SPLIT_ALIGN))
+    theirs = streams[h:]
+    reader, writer = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(reader)
+        os.close(writer)
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            os.close(reader)
+            try:
+                values, counts = _checked(task(theirs), len(theirs))
+                sent = values, counts, [s.draws for s in theirs]
+            except Exception as err:  # noqa: BLE001 - raised in the parent
+                import traceback
+
+                # a traceback does not pickle; a note does, and prints with it
+                err.add_note("raised in the chunk worker:\n"
+                             + "".join(traceback.format_exception(err)))
+                sent = err
+            with os.fdopen(writer, "wb") as out:
+                pickle.dump(sent, out, pickle.HIGHEST_PROTOCOL)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(writer)
+    try:
+        mine, counts = _checked(task(streams[:h]), h)
+        message = []
+        while part := os.read(reader, 1 << 20):
+            message.append(part)
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        pid = 0
+    finally:
+        os.close(reader)
+        if pid:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if code or not message:
+        raise RuntimeError(f"chunk worker exited (exit code {code}) without its result")
+    sent = pickle.loads(b"".join(message))
+    if isinstance(sent, Exception):
+        raise sent
+    values, their_counts, draws = sent
+    for stream, count in zip(theirs, draws):
+        stream.draws = count
+    counts = _add(dict(counts), their_counts)
+    return np.concatenate([mine, values]), counts, sum(s.draws for s in streams)
+
+
+def _checked(out, rows: int):
+    """A task's ``(values, counts)``, after checking that it is such a pair
+    with one row of values per stream."""
+    if not (isinstance(out, tuple) and len(out) == 2):
+        raise TypeError(f"task returned {type(out).__name__}, expected (values, counts)")
+    values = np.asarray(out[0])
+    if values.ndim != 2 or values.shape[0] != rows:
+        raise ValueError(f"task returned shape {values.shape}, expected ({rows}, n_nodes)")
+    return values, out[1]
+
+
+def _add(counts: dict, more: dict) -> dict:
+    """``counts`` with ``more`` added key by key."""
+    for key, count in more.items():
+        counts[key] = counts.get(key, 0) + count
+    return counts

@@ -51,13 +51,15 @@ single product with the stacked matrix (I + dt G; L_1; ...; L_c) followed by
 given the cross coefficients l_j in place of <L_j>.  Every row is
 stepped every step.  While every row of a batch lives, a step's output is
 the next state and no mask is built; from the first step on which a row
-aborts or overflows, aborted and overflowed rows are frozen by a mask.  The
-rows run through the chunk runner of every ensemble (``noise.run_chunks``),
-in chunks of ``_CHUNK`` (2048), each with its own streams, batch and noise,
-so memory does not grow with the ensemble size.  A chunk's task returns
-each row's values at the nodes and, as one more column, the row's largest
-scalar-product drift, with its aborted and overflowed counts; so a heavy
-chunk, which the runner splits between two processes weighed by
+aborts or overflows, aborted and overflowed rows are frozen by a mask.
+
+Like the doubled-space estimators, the pair is an estimator above the chunk
+runner of every ensemble (``ensemble.run_chunks``).  Its rows run through
+it in chunks of ``_CHUNK`` (2048), each with its own streams, batch and
+noise, so memory does not grow with the ensemble size.  A chunk's task
+returns each row's values at the nodes and, as one more column, the row's
+largest scalar-product drift, with its aborted and overflowed counts; so a
+heavy chunk, which the runner splits between two processes weighed by
 ``diffusion._row_cost`` as a doubled row, merges by row concatenation and
 plain sums, with the bits of the unsplit chunk.
 """
@@ -66,16 +68,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusion import (
-    _euler_stack,
-    _euler_update,
-    _record_slots,
-    _row_cost,
-    _stacked,
-    complex_standard_error,
-)
+from .diffusion import _euler_stack, _euler_update, _record_slots, _row_cost, _stacked
+from .ensemble import _CHUNK, complex_standard_error, run_chunks
 from .hilbert import Ket, LindbladModel, Operator, _check_dims
-from .noise import _CHUNK, check_step, grid_steps, run_chunks, wiener_steps
+from .noise import check_step, grid_steps, wiener_steps
 
 __all__ = [
     "DEFAULT_FLOOR",
@@ -229,6 +225,8 @@ def run_coupled_ensemble(
     steps = grid_steps(grid, dt)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    if not floor >= 0:  # a NaN floor would abort no row
+        raise ValueError(f"floor must be >= 0, got {floor}")
 
     kernel = _PairKernel(model, dt, variant)
     bra0 = bra_state.normalized().amplitudes

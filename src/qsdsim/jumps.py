@@ -96,7 +96,9 @@ class JumpEngine:
     def __init__(self, model: LindbladModel, dt: float):
         self.dt = check_step(dt)
         self.dim = model.dim
-        self._ls = np.concatenate([op.matrix for op in model.lindblads])
+        # the stacked (n_channels dim, dim) L_j; (0, dim) for a model without any
+        ls = [op.matrix for op in model.lindblads]
+        self._ls = np.concatenate(ls) if ls else np.empty((0, self.dim), dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             step = _expm(dt * model.generator())
         self._finite = bool(np.all(np.isfinite(step)))

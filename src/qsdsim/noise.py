@@ -23,48 +23,20 @@ cycle: :func:`check_step` (a step size is finite and positive),
 :func:`wiener_steps` draws in process, in blocks of ``NOISE_BLOCK`` steps
 into one reused buffer, with one fill routine (:func:`_fill`).
 
-:func:`run_chunks` is the one chunk loop of every ensemble, the
-doubled-space estimators' and the coupled pair's: it spawns each chunk's
-streams, runs the chunk's task on them and sums the draws and counts.  A
-heavy chunk is split: a forked child runs the whole task on the chunk's
-upper streams while this process runs it on the lower ones, and the child
-sends back its values, counts and draws in one pickled message
-(:func:`_forked`).  A split that meets an instability is run again,
-unsplit, so a chunk raises what its unsplit run raises.
+The ensembles that consume the streams run in :mod:`qsdsim.ensemble`; this
+module imports no other qsdsim module.
 """
 
-import contextlib
 import math
-import os
-import pickle
-import threading
 from functools import cache
 
 import numpy as np
-
-from .errors import InstabilityError
 
 __all__ = ["NoiseStream"]
 
 # steps of noise generated per block in batched runs; bounds memory while
 # keeping per-trajectory draw order identical to stepwise generation
 NOISE_BLOCK = 256
-
-# trajectories stepped together by every ensemble.  It fixes the bits of a
-# jump run, whose products gather the rows still active in a round; the
-# diffusive engines' bits do not depend on it (tests/test_correlations.py)
-_CHUNK = 2048
-
-# a chunk whose rows take at least this many complex multiply-adds per step
-# in all (the task's row cost x rows), on at least _SPLIT_MIN_BATCH rows, is
-# split with a forked child.  At d = 2 with one channel that is every
-# doubled chunk of 512 rows and up (see tools/dscan.py)
-_SPLIT_GATE = 2**13
-_SPLIT_MIN_BATCH = 128
-# the split point is a multiple of this many rows: BLAS rounds a column
-# differently only in its kernel's column remainder, which a split at such a
-# multiple leaves where it was
-_SPLIT_ALIGN = 64
 
 # SeedSequence's constants (numpy/random/bit_generator.pyx): the entropy pool
 # of four uint32 words is filled by hashmix with (INIT_A, MULT_A) and mixed by
@@ -136,31 +108,20 @@ class NoiseStream:
 
     def wiener(self, n_channels: int, dt: float) -> np.ndarray:
         """One time step of complex increments, shape (n_channels,)."""
+        scale = np.sqrt(0.5 * check_step(dt))
         z = self._gen.standard_normal(2 * n_channels)
         self.draws += 2 * n_channels
-        scale = np.sqrt(0.5 * dt)
         return scale * (z[0::2] + 1j * z[1::2])
 
-    def wiener_block(
-        self, n_steps: int, n_channels: int, dt: float, out: np.ndarray | None = None
-    ) -> np.ndarray:
+    def wiener_block(self, n_steps: int, n_channels: int, dt: float) -> np.ndarray:
         """``n_steps`` consecutive steps at once, shape (n_steps, n_channels).
 
         Consumes the generator in exactly the same order as ``n_steps``
         successive :meth:`wiener` calls, so blocked and stepwise consumers
-        see bitwise-identical noise.  With ``out``, a C-contiguous complex
-        array of that shape, the increments are written into it and it is
-        returned: the normals fill its float view, (real, imaginary) pairs
-        in the order :meth:`wiener` takes them, and are scaled in place.
+        see bitwise-identical noise.
         """
-        if out is None:
-            out = np.empty((n_steps, n_channels), dtype=complex)
-        elif out.shape != (n_steps, n_channels) or out.dtype != complex:
-            raise ValueError(
-                f"out must be a complex array of shape {(n_steps, n_channels)}, "
-                f"got {out.dtype} {out.shape}"
-            )
-        _fill((self,), out[None], dt)
+        out = np.empty((n_steps, n_channels), dtype=complex)
+        _fill((self,), out[None], check_step(dt))
         return out
 
     def uniform(self, size: int | None = None):
@@ -289,190 +250,6 @@ def _fill(streams, block: np.ndarray, dt: float):
         stream._gen.standard_normal(out=row)
         stream.draws += 2 * n_channels * span
     parts *= np.sqrt(0.5 * dt)
-
-
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _can_fork() -> bool:
-    """Whether a forked child may take over part of this process's work:
-    fork is available, a second CPU can run the child, and no other thread
-    could hold a lock across the fork."""
-    return hasattr(os, "fork") and _cpu_count() >= 2 and threading.active_count() == 1
-
-
-class _Child:
-    """The parent's end of a process forked by :func:`_forked`."""
-
-    def __init__(self, name: str, pid: int, reader: int):
-        self.name, self.pid, self.reader = name, pid, reader
-
-    def result(self):
-        """The object the child sent, once it has exited; a child that
-        exits without sending one is reaped and named in a RuntimeError."""
-        chunks = []
-        while chunk := os.read(self.reader, 1 << 20):
-            chunks.append(chunk)
-        _, status = os.waitpid(self.pid, 0)
-        self.pid = 0
-        code = os.waitstatus_to_exitcode(status)
-        if code or not chunks:
-            raise RuntimeError(f"{self.name} exited (exit code {code}) without its result")
-        return pickle.loads(b"".join(chunks))
-
-
-@contextlib.contextmanager
-def _forked(name: str, body):
-    """Run ``body()`` in a forked child process, which sends what it returns
-    to the parent pickled, and yield a :class:`_Child` for it, or None
-    where ``os.fork`` fails.
-
-    The child exits with status 0 once it has sent the result and 1 when
-    ``body`` or the sending raises; it never returns into the caller's
-    code.  However the block ends, the parent closes its end of the pipe
-    and kills and reaps a child it has not reaped.
-    """
-    import signal
-
-    reader, writer = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(reader)
-        os.close(writer)
-        yield None
-        return
-    if pid == 0:
-        status = 1
-        try:
-            os.close(reader)
-            with os.fdopen(writer, "wb") as out:
-                pickle.dump(body(), out, pickle.HIGHEST_PROTOCOL)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(writer)
-    child = _Child(name, pid, reader)
-    try:
-        yield child
-    finally:
-        os.close(reader)
-        if child.pid:
-            os.kill(child.pid, signal.SIGKILL)
-            os.waitpid(child.pid, 0)
-
-
-def run_chunks(task, n: int, seed: int, row_cost: int = 0, chunk_size: int = _CHUNK,
-               wrap=None):
-    """Run ``task`` over trajectories [0, n) in chunks of ``chunk_size``,
-    one after another, and return (values, counts, draws).
-
-    ``task(streams)`` receives the streams ``spawn(seed, lo, hi)`` of one
-    chunk and returns ``(values, counts)``: an array with one row per
-    stream, and a dict of integer counts.  The values of every chunk are
-    concatenated in row order, the counts summed key by key and the streams'
-    draws summed.  ``row_cost`` is one row's complex multiply-adds per step,
-    which decides whether a chunk is split (:func:`_chunk`); 0 keeps
-    every chunk in process.  The first chunk that raises stops the run, with
-    ``wrap(lo, hi, error)`` raised in place of its error when ``wrap`` is
-    given.
-    """
-    values, counts, draws = [], {}, 0
-    for lo in range(0, n, chunk_size):
-        hi = min(lo + chunk_size, n)
-        try:
-            chunk, chunk_counts, chunk_draws = _chunk(task, seed, lo, hi, row_cost)
-        except Exception as err:
-            if wrap is None:
-                raise
-            raise wrap(lo, hi, err) from err
-        values.append(chunk)
-        _add(counts, chunk_counts)
-        draws += chunk_draws
-    return np.concatenate(values), counts, draws
-
-
-def _chunk(task, seed: int, lo: int, hi: int, row_cost: int):
-    """(values, counts, draws) of ``task`` on the streams of [lo, hi).
-
-    A chunk of at least ``_SPLIT_MIN_BATCH`` rows whose rows take at least
-    ``_SPLIT_GATE`` multiply-adds per step in all is split where the host
-    allows a fork (:func:`_halves`).  If either half raises an
-    InstabilityError, the chunk runs again in process on fresh streams, and
-    whatever that run does stands.
-    """
-    streams = spawn(seed, lo, hi)
-    if (row_cost and row_cost * len(streams) >= _SPLIT_GATE
-            and len(streams) >= _SPLIT_MIN_BATCH and _can_fork()):
-        try:
-            split = _halves(task, streams)
-        except InstabilityError:
-            streams = spawn(seed, lo, hi)
-        else:
-            if split is not None:
-                return split
-    values, counts = _checked(task(streams), len(streams))
-    return values, counts, sum(s.draws for s in streams)
-
-
-def _halves(task, streams):
-    """:func:`_chunk`'s result with ``task(streams[h:])`` run in a forked
-    child while this process runs ``task(streams[:h])``, or None where
-    ``fork`` fails.
-
-    h is the multiple of ``_SPLIT_ALIGN`` nearest half the chunk, so each
-    row has the bits of the unsplit run.  The child sends its values, its
-    counts and each of its streams' draws, or the exception its task
-    raised, which is raised here as it is.
-    """
-    h = _SPLIT_ALIGN * round(len(streams) / (2 * _SPLIT_ALIGN))
-    theirs = streams[h:]
-
-    def body():
-        try:
-            values, counts = _checked(task(theirs), len(theirs))
-        except Exception as err:  # noqa: BLE001 - raised in the parent
-            import traceback
-
-            # a traceback does not pickle; a note does, and prints with it
-            err.add_note("raised in the chunk worker:\n" + "".join(traceback.format_exception(err)))
-            return err
-        return values, counts, [s.draws for s in theirs]
-
-    with _forked("chunk worker", body) as child:
-        if child is None:
-            return None
-        mine, counts = _checked(task(streams[:h]), h)
-        sent = child.result()
-    if isinstance(sent, Exception):
-        raise sent
-    values, their_counts, draws = sent
-    for stream, count in zip(theirs, draws):
-        stream.draws = count
-    counts = _add(dict(counts), their_counts)
-    return np.concatenate([mine, values]), counts, sum(s.draws for s in streams)
-
-
-def _checked(out, rows: int):
-    """A task's ``(values, counts)``, after checking that it is such a pair
-    with one row of values per stream."""
-    if not (isinstance(out, tuple) and len(out) == 2):
-        raise TypeError(f"task returned {type(out).__name__}, expected (values, counts)")
-    values = np.asarray(out[0])
-    if values.ndim != 2 or values.shape[0] != rows:
-        raise ValueError(f"task returned shape {values.shape}, expected ({rows}, n_nodes)")
-    return values, out[1]
-
-
-def _add(counts: dict, more: dict) -> dict:
-    """``counts`` with ``more`` added key by key."""
-    for key, count in more.items():
-        counts[key] = counts.get(key, 0) + count
-    return counts
 
 
 def wiener_steps(streams, n_steps: int, n_channels: int, dt: float):

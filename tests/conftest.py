@@ -8,7 +8,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qsdsim import noise
+from qsdsim import ensemble, noise
 from qsdsim import Ket, LindbladModel, Operator, QsdEngine, basis_ket, decay_model, sigma_plus
 from qsdsim.diffusion import _columns, _rows
 
@@ -75,7 +75,7 @@ def recorded_forks(monkeypatch) -> list:
             pids.append(pid)
         return pid
 
-    monkeypatch.setattr(noise, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
     monkeypatch.setattr(os, "fork", fork)
     return pids
 
@@ -86,14 +86,14 @@ def splits(monkeypatch):
     row cost (a diffusive or coupled-pair task) with a forked chunk worker,
     whatever its width and the host's CPU count; the list collects each
     worker's pid."""
-    monkeypatch.setattr(noise, "_SPLIT_GATE", 0)
+    monkeypatch.setattr(ensemble, "_SPLIT_GATE", 0)
     return recorded_forks(monkeypatch)
 
 
 @pytest.fixture
 def in_process(monkeypatch):
     """Run every ensemble chunk in this process, whatever its size."""
-    monkeypatch.setattr(noise, "_SPLIT_GATE", math.inf)
+    monkeypatch.setattr(ensemble, "_SPLIT_GATE", math.inf)
 
 
 def in_chunk_worker(monkeypatch, action):

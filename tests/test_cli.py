@@ -23,8 +23,8 @@ from qsdsim import (
     Operator,
     SdeConfig,
     cli,
+    ensemble,
     heisenberg_element,
-    noise,
 )
 
 from conftest import in_chunk_worker
@@ -885,7 +885,7 @@ def test_a_failure_that_is_no_instability_exits_1(tmp_path, monkeypatch, capsys)
     def spawn(seed, lo, hi):
         raise MemoryError("no room for the streams")
 
-    monkeypatch.setattr(noise, "spawn", spawn)
+    monkeypatch.setattr(ensemble, "spawn", spawn)
     out = tmp_path / "out"
     element = dict(scenario="decay-element", **_SMALL_RUNS["decay-element"])
     assert run_into(tmp_path, out, **element) == (1, [])
@@ -968,7 +968,7 @@ def test_a_split_run_writes_the_same_bytes(tmp_path, monkeypatch, splits, scenar
     split = outputs()
     forked = len(splits)
     assert forked
-    monkeypatch.setattr(noise, "_SPLIT_GATE", math.inf)
+    monkeypatch.setattr(ensemble, "_SPLIT_GATE", math.inf)
     assert outputs() == split
     assert len(splits) == forked
 

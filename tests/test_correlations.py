@@ -28,7 +28,7 @@ from qsdsim import (
     two_time_correlation,
 )
 
-from qsdsim import correlations, noise
+from qsdsim import correlations, ensemble
 from qsdsim.correlations import _haar_rows
 from qsdsim.ensemble import run_ensemble
 from qsdsim.noise import spawn
@@ -62,7 +62,7 @@ def test_correlate_validation(monkeypatch):
         raise AssertionError("a stream was built before the arguments were checked")
 
     # every bad argument is named before run_ensemble builds a stream
-    monkeypatch.setattr("qsdsim.noise.spawn", no_streams)
+    monkeypatch.setattr("qsdsim.ensemble.spawn", no_streams)
     for bad in (
         {"tau_grid": [0.5, 0.5]},
         {"tau_grid": [-0.5, 0.0]},
@@ -305,7 +305,7 @@ def observed(run):
 
 def unsplit(monkeypatch, run):
     with monkeypatch.context() as patch:
-        patch.setattr(noise, "_SPLIT_GATE", float("inf"))
+        patch.setattr(ensemble, "_SPLIT_GATE", float("inf"))
         return observed(run)
 
 
@@ -441,7 +441,7 @@ def test_the_gate_takes_every_diffusive_chunk_of_the_benchmark(monkeypatch):
     # step: every g1 chunk (2048 and 1024 rows) splits, and so does each
     # doubled chunk of 512 rows and up; the d = 32 cavity splits at 128
     forks = recorded_forks(monkeypatch)
-    assert noise._SPLIT_GATE == 2**13
+    assert ensemble._SPLIT_GATE == 2**13
     sde = SdeConfig(1e-3)
     g1 = partial(correlate, sigma_plus(), sigma_minus(), driven_decay_model(10.0), 0.0,
                  [0.0, 1e-3], sde=sde, seed=0)

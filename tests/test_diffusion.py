@@ -13,7 +13,6 @@ from qsdsim import (
     QsdEngine,
     SdeConfig,
     basis_ket,
-    complex_standard_error,
     decay_model,
     evolve,
 )
@@ -180,8 +179,3 @@ def test_schemes_agree_with_master_equation():
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - expected) < 4.0 * se
 
-
-def test_complex_standard_error_conventions():
-    assert complex_standard_error(np.array([1.0 + 0j])) == 0.0
-    assert complex_standard_error(np.array([0.0, 2.0])) == pytest.approx(1.0)
-    assert complex_standard_error(np.array([1 + 1j, 1 - 1j])) == pytest.approx(1.0)

@@ -3,7 +3,9 @@
 import math
 import os
 import signal
+import threading
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,11 +16,13 @@ from qsdsim import (
     EnsembleResult,
     InstabilityError,
     benchmark_sweep,
+    complex_standard_error,
     relative_rms_error,
     run_ensemble,
 )
-from qsdsim import noise
-from qsdsim.noise import _CHUNK, spawn
+from qsdsim import ensemble
+from qsdsim.ensemble import _CHUNK
+from qsdsim.noise import spawn
 
 from conftest import deadline, no_child_left, recorded_forks
 
@@ -126,6 +130,12 @@ def test_first_failing_chunk_stops_the_run():
     )
 
 
+def test_complex_standard_error_conventions():
+    assert complex_standard_error(np.array([1.0 + 0j])) == 0.0
+    assert complex_standard_error(np.array([0.0, 2.0])) == pytest.approx(1.0)
+    assert complex_standard_error(np.array([1 + 1j, 1 - 1j])) == pytest.approx(1.0)
+
+
 def test_relative_rms_error_conventions():
     ref = np.array([1.0, 2.0, 2.0])
     assert relative_rms_error(ref, ref) == 0.0
@@ -199,7 +209,7 @@ def test_wall_time_scales_linearly_with_n():
     assert 1.6 <= float(np.median(ratios)) <= 2.6
 
 
-# The chunk runner (noise.run_chunks): a chunk of at least 128 rows whose
+# The chunk runner (ensemble.run_chunks): a chunk of at least 128 rows whose
 # task gives a row cost at or above the split gate runs half in a forked
 # chunk worker; the ``splits`` fixture sets the gate to 0.
 
@@ -222,7 +232,7 @@ def observed(task=counted_task, n=300, row_cost=1, chunk_size=_CHUNK):
 
 def unsplit(monkeypatch, run):
     with monkeypatch.context() as patch:
-        patch.setattr(noise, "_SPLIT_GATE", math.inf)
+        patch.setattr(ensemble, "_SPLIT_GATE", math.inf)
         return run()
 
 
@@ -240,21 +250,58 @@ def test_a_chunk_split_in_two_gives_the_unsplit_values_counts_and_draws(
 
 def test_only_a_costed_chunk_of_128_rows_at_the_gate_splits(monkeypatch):
     forks = recorded_forks(monkeypatch)
-    monkeypatch.setattr(noise, "_SPLIT_GATE", 64 * 128)
+    monkeypatch.setattr(ensemble, "_SPLIT_GATE", 64 * 128)
     observed(n=128, row_cost=63)
     observed(n=127, row_cost=100)
     assert forks == []
     observed(n=128, row_cost=64)
     assert len(forks) == 1
     # a task of no row cost, a jump task's, never splits
-    monkeypatch.setattr(noise, "_SPLIT_GATE", 0)
+    monkeypatch.setattr(ensemble, "_SPLIT_GATE", 0)
     observed(n=_CHUNK, row_cost=0)
     assert len(forks) == 1
     # nor does any chunk where the host allows no fork
-    monkeypatch.setattr(noise, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(ensemble, "_cpu_count", lambda: 1)
     observed(n=_CHUNK, row_cost=64)
     assert len(forks) == 1
     no_child_left()
+
+
+def test_a_fork_needs_two_cpus_and_no_other_thread(monkeypatch):
+    monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
+    assert ensemble._can_fork()
+    monkeypatch.setattr(ensemble, "_cpu_count", lambda: 1)
+    assert not ensemble._can_fork()
+    monkeypatch.setattr(ensemble, "_cpu_count", lambda: 2)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert not ensemble._can_fork()
+    finally:
+        stop.set()
+        thread.join()
+    assert ensemble._can_fork()
+
+
+def test_a_failed_fork_closes_both_pipe_ends(splits, monkeypatch):
+    pipes, real_pipe = [], os.pipe
+
+    def pipe():
+        ends = real_pipe()
+        pipes.extend(ends)
+        return ends
+
+    def fork():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "pipe", pipe)
+    monkeypatch.setattr(os, "fork", fork)
+    observed()
+    assert len(pipes) == 2
+    for fd in pipes:
+        with pytest.raises(OSError):
+            os.fstat(fd)
 
 
 def test_a_failed_fork_runs_the_chunk_in_process(splits, monkeypatch):
@@ -292,6 +339,39 @@ def test_a_killed_chunk_worker_is_named_and_reaped(splits):
     assert str(excinfo.value) == (
         "ensemble execution failed for trajectories [0, 300): RuntimeError: "
         "chunk worker exited (exit code -9) without its result"
+    )
+    no_child_left()
+
+
+def test_a_worker_result_larger_than_a_pipe_holds_arrives_whole(splits, monkeypatch):
+    # the worker's 172 rows of 64 nodes are 176 KiB of values, so it waits
+    # for this process to read while it sends
+    wide = partial(noisy_task, nodes=64)
+    with deadline(60):
+        split = observed(wide)
+    assert len(splits) == 1
+    assert len(split[0]) == 300 * 64 * 16
+    assert split == unsplit(monkeypatch, lambda: observed(wide))
+    no_child_left()
+
+
+def test_a_worker_that_fails_to_send_its_result_is_named_and_reaped(splits):
+    # the worker has sent part of its values when its counts fail to pickle
+    parent = os.getpid()
+
+    def task(streams):
+        values, counts = noisy_task(streams, nodes=64)
+        if os.getpid() != parent:
+            counts["unpicklable"] = lambda: 0
+        return values, counts
+
+    with deadline(60):
+        with pytest.raises(EnsembleError) as excinfo:
+            observed(task)
+    assert len(splits) == 1
+    assert str(excinfo.value) == (
+        "ensemble execution failed for trajectories [0, 300): RuntimeError: "
+        "chunk worker exited (exit code 1) without its result"
     )
     no_child_left()
 

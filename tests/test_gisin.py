@@ -20,9 +20,10 @@ from qsdsim import (
     regression_matrix_element,
     run_coupled_ensemble,
 )
-from qsdsim import gisin, noise
+from qsdsim import ensemble, gisin
 from qsdsim.gisin import DEFAULT_FLOOR, VARIANTS, _PairKernel
-from qsdsim.noise import _CHUNK, spawn, wiener_steps
+from qsdsim.ensemble import _CHUNK
+from qsdsim.noise import spawn, wiener_steps
 
 from conftest import (
     deadline,
@@ -102,6 +103,14 @@ def test_floor_above_initial_scalar_product_is_named():
     observable, bra, ket, model = decay_element_setup()
     with pytest.raises(ValueError, match=r"initial scalar product magnitude 7\.071e-01 .* floor 0\.9"):
         run_coupled_ensemble(observable, bra, ket, model, [0.1], 1e-2, 10, seed=0, floor=0.9)
+
+
+@pytest.mark.parametrize("floor", [float("nan"), -1e-12, -float("inf")])
+def test_a_floor_that_aborts_no_row_is_named(floor):
+    # NaN or a negative floor would run with no floor at all
+    observable, bra, ket, model = decay_element_setup()
+    with pytest.raises(ValueError, match=r"^floor must be >= 0, got "):
+        run_coupled_ensemble(observable, bra, ket, model, [0.1], 1e-2, 10, seed=0, floor=floor)
 
 
 def assert_frozen_rows_tallied(res, n, steps):
@@ -367,7 +376,7 @@ def observed_pairs(monkeypatch, run):
         return chunk
 
     with monkeypatch.context() as patch:
-        patch.setattr(noise, "spawn", recorded)
+        patch.setattr(ensemble, "spawn", recorded)
         res = run()
     numbers = [getattr(res, name) for name in ("aborted", "overflowed", "max_scalar_drift",
                                                 "draws_total")]
@@ -429,7 +438,7 @@ def test_a_split_pair_run_gives_the_bits_of_the_unsplit_one(splits, monkeypatch,
         split = observed_pairs(monkeypatch, run)
     assert len(splits) == chunks
     with monkeypatch.context() as patch:
-        patch.setattr(noise, "_SPLIT_GATE", math.inf)
+        patch.setattr(ensemble, "_SPLIT_GATE", math.inf)
         whole = observed_pairs(monkeypatch, run)
     assert len(splits) == chunks
     assert split == whole
@@ -491,7 +500,7 @@ def test_the_pair_gives_the_runner_a_doubled_rows_cost(splits, monkeypatch):
     # a d = 2 pair with one channel: 4 x 2 x 2 multiply-adds a row, so the
     # gate splits every gisin-compare chunk (2048 and 1952 rows) and each
     # chunk of 512 rows and up
-    monkeypatch.setattr(noise, "_SPLIT_GATE", 2**13)
+    monkeypatch.setattr(ensemble, "_SPLIT_GATE", 2**13)
     observable, bra, ket, model = decay_element_setup()
     run_coupled_ensemble(observable, bra, ket, model, [0.01], 0.01, 511, seed=0)
     assert splits == []
@@ -515,7 +524,7 @@ def test_the_chunk_size_fixes_no_bit_of_a_pair_run(monkeypatch, dim):
         monkeypatch.setattr(gisin, "_CHUNK", chunk_size)
         for gate in (0, math.inf):
             with monkeypatch.context() as patch:
-                patch.setattr(noise, "_SPLIT_GATE", gate)
+                patch.setattr(ensemble, "_SPLIT_GATE", gate)
                 res = run()
             seen.append((res.max_scalar_drift, res.aborted, res.overflowed, res.draws_total,
                          *(getattr(res, name).tobytes() for name in ("mean", "std_error",

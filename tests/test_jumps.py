@@ -9,7 +9,9 @@ from qsdsim import (
     InstabilityError,
     JumpEngine,
     Ket,
+    LindbladModel,
     NoiseStream,
+    Operator,
     SdeConfig,
     basis_ket,
     decay_model,
@@ -45,6 +47,19 @@ def test_run_rejects_stream_mismatch_and_degenerate_rows():
             engine.run(states, streams, 5)
     # the check comes before any waiting-time threshold is drawn
     assert all(s.draws == 0 for s in streams)
+
+
+def test_a_model_without_channels_never_jumps():
+    # LindbladModel(H, ()) is a valid model: its evolution is unitary, so
+    # every trajectory gives the exact element and draws one threshold
+    model = LindbladModel(Operator([[0.0, 1.0], [1.0, 0.0]]), ())
+    observable, bra, ket, _ = decay_element_setup()
+    grid = np.linspace(0.05, 1.0, 20)
+    res = heisenberg_element(observable, bra, ket, model, grid, 8, SdeConfig(1e-3, "jump"), 0)
+    exact = regression_matrix_element(observable, bra, ket, model, grid)
+    assert np.max(np.abs(res.mean - exact)) < 1e-10
+    assert res.draws_total == 8
+    assert res.extras == {"jumps_total": 0}
 
 
 def test_ground_state_never_jumps():

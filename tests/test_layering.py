@@ -1,7 +1,10 @@
 """Import layering and the package surface.
 
-The estimators (``correlations``, ``ensemble``) choose and drive engines,
-and ``cli`` drives the estimators; nothing below them may import them back.
+The estimators (``correlations``, ``gisin``, ``ensemble``) choose and drive
+engines, and ``cli`` drives the estimators; nothing below them may import
+them back.  ``ensemble`` runs the ensembles of the other estimators, so it
+imports none of them, and ``noise``, at the bottom, imports no qsdsim
+module.
 Every library module's ``__all__`` is the one list of its public names, and
 ``qsdsim`` re-exports each of them; a module the package forgets to import
 fails here.
@@ -19,8 +22,8 @@ import pytest
 import qsdsim
 
 PACKAGE = Path(qsdsim.__file__).parent
-LOWER = ("noise", "hilbert", "diffusion", "jumps", "gisin", "master")
-UPPER = {"correlations", "ensemble", "cli"}
+LOWER = ("noise", "hilbert", "diffusion", "jumps", "master")
+UPPER = {"correlations", "gisin", "ensemble", "cli"}
 # the command line is not part of the library surface
 LIBRARY = sorted(
     path.stem for path in PACKAGE.glob("*.py") if path.stem not in ("__init__", "__main__", "cli")
@@ -53,6 +56,14 @@ def qsdsim_imports(module: str) -> set:
 @pytest.mark.parametrize("module", LOWER)
 def test_lower_layers_do_not_import_estimators(module):
     assert qsdsim_imports(module) & UPPER == set()
+
+
+def test_noise_imports_no_other_qsdsim_module():
+    assert qsdsim_imports("noise") == set()
+
+
+def test_the_ensemble_runner_imports_no_estimator_that_runs_on_it():
+    assert qsdsim_imports("ensemble") & {"correlations", "gisin", "cli"} == set()
 
 
 def test_import_parser_sees_relative_imports():

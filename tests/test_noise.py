@@ -1,21 +1,13 @@
 """Statistical and reproducibility contracts of the noise streams."""
 
-import os
-import signal
-import threading
-import time
-from contextlib import nullcontext
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from conftest import deadline, no_child_left
 from qsdsim import EnsembleError, NoiseStream, run_ensemble
-from qsdsim import noise
-from qsdsim.noise import NOISE_BLOCK, _forked, spawn, wiener_steps
+from qsdsim.noise import NOISE_BLOCK, spawn, wiener_steps
 
 # seeds of one to nine 32-bit words; the last is a fixed draw above 2^200
 SPAWN_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 5,
@@ -45,28 +37,15 @@ def test_block_matches_stepwise_generation():
 
 @pytest.mark.parametrize("n_channels", [1, 3])
 def test_blocks_written_into_a_reused_buffer_match_stepwise_draws(n_channels):
-    # 2.5 blocks of NOISE_BLOCK steps: the last block is partial, and all of
-    # them go through one buffer the way wiener_steps fills it
+    # 2.5 blocks of NOISE_BLOCK steps: the last block is partial, and
+    # wiener_steps fills all of them into one buffer
     dt, batch = 0.01, 3
     n_steps = 2 * NOISE_BLOCK + NOISE_BLOCK // 2
-    streams = [NoiseStream(6, i) for i in range(batch)]
-    buffer = np.empty((batch, NOISE_BLOCK, n_channels), dtype=complex)
-    blocked = []
-    for done in range(0, n_steps, NOISE_BLOCK):
-        span = min(NOISE_BLOCK, n_steps - done)
-        block = buffer[:, :span]
-        for i, stream in enumerate(streams):
-            row = block[i]
-            assert stream.wiener_block(span, n_channels, dt, out=row) is row
-        blocked.append(block.copy())
-    blocked = np.concatenate(blocked, axis=1)
     stepwise = []
-    for i, stream in enumerate(streams):
-        assert stream.draws == 2 * n_channels * n_steps
+    for i in range(batch):
         ref = NoiseStream(6, i)
         stepwise.append(np.array([ref.wiener(n_channels, dt) for _ in range(n_steps)]))
-        assert ref.draws == stream.draws
-        assert blocked[i].tobytes() == stepwise[i].tobytes()
+        assert ref.draws == 2 * n_channels * n_steps
 
     # each step a (n_channels, batch) view whose column i is stream i's draw
     lazy = [NoiseStream(6, i) for i in range(batch)]
@@ -82,13 +61,16 @@ def test_blocks_written_into_a_reused_buffer_match_stepwise_draws(n_channels):
     assert [s.draws for s in lazy] == [2 * n_channels * n_steps] * batch
 
 
-def test_wiener_block_rejects_a_mismatched_buffer():
+@pytest.mark.parametrize("dt", [0.0, -0.1, float("nan"), float("inf")])
+def test_increments_need_a_finite_positive_step(dt):
     stream = NoiseStream(0, 0)
-    for out in (np.empty((4, 2), dtype=complex), np.empty((5, 1), dtype=complex),
-                np.empty((4, 1))):
-        with pytest.raises(ValueError, match="out must be"):
-            stream.wiener_block(4, 1, 0.1, out=out)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        stream.wiener(2, dt)
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        stream.wiener_block(4, 2, dt)
+    # nothing is drawn for a step that is refused
     assert stream.draws == 0
+    assert stream.wiener(1, 0.5).tobytes() == NoiseStream(0, 0).wiener(1, 0.5).tobytes()
 
 
 def test_draw_counter_accounting():
@@ -239,101 +221,3 @@ def test_spawned_seed_words_serve_only_the_pcg64_request():
     for n_words, dtype in ((8, np.uint32), (2, np.uint64), (4, np.uint32)):
         with pytest.raises(ValueError, match="generate_state\\(4, np.uint64\\)"):
             seq.generate_state(n_words, dtype)
-
-
-def drawn(streams, n_steps, n_channels, dt=0.01):
-    """Every step's increments, each stream's draws, and each stream's next
-    wiener and uniform draws after the run, as bytes."""
-    steps = [dxi.tobytes() for dxi in wiener_steps(streams, n_steps, n_channels, dt)]
-    return steps, *continued(streams, n_channels)
-
-
-def continued(streams, n_channels):
-    """Each stream's draws, and its next wiener and uniform draws as bytes."""
-    draws = [s.draws for s in streams]
-    after = [s.wiener(n_channels, 0.5).tobytes() + np.float64(s.uniform()).tobytes()
-             for s in streams]
-    return draws, after
-
-
-def test_a_fork_needs_two_cpus_and_no_other_thread(monkeypatch):
-    monkeypatch.setattr(noise, "_cpu_count", lambda: 2)
-    assert noise._can_fork()
-    monkeypatch.setattr(noise, "_cpu_count", lambda: 1)
-    assert not noise._can_fork()
-    monkeypatch.setattr(noise, "_cpu_count", lambda: 2)
-    stop = threading.Event()
-    thread = threading.Thread(target=stop.wait)
-    thread.start()
-    try:
-        assert not noise._can_fork()
-    finally:
-        stop.set()
-        thread.join()
-    assert noise._can_fork()
-
-
-def test_a_failed_fork_yields_none_and_closes_its_pipe(monkeypatch):
-    pipes, real_pipe = [], os.pipe
-
-    def pipe():
-        ends = real_pipe()
-        pipes.extend(ends)
-        return ends
-
-    def fork():
-        raise OSError("no more processes")
-
-    monkeypatch.setattr(os, "pipe", pipe)
-    monkeypatch.setattr(os, "fork", fork)
-    with _forked("test child", lambda: None) as child:
-        assert child is None
-    assert len(pipes) == 2
-    for fd in pipes:
-        with pytest.raises(OSError):
-            os.fstat(fd)
-
-
-def test_a_child_sends_what_its_body_returns(splits):
-    # more than a pipe holds, so the child waits for the parent to read
-    sent = (np.arange(100_000) * (1 + 2j), {"rows": 7}, [3, 5])
-    with deadline(30):
-        with _forked("test child", lambda: sent) as child:
-            got = child.result()
-            assert child.pid == 0
-    assert len(splits) == 1
-    assert np.array_equal(got[0], sent[0]) and got[1:] == sent[1:]
-    no_child_left()
-
-
-@pytest.mark.parametrize("exit_code", [1, -9])
-def test_a_child_that_sends_nothing_is_named_and_reaped(splits, exit_code):
-    def body():
-        if exit_code == 1:
-            raise MemoryError("no room for the result")
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    with deadline(30):
-        with _forked("test child", body) as child:
-            with pytest.raises(
-                RuntimeError,
-                match=rf"^test child exited \(exit code {exit_code}\) without its result$",
-            ):
-                child.result()
-            assert child.pid == 0
-    assert len(splits) == 1
-    no_child_left()
-
-
-@pytest.mark.parametrize("failing", [False, True])
-def test_a_caller_that_leaves_early_kills_and_reaps_the_child(splits, failing):
-    def body():
-        time.sleep(60)  # until it is killed
-
-    with deadline(30):
-        with pytest.raises(ValueError) if failing else nullcontext():
-            with _forked("test child", body) as child:
-                assert child.pid == splits[0]
-                if failing:
-                    raise ValueError("the caller failed")
-    no_child_left()

@@ -13,11 +13,11 @@ each along the two paths a chunk can take:
 
 * in process: this process runs the whole task;
 * chunk worker: a forked child runs the task on the upper rows while this
-  process runs it on the lower ones (``noise.run_chunks``).
+  process runs it on the lower ones (``ensemble.run_chunks``).
 
 Each table gives ns per trajectory-step (best of ``--repeats``) and, for
 each row, the chunk's multiply-adds per step (``diffusion._row_cost`` times
-the rows), which is what the one split gate (``noise._SPLIT_GATE``) is
+the rows), which is what the one split gate (``ensemble._SPLIT_GATE``) is
 compared with; the last column says whether the gate splits that chunk.
 BLAS runs on one thread, as in the benchmark.  A host with one CPU takes no
 fork, so there both paths run in process.
@@ -50,8 +50,8 @@ from qsdsim import (  # noqa: E402
     basis_ket,
     correlate,
     driven_cavity_model,
+    ensemble,
     heisenberg_element,
-    noise,
     run_coupled_ensemble,
 )
 from qsdsim.diffusion import _row_cost  # noqa: E402
@@ -111,7 +111,7 @@ def ns_per_traj_step(task, dim: int, batch: int, n_steps: int, repeats: int) -> 
     """Best ns per trajectory-step of each path of one chunk of ``task``."""
     best = {}
     for path, gate in PATHS.items():
-        noise._SPLIT_GATE = gate
+        ensemble._SPLIT_GATE = gate
         best[path] = _best(lambda: task(dim, batch, n_steps), repeats) / (batch * n_steps) * 1e9
     return best
 
@@ -127,7 +127,7 @@ def _table(name: str, batches, n_steps: int, repeats: int, gate: float):
             work = _row_cost(driven_cavity_model(dim)) * batch
             cells = " | ".join(f"{best[path]:,.0f}" for path in PATHS)
             ratio = best["chunk worker"] / best["in process"]
-            split = "yes" if work >= gate and batch >= noise._SPLIT_MIN_BATCH else "no"
+            split = "yes" if work >= gate and batch >= ensemble._SPLIT_MIN_BATCH else "no"
             print(f"| {batch} | {dim} | 2^{math.log2(work):.1f} | {cells} | {ratio:.2f} "
                   f"| {split} |", flush=True)
 
@@ -139,14 +139,14 @@ def main() -> int:
     parser.add_argument("--tasks", nargs="+", choices=sorted(TASKS), default=list(TASKS))
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
-    gate = noise._SPLIT_GATE
-    print(f"# {noise._cpu_count()} CPUs, split gate 2^{math.log2(gate):g} multiply-adds "
+    gate = ensemble._SPLIT_GATE
+    print(f"# {ensemble._cpu_count()} CPUs, split gate 2^{math.log2(gate):g} multiply-adds "
           f"per step (one chunk), {args.steps} steps, best of {args.repeats}")
     try:
         for name in args.tasks:
             _table(name, args.batch, args.steps, args.repeats, gate)
     finally:
-        noise._SPLIT_GATE = gate
+        ensemble._SPLIT_GATE = gate
     return 0
 
 

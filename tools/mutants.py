@@ -86,8 +86,8 @@ MUTANTS = [
            "        self.draws += size\n", "        self.draws += 1\n",
            "tests/test_noise.py"),
     Mutant("haar-zero-row-redrawn-from-stream-0", "src/qsdsim/correlations.py",
-           "streams[i].wiener_block(1, dim, 1.0, out=rows[i])",
-           "streams[0].wiener_block(1, dim, 1.0, out=rows[i])",
+           "_fill(streams[i : i + 1], rows[i : i + 1], 1.0)",
+           "_fill(streams[0:1], rows[i : i + 1], 1.0)",
            "tests/test_correlations.py"),
     Mutant("pair-kernel-magnitude-check-removed", "src/qsdsim/gisin.py",
            "finite = np.isfinite(new_mag)", "finite = np.isfinite(new_sp)",
@@ -111,10 +111,10 @@ MUTANTS = [
            "tests/test_master.py"),
     # the pair's chunks go through the one chunk runner, whose loop keeps
     # every chunk's draws, counts and rows
-    Mutant("coupled-draws-of-last-chunk-only", "src/qsdsim/noise.py",
+    Mutant("coupled-draws-of-last-chunk-only", "src/qsdsim/ensemble.py",
            "draws += chunk_draws", "draws = chunk_draws",
            "tests/test_gisin.py"),
-    Mutant("coupled-tallies-of-last-chunk-only", "src/qsdsim/noise.py",
+    Mutant("coupled-tallies-of-last-chunk-only", "src/qsdsim/ensemble.py",
            "        _add(counts, chunk_counts)\n", "        counts = dict(chunk_counts)\n",
            "tests/test_gisin.py"),
     Mutant("coupled-drift-of-last-chunk-only", "src/qsdsim/gisin.py",
@@ -151,20 +151,21 @@ MUTANTS = [
            "tests/test_noise.py"),
     # the chunk runner's split: the worker's rows, draws and counts must be
     # those of the unsplit chunk, and so must its errors
-    Mutant("child-half-concatenated-first", "src/qsdsim/noise.py",
+    Mutant("child-half-concatenated-first", "src/qsdsim/ensemble.py",
            "np.concatenate([mine, values])", "np.concatenate([values, mine])",
            "tests/test_ensemble.py"),
-    Mutant("child-draws-uncounted", "src/qsdsim/noise.py",
+    Mutant("child-draws-uncounted", "src/qsdsim/ensemble.py",
            "        stream.draws = count\n", "        pass\n",
            "tests/test_ensemble.py"),
-    Mutant("split-point-one-row-off-the-multiple-of-64", "src/qsdsim/noise.py",
+    Mutant("split-point-one-row-off-the-multiple-of-64", "src/qsdsim/ensemble.py",
            "h = _SPLIT_ALIGN * round(len(streams) / (2 * _SPLIT_ALIGN))",
            "h = _SPLIT_ALIGN * round(len(streams) / (2 * _SPLIT_ALIGN)) + 1",
            "tests/test_correlations.py"),
     Mutant("jump-task-allowed-to-split", "src/qsdsim/correlations.py",
            'return 0 if sde.scheme == "jump" else _row_cost(model)', "return _row_cost(model)",
            "tests/test_correlations.py"),
-    Mutant("instability-of-a-half-raised-without-the-unsplit-rerun", "src/qsdsim/noise.py",
+    Mutant("instability-of-a-half-raised-without-the-unsplit-rerun",
+           "src/qsdsim/ensemble.py",
            "        except InstabilityError:\n", "        except ZeroDivisionError:\n",
            "tests/test_ensemble.py"),
     Mutant("pair-drift-column-dropped", "src/qsdsim/gisin.py",
@@ -175,6 +176,29 @@ MUTANTS = [
            "lean = lean and mag.min() >= floor\n                if not lean:\n",
            "if not mag.min() >= floor:\n",
            "tests/test_gisin.py"),
+    # library inputs that would otherwise fail deep inside numpy or run silently
+    Mutant("jump-engine-crashes-without-channels", "src/qsdsim/jumps.py",
+           "np.concatenate(ls) if ls else np.empty((0, self.dim), dtype=complex)",
+           "np.concatenate(ls)",
+           "tests/test_jumps.py"),
+    Mutant("pair-floor-of-nan-or-below-0-accepted", "src/qsdsim/gisin.py",
+           "if not floor >= 0:", "if False:",
+           "tests/test_gisin.py"),
+    Mutant("wiener-step-unchecked", "src/qsdsim/noise.py",
+           "scale = np.sqrt(0.5 * check_step(dt))", "scale = np.sqrt(0.5 * dt)",
+           "tests/test_noise.py"),
+    Mutant("wiener-block-step-unchecked", "src/qsdsim/noise.py",
+           "_fill((self,), out[None], check_step(dt))", "_fill((self,), out[None], dt)",
+           "tests/test_noise.py"),
+    # the folded fork: a failed fork closes its pipe, a worker's exit code
+    # decides before its message
+    Mutant("failed-fork-leaks-its-pipe", "src/qsdsim/ensemble.py",
+           "        os.close(reader)\n        os.close(writer)\n        return None\n",
+           "        return None\n",
+           "tests/test_ensemble.py"),
+    Mutant("worker-exit-code-ignored", "src/qsdsim/ensemble.py",
+           "if code or not message:", "if not message:",
+           "tests/test_ensemble.py"),
 ]
 
 
