@@ -284,7 +284,7 @@ def test_a_fork_needs_two_cpus_and_no_other_thread(monkeypatch):
     assert ensemble._can_fork()
 
 
-def test_a_failed_fork_closes_both_pipe_ends(splits, monkeypatch):
+def test_a_failed_fork_runs_the_chunk_in_process(splits, monkeypatch):
     pipes, real_pipe = [], os.pipe
 
     def pipe():
@@ -295,23 +295,16 @@ def test_a_failed_fork_closes_both_pipe_ends(splits, monkeypatch):
     def fork():
         raise OSError("no more processes")
 
-    monkeypatch.setattr(os, "pipe", pipe)
-    monkeypatch.setattr(os, "fork", fork)
-    observed()
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "pipe", pipe)
+        patch.setattr(os, "fork", fork)
+        in_process = observed()
+    assert splits == []
+    # both ends of the worker's pipe are closed
     assert len(pipes) == 2
     for fd in pipes:
         with pytest.raises(OSError):
             os.fstat(fd)
-
-
-def test_a_failed_fork_runs_the_chunk_in_process(splits, monkeypatch):
-    def fork():
-        raise OSError("no more processes")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(os, "fork", fork)
-        in_process = observed()
-    assert splits == []
     assert in_process == observed()
     assert len(splits) == 1
     no_child_left()
@@ -344,7 +337,7 @@ def test_a_killed_chunk_worker_is_named_and_reaped(splits):
 
 
 def test_a_worker_result_larger_than_a_pipe_holds_arrives_whole(splits, monkeypatch):
-    # the worker's 172 rows of 64 nodes are 176 KiB of values, so it waits
+    # the worker's 172 rows of 64 nodes are 172 KiB of values, so it waits
     # for this process to read while it sends
     wide = partial(noisy_task, nodes=64)
     with deadline(60):
