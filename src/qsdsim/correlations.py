@@ -17,21 +17,18 @@ w = 1 + ||B psi_t||^2, continues on the doubled space over tau, and averages
 w <upper|A|lower>.  At tau = 0 the
 weight cancels exactly and each realization contributes <psi_t| A B |psi_t>.
 
-Both unravelings share these estimators; ``SdeConfig.scheme`` alone picks
-the engine that steps the states, ``JumpEngine`` for "jump" and
-``QsdEngine`` otherwise.  A chunk task returns its values together with
-its counts: the jumps its engines made, as ``jumps_total``, for the jump
-unraveling, and nothing for the diffusive ones.  A diffusive task gives the
-ensemble runner its doubled row's cost, so that a heavy chunk may split
-between two processes; a jump task gives none, because its bits depend on
-the batch it runs in.
+Both estimates run through one path, ``_estimate``, and differ only in how
+each row starts; ``SdeConfig.scheme`` alone picks the engine that steps the
+states, ``JumpEngine`` for "jump" and ``QsdEngine`` otherwise.  A chunk task
+returns its values together with its counts: the jumps its engines made, as
+``jumps_total``, for the jump unraveling, and nothing for the diffusive ones.
 """
 
 import numpy as np
 
 from .diffusion import QsdEngine, SdeConfig, _row_cost
 from .ensemble import EnsembleResult, run_ensemble
-from .hilbert import Ket, LindbladModel, Operator, _check_dims, make_doubled_state
+from .hilbert import Ket, LindbladModel, Operator, _check_dims, _check_unit, make_doubled_state
 from .jumps import JumpEngine
 from .noise import _fill, grid_steps
 
@@ -85,47 +82,38 @@ def _run(engine, counts: dict, states, streams, n_steps, record_steps=(), on_rec
     return out
 
 
-def _method(sde: SdeConfig) -> str:
-    return "jump" if sde.scheme == "jump" else f"qsd-{sde.scheme}"
+def _estimate(observable, model, sde, grid, node_steps, n, seed, start) -> EnsembleResult:
+    """The doubled-space estimate of both estimators.
 
-
-def _split_cost(model: LindbladModel, sde: SdeConfig) -> int:
-    """The ``row_cost`` of a chunk task: a doubled row's for the diffusive
-    schemes, 0 for the jump unraveling, so that no jump chunk splits."""
-    return 0 if sde.scheme == "jump" else _row_cost(model)
-
-
-def _normalize_rows(states: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(states, axis=1)
-    return states / norms[:, None]
-
-
-def _doubled_series_chunk(
-    engine,
-    counts: dict,
-    streams,
-    theta: np.ndarray,
-    weights: np.ndarray,
-    observable: Operator,
-    sde: SdeConfig,
-    node_steps: list[int],
-):
-    """Propagate stacked states over the recording grid, returning the
-    weighted block inner products w <upper|A|lower> (per norm^2 for the
-    quasi-linear scheme) for every trajectory and node, and ``counts``."""
-    d = engine.dim
-    a_mat = observable.matrix
-    vals = np.empty((theta.shape[0], len(node_steps)), dtype=complex)
+    Each chunk task takes its rows' stacked states and weights w from
+    ``start(engine, counts, streams)`` and records w <upper|A|lower> (per
+    norm^2 for the quasi-linear scheme) at the nodes ``node_steps``.  A
+    diffusive task gives the runner its doubled row's cost, so that a heavy
+    chunk may split between two processes; a jump task gives 0, so that it
+    never splits, because its bits depend on the batch it runs in.
+    """
     quasi = sde.scheme == "quasi_linear"
 
-    def on_record(slot, states, norms):
-        inner = np.einsum("bi,ij,bj->b", states[:, :d].conj(), a_mat, states[:, d:])
-        if quasi:
-            inner = inner / norms**2
-        vals[:, slot] = weights * inner
+    def task(streams):
+        engine, counts = _engine(model, sde), {}
+        theta, weights = start(engine, counts, streams)
+        d = engine.dim
+        a_mat = observable.matrix
+        vals = np.empty((theta.shape[0], len(node_steps)), dtype=complex)
 
-    _run(engine, counts, theta, streams, node_steps[-1], node_steps, on_record)
-    return vals, counts
+        def on_record(slot, states, norms):
+            inner = np.einsum("bi,ij,bj->b", states[:, :d].conj(), a_mat, states[:, d:])
+            if quasi:
+                inner = inner / norms**2
+            vals[:, slot] = weights * inner
+
+        _run(engine, counts, theta, streams, node_steps[-1], node_steps, on_record)
+        return vals, counts
+
+    jump = sde.scheme == "jump"
+    method = "jump" if jump else f"qsd-{sde.scheme}"
+    return run_ensemble(task, n, seed, grid=grid, method=method,
+                        row_cost=0 if jump else _row_cost(model))
 
 
 def heisenberg_element(
@@ -148,17 +136,13 @@ def heisenberg_element(
     _check_dims(model, observable=observable, bra=bra_state, ket=ket_state)
     grid = np.asarray(t_grid, dtype=float)
     node_steps = grid_steps(grid, sde.dt)
+    _check_unit(bra_state=bra_state, ket_state=ket_state)
     base = make_doubled_state(bra_state.normalized(), ket_state.normalized())
 
-    def task(streams):
-        theta = np.tile(base, (len(streams), 1))
-        weights = np.full(len(streams), 2.0)
-        return _doubled_series_chunk(
-            _engine(model, sde), {}, streams, theta, weights, observable, sde, node_steps
-        )
+    def start(engine, counts, streams):
+        return np.tile(base, (len(streams), 1)), np.full(len(streams), 2.0)
 
-    return run_ensemble(task, n_trajectories, seed, grid=grid, method=_method(sde),
-                        row_cost=_split_cost(model, sde))
+    return _estimate(observable, model, sde, grid, node_steps, n_trajectories, seed, start)
 
 
 def correlate(
@@ -185,28 +169,24 @@ def correlate(
     if initial is not None:
         parts["initial"] = initial
     _check_dims(model, **parts)
-    start = None if initial is None else initial.normalized().amplitudes
+    psi0 = None if initial is None else initial.normalized().amplitudes
     # fail on incommensurate times before any trajectory work starts
     (pre_steps,) = grid_steps([t], sde.dt, "t")
     grid = np.asarray(tau_grid, dtype=float)
     node_steps = grid_steps(grid, sde.dt, "tau node")
 
-    def task(streams):
-        engine, counts = _engine(model, sde), {}
-        if start is None:
+    def start(engine, counts, streams):
+        if psi0 is None:
             states = _haar_rows(streams, model.dim)
         else:
-            states = np.tile(start, (len(streams), 1))
+            states = np.tile(psi0, (len(streams), 1))
         if pre_steps > 0:
             states = _run(engine, counts, states, streams, pre_steps)
             if sde.scheme == "quasi_linear":
-                states = _normalize_rows(states)
+                states = states / np.linalg.norm(states, axis=1)[:, None]
         b_psi = states @ perturbation.matrix.T
         weights = 1.0 + np.einsum("bi,bi->b", b_psi.conj(), b_psi).real
         theta = np.concatenate([states, b_psi], axis=1) / np.sqrt(weights)[:, None]
-        return _doubled_series_chunk(
-            engine, counts, streams, theta, weights, observable, sde, node_steps
-        )
+        return theta, weights
 
-    return run_ensemble(task, n_trajectories, seed, grid=grid, method=_method(sde),
-                        row_cost=_split_cost(model, sde))
+    return _estimate(observable, model, sde, grid, node_steps, n_trajectories, seed, start)

@@ -70,7 +70,7 @@ import numpy as np
 
 from .diffusion import _euler_stack, _euler_update, _record_slots, _row_cost, _stacked
 from .ensemble import _CHUNK, complex_standard_error, run_chunks
-from .hilbert import Ket, LindbladModel, Operator, _check_dims
+from .hilbert import Ket, LindbladModel, Operator, _check_dims, _check_unit
 from .noise import check_step, grid_steps, wiener_steps
 
 __all__ = [
@@ -229,6 +229,7 @@ def run_coupled_ensemble(
         raise ValueError(f"floor must be >= 0, got {floor}")
 
     kernel = _PairKernel(model, dt, variant)
+    _check_unit(bra_state=bra_state, ket_state=ket_state)
     bra0 = bra_state.normalized().amplitudes
     ket0 = ket_state.normalized().amplitudes
     sp0 = complex(np.vdot(bra0, ket0))

@@ -197,6 +197,17 @@ def _check_dims(model: LindbladModel, **parts) -> None:
             raise ValueError(f"dimension mismatch: {name} {part.dim}, model {model.dim}")
 
 
+def _check_unit(**states: Ket) -> None:
+    """Raise a ValueError naming the first of ``states`` that has zero norm
+    or is not normalized to within 1e-9."""
+    for name, state in states.items():
+        n = state.norm()
+        if n == 0.0:
+            raise ValueError(f"{name} has zero norm")
+        if abs(n - 1.0) > 1e-9:
+            raise ValueError(f"{name} is not normalized: norm {n!r}")
+
+
 def make_doubled_state(bra_state: Ket, ket_state: Ket) -> np.ndarray:
     """Stack two normalized states into the unit-norm doubled vector.
 
@@ -215,12 +226,7 @@ def make_doubled_state(bra_state: Ket, ket_state: Ket) -> np.ndarray:
         raise ValueError(
             f"dimension mismatch: {bra_state.dim} vs {ket_state.dim}"
         )
-    for name, state in (("bra_state", bra_state), ("ket_state", ket_state)):
-        n = state.norm()
-        if n == 0.0:
-            raise ValueError(f"{name} has zero norm")
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError(f"{name} is not normalized: norm {n!r}")
+    _check_unit(bra_state=bra_state, ket_state=ket_state)
     s = 1.0 / np.sqrt(2.0)
     return np.concatenate([bra_state.amplitudes * s, ket_state.amplitudes * s])
 

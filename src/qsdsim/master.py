@@ -140,15 +140,17 @@ def build_liouvillian(model: LindbladModel) -> np.ndarray:
 
     With vec(A X B) = (B^T kron A) vec(X), the generator
     L(X) = sum_k A_k X B_k of :func:`_generator_factors` reads
-    sum_k B_k^T kron A_k.
+    sum_k B_k^T kron A_k.  An entry that overflows is inf or nan, without a
+    warning: :func:`steady_state` rejects such a matrix by name.
     """
     d = model.dim
     left, right = _generator_factors(model)
     pairs = zip(left.reshape(-1, d, d), right.reshape(-1, d, d))
-    a, b = next(pairs)
-    out = np.kron(b.T, a)
-    for a, b in pairs:
-        out += np.kron(b.T, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a, b = next(pairs)
+        out = np.kron(b.T, a)
+        for a, b in pairs:
+            out += np.kron(b.T, a)
     return out
 
 
@@ -257,8 +259,12 @@ def steady_state(model: LindbladModel) -> DensityMatrix:
     DegenerateSteadyStateError
         If the kernel is empty at tolerance ``KERNEL_TOL`` (relative to the
         largest singular value) or has dimension > 1.
+    RuntimeError
+        If the Liouvillian overflows, although the model's generator is finite.
     """
     gen = build_liouvillian(model)
+    if not np.all(np.isfinite(gen)):
+        raise RuntimeError("the Liouvillian of this model overflows; no steady state is computed")
     _, svals, vh = np.linalg.svd(gen)
     n_null = int(np.sum(svals <= KERNEL_TOL * float(svals.max())))
     if n_null != 1:

@@ -905,6 +905,25 @@ def test_an_instability_in_a_split_run_reaps_the_chunk_worker(tmp_path, splits):
         os.waitpid(-1, os.WNOHANG)
 
 
+def test_an_overflowing_liouvillian_exits_1_without_a_traceback(tmp_path):
+    # the generator is finite, so the config validates; the oracle's
+    # steady state then names the overflow, with no traceback or warning
+    model = {"hamiltonian": [[1.7e308, 0], [0, -1.7e308]], "lindblads": [[[0, 1], [0, 0]]]}
+    out = tmp_path / "out"
+    path = make_config(tmp_path, scenario="custom", mode="correlation", model=model,
+                       observable="sigma_plus", perturbation="sigma_minus", warmup=0,
+                       tau_grid=[0], dt=0.1, n=4, out=str(out))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qsdsim", "--config", str(path)],
+        capture_output=True,
+        text=True,
+        cwd=Path(cli.__file__).resolve().parents[1],
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == ("run failed: the Liouvillian of this model overflows; "
+                           "no steady state is computed\n")
+
+
 def test_a_killed_chunk_worker_exits_1(tmp_path, splits, monkeypatch, capsys):
     in_chunk_worker(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
     out = tmp_path / "out"

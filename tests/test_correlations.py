@@ -82,6 +82,26 @@ def test_correlate_validation(monkeypatch):
         correlate(**good, initial=Ket([0.0, 0.0]))
 
 
+@pytest.mark.parametrize("scheme", ["normalized", "jump"])
+def test_an_element_of_a_ket_off_unit_norm_is_a_named_error(monkeypatch, scheme):
+    # as make_doubled_state and so the oracle's doubled_matrix_element: a
+    # state off unit norm is rejected, not normalized into another element
+    observable, bra, ket, model = decay_element_setup()
+    sde = SdeConfig(1e-2, scheme)
+    near = Ket([1.0 + 1e-10, 0.0])  # within 1e-9 of unit norm
+    heisenberg_element(observable, near, ket, model, [0.5], 4, sde, seed=0)
+    monkeypatch.setattr("qsdsim.ensemble.spawn", None)  # no trajectory work
+    for pair, message in (
+        ((Ket([0.0, 2.0]), Ket([1.0, 1.0])), "bra_state is not normalized: norm 2.0"),
+        ((bra, Ket([1.0, 1.0])), "ket_state is not normalized: norm 1.4142135623730951"),
+        ((Ket([0.0, 0.0]), ket), "bra_state has zero norm"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            heisenberg_element(observable, *pair, model, [0.5], 4, sde, seed=0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            doubled_matrix_element(observable, *pair, model, [0.5])
+
+
 def test_incommensurate_time_rejected():
     with pytest.raises(ValueError, match="t=0.005 is not an integer multiple"):
         correlate(
@@ -360,15 +380,21 @@ _GROWTH = LindbladModel(Operator(np.zeros((2, 2))), (Operator(1e3 * np.eye(2)),)
 def growing_run(monkeypatch, scales, grid):
     """heisenberg_element on ``_GROWTH`` over 200 trajectories, each
     starting row scaled by ``scales`` {trajectory: factor}."""
-    chunk = correlations._doubled_series_chunk
+    estimate = correlations._estimate
 
-    def scaled(engine, counts, streams, theta, *args):
-        with np.errstate(invalid="ignore"):  # inf times a zero amplitude
-            for row, stream in zip(theta, streams):
-                row *= scales.get(stream.trajectory_index, 1.0)
-        return chunk(engine, counts, streams, theta, *args)
+    def scaled(*args):
+        *head, start = args
 
-    monkeypatch.setattr(correlations, "_doubled_series_chunk", scaled)
+        def scaled_start(engine, counts, streams):
+            theta, weights = start(engine, counts, streams)
+            with np.errstate(invalid="ignore"):  # inf times a zero amplitude
+                for row, stream in zip(theta, streams):
+                    row *= scales.get(stream.trajectory_index, 1.0)
+            return theta, weights
+
+        return estimate(*head, scaled_start)
+
+    monkeypatch.setattr(correlations, "_estimate", scaled)
     observable, bra, ket, _ = decay_element_setup()
     return partial(heisenberg_element, Operator(np.eye(2)), bra, ket, _GROWTH, grid, 200,
                    SdeConfig(0.01, "quasi_linear"), seed=0)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from qsdsim import (
+    Ket,
     LindbladModel,
     NoiseStream,
     Operator,
@@ -97,6 +98,20 @@ def test_orthogonal_initial_pair_rejected_by_ensemble():
             observable, basis_ket(2, 0), basis_ket(2, 1), model,
             [0.1], 1e-2, 10, seed=0,
         )
+
+
+def test_a_pair_of_a_ket_off_unit_norm_is_a_named_error():
+    # checked before the states are normalized, as heisenberg_element does
+    observable, bra, ket, model = decay_element_setup()
+    for pair, message in (
+        ((Ket([0.0, 2.0]), Ket([1.0, 1.0])), "bra_state is not normalized: norm 2.0"),
+        ((bra, Ket([1.0, 1.0])), "ket_state is not normalized: norm 1.4142135623730951"),
+        ((bra, Ket([0.0, 0.0])), "ket_state has zero norm"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_coupled_ensemble(observable, *pair, model, [0.5], 1e-2, 10, seed=0)
+    near = Ket(np.array([1.0, 1.0 + 1e-10]) / np.sqrt(2.0))  # within 1e-9 of unit norm
+    assert run_coupled_ensemble(observable, bra, near, model, [0.5], 1e-2, 10, seed=0).n == 10
 
 
 def test_floor_above_initial_scalar_product_is_named():

@@ -407,6 +407,23 @@ def test_steady_state_degenerate_kernel_raises():
         steady_state(model)
 
 
+# finite entries, so a finite generator, whose Liouvillian still overflows:
+# its diagonal holds G_ii + conj(G_jj), about -3.4e308i at i = 0, j = 1
+_OVERFLOWING = LindbladModel(Operator(np.diag([1.7e308, -1.7e308])), (sigma_minus(),))
+
+
+def test_an_overflowing_liouvillian_is_a_named_error():
+    # the suite turns numpy's overflow warning into an error, so building
+    # the matrix must not warn either
+    gen = build_liouvillian(_OVERFLOWING)
+    assert not np.all(np.isfinite(gen))
+    message = "the Liouvillian of this model overflows; no steady state is computed"
+    with pytest.raises(RuntimeError, match=message):
+        steady_state(_OVERFLOWING)
+    with pytest.raises(RuntimeError, match=message):
+        two_time_correlation(sigma_plus(), sigma_minus(), _OVERFLOWING, 0.0, [0.0])
+
+
 def test_two_time_correlation_identities():
     model = driven_decay_model(6.0)
     a_op, b_op = sigma_plus(), sigma_minus()

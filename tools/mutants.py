@@ -162,7 +162,7 @@ MUTANTS = [
            "h = _SPLIT_ALIGN * round(len(streams) / (2 * _SPLIT_ALIGN)) + 1",
            "tests/test_correlations.py"),
     Mutant("jump-task-allowed-to-split", "src/qsdsim/correlations.py",
-           'return 0 if sde.scheme == "jump" else _row_cost(model)', "return _row_cost(model)",
+           "row_cost=0 if jump else _row_cost(model))", "row_cost=_row_cost(model))",
            "tests/test_correlations.py"),
     Mutant("instability-of-a-half-raised-without-the-unsplit-rerun",
            "src/qsdsim/ensemble.py",
@@ -199,6 +199,21 @@ MUTANTS = [
     Mutant("worker-exit-code-ignored", "src/qsdsim/ensemble.py",
            "if code or not message:", "if not message:",
            "tests/test_ensemble.py"),
+    # an overflowing Liouvillian is named, not left to the SVD
+    Mutant("steady-state-overflow-check-dropped", "src/qsdsim/master.py",
+           "if not np.all(np.isfinite(gen)):", "if False:",
+           "tests/test_master.py"),
+    Mutant("liouvillian-overflow-warns", "src/qsdsim/master.py",
+           'with np.errstate(over="ignore", invalid="ignore"):\n        a, b = next(pairs)',
+           "with np.errstate():\n        a, b = next(pairs)",
+           "tests/test_master.py"),
+    # a state off unit norm is rejected, not normalized into another element
+    Mutant("element-normalizes-a-ket-off-unit-norm", "src/qsdsim/correlations.py",
+           "    _check_unit(bra_state=bra_state, ket_state=ket_state)\n", "",
+           "tests/test_correlations.py"),
+    Mutant("pair-normalizes-a-ket-off-unit-norm", "src/qsdsim/gisin.py",
+           "    _check_unit(bra_state=bra_state, ket_state=ket_state)\n", "",
+           "tests/test_gisin.py"),
 ]
 
 
